@@ -3,7 +3,7 @@
 The package is organized bottom-up:
 
 - ``rng``        deterministic pseudo-random streams (version-stable)
-- ``_kernels``   graph/rank kernels, numba-accelerated with a numpy fallback
+- ``_kernels``   graph/rank kernels (inversion counts, DAG path statistics)
 - ``cellgraph``  cell DAG containers and invariants
 - ``benchmark``  synthetic space generation plus tabular benchmark ingest/export
 - ``encodings``  structural, score, and unified architecture encodings

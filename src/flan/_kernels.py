@@ -1,138 +1,62 @@
-"""Integer graph and ranking kernels with optional numba acceleration.
+"""Integer graph and ranking kernels in NumPy.
 
-The two loops here run once per architecture across entire spaces (graph
+The two kernels here run once per cell across entire spaces (graph
 statistics for score encodings) or over full result vectors (inversion
-counting behind Kendall's tau), so they are the only code worth jitting.
-Each kernel is written once as a plain function and compiled with ``@njit``
-when available; set ``FLAN_NUMBA=0`` in the environment (before import) to
-force the pure-Python path.  Both paths execute the same integer algorithm
-and return identical results bit for bit.
+counting behind Kendall's tau).  Each is written as whole-array operations
+so that no per-element Python loop runs: inversions are counted one merge
+level at a time (Knight 1966), path statistics one walk length at a time.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
-def _env_wants_numba() -> bool:
-    value = os.environ.get("FLAN_NUMBA", "1").strip().lower()
-    return value not in ("0", "false", "no", "off")
+def count_inversions(values) -> int:
+    """Number of pairs i < j with values[i] > values[j].
 
-
-def _count_inversions_impl(values):
-    """Number of pairs i < j with values[i] > values[j], by bottom-up mergesort."""
-    n = values.shape[0]
-    work = values.copy()
-    buf = np.empty(n, dtype=np.int64)
+    Follows a bottom-up mergesort without doing the merges: at width w,
+    each element of a right half is paired with the left half of its block
+    and counts the left elements strictly greater than it.  Keys
+    ``block * n + rank`` keep the blocks apart in one sorted array.
+    """
+    _, rank = np.unique(values, return_inverse=True)
+    n = rank.shape[0]
+    position = np.arange(n, dtype=np.int64)
     inversions = 0
     width = 1
     while width < n:
-        start = 0
-        while start < n:
-            mid = start + width
-            if mid >= n:
-                break
-            end = mid + width
-            if end > n:
-                end = n
-            i = start
-            j = mid
-            k = start
-            while i < mid and j < end:
-                if work[i] <= work[j]:
-                    buf[k] = work[i]
-                    i += 1
-                else:
-                    # work[i..mid) all exceed work[j]
-                    inversions += mid - i
-                    buf[k] = work[j]
-                    j += 1
-                k += 1
-            while i < mid:
-                buf[k] = work[i]
-                i += 1
-                k += 1
-            while j < end:
-                buf[k] = work[j]
-                j += 1
-                k += 1
-            for idx in range(start, end):
-                work[idx] = buf[idx]
-            start += 2 * width
+        half = position // width
+        block = half >> 1
+        right = (half & 1) == 1
+        left_keys = np.sort(block[~right] * n + rank[~right])
+        right_block = block[right]
+        above = np.searchsorted(left_keys, right_block * n + rank[right], "right")
+        block_end = np.searchsorted(left_keys, (right_block + 1) * n, "left")
+        inversions += int(np.sum(block_end - above))
         width *= 2
     return inversions
 
 
-def _dag_path_stats_impl(adj, src, dst, count_cap):
+def dag_path_stats(adj, src, dst, count_cap):
     """Longest path, shortest path (edge counts) and capped path count src -> dst.
 
     adj[i, j] != 0 means an edge i -> j.  The graph must be acyclic; callers
-    validate.  Returns (-1, -1, 0) when dst is unreachable from src.
+    validate.  count_cap must be >= 1.  Returns (-1, -1, 0) when dst is
+    unreachable from src.
+
+    walks[k, v] holds the number of src -> v paths with k edges, capped at
+    count_cap; capping each step keeps it exact below the cap since all
+    terms are non-negative.  In a DAG no path has n or more edges.
     """
     n = adj.shape[0]
-    indegree = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            if adj[i, j] != 0:
-                indegree[j] += 1
-    order = np.empty(n, dtype=np.int64)
-    head = 0
-    tail = 0
-    for i in range(n):
-        if indegree[i] == 0:
-            order[tail] = i
-            tail += 1
-    longest = np.full(n, -1, dtype=np.int64)
-    shortest = np.full(n, -1, dtype=np.int64)
-    counts = np.zeros(n, dtype=np.int64)
-    longest[src] = 0
-    shortest[src] = 0
-    counts[src] = 1
-    while head < tail:
-        u = order[head]
-        head += 1
-        for v in range(n):
-            if adj[u, v] == 0:
-                continue
-            indegree[v] -= 1
-            if indegree[v] == 0:
-                order[tail] = v
-                tail += 1
-            if longest[u] < 0:
-                continue
-            cand = longest[u] + 1
-            if cand > longest[v]:
-                longest[v] = cand
-            if shortest[v] < 0 or shortest[u] + 1 < shortest[v]:
-                shortest[v] = shortest[u] + 1
-            total = counts[v] + counts[u]
-            if total > count_cap:
-                total = count_cap
-            counts[v] = total
-    if longest[dst] < 0:
-        return np.int64(-1), np.int64(-1), np.int64(0)
-    return longest[dst], shortest[dst], counts[dst]
-
-
-NUMBA_ENABLED = False
-if _env_wants_numba():
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # numba is optional: fall back to the pure kernels
-        NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-    count_inversions = njit(cache=True)(_count_inversions_impl)
-    dag_path_stats = njit(cache=True)(_dag_path_stats_impl)
-else:
-    count_inversions = _count_inversions_impl
-    dag_path_stats = _dag_path_stats_impl
-
-
-def numba_enabled() -> bool:
-    """True when kernels in this process are the jitted variants."""
-    return NUMBA_ENABLED
+    step = (np.asarray(adj) != 0).astype(np.int64)
+    walks = np.zeros((n, n), dtype=np.int64)
+    walks[0, src] = 1
+    for k in range(1, n):
+        np.minimum(walks[k - 1] @ step, count_cap, out=walks[k])
+    hits = walks[:, dst]
+    lengths = np.flatnonzero(hits)
+    if lengths.size == 0:
+        return -1, -1, 0
+    return int(lengths[-1]), int(lengths[0]), int(min(hits.sum(), count_cap))

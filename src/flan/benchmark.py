@@ -353,6 +353,11 @@ def export(bench: TabularBenchmark, path) -> None:
 
 
 def _need(mapping: dict, key: str, line: int):
+    if not isinstance(mapping, dict):
+        raise BenchmarkError(
+            f"expected an object with key {key!r}, got {type(mapping).__name__}",
+            line,
+        )
     if key not in mapping:
         raise BenchmarkError(f"missing key {key!r}", line)
     return mapping[key]
@@ -406,6 +411,10 @@ def ingest(path) -> TabularBenchmark:
             raise BenchmarkError(f"duplicate arch id {arch_id}", line)
         seen_ids.add(arch_id)
         cells_raw = _need(rec, "cells", line)
+        if not isinstance(cells_raw, list):
+            raise BenchmarkError(
+                f"cells must be a list, got {type(cells_raw).__name__}", line
+            )
         if len(cells_raw) != cells_per_arch:
             raise BenchmarkError(
                 f"expected {cells_per_arch} cells, got {len(cells_raw)}", line

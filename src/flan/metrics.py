@@ -1,7 +1,7 @@
 """Rank correlation measures.
 
 kendall_tau is the tie-adjusted tau-b computed in O(n log n): sort by
-(x, y), count discordant pairs as strict inversions of y with a mergesort,
+(x, y), count discordant pairs as strict inversions of y (merge-level counts),
 and correct for ties on either side.  spearman_rho is Pearson correlation of
 midranks.  Both return NaN when either input is constant, since rank
 correlation is undefined there; callers treat NaN as "no signal".
@@ -35,31 +35,14 @@ def _check_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _tied_pairs(sorted_values: np.ndarray) -> int:
-    """Sum over runs of equal values of t*(t-1)/2."""
-    total = 0
-    run = 1
-    for i in range(1, sorted_values.shape[0]):
-        if sorted_values[i] == sorted_values[i - 1]:
-            run += 1
-        else:
-            total += run * (run - 1) // 2
-            run = 1
-    total += run * (run - 1) // 2
-    return total
+def _tied_pairs(*sorted_columns: np.ndarray) -> int:
+    """Sum over runs of rows equal in every column of t*(t-1)/2.
 
-
-def _joint_tied_pairs(xs: np.ndarray, ys: np.ndarray) -> int:
-    total = 0
-    run = 1
-    for i in range(1, xs.shape[0]):
-        if xs[i] == xs[i - 1] and ys[i] == ys[i - 1]:
-            run += 1
-        else:
-            total += run * (run - 1) // 2
-            run = 1
-    total += run * (run - 1) // 2
-    return total
+    The columns share one row order that puts equal rows next to each other.
+    """
+    changed = np.any([c[1:] != c[:-1] for c in sorted_columns], axis=0)
+    runs = np.diff(np.flatnonzero(np.concatenate(([True], changed, [True]))))
+    return int(np.sum(runs * (runs - 1) // 2))
 
 
 def kendall_tau(x, y) -> float:
@@ -71,10 +54,9 @@ def kendall_tau(x, y) -> float:
     total = n * (n - 1) // 2
     xtie = _tied_pairs(xs)
     ytie = _tied_pairs(np.sort(y, kind="stable"))
-    ntie = _joint_tied_pairs(xs, ys)
+    ntie = _tied_pairs(xs, ys)
     # With x-ties broken by y, inversions of y are exactly the discordant pairs.
-    _, y_ranks = np.unique(ys, return_inverse=True)
-    discordant = int(count_inversions(y_ranks.astype(np.int64)))
+    discordant = count_inversions(ys)
     con_minus_dis = total - xtie - ytie + ntie - 2 * discordant
     denom_sq = float(total - xtie) * float(total - ytie)
     if denom_sq <= 0.0:
@@ -85,20 +67,10 @@ def kendall_tau(x, y) -> float:
 
 def midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the mean of their positions."""
-    n = values.shape[0]
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        # positions i..j (0-based) share the midrank
-        mid = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = mid
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    first = np.cumsum(counts) - counts
+    # the run at 0-based positions i..j = first..first+counts-1 gets (i + j) / 2 + 1
+    return (first + (counts + 1) / 2.0)[inverse]
 
 
 def spearman_rho(x, y) -> float:

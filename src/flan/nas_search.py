@@ -15,7 +15,7 @@ whose final iteration could not fill its budget is flagged, not failed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -203,20 +203,8 @@ def predictor_factory(predictor_config, base_train_config: TrainConfig,
                 )
         vocab = unify([bench.vocab])
         model = init(cfg, vocab, bench.cells_per_arch, seed)
-        tc = TrainConfig(
-            lr=base_train_config.lr,
-            weight_decay=base_train_config.weight_decay,
-            epochs=base_train_config.epochs,
-            batch_size=base_train_config.batch_size,
-            transfer_epochs=base_train_config.transfer_epochs,
-            transfer_lr=base_train_config.transfer_lr,
-            hinge_margin=base_train_config.hinge_margin,
-            seed=seed,
-            adam_beta1=base_train_config.adam_beta1,
-            adam_beta2=base_train_config.adam_beta2,
-            adam_eps=base_train_config.adam_eps,
-        )
-        fit(model, bench, evaluated_ids, tc, supplemental=provider)
+        fit(model, bench, evaluated_ids, replace(base_train_config, seed=seed),
+            supplemental=provider)
 
         def scorer(ids):
             supp = provider.matrix(ids) if provider is not None else None

@@ -17,6 +17,7 @@ from flan.benchmark import (
     split,
 )
 from flan.cellgraph import validate
+from flan.cli import main
 from flan.metrics import spearman_rho
 
 
@@ -238,6 +239,24 @@ def test_ingest_invalid_cell_names_line(tmp_path):
 
     with pytest.raises(BenchmarkError, match="line 2.*cycle"):
         ingest(write_two_records(tmp_path, mutate))
+
+
+@pytest.mark.parametrize("cells, message", [
+    (5, "line 3: cells must be a list, got int"),
+    ([5], "line 3: expected an object with key 'adj', got int"),
+])
+def test_ingest_malformed_cells_names_line(tmp_path, capsys, cells, message):
+    def mutate(header, records):
+        records[1]["cells"] = cells
+
+    path = write_two_records(tmp_path, mutate)
+    with pytest.raises(BenchmarkError, match=message):
+        ingest(path)
+    code = main(["encode", "--bench", str(path), "--kind", "path",
+                 "--out", str(tmp_path / "enc.supp")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {message}\n"
 
 
 def test_ingest_accepts_non_upper_triangular_dags(tmp_path):

@@ -1,12 +1,15 @@
 """End-to-end command line runs against generated benchmark files."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flan
 from flan.cli import main, parse_config_file
 from flan.encodings import load_supplemental
 
@@ -341,11 +344,14 @@ def test_missing_bench_file_exits_cleanly(tmp_path, capsys):
 
 def test_module_entry_point_smoke(tmp_path):
     out = tmp_path / "m.bench"
+    # the child imports the same flan as this process, installed or not
+    package_root = str(Path(flan.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "flan.cli", "gen-bench", "--num-nodes", "3",
          "--vocab-size", "5", "--num-archs", "3", "--seed", "1",
          "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()

@@ -1,34 +1,17 @@
-"""Oracle checks for the integer kernels, on both execution paths.
+"""Oracle checks for the integer kernels.
 
-The file covers the three states ``flan._kernels`` can be imported in:
-
-- flag off: a subprocess with ``FLAN_NUMBA=0`` must get the pure kernels;
-- numba missing: a subprocess that blocks ``import numba`` must get the pure
-  kernels whatever the flag says;
-- numba present: the jitted and pure-Python variants wrap the same function
-  objects, so the in-process tests compare the exported (possibly compiled)
-  kernels against the underscore implementations, which act as the oracle.
-
-The in-process import state is checked against the flag and a real
-``import numba`` attempt, so the same test holds with and without numba.
+``count_inversions`` is compared against the O(n^2) pair count and
+``dag_path_stats`` against DFS path enumeration; both oracles share no code
+with the NumPy kernels they check.
 """
 
 import itertools
-import os
-import subprocess
-import sys
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flan._kernels import (
-    _count_inversions_impl,
-    _dag_path_stats_impl,
-    count_inversions,
-    dag_path_stats,
-    numba_enabled,
-)
+from flan._kernels import count_inversions, dag_path_stats
 from flan.rng import Rng
 
 
@@ -103,8 +86,10 @@ def test_path_stats_match_dfs_oracle():
     for _ in range(300):
         n = 2 + rng.randint(6)
         adj = random_dag(rng, n)
-        got = dag_path_stats(adj, 0, n - 1, 1 << 16)
-        assert tuple(int(v) for v in got) == stats_oracle(adj, 0, n - 1, 1 << 16)
+        src, dst = rng.randint(n), rng.randint(n)
+        cap = (1, 3, 1 << 16)[rng.randint(3)]
+        got = dag_path_stats(adj, src, dst, cap)
+        assert tuple(int(v) for v in got) == stats_oracle(adj, src, dst, cap)
 
 
 def test_path_stats_exhaustive_four_nodes():
@@ -145,61 +130,3 @@ def test_path_count_saturates_at_cap():
     capped = tuple(dag_path_stats(adj, 0, n - 1, 100))
     assert capped[:2] == full[:2]
     assert capped[2] == 100
-
-
-# -- both execution paths -----------------------------------------------------------
-
-def test_exported_kernels_equal_pure_impls():
-    rng = Rng(7)
-    for _ in range(50):
-        arr = np.array([rng.randint(40) - 20 for _ in range(60)], dtype=np.int64)
-        assert count_inversions(arr) == _count_inversions_impl(arr)
-    for _ in range(50):
-        n = 2 + rng.randint(6)
-        adj = random_dag(rng, n)
-        assert tuple(dag_path_stats(adj, 0, n - 1, 64)) == tuple(
-            _dag_path_stats_impl(adj, 0, n - 1, 64)
-        )
-
-
-FALLBACK_PROBE = (
-    "import numpy as np\n"
-    "from flan._kernels import count_inversions, dag_path_stats, numba_enabled\n"
-    "assert not numba_enabled()\n"
-    "arr = np.array([4, 1, 3, 2, 2], dtype=np.int64)\n"
-    "adj = np.zeros((4, 4), dtype=np.uint8)\n"
-    "adj[0, 1] = adj[0, 2] = adj[1, 3] = adj[2, 3] = 1\n"
-    "print(count_inversions(arr), *dag_path_stats(adj, 0, 3, 16))\n"
-)
-
-
-def run_fallback_probe(env, prelude=""):
-    out = subprocess.run(
-        [sys.executable, "-c", prelude + FALLBACK_PROBE],
-        env=env, capture_output=True, text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["6", "2", "2", "2"]
-
-
-def test_env_flag_selects_pure_path():
-    run_fallback_probe(dict(os.environ, FLAN_NUMBA="0"))
-
-
-def test_missing_numba_selects_pure_path():
-    # A None entry in sys.modules makes `import numba` raise ImportError.
-    env = {k: v for k, v in os.environ.items() if k != "FLAN_NUMBA"}
-    run_fallback_probe(env, prelude="import sys\nsys.modules['numba'] = None\n")
-
-
-def test_default_import_state_reports_flag():
-    flag_on = os.environ.get("FLAN_NUMBA", "1").strip().lower() not in (
-        "0", "false", "no", "off"
-    )
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        numba_importable = False
-    else:
-        numba_importable = True
-    assert numba_enabled() == (flag_on and numba_importable)

@@ -1,6 +1,7 @@
 """Iterative-sampling search: pool schedule, phases, trace, determinism."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -265,6 +266,27 @@ def test_predictor_factory_proxy_dim_mismatch():
     )
     with pytest.raises(SearchError, match="supplemental_dims"):
         run(bench, factory, budget=4, iters=1)
+
+
+def test_predictor_factory_trains_with_every_base_config_field(monkeypatch):
+    import flan.training
+
+    base = TrainConfig(
+        lr=0.02, weight_decay=0.003, epochs=3, batch_size=5, transfer_epochs=4,
+        transfer_lr=0.006, hinge_margin=0.2, seed=11, adam_beta1=0.8,
+        adam_beta2=0.99, adam_eps=1e-6,
+    )
+    defaults = TrainConfig()
+    for f in dataclasses.fields(TrainConfig):
+        assert getattr(base, f.name) != getattr(defaults, f.name), f.name
+    seen = []
+    monkeypatch.setattr(
+        flan.training, "fit",
+        lambda model, bench, ids, config, **kw: seen.append(config),
+    )
+    bench = small_bench(num_archs=12, seed=10)
+    predictor_factory(tiny_config(), base)(bench, list(bench.arch_ids)[:4], 42)
+    assert seen == [dataclasses.replace(base, seed=42)]
 
 
 def test_surrogate_search_beats_equal_budget_random_sampling():
