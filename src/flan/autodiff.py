@@ -88,10 +88,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def _wrap(arr: np.ndarray) -> Tensor:
     return Tensor(arr, requires_grad=False, copy=False)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -38,6 +39,8 @@ from .cellgraph import (
 from .encodings import (
     PATH_COUNT_CAP,
     SupplementalTable,
+    check_field,
+    need_field,
     score_feature_matrix,
     zscore_columns,
 )
@@ -352,15 +355,8 @@ def export(bench: TabularBenchmark, path) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _need(mapping: dict, key: str, line: int):
-    if not isinstance(mapping, dict):
-        raise BenchmarkError(
-            f"expected an object with key {key!r}, got {type(mapping).__name__}",
-            line,
-        )
-    if key not in mapping:
-        raise BenchmarkError(f"missing key {key!r}", line)
-    return mapping[key]
+_check = partial(check_field, BenchmarkError)
+_need = partial(need_field, BenchmarkError)
 
 
 def ingest(path) -> TabularBenchmark:
@@ -373,27 +369,31 @@ def ingest(path) -> TabularBenchmark:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise BenchmarkError(f"header is not valid JSON: {exc}", 1) from None
+    _check(header, "header", 1, "object")
     if header.get("format") != BENCH_FORMAT:
         raise BenchmarkError(
             f"expected format {BENCH_FORMAT!r}, got {header.get('format')!r}", 1
         )
-    for key in ("name", "space_id", "num_nodes", "cells_per_arch", "ops"):
-        _need(header, key, 1)
-    num_nodes = int(header["num_nodes"])
-    cells_per_arch = int(header["cells_per_arch"])
+    name = _need(header, "name", 1, "str")
+    space_id = _need(header, "space_id", 1, "int")
+    num_nodes = _need(header, "num_nodes", 1, "int")
+    cells_per_arch = _need(header, "cells_per_arch", 1, "int")
+    op_names = _need(header, "ops", 1, "strings")
     if cells_per_arch not in (1, 2):
         raise BenchmarkError(f"cells_per_arch must be 1 or 2, got {cells_per_arch}", 1)
     try:
-        vocab = OpVocabulary(int(header["space_id"]), tuple(header["ops"]))
+        vocab = OpVocabulary(space_id, tuple(op_names))
     except ValueError as exc:
         raise BenchmarkError(f"bad vocabulary: {exc}", 1) from None
-    zcp_dim = int(header.get("zcp_dim", 0))
+    zcp_dim = _check(header.get("zcp_dim", 0), "zcp_dim", 1, "int")
     if zcp_dim < 0:
         raise BenchmarkError(f"zcp_dim must be >= 0, got {zcp_dim}", 1)
+    metadata = _check(header.get("metadata", {}), "metadata", 1, "object")
     records = lines[1:]
-    if "count" in header and len(records) != int(header["count"]):
+    count = _check(header.get("count", len(records)), "count", 1, "int")
+    if len(records) != count:
         raise BenchmarkError(
-            f"header promises {header['count']} records, file has {len(records)}"
+            f"header promises {count} records, file has {len(records)}"
         )
 
     archs: list[CellArch] = []
@@ -406,27 +406,27 @@ def ingest(path) -> TabularBenchmark:
             rec = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise BenchmarkError(f"record is not valid JSON: {exc}", line) from None
-        arch_id = int(_need(rec, "id", line))
+        arch_id = _need(rec, "id", line, "int")
         if arch_id in seen_ids:
             raise BenchmarkError(f"duplicate arch id {arch_id}", line)
         seen_ids.add(arch_id)
-        cells_raw = _need(rec, "cells", line)
-        if not isinstance(cells_raw, list):
-            raise BenchmarkError(
-                f"cells must be a list, got {type(cells_raw).__name__}", line
-            )
+        cells_raw = _need(rec, "cells", line, "list")
         if len(cells_raw) != cells_per_arch:
             raise BenchmarkError(
                 f"expected {cells_per_arch} cells, got {len(cells_raw)}", line
             )
         cells = []
         for cell_raw in cells_raw:
-            adj = _need(cell_raw, "adj", line)
-            ops = _need(cell_raw, "ops", line)
+            adj = _need(cell_raw, "adj", line, "list")
+            for r, row in enumerate(adj):
+                _check(row, f"adj[{r}]", line, "list")
+            ops = _need(cell_raw, "ops", line, "integers")
             if len(adj) != num_nodes or any(len(row) != num_nodes for row in adj):
                 raise BenchmarkError(
                     f"adjacency must be {num_nodes}x{num_nodes}", line
                 )
+            if any(v not in (0, 1) for row in adj for v in row):
+                raise BenchmarkError("adjacency entries must be 0 or 1", line)
             if len(ops) != num_nodes:
                 raise BenchmarkError(
                     f"ops must list {num_nodes} entries, got {len(ops)}", line
@@ -443,14 +443,15 @@ def ingest(path) -> TabularBenchmark:
             arch = CellArch(tuple(cells), arch_id)
         except ValueError as exc:
             raise BenchmarkError(f"bad arch: {exc}", line) from None
-        accuracy = float(_need(rec, "acc", line))
+        accuracy = _need(rec, "acc", line, "number")
         if not math.isfinite(accuracy) or not 0.0 <= accuracy <= 1.0:
             raise BenchmarkError(f"acc must be in [0, 1], got {accuracy}", line)
         if zcp_dim > 0:
             # zcp is optional per record; lookups of archs without one fail
             # loudly at supplemental-provider time
             if "zcp" in rec:
-                zcp = np.asarray(rec["zcp"], dtype=np.float64)
+                zcp = np.asarray(_check(rec["zcp"], "zcp", line, "numbers"),
+                                 dtype=np.float64)
                 if zcp.shape != (zcp_dim,):
                     raise BenchmarkError(
                         f"zcp must hold {zcp_dim} values, got shape {zcp.shape}",
@@ -464,19 +465,16 @@ def ingest(path) -> TabularBenchmark:
         archs.append(arch)
         accuracies[arch_id] = accuracy
 
-    metadata = {
-        str(k): str(v) for k, v in dict(header.get("metadata", {})).items()
-    }
     proxies = (
         SupplementalTable("zcp", zcp_dim, proxy_vectors) if zcp_dim > 0 else None
     )
     return TabularBenchmark(
-        name=str(header["name"]),
+        name=name,
         vocab=vocab,
         archs=tuple(archs),
         accuracies=accuracies,
         proxies=proxies,
-        metadata=metadata,
+        metadata={str(k): str(v) for k, v in metadata.items()},
         cells_per_arch=cells_per_arch,
         num_nodes=num_nodes,
     )

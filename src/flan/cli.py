@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -30,25 +31,6 @@ from .nas_search import (
 from .predictor import PredictorConfig, init, score_archs
 from .training import TrainConfig, fit, load_model, save_model, transfer
 
-_PREDICTOR_TUPLES = {
-    "gcn_dims", "mlp_dims", "backward_gcn_dims", "op_update_mlp_dims",
-    "supp_embedder_dims", "supplemental_dims",
-}
-_PREDICTOR_INTS = {
-    "op_embedding_dim", "node_embedding_dim", "hidden_dim", "nn_emb_dim",
-    "timesteps",
-}
-_PREDICTOR_STRS = {"forward_mode", "backward_mode", "attention_variant"}
-_PREDICTOR_BOOLS = {"unified"}
-_TRAIN_FLOATS = {
-    "lr", "weight_decay", "transfer_lr", "hinge_margin", "adam_beta1",
-    "adam_beta2", "adam_eps",
-}
-_TRAIN_INTS = {"epochs", "batch_size", "transfer_epochs", "seed"}
-_SEARCH_INTS = {
-    "budget_per_iter", "max_iters", "initial_sample", "pool_floor", "seed",
-}
-
 
 def _parse_bool(raw: str) -> bool:
     lowered = raw.strip().lower()
@@ -57,6 +39,20 @@ def _parse_bool(raw: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {raw!r}")
+
+
+# one parser per field annotation in use by the config dataclasses
+_FIELD_PARSERS = {
+    "int": int,
+    "int | None": int,
+    "float": float,
+    "str": str,
+    "bool": _parse_bool,
+    "tuple[int, ...]": lambda raw: tuple(
+        int(v) for v in raw.split(",") if v.strip() != ""
+    ),
+}
+_CONFIG_CLASSES = (PredictorConfig, TrainConfig, SearchConfig)
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -77,10 +73,7 @@ def parse_config_file(path) -> dict[str, str]:
             if key in out:
                 raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
             out[key] = value
-    known = (
-        _PREDICTOR_TUPLES | _PREDICTOR_INTS | _PREDICTOR_STRS
-        | _PREDICTOR_BOOLS | _TRAIN_FLOATS | _TRAIN_INTS | _SEARCH_INTS
-    )
+    known = {f.name for cls in _CONFIG_CLASSES for f in fields(cls)}
     unknown = set(out) - known
     if unknown:
         raise ValueError(
@@ -91,31 +84,20 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def _split_config(raw: dict[str, str], seed: int | None):
-    """Distribute raw keys over the three config dataclasses."""
-    pred_kwargs: dict = {}
-    train_kwargs: dict = {}
-    search_kwargs: dict = {}
-    for key, value in raw.items():
-        if key in _PREDICTOR_TUPLES:
-            pred_kwargs[key] = tuple(
-                int(v) for v in value.split(",") if v.strip() != ""
-            )
-        elif key in _PREDICTOR_INTS:
-            pred_kwargs[key] = int(value)
-        elif key in _PREDICTOR_STRS:
-            pred_kwargs[key] = value
-        elif key in _PREDICTOR_BOOLS:
-            pred_kwargs[key] = _parse_bool(value)
-        if key in _TRAIN_FLOATS:
-            train_kwargs[key] = float(value)
-        if key in _TRAIN_INTS:
-            train_kwargs[key] = int(value)
-        if key in _SEARCH_INTS:
-            search_kwargs[key] = int(value)
-    if seed is not None:
-        train_kwargs["seed"] = seed
-        search_kwargs["seed"] = seed
-    return pred_kwargs, train_kwargs, search_kwargs
+    """Parse raw values by field annotation into kwargs for each config
+    dataclass; a key fills every config with that field, and `seed`
+    overrides every seed field."""
+    out = []
+    for cls in _CONFIG_CLASSES:
+        types = {f.name: f.type for f in fields(cls)}
+        kwargs = {
+            key: _FIELD_PARSERS[types[key]](value)
+            for key, value in raw.items() if key in types
+        }
+        if seed is not None and "seed" in types:
+            kwargs["seed"] = seed
+        out.append(kwargs)
+    return tuple(out)
 
 
 def _load_config(args) -> tuple[dict, dict, dict]:
@@ -123,9 +105,10 @@ def _load_config(args) -> tuple[dict, dict, dict]:
     return _split_config(raw, args.seed)
 
 
-def _supplemental_tables(specs, bench: TabularBenchmark):
-    """Resolve --supp tokens: `zcp` uses the benchmark's proxies, anything
-    else is a flan-supp/1 path.  Order is preserved and significant."""
+def _supplemental_provider(specs, bench: TabularBenchmark):
+    """Resolve --supp tokens into a provider, or None without any: `zcp`
+    uses the benchmark's proxies, anything else is a flan-supp/1 path.
+    Order is preserved and significant."""
     tables = []
     for spec in specs:
         if spec == "zcp":
@@ -136,7 +119,7 @@ def _supplemental_tables(specs, bench: TabularBenchmark):
             tables.append(bench.proxies)
         else:
             tables.append(enc_mod.load_supplemental(spec))
-    return tables
+    return enc_mod.SupplementalProvider(tables) if tables else None
 
 
 def _emit(payload: dict, out_path) -> None:
@@ -189,12 +172,9 @@ def _cmd_encode(args) -> int:
 
 def _train_model(bench, train_ids, pred_kwargs, train_kwargs, supp_specs,
                  unified: bool):
-    tables = _supplemental_tables(supp_specs, bench)
-    provider = enc_mod.SupplementalProvider(tables) if tables else None
+    provider = _supplemental_provider(supp_specs, bench)
     if provider is not None:
-        pred_kwargs.setdefault(
-            "supplemental_dims", tuple(t.dim for t in provider.tables)
-        )
+        pred_kwargs.setdefault("supplemental_dims", provider.dims)
     if unified:
         pred_kwargs["unified"] = True
     pcfg = PredictorConfig(**pred_kwargs)
@@ -262,8 +242,7 @@ def _cmd_eval(args) -> int:
         bench, int(provenance["train_count"]), int(provenance["split_seed"])
     )
     supp_specs = [s for s in provenance.get("supp", "").split(",") if s]
-    tables = _supplemental_tables(supp_specs, bench)
-    provider = enc_mod.SupplementalProvider(tables) if tables else None
+    provider = _supplemental_provider(supp_specs, bench)
     payload = _score_report(model, bench, test_ids, provider)
     payload["train_count"] = len(train_ids)
     _emit(payload, args.out)
@@ -279,8 +258,7 @@ def _cmd_transfer(args) -> int:
     else:
         train_ids, test_ids = (), bench.arch_ids
     supp_specs = list(args.supp)
-    tables = _supplemental_tables(supp_specs, bench)
-    provider = enc_mod.SupplementalProvider(tables) if tables else None
+    provider = _supplemental_provider(supp_specs, bench)
     tuned = transfer(model, bench, train_ids, tcfg, supplemental=provider)
     provenance = {
         "bench_name": bench.name,

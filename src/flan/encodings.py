@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -385,6 +386,55 @@ class SupplementalProvider:
         return np.stack([self.row(i) for i in arch_ids])
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    # the bound keeps float() of a huge JSON integer from overflowing
+    return isinstance(value, float) or (
+        _is_int(value) and abs(value) <= sys.float_info.max
+    )
+
+
+# JSON field kinds shared by the flan-supp/1 and flan-bench/1 readers; a
+# list kind also checks every item by its item kind
+_FIELD_KINDS = {
+    "int": ("an integer", _is_int),
+    "number": ("a number", _is_number),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "object": ("an object", lambda v: isinstance(v, dict)),
+    "list": ("a list", lambda v: isinstance(v, list)),
+}
+_LIST_ITEMS = {"integers": "int", "numbers": "number", "strings": "str"}
+
+
+def check_field(error, value, what: str, line: int, kind: str):
+    """`value` if it is of `kind` (a `number` as a float), else raise
+    ``error(message=..., line=line)``."""
+    item = _LIST_ITEMS.get(kind)
+    description, test = _FIELD_KINDS["list" if item else kind]
+    if item:
+        description = f"a list of {kind}"
+    if not test(value):
+        raise error(message=f"{what} must be {description}, got "
+                    f"{type(value).__name__}", line=line)
+    if item and not all(map(_FIELD_KINDS[item][1], value)):
+        for i, x in enumerate(value):
+            check_field(error, x, f"{what}[{i}]", line, item)
+    return float(value) if kind == "number" else value
+
+
+def need_field(error, mapping, key: str, line: int, kind: str):
+    """``mapping[key]``, checked by `check_field`."""
+    if not isinstance(mapping, dict):
+        raise error(message=f"expected an object with key {key!r}, got "
+                    f"{type(mapping).__name__}", line=line)
+    if key not in mapping:
+        raise error(message=f"missing key {key!r}", line=line)
+    return check_field(error, mapping[key], key, line, kind)
+
+
 def _supp_error(line: int, message: str) -> EncodingError:
     return EncodingError(f"line {line}: {message}")
 
@@ -399,18 +449,19 @@ def load_supplemental(path) -> SupplementalTable:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise _supp_error(1, f"header is not valid JSON: {exc}") from None
+    check_field(_supp_error, header, "header", 1, "object")
     if header.get("format") != SUPP_FORMAT:
         raise _supp_error(1, f"expected format {SUPP_FORMAT!r}, got {header.get('format')!r}")
-    for key in ("kind", "dim"):
-        if key not in header:
-            raise _supp_error(1, f"header missing key {key!r}")
-    dim = int(header["dim"])
+    kind = need_field(_supp_error, header, "kind", 1, "str")
+    dim = need_field(_supp_error, header, "dim", 1, "int")
     if dim <= 0:
         raise _supp_error(1, f"dim must be positive, got {dim}")
     records = lines[1:]
-    if "count" in header and len(records) != int(header["count"]):
+    count = check_field(_supp_error, header.get("count", len(records)),
+                        "count", 1, "int")
+    if len(records) != count:
         raise EncodingError(
-            f"header promises {header['count']} records, file has {len(records)}"
+            f"header promises {count} records, file has {len(records)}"
         )
     vectors: dict[int, np.ndarray] = {}
     for offset, raw in enumerate(records):
@@ -419,12 +470,11 @@ def load_supplemental(path) -> SupplementalTable:
             rec = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise _supp_error(line, f"record is not valid JSON: {exc}") from None
-        if "id" not in rec or "v" not in rec:
-            raise _supp_error(line, "record needs id and v")
-        arch_id = int(rec["id"])
+        arch_id = need_field(_supp_error, rec, "id", line, "int")
         if arch_id in vectors:
             raise _supp_error(line, f"duplicate arch id {arch_id}")
-        vec = np.asarray(rec["v"], dtype=np.float64)
+        vec = np.asarray(need_field(_supp_error, rec, "v", line, "numbers"),
+                         dtype=np.float64)
         if vec.shape != (dim,):
             raise _supp_error(
                 line, f"expected {dim} values, got shape {vec.shape}"
@@ -432,7 +482,7 @@ def load_supplemental(path) -> SupplementalTable:
         if not np.all(np.isfinite(vec)):
             raise _supp_error(line, "values contain non-finite entries")
         vectors[arch_id] = vec
-    return SupplementalTable(str(header["kind"]), dim, vectors)
+    return SupplementalTable(kind, dim, vectors)
 
 
 def save_supplemental(table: SupplementalTable, path) -> None:

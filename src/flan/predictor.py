@@ -31,7 +31,8 @@ hidden layers, linear output).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -71,10 +72,18 @@ class PredictorConfig:
     supplemental_dims: tuple[int, ...] = ()
 
     def __post_init__(self):
-        for name in ("gcn_dims", "mlp_dims", "backward_gcn_dims",
-                     "op_update_mlp_dims", "supp_embedder_dims",
-                     "supplemental_dims"):
-            object.__setattr__(self, name, tuple(int(d) for d in getattr(self, name)))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            try:
+                if f.type == "int":
+                    value = operator.index(value)
+                elif f.type == "tuple[int, ...]":
+                    value = tuple(operator.index(d) for d in value)
+            except TypeError:
+                raise PredictorError(
+                    f"{f.name} must be integer-valued, got {value!r}"
+                ) from None
+            object.__setattr__(self, f.name, value)
         dims = (
             (self.op_embedding_dim, self.node_embedding_dim, self.hidden_dim,
              self.nn_emb_dim)
@@ -113,35 +122,6 @@ class PredictorConfig:
     @property
     def supplemental_total(self) -> int:
         return sum(self.supplemental_dims)
-
-    def to_dict(self) -> dict:
-        return {
-            "op_embedding_dim": self.op_embedding_dim,
-            "node_embedding_dim": self.node_embedding_dim,
-            "hidden_dim": self.hidden_dim,
-            "gcn_dims": list(self.gcn_dims),
-            "mlp_dims": list(self.mlp_dims),
-            "backward_gcn_dims": list(self.backward_gcn_dims),
-            "op_update_mlp_dims": list(self.op_update_mlp_dims),
-            "supp_embedder_dims": list(self.supp_embedder_dims),
-            "nn_emb_dim": self.nn_emb_dim,
-            "timesteps": self.timesteps,
-            "forward_mode": self.forward_mode,
-            "backward_mode": self.backward_mode,
-            "attention_variant": self.attention_variant,
-            "unified": self.unified,
-            "supplemental_dims": list(self.supplemental_dims),
-        }
-
-    @staticmethod
-    def from_dict(payload: dict) -> "PredictorConfig":
-        kwargs = dict(payload)
-        for key in ("gcn_dims", "mlp_dims", "backward_gcn_dims",
-                    "op_update_mlp_dims", "supp_embedder_dims",
-                    "supplemental_dims"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return PredictorConfig(**kwargs)
 
 
 def dgf_layer(x: Tensor, routing: Tensor, op_emb: Tensor,
@@ -265,31 +245,23 @@ def parameter_shapes(config: PredictorConfig, vocab_size: int,
                     shapes[f"c{cell}.{tag}{l}.{branch}.{pname}"] = shape
             din = dout
 
+    def mlp(prefix: str, din: int, dims: tuple[int, ...]):
+        for k, dout in enumerate(dims):
+            shapes[f"{prefix}{k}.w"] = (din, dout)
+            shapes[f"{prefix}{k}.b"] = (dout,)
+            din = dout
+
     for cell in range(cells_per_arch):
         stack(cell, "f", config.forward_mode, config.gcn_dims, d_op)
         stack(cell, "b", config.backward_mode, config.backward_gcn_dims,
               config.gcn_dims[-1])
-        up_in = config.backward_gcn_dims[-1] + d_op
-        up_dims = config.op_update_mlp_dims + (d_op,)
-        din = up_in
-        for k, dout in enumerate(up_dims):
-            shapes[f"c{cell}.up{k}.w"] = (din, dout)
-            shapes[f"c{cell}.up{k}.b"] = (dout,)
-            din = dout
+        mlp(f"c{cell}.up", config.backward_gcn_dims[-1] + d_op,
+            config.op_update_mlp_dims + (d_op,))
+    head_in = config.nn_emb_dim
     if config.supplemental_dims:
-        din = config.supplemental_total
-        for k, dout in enumerate(config.supp_embedder_dims):
-            shapes[f"supp{k}.w"] = (din, dout)
-            shapes[f"supp{k}.b"] = (dout,)
-            din = dout
-        head_in = config.nn_emb_dim + config.supp_embedder_dims[-1]
-    else:
-        head_in = config.nn_emb_dim
-    din = head_in
-    for k, dout in enumerate(config.mlp_dims + (1,)):
-        shapes[f"head{k}.w"] = (din, dout)
-        shapes[f"head{k}.b"] = (dout,)
-        din = dout
+        mlp("supp", config.supplemental_total, config.supp_embedder_dims)
+        head_in += config.supp_embedder_dims[-1]
+    mlp("head", head_in, config.mlp_dims + (1,))
     return shapes
 
 
@@ -419,12 +391,13 @@ def _run_stack(model: PredictorModel, cell: int, tag: str, mode: str,
     return x
 
 
-def _apply_mlp(model: PredictorModel, prefix: str, layers: int, x: Tensor,
-               relu_last: bool) -> Tensor:
+def _apply_mlp(model: PredictorModel, prefix: str, layers: int,
+               x: Tensor) -> Tensor:
+    """ReLU between layers, linear output."""
     for k in range(layers):
         x = ad.add(ad.matmul(x, model.params[f"{prefix}{k}.w"]),
                    model.params[f"{prefix}{k}.b"])
-        if relu_last or k < layers - 1:
+        if k < layers - 1:
             x = ad.relu(x)
     return x
 
@@ -446,14 +419,8 @@ def _cell_embedding(model: PredictorModel, batch: PreparedBatch,
         if t < cfg.timesteps - 1:
             back = _run_stack(model, cell, "b", cfg.backward_mode,
                               cfg.backward_gcn_dims, x, routing_bwd, op_emb)
-            update = ad.concat([back, op_emb], axis=-1)
-            for k in range(up_layers):
-                update = ad.add(
-                    ad.matmul(update, model.params[f"c{cell}.up{k}.w"]),
-                    model.params[f"c{cell}.up{k}.b"],
-                )
-                if k < up_layers - 1:
-                    update = ad.relu(update)
+            update = _apply_mlp(model, f"c{cell}.up", up_layers,
+                                ad.concat([back, op_emb], axis=-1))
             op_emb = ad.add(op_emb, update)
     mask = Tensor(batch.mask[cell])
     d = cfg.nn_emb_dim
@@ -471,18 +438,12 @@ def forward_batch(model: PredictorModel, batch: PreparedBatch) -> Tensor:
     for cell in range(1, model.cells_per_arch):
         nn_emb = ad.add(nn_emb, _cell_embedding(model, batch, cell))
     if cfg.supplemental_dims:
-        supp = Tensor(batch.supplemental)
-        supp_layers = len(cfg.supp_embedder_dims)
-        for k in range(supp_layers):
-            supp = ad.add(ad.matmul(supp, model.params[f"supp{k}.w"]),
-                          model.params[f"supp{k}.b"])
-            if k < supp_layers - 1:
-                supp = ad.relu(supp)
+        supp = _apply_mlp(model, "supp", len(cfg.supp_embedder_dims),
+                          Tensor(batch.supplemental))
         head_in = ad.concat([nn_emb, supp], axis=-1)
     else:
         head_in = nn_emb
-    out = _apply_mlp(model, "head", len(cfg.mlp_dims) + 1, head_in,
-                     relu_last=False)
+    out = _apply_mlp(model, "head", len(cfg.mlp_dims) + 1, head_in)
     return ad.reshape(out, (batch.size,))
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -289,7 +289,7 @@ def save_model(model: PredictorModel, path, provenance: dict | None = None) -> N
     model.check_finite()
     names = list(model.params)
     metadata = {
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "vocab": model.vocab.to_dict(),
         "cells_per_arch": model.cells_per_arch,
         "provenance": {str(k): str(v) for k, v in sorted((provenance or {}).items())},
@@ -350,21 +350,28 @@ def load_checkpoint(path) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt metadata block: {exc}") from None
     try:
-        config = PredictorConfig.from_dict(metadata["config"])
+        config = PredictorConfig(**metadata["config"])
         vocab = UnifiedVocabulary.from_dict(metadata["vocab"])
         cells_per_arch = int(metadata["cells_per_arch"])
         promised = list(metadata["tensors"])
         provenance = {str(k): str(v) for k, v in metadata["provenance"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"invalid metadata: {exc}") from None
     tensors: dict[str, np.ndarray] = {}
     while not reader.done():
-        name = reader.pull(reader.u64()).decode("utf-8")
+        try:
+            name = reader.pull(reader.u64()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"tensor name is not UTF-8: {exc}") from None
         rank = reader.u64()
         shape = tuple(reader.u64() for _ in range(rank))
-        size = int(np.prod(shape)) if shape else 1
-        payload = reader.pull(size * 8)
-        tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        # Python ints: a product that overflows int64 must reach the
+        # truncation check, not wrap around
+        payload = reader.pull(math.prod(shape) * 8)
+        try:
+            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        except ValueError as exc:
+            raise CheckpointError(f"tensor {name!r} has shape {shape}: {exc}") from None
     if list(tensors) != promised:
         raise CheckpointError(
             "tensor records do not match the names promised in metadata"

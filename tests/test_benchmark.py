@@ -1,6 +1,7 @@
 """Synthetic generation, file round-trips and splits."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -201,6 +202,8 @@ def test_ingest_single_record(tmp_path):
 
 
 def write_two_records(tmp_path, mutate):
+    """`mutate(header, records)` edits both in place, or returns a
+    replacement header."""
     header = {
         "format": "flan-bench/1", "name": "t", "space_id": 0,
         "num_nodes": 2, "cells_per_arch": 1, "ops": ["input", "output", "none"],
@@ -209,7 +212,7 @@ def write_two_records(tmp_path, mutate):
         {"id": 0, "cells": [{"adj": [[0, 1], [0, 0]], "ops": [0, 1]}], "acc": 0.5},
         {"id": 1, "cells": [{"adj": [[0, 1], [0, 0]], "ops": [0, 1]}], "acc": 0.6},
     ]
-    mutate(header, records)
+    header = mutate(header, records) or header
     path = tmp_path / "bad.jsonl"
     path.write_text(
         "\n".join(json.dumps(x) for x in [header] + records) + "\n"
@@ -241,16 +244,84 @@ def test_ingest_invalid_cell_names_line(tmp_path):
         ingest(write_two_records(tmp_path, mutate))
 
 
-@pytest.mark.parametrize("cells, message", [
-    (5, "line 3: cells must be a list, got int"),
-    ([5], "line 3: expected an object with key 'adj', got int"),
-])
-def test_ingest_malformed_cells_names_line(tmp_path, capsys, cells, message):
-    def mutate(header, records):
-        records[1]["cells"] = cells
+def set_record(**fields):
+    return lambda header, records: records[1].update(fields)
 
+
+def set_header(**fields):
+    return lambda header, records: header.update(fields)
+
+
+def set_cell(**fields):
+    return lambda header, records: records[1]["cells"][0].update(fields)
+
+
+def set_zcp(zcp):
+    def mutate(header, records):
+        header["zcp_dim"] = 1
+        records[1]["zcp"] = zcp
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    # the first two ids are kept from the cells-only form of this test
+    pytest.param(set_record(cells=5), "line 3: cells must be a list, got int",
+                 id="5-line 3: cells must be a list, got int"),
+    pytest.param(set_record(cells=[5]),
+                 "line 3: expected an object with key 'adj', got int",
+                 id="cells1-line 3: expected an object with key 'adj', got int"),
+    pytest.param(set_cell(adj=5), "line 3: adj must be a list, got int",
+                 id="adj-int"),
+    pytest.param(set_cell(ops=5), "line 3: ops must be a list of integers, got int",
+                 id="ops-int"),
+    pytest.param(set_cell(adj=[5, 5]), "line 3: adj[0] must be a list, got int",
+                 id="adj-row-int"),
+    pytest.param(set_cell(ops=[0, None]),
+                 "line 3: ops[1] must be an integer, got NoneType",
+                 id="ops-null"),
+    pytest.param(set_cell(adj=[[0, None], [0, 0]]),
+                 "line 3: adjacency entries must be 0 or 1", id="adj-null"),
+    pytest.param(set_cell(adj=[[0, 300], [0, 0]]),
+                 "line 3: adjacency entries must be 0 or 1", id="adj-300"),
+    pytest.param(set_cell(adj=[[0, -1], [0, 0]]),
+                 "line 3: adjacency entries must be 0 or 1", id="adj-negative"),
+    pytest.param(set_record(id=[0]), "line 3: id must be an integer, got list",
+                 id="id-list"),
+    pytest.param(set_record(id="x"), "line 3: id must be an integer, got str",
+                 id="id-str"),
+    pytest.param(set_record(id=3.7), "line 3: id must be an integer, got float",
+                 id="id-float"),
+    pytest.param(set_record(acc=[0.5]), "line 3: acc must be a number, got list",
+                 id="acc-list"),
+    pytest.param(set_record(acc=None), "line 3: acc must be a number, got NoneType",
+                 id="acc-null"),
+    pytest.param(set_zcp(["a"]), "line 3: zcp[0] must be a number, got str",
+                 id="zcp-str"),
+    pytest.param(lambda header, records: [header],
+                 "line 1: header must be an object, got list", id="header-list"),
+    pytest.param(set_header(num_nodes=[2]),
+                 "line 1: num_nodes must be an integer, got list",
+                 id="num_nodes-list"),
+    pytest.param(set_header(space_id=[0]),
+                 "line 1: space_id must be an integer, got list",
+                 id="space_id-list"),
+    pytest.param(set_header(cells_per_arch=[1]),
+                 "line 1: cells_per_arch must be an integer, got list",
+                 id="cells_per_arch-list"),
+    pytest.param(set_header(zcp_dim=[0]),
+                 "line 1: zcp_dim must be an integer, got list",
+                 id="zcp_dim-list"),
+    pytest.param(set_header(count=[2]),
+                 "line 1: count must be an integer, got list", id="count-list"),
+    pytest.param(set_header(metadata=5),
+                 "line 1: metadata must be an object, got int",
+                 id="metadata-int"),
+    pytest.param(set_header(ops=["input", "output", "none", 5]),
+                 "line 1: ops[3] must be a string, got int", id="op-names-int"),
+])
+def test_ingest_malformed_cells_names_line(tmp_path, capsys, mutate, message):
     path = write_two_records(tmp_path, mutate)
-    with pytest.raises(BenchmarkError, match=message):
+    with pytest.raises(BenchmarkError, match=re.escape(message)):
         ingest(path)
     code = main(["encode", "--bench", str(path), "--kind", "path",
                  "--out", str(tmp_path / "enc.supp")])

@@ -4,14 +4,19 @@ import json
 import os
 import subprocess
 import sys
+from argparse import Namespace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import flan
-from flan.cli import main, parse_config_file
+from flan.cli import _load_config, _split_config, main, parse_config_file
 from flan.encodings import load_supplemental
+from flan.nas_search import SearchConfig
+from flan.predictor import PredictorConfig
+from flan.training import TrainConfig
 
 TINY_CFG = """\
 # predictor
@@ -110,6 +115,80 @@ def test_parse_config_rejects_bad_lines(tmp_path):
     path.write_text("epochs =\n")
     with pytest.raises(ValueError, match="empty"):
         parse_config_file(path)
+
+
+# field -> (config value, parsed value); every value differs from the default
+NON_DEFAULT = {
+    "op_embedding_dim": ("8", 8),
+    "node_embedding_dim": ("8", 8),
+    "hidden_dim": ("7", 7),
+    "gcn_dims": ("16, 16", (16, 16)),
+    "mlp_dims": ("5,3", (5, 3)),
+    "backward_gcn_dims": ("9", (9,)),
+    "op_update_mlp_dims": ("4,4", (4, 4)),
+    "supp_embedder_dims": ("6", (6,)),
+    "nn_emb_dim": ("16", 16),
+    "timesteps": ("3", 3),
+    "forward_mode": ("dgf", "dgf"),
+    "backward_mode": ("gat", "gat"),
+    "attention_variant": ("kqv_softmax", "kqv_softmax"),
+    "unified": ("yes", True),
+    "supplemental_dims": ("3, 2", (3, 2)),
+    "lr": ("0.005", 0.005),
+    "weight_decay": ("0", 0.0),
+    "epochs": ("3", 3),
+    "batch_size": ("4", 4),
+    "transfer_epochs": ("2", 2),
+    "transfer_lr": ("0.02", 0.02),
+    "hinge_margin": ("0.3", 0.3),
+    "seed": ("11", 11),
+    "adam_beta1": ("0.8", 0.8),
+    "adam_beta2": ("0.99", 0.99),
+    "adam_eps": ("1e-6", 1e-6),
+    "budget_per_iter": ("6", 6),
+    "max_iters": ("5", 5),
+    "initial_sample": ("12", 12),
+    "pool_floor": ("64", 64),
+}
+# validation ties these pairs, so each is written with its partner
+TIED = {"op_embedding_dim": "node_embedding_dim",
+        "node_embedding_dim": "op_embedding_dim",
+        "gcn_dims": "nn_emb_dim", "nn_emb_dim": "gcn_dims"}
+SEARCH_BASE = {"budget_per_iter": 4, "max_iters": 2}
+CONFIG_CLASSES = (PredictorConfig, TrainConfig, SearchConfig)
+
+
+def build_configs(path):
+    pred, train, search = _load_config(Namespace(config=str(path), seed=None))
+    return (PredictorConfig(**pred), TrainConfig(**train),
+            SearchConfig(**{**SEARCH_BASE, **search}))
+
+
+@pytest.mark.parametrize("cls, name", [
+    (cls, f.name) for cls in CONFIG_CLASSES for f in fields(cls)
+])
+def test_config_file_sets_every_field(tmp_path, cls, name):
+    keys = [name] + ([TIED[name]] if name in TIED else [])
+    path = tmp_path / "c.cfg"
+    path.write_text("".join(f"{k} = {NON_DEFAULT[k][0]}\n" for k in keys))
+    built = build_configs(path)[CONFIG_CLASSES.index(cls)]
+    value = NON_DEFAULT[name][1]
+    default = {**{f.name: f.default for f in fields(cls)}, **SEARCH_BASE}[name]
+    assert value != default
+    assert getattr(built, name) == value
+    assert type(getattr(built, name)) is type(value)
+
+
+def test_seed_flag_overrides_train_and_search_seed_only(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("seed = 11\nepochs = 3\n")
+    args = Namespace(config=str(path), seed=7)
+    pred, train, search = _load_config(args)
+    assert pred == {}
+    assert train == {"seed": 7, "epochs": 3}
+    assert search == {"seed": 7}
+    assert _split_config({}, 7) == ({}, {"seed": 7}, {"seed": 7})
+    assert _split_config({}, None) == ({}, {}, {})
 
 
 # -- gen-bench ------------------------------------------------------------------------

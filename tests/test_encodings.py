@@ -7,12 +7,15 @@ module.
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
 
 from conftest import arch_of, basic_vocab, cell, chain_cell, random_valid_cell
+from flan.benchmark import SyntheticSpec, export, generate_synthetic
 from flan.cellgraph import OP_NONE, OpVocabulary, permute
+from flan.cli import main
 from flan.encodings import (
     PATH_COUNT_CAP,
     EncodingError,
@@ -474,6 +477,45 @@ def test_supplemental_load_errors_carry_line_numbers(tmp_path):
     path.write_text(json.dumps({"format": "nope"}) + "\n")
     with pytest.raises(EncodingError, match="line 1"):
         load_supplemental(path)
+
+
+# a dict patch is merged into the header or the second record, anything
+# else replaces that line
+@pytest.mark.parametrize("header_patch, record_patch, message", [
+    (None, {"id": [0]}, "line 3: id must be an integer, got list"),
+    (None, {"id": "x"}, "line 3: id must be an integer, got str"),
+    (None, {"id": 3.7}, "line 3: id must be an integer, got float"),
+    (None, {"v": 5}, "line 3: v must be a list of numbers, got int"),
+    (None, {"v": ["a", 1]}, "line 3: v[0] must be a number, got str"),
+    (None, [1], "line 3: expected an object with key 'id', got list"),
+    (None, 5, "line 3: expected an object with key 'id', got int"),
+    ({"dim": [2]}, None, "line 1: dim must be an integer, got list"),
+    ({"kind": 5}, None, "line 1: kind must be a string, got int"),
+    ({"count": [2]}, None, "line 1: count must be an integer, got list"),
+    (["flan-supp/1"], None, "line 1: header must be an object, got list"),
+])
+def test_supplemental_malformed_fields_name_line(
+        tmp_path, capsys, header_patch, record_patch, message):
+    lines = [{"format": "flan-supp/1", "kind": "zcp", "dim": 2},
+             {"id": 0, "v": [1.0, 2.0]}, {"id": 1, "v": [3.0, 4.0]}]
+    for index, patch in ((0, header_patch), (2, record_patch)):
+        if isinstance(patch, dict):
+            lines[index] = {**lines[index], **patch}
+        elif patch is not None:
+            lines[index] = patch
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(json.dumps(x) + "\n" for x in lines))
+    with pytest.raises(EncodingError, match=re.escape(message)):
+        load_supplemental(path)
+
+    bench = generate_synthetic(SyntheticSpec(num_nodes=4, vocab_size=5,
+                                             num_archs=6, seed=1))
+    export(bench, tmp_path / "b.jsonl")
+    code = main(["train", "--bench", str(tmp_path / "b.jsonl"),
+                 "--train-count", "3", "--supp", str(path),
+                 "--out", str(tmp_path / "m.ckpt")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_supplemental_header_without_count_is_accepted(tmp_path):

@@ -5,6 +5,9 @@ evaluates the pairwise scores, masking and normalization without any tape
 machinery.
 """
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -72,6 +75,10 @@ def test_config_defaults_match_reference_table():
 def test_config_rejections():
     with pytest.raises(PredictorError):
         tiny_config(timesteps=0)
+    with pytest.raises(PredictorError, match="timesteps must be integer"):
+        tiny_config(timesteps=1.5)
+    with pytest.raises(PredictorError, match="mlp_dims must be integer"):
+        tiny_config(mlp_dims=(4.0,))
     with pytest.raises(PredictorError):
         tiny_config(forward_mode="mlp")
     with pytest.raises(PredictorError):
@@ -88,7 +95,7 @@ def test_config_rejections():
 
 def test_config_dict_round_trip():
     cfg = tiny_config(attention_variant="kqv_softmax", supplemental_dims=(3, 5))
-    assert PredictorConfig.from_dict(cfg.to_dict()) == cfg
+    assert PredictorConfig(**json.loads(json.dumps(asdict(cfg)))) == cfg
     assert cfg.supplemental_total == 8
 
 

@@ -5,6 +5,9 @@ loops so the vectorized pair indexing is checked against something that
 cannot share its bugs.
 """
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -465,6 +468,36 @@ def test_checkpoint_tensor_names_must_match_promise(tmp_path):
     )
     path.write_bytes(raw[: len(raw) - record])
     with pytest.raises(CheckpointError, match="promised"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("mutate, name, shape, match", [
+    (None, b"\xff\xfe", (1,), "tensor name is not UTF-8"),
+    # 2**64 elements: wraps to 0 in int64, must still read as truncated
+    (None, b"op_table", (2**32, 2**32), "truncated"),
+    (None, b"op_table", (0, 2**62), "has shape"),
+    (lambda m: m["config"].update(timesteps=1.5), b"op_table", (1,),
+     "timesteps must be integer"),
+    (lambda m: m.update(provenance=[]), b"op_table", (1,), "invalid metadata"),
+])
+def test_checkpoint_hostile_bytes_raise_checkpoint_error(
+        tmp_path, mutate, name, shape, match):
+    path = tmp_path / "x.ckpt"
+    save_model(model_for(small_bench()), path)
+    raw = path.read_bytes()
+    (blob_len,) = struct.unpack("<Q", raw[12:20])
+    metadata = json.loads(raw[20:20 + blob_len])
+    if mutate is not None:
+        mutate(metadata)
+    blob = json.dumps(metadata).encode()
+    path.write_bytes(
+        raw[:12] + struct.pack("<Q", len(blob)) + blob
+        + struct.pack("<Q", len(name)) + name
+        + struct.pack("<Q", len(shape))
+        + b"".join(struct.pack("<Q", d) for d in shape)
+        + b"\x00" * 8
+    )
+    with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)
 
 
