@@ -1,10 +1,9 @@
 """Integer graph and ranking kernels in NumPy.
 
-The two kernels here run once per cell across entire spaces (graph
-statistics for score encodings) or over full result vectors (inversion
-counting behind Kendall's tau).  Each is written as whole-array operations
-so that no per-element Python loop runs: inversions are counted one merge
-level at a time (Knight 1966), path statistics one walk length at a time.
+Both kernels work on whole arrays, so no per-element Python loop runs:
+inversions in a result vector are counted one merge level at a time
+(Knight 1966), path statistics over a stack of cells one walk length at a
+time with one batched matmul.
 """
 
 from __future__ import annotations
@@ -39,24 +38,27 @@ def count_inversions(values) -> int:
 
 
 def dag_path_stats(adj, src, dst, count_cap):
-    """Longest path, shortest path (edge counts) and capped path count src -> dst.
+    """Longest path, shortest path (edge counts) and capped path count
+    src[m] -> dst[m] in each graph adj[m] of an (M, n, n) stack.
 
-    adj[i, j] != 0 means an edge i -> j.  The graph must be acyclic; callers
-    validate.  count_cap must be >= 1.  Returns (-1, -1, 0) when dst is
-    unreachable from src.
+    adj[m, i, j] != 0 means an edge i -> j.  Every graph must be acyclic;
+    callers validate.  count_cap must be >= 1.  Returns three length-M int64
+    arrays; a graph where dst is unreachable from src gets (-1, -1, 0).
 
-    walks[k, v] holds the number of src -> v paths with k edges, capped at
-    count_cap; capping each step keeps it exact below the cap since all
-    terms are non-negative.  In a DAG no path has n or more edges.
+    walks[k, m, v] holds the number of src[m] -> v paths with k edges,
+    capped at count_cap; capping each step keeps it exact below the cap
+    since all terms are non-negative.  In a DAG no path has n or more edges.
     """
-    n = adj.shape[0]
     step = (np.asarray(adj) != 0).astype(np.int64)
-    walks = np.zeros((n, n), dtype=np.int64)
-    walks[0, src] = 1
+    m, n, _ = step.shape
+    rows = np.arange(m)
+    walks = np.zeros((n, m, 1, n), dtype=np.int64)
+    walks[0, rows, 0, src] = 1
     for k in range(1, n):
         np.minimum(walks[k - 1] @ step, count_cap, out=walks[k])
-    hits = walks[:, dst]
-    lengths = np.flatnonzero(hits)
-    if lengths.size == 0:
-        return -1, -1, 0
-    return int(lengths[-1]), int(lengths[0]), int(min(hits.sum(), count_cap))
+    hits = walks[:, rows, 0, dst]
+    reached = hits > 0
+    found = reached.any(axis=0)
+    longest = np.where(found, n - 1 - reached[::-1].argmax(axis=0), -1)
+    shortest = np.where(found, reached.argmax(axis=0), -1)
+    return longest, shortest, np.minimum(hits.sum(axis=0), count_cap)

@@ -394,11 +394,9 @@ def mean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     d = x.data
-    out = np.empty_like(d)
     pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(np.where(pos, -d, d))  # not -|d|: that flips the sign of a NaN
+    out = np.where(pos, 1.0, e) / (1.0 + e)
 
     def backward(g):
         return (g * out * (1.0 - out),)

@@ -26,7 +26,6 @@ from functools import partial
 import numpy as np
 
 from . import cellgraph
-from ._kernels import dag_path_stats
 from .cellgraph import (
     OP_INPUT,
     OP_NONE,
@@ -37,7 +36,6 @@ from .cellgraph import (
     OpVocabulary,
 )
 from .encodings import (
-    PATH_COUNT_CAP,
     SupplementalTable,
     check_field,
     need_field,
@@ -224,17 +222,6 @@ class TabularBenchmark:
         return min(self.accuracies, key=lambda i: (-self.accuracies[i], i))
 
 
-def _arch_longest_path(arch: CellArch) -> int:
-    total = 0
-    for cell in arch.cells:
-        src, dst = cellgraph.source_and_sink(cell)
-        longest, _, _ = dag_path_stats(
-            cell.active_adjacency().astype(np.uint8), src, dst, PATH_COUNT_CAP
-        )
-        total += int(longest)
-    return total
-
-
 def generate_synthetic(
     spec: SyntheticSpec, name: str | None = None, space_id: int = 0
 ) -> TabularBenchmark:
@@ -270,30 +257,30 @@ def generate_synthetic(
         CellArch((cell,), arch_id=i) for i, cell in enumerate(cells)
     )
 
+    raw = score_feature_matrix(archs, vocab)
     utils = spec.utilities()
     noise_root = Rng(spec.seed)
     accuracies: dict[int, float] = {}
-    for arch in archs:
+    for arch, longest in zip(archs, raw[:, 2].tolist()):
         cell = arch.cells[0]
         base = sum(utils[op] for op in cell.op_ids) / spec.num_nodes
-        depth = spec.interaction_scale * _arch_longest_path(arch) / spec.num_nodes
+        depth = spec.interaction_scale * longest / spec.num_nodes
         noise = 0.0
         if spec.noise_sigma > 0.0:
             noise = noise_root.child("noise", arch.arch_id).normal(0.0, spec.noise_sigma)
         z = base + depth + noise
         accuracies[arch.arch_id] = 1.0 / (1.0 + math.exp(-z))
 
-    feats = zscore_columns(score_feature_matrix(archs, vocab))
+    feats = zscore_columns(raw)
     acc_vec = np.array([accuracies[a.arch_id] for a in archs], dtype=np.float64)
     zacc = zscore_columns(acc_vec.reshape(-1, 1)).reshape(-1)
-    proxy_vectors: dict[int, np.ndarray] = {}
-    for row, arch in enumerate(archs):
-        stream = noise_root.child("proxy", arch.arch_id)
-        proxy = np.empty(feats.shape[1], dtype=np.float64)
-        for k in range(feats.shape[1]):
-            proxy[k] = 0.5 * feats[row, k] + 0.5 * (zacc[row] + stream.normal(0.0, 0.5))
-        proxy_vectors[arch.arch_id] = proxy
-    proxies = SupplementalTable("zcp", feats.shape[1], proxy_vectors)
+    dim = feats.shape[1]
+    streams = (noise_root.child("proxy", a.arch_id) for a in archs)
+    draws = np.array([[s.normal(0.0, 0.5) for _ in range(dim)] for s in streams])
+    proxy = 0.5 * feats + 0.5 * (zacc[:, None] + draws)
+    proxies = SupplementalTable(
+        "zcp", dim, {a.arch_id: p for a, p in zip(archs, proxy)}
+    )
 
     metadata = {
         "generator": "synthetic",

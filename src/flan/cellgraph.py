@@ -11,6 +11,7 @@ cells coexist in one padded space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,11 +102,7 @@ class CellGraph:
 
     def active_adjacency(self) -> np.ndarray:
         """Adjacency with every edge touching a none node removed."""
-        mask = np.array([o != OP_NONE for o in self.op_ids], dtype=bool)
-        out = self.adjacency.copy()
-        out[~mask, :] = 0
-        out[:, ~mask] = 0
-        return out
+        return stack_cells([self]).adjacency[0]
 
 
 @dataclass(frozen=True)
@@ -178,9 +175,8 @@ def validate(cell: CellGraph, vocab_size: int) -> str | None:
     active = cell.active_nodes()
     if not active:
         return "disconnected: no active nodes"
-    adj = cell.active_adjacency()
-    sources = [i for i in active if adj[:, i].sum() == 0]
-    sinks = [i for i in active if adj[i, :].sum() == 0]
+    (adj,), _, (sources,), (sinks,) = stack_cells([cell])
+    sources, sinks = np.flatnonzero(sources).tolist(), np.flatnonzero(sinks).tolist()
     if len(sources) != 1 or len(sinks) != 1:
         return (
             f"disconnected: expected one source and one sink, "
@@ -225,15 +221,42 @@ def permute(cell: CellGraph, perm) -> CellGraph:
     return CellGraph(adj, ops, cell.space_id)
 
 
+class CellStack(NamedTuple):
+    """Cells padded to one node count: (M, n, n) active adjacencies, (M, n)
+    op ids, and (M, n) masks of the active nodes without in-edges (sources)
+    and without out-edges (sinks)."""
+
+    adjacency: np.ndarray
+    ops: np.ndarray
+    sources: np.ndarray
+    sinks: np.ndarray
+
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays of each cell's unique source and sink."""
+        if ((self.sources.sum(axis=1) != 1).any()
+                or (self.sinks.sum(axis=1) != 1).any()):
+            raise CellError("cell has no unique source/sink; validate first")
+        return self.sources.argmax(axis=1), self.sinks.argmax(axis=1)
+
+
+def stack_cells(cells) -> CellStack:
+    """Stack cells, padding each to the largest node count with none nodes
+    and clearing every edge that touches a none node."""
+    n = max((c.num_nodes for c in cells), default=0)
+    adj = np.zeros((len(cells), n, n), dtype=np.uint8)
+    ops = np.full((len(cells), n), OP_NONE, dtype=np.int64)
+    for k, c in enumerate(cells):
+        adj[k, :c.num_nodes, :c.num_nodes] = c.adjacency
+        ops[k, :c.num_nodes] = c.op_ids
+    active = ops != OP_NONE
+    adj &= active[:, :, None] & active[:, None, :]
+    return CellStack(adj, ops, active & ~adj.any(1), active & ~adj.any(2))
+
+
 def source_and_sink(cell: CellGraph) -> tuple[int, int]:
     """The unique active source and sink of a valid cell."""
-    active = cell.active_nodes()
-    adj = cell.active_adjacency()
-    sources = [i for i in active if adj[:, i].sum() == 0]
-    sinks = [i for i in active if adj[i, :].sum() == 0]
-    if len(sources) != 1 or len(sinks) != 1:
-        raise CellError("cell has no unique source/sink; validate first")
-    return sources[0], sinks[0]
+    src, dst = stack_cells([cell]).ends()
+    return int(src[0]), int(dst[0])
 
 
 def prune_to_paths(adjacency: np.ndarray, op_ids, src: int, dst: int):

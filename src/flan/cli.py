@@ -14,8 +14,6 @@ import json
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from . import benchmark as bench_mod
 from . import encodings as enc_mod
 from .benchmark import SyntheticSpec, TabularBenchmark
@@ -83,17 +81,19 @@ def parse_config_file(path) -> dict[str, str]:
     return out
 
 
-def _split_config(raw: dict[str, str], seed: int | None):
+def _split_config(raw: dict[str, str], seed: int | None, path="config"):
     """Parse raw values by field annotation into kwargs for each config
     dataclass; a key fills every config with that field, and `seed`
-    overrides every seed field."""
+    overrides every seed field.  A bad value is reported with path and key."""
     out = []
     for cls in _CONFIG_CLASSES:
         types = {f.name: f.type for f in fields(cls)}
-        kwargs = {
-            key: _FIELD_PARSERS[types[key]](value)
-            for key, value in raw.items() if key in types
-        }
+        kwargs = {}
+        for key in [key for key in raw if key in types]:
+            try:
+                kwargs[key] = _FIELD_PARSERS[types[key]](raw[key])
+            except ValueError as exc:
+                raise ValueError(f"{path}: {key}: {exc}") from None
         if seed is not None and "seed" in types:
             kwargs["seed"] = seed
         out.append(kwargs)
@@ -102,7 +102,7 @@ def _split_config(raw: dict[str, str], seed: int | None):
 
 def _load_config(args) -> tuple[dict, dict, dict]:
     raw = parse_config_file(args.config) if args.config else {}
-    return _split_config(raw, args.seed)
+    return _split_config(raw, args.seed, args.config)
 
 
 def _supplemental_provider(specs, bench: TabularBenchmark):
@@ -151,15 +151,14 @@ def _cmd_gen_bench(args) -> int:
 
 def _cmd_encode(args) -> int:
     bench = bench_mod.ingest(args.bench)
-    vectors: dict[int, np.ndarray] = {}
-    for arch in bench.archs:
-        if args.kind == "adjacency":
-            vec = enc_mod.encode_adjacency(arch, bench.vocab).values
-        elif args.kind == "path":
-            vec = enc_mod.encode_path(arch, bench.vocab, args.max_paths).values
-        else:
-            vec = enc_mod.score_features(arch, bench.vocab).values
-        vectors[arch.arch_id] = vec
+    if args.kind == "score":
+        rows = enc_mod.score_feature_matrix(bench.archs, bench.vocab)
+    elif args.kind == "adjacency":
+        rows = [enc_mod.encode_adjacency(a, bench.vocab).values for a in bench.archs]
+    else:
+        rows = [enc_mod.encode_path(a, bench.vocab, args.max_paths).values
+                for a in bench.archs]
+    vectors = dict(zip(bench.arch_ids, rows))
     dim = next(iter(vectors.values())).shape[0]
     table = enc_mod.SupplementalTable(args.kind, dim, vectors)
     if args.kind == "score":

@@ -17,6 +17,7 @@ space while preserving all existing ids, which is what transfer needs.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import sys
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import cellgraph
 from ._kernels import dag_path_stats
-from .cellgraph import CellArch, CellGraph, OpVocabulary, OP_NONE
+from .cellgraph import CellArch, OpVocabulary, OP_NONE
 
 PATH_COUNT_CAP = 1 << 16
 
@@ -110,9 +111,7 @@ def path_sequence_index(seq: tuple[int, ...], vocab: OpVocabulary) -> int:
     return offset + rank
 
 
-def _cell_op_sequences(cell: CellGraph) -> set[tuple[int, ...]]:
-    src, dst = cellgraph.source_and_sink(cell)
-    adj = cell.active_adjacency()
+def _cell_op_sequences(adj, ops, src: int, dst: int) -> set[tuple[int, ...]]:
     sequences: set[tuple[int, ...]] = set()
     stack: list[tuple[int, tuple[int, ...]]] = [(src, ())]
     while stack:
@@ -125,7 +124,7 @@ def _cell_op_sequences(cell: CellGraph) -> set[tuple[int, ...]]:
             if nxt == dst:
                 stack.append((nxt, seq))
             else:
-                op = cell.op_ids[nxt]
+                op = ops[nxt]
                 if op < 3:
                     raise EncodingError(
                         f"interior node {nxt} carries reserved op {op}"
@@ -148,9 +147,11 @@ def encode_path(
     if dim <= 0:
         raise EncodingError(f"max_paths must be positive, got {max_paths}")
     parts = []
-    for cell in arch.cells:
+    cells = cellgraph.stack_cells(arch.cells)
+    ends = zip(*cells.ends())
+    for adj, ops, (src, dst) in zip(cells.adjacency, cells.ops.tolist(), ends):
         vec = np.zeros(dim, dtype=np.float64)
-        for seq in _cell_op_sequences(cell):
+        for seq in _cell_op_sequences(adj, ops, int(src), int(dst)):
             idx = path_sequence_index(seq, vocab)
             if idx < dim:
                 vec[idx] = 1.0
@@ -174,50 +175,11 @@ def _op_cost(name: str) -> float:
     return 1.0
 
 
-def _cell_stats(cell: CellGraph, vocab: OpVocabulary):
-    src, dst = cellgraph.source_and_sink(cell)
-    adj = cell.active_adjacency()
-    longest, shortest, count = dag_path_stats(
-        adj.astype(np.uint8), src, dst, PATH_COUNT_CAP
-    )
-    active = cell.active_nodes()
-    interior = [i for i in active if i not in (src, dst)]
-    conv = sum(1 for i in interior if "conv" in vocab.op_names[cell.op_ids[i]].lower())
-    cost = sum(_op_cost(vocab.op_names[cell.op_ids[i]]) for i in interior)
-    return {
-        "active": len(active),
-        "edges": int(adj.sum()),
-        "longest": int(longest),
-        "shortest": int(shortest),
-        "paths": int(count),
-        "interior": len(interior),
-        "conv": conv,
-        "cost": cost,
-    }
-
-
-def score_features(arch: CellArch, vocab: OpVocabulary) -> EncodingVector:
-    """Eight raw graph statistics; z-normalize per benchmark before use."""
-    _check_cells(arch)
-    totals = [_cell_stats(cell, vocab) for cell in arch.cells]
-
-    def tot(key):
-        return sum(s[key] for s in totals)
-
-    values = np.array(
-        [
-            float(tot("active")),
-            float(tot("edges")),
-            float(tot("longest")),
-            float(tot("shortest")),
-            float(min(tot("paths"), PATH_COUNT_CAP)),
-            tot("conv") / max(1, tot("interior")),
-            tot("edges") / max(1, tot("active")),
-            float(tot("cost")),
-        ],
-        dtype=np.float64,
-    )
-    return EncodingVector("score", values)
+@functools.lru_cache(maxsize=64)
+def _op_tables(op_names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-op-id lookups: is the op a conv, and its `_op_cost`."""
+    conv = np.array(["conv" in name.lower() for name in op_names])
+    return conv, np.array([_op_cost(name) for name in op_names])
 
 
 def zscore_columns(matrix: np.ndarray) -> np.ndarray:
@@ -231,9 +193,42 @@ def zscore_columns(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+def score_features(arch: CellArch, vocab: OpVocabulary) -> EncodingVector:
+    """Eight raw graph statistics; z-normalize per benchmark before use."""
+    return EncodingVector("score", score_feature_matrix([arch], vocab)[0])
+
+
 def score_feature_matrix(archs, vocab: OpVocabulary) -> np.ndarray:
-    """(num_archs, 8) raw score features, row order following archs."""
-    return np.stack([score_features(a, vocab).values for a in archs])
+    """(num_archs, 8) raw score features, row order following archs; all
+    cells of all archs go through one pass over a padded stack."""
+    archs = list(archs)
+    if not archs:
+        return np.zeros((0, 8))
+    for arch in archs:
+        _check_cells(arch)
+    cells = cellgraph.stack_cells([c for arch in archs for c in arch.cells])
+    src, dst = cells.ends()
+    ops = cells.ops
+    if ops.max() >= vocab.size:
+        raise EncodingError(f"op {ops.max()} outside vocabulary of size {vocab.size}")
+    conv, cost = _op_tables(vocab.op_names)
+    active = ops != OP_NONE
+    interior = active & ~cells.sources & ~cells.sinks
+    per_cell = np.empty((ops.shape[0], 8))
+    per_cell[:, 0] = active.sum(axis=1)
+    per_cell[:, 1] = cells.adjacency.sum(axis=(1, 2))
+    per_cell[:, 2], per_cell[:, 3], per_cell[:, 4] = dag_path_stats(
+        cells.adjacency, src, dst, PATH_COUNT_CAP)
+    per_cell[:, 5] = (conv[ops] & interior).sum(axis=1)
+    per_cell[:, 6] = interior.sum(axis=1)
+    per_cell[:, 7] = (cost[ops] * interior).sum(axis=1)
+    starts = np.cumsum([0] + [len(arch.cells) for arch in archs[:-1]])
+    out = np.add.reduceat(per_cell, starts, axis=0)
+    # columns 5 and 6 hold conv and interior counts until the ratios replace them
+    out[:, 4] = np.minimum(out[:, 4], PATH_COUNT_CAP)
+    out[:, 5] /= np.maximum(out[:, 6], 1)
+    out[:, 6] = out[:, 1] / np.maximum(out[:, 0], 1)
+    return out
 
 
 @dataclass(frozen=True)

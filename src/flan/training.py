@@ -30,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .encodings import SupplementalProvider, UnifiedVocabulary
+from .encodings import SupplementalProvider, UnifiedVocabulary, zscore_columns
 from .predictor import (
     PredictorConfig,
     PredictorModel,
@@ -148,13 +148,6 @@ def _adam_step(model: PredictorModel, state: _AdamState, lr: float,
         p.grad = None
 
 
-def _zscore(values: np.ndarray) -> np.ndarray:
-    sd = values.std()
-    if sd == 0.0:
-        return np.zeros_like(values)
-    return (values - values.mean()) / sd
-
-
 def fit(model: PredictorModel, bench, train_ids, config: TrainConfig,
         supplemental: SupplementalProvider | None = None,
         epochs: int | None = None, lr: float | None = None) -> dict:
@@ -185,7 +178,7 @@ def fit(model: PredictorModel, bench, train_ids, config: TrainConfig,
             )
     archs = {i: bench.arch(i) for i in train_ids}
     accs = bench.accuracy_vector(train_ids)
-    z_by_id = dict(zip(train_ids, _zscore(accs)))
+    z_by_id = dict(zip(train_ids, zscore_columns(accs[:, None])[:, 0]))
 
     rng = Rng(config.seed).child("fit")
     state = _AdamState()
@@ -372,6 +365,8 @@ def load_checkpoint(path) -> Checkpoint:
             tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
         except ValueError as exc:
             raise CheckpointError(f"tensor {name!r} has shape {shape}: {exc}") from None
+        if not np.all(np.isfinite(tensors[name])):
+            raise CheckpointError(f"tensor {name!r} holds non-finite values")
     if list(tensors) != promised:
         raise CheckpointError(
             "tensor records do not match the names promised in metadata"

@@ -81,6 +81,15 @@ def test_sigmoid_extremes_are_stable():
     out = ad.sigmoid(Tensor([-800.0, 800.0])).data
     assert out[0] == pytest.approx(0.0, abs=1e-12)
     assert out[1] == pytest.approx(1.0, abs=1e-12)
+    # bit for bit the two-branch form, special values included
+    d = np.array([-800.0, 800.0, 0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                  1e-320, -1e-320, -3.5, 2.25, 1e-3, -40.0])
+    two_branch = np.empty_like(d)
+    pos = d >= 0
+    two_branch[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    ex = np.exp(d[~pos])
+    two_branch[~pos] = ex / (1.0 + ex)
+    assert ad.sigmoid(Tensor(d)).data.tobytes() == two_branch.tobytes()
 
 
 def test_layer_norm_of_constant_row_is_bias():

@@ -117,6 +117,27 @@ def test_parse_config_rejects_bad_lines(tmp_path):
         parse_config_file(path)
 
 
+@pytest.mark.parametrize("command, line, key", [
+    ("train", "epochs = x", "epochs"),
+    ("search", "initial_sample = none", "initial_sample"),
+    ("train", "gcn_dims = 16, x", "gcn_dims"),
+    ("search", "unified = maybe", "unified"),
+])
+def test_unparsable_config_value_names_file_and_key(ws, tmp_path, capsys,
+                                                    command, line, key):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"lr = 0.01\n{line}\n")
+    args = {"train": ["--train-count", "16", "--out", str(tmp_path / "m.ckpt")],
+            "search": ["--out", str(tmp_path / "trace.csv")]}[command]
+    code, payload, err = run_cli(
+        capsys, command, "--bench", str(ws["bench_a"]), "--config", str(path),
+        *args,
+    )
+    assert code == 2 and payload is None
+    (message,) = err.strip().splitlines()
+    assert message.startswith(f"error: {path}: {key}: ")
+
+
 # field -> (config value, parsed value); every value differs from the default
 NON_DEFAULT = {
     "op_embedding_dim": ("8", 8),

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import arch_of, basic_vocab, cell, chain_cell, random_valid_cell
 from flan.benchmark import SyntheticSpec, export, generate_synthetic
-from flan.cellgraph import OP_NONE, OpVocabulary, permute
+from flan.cellgraph import OP_NONE, OpVocabulary, pad, permute
 from flan.cli import main
 from flan.encodings import (
     PATH_COUNT_CAP,
@@ -309,6 +309,96 @@ def test_score_feature_matrix_rows():
     mat = score_feature_matrix(archs, vocab)
     assert mat.shape == (2, 8)
     assert np.array_equal(mat[0], score_features(archs[0], vocab).values)
+
+
+def test_score_features_reject_op_outside_vocabulary():
+    vocab = basic_vocab()
+    outside = arch_of(chain_cell(4, interior_op=vocab.size), 1)
+    with pytest.raises(EncodingError, match="outside vocabulary"):
+        score_features(outside, vocab)
+    with pytest.raises(EncodingError, match="outside vocabulary"):
+        score_feature_matrix([arch_of(chain_cell(3)), outside], vocab)
+
+
+# -- score feature oracle -----------------------------------------------------------
+
+ORACLE_OPS = (
+    "input", "output", "none", "conv_3x3", "Conv1x1", "conv", "max_pool",
+    "skip_connect", "linear", "sep_conv_5x5", "zeroize",
+)
+
+
+def oracle_op_cost(name):
+    name = name.lower()
+    if "conv" in name:
+        kernel = re.search(r"(\d+)\s*x\s*(\d+)", name)
+        return int(kernel.group(1)) * int(kernel.group(2)) if kernel else 9
+    if "pool" in name or "skip" in name or "identity" in name or "zero" in name:
+        return 0
+    return 1
+
+
+def oracle_score_features(arch, op_names):
+    """The eight score features by DFS path enumeration and Python sums."""
+    totals = {k: 0 for k in ("active", "edges", "longest", "shortest",
+                             "paths", "interior", "conv", "cost")}
+    for c in arch.cells:
+        active = [i for i in range(c.num_nodes) if c.op_ids[i] != OP_NONE]
+        edges = [(i, j) for i in active for j in active if c.adjacency[i][j]]
+        (src,) = [i for i in active if all(j != i for _, j in edges)]
+        (dst,) = [i for i in active if all(k != i for k, _ in edges)]
+        lengths = []
+
+        def walk(node, depth):
+            if node == dst:
+                lengths.append(depth)
+                return
+            for i, j in edges:
+                if i == node:
+                    walk(j, depth + 1)
+
+        walk(src, 0)
+        interior = [op_names[c.op_ids[i]] for i in active if i not in (src, dst)]
+        totals["active"] += len(active)
+        totals["edges"] += len(edges)
+        totals["longest"] += max(lengths)
+        totals["shortest"] += min(lengths)
+        totals["paths"] += len(lengths)
+        totals["interior"] += len(interior)
+        totals["conv"] += sum("conv" in name.lower() for name in interior)
+        totals["cost"] += sum(oracle_op_cost(name) for name in interior)
+    t = totals
+    return [t["active"], t["edges"], t["longest"], t["shortest"],
+            min(t["paths"], 1 << 16), t["conv"] / max(1, t["interior"]),
+            t["edges"] / max(1, t["active"]), t["cost"]]
+
+
+def test_score_feature_matrix_matches_brute_force_oracle():
+    # 3..8 nodes mixed in one call; one- and two-cell archs; relabelled and
+    # none-padded cells
+    vocab = OpVocabulary(0, ORACLE_OPS)
+    rng = Rng(91)
+    archs = []
+    for arch_id in range(150):
+        n = 3 + rng.randint(6)
+        cells = [random_valid_cell(rng, n, vocab.size)
+                 for _ in range(1 + rng.randint(2))]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cells[0] = permute(cells[0], perm)
+        if rng.randint(3) == 0:
+            cells = [pad(c, n + 2) for c in cells]
+        archs.append(arch_of(cells, arch_id))
+    assert {len(a.cells) for a in archs} == {1, 2}
+    want = np.array([oracle_score_features(a, vocab.op_names) for a in archs],
+                    dtype=np.float64)
+    assert score_feature_matrix(archs, vocab).tobytes() == want.tobytes()
+    for a, row in zip(archs[:20], want):
+        assert score_features(a, vocab).values.tobytes() == row.tobytes()
+
+
+def test_score_feature_matrix_of_no_archs():
+    assert score_feature_matrix([], basic_vocab()).shape == (0, 8)
 
 
 # -- unified vocabulary --------------------------------------------------------------------

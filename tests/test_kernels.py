@@ -81,52 +81,73 @@ def random_dag(rng, n):
     return adj
 
 
+def stat_rows(adj, src, dst, cap):
+    """dag_path_stats over a stack, as one (longest, shortest, count) per row."""
+    columns = dag_path_stats(adj, np.asarray(src), np.asarray(dst), cap)
+    assert all(c.shape == (len(adj),) for c in columns)
+    return list(zip(*(c.tolist() for c in columns)))
+
+
 def test_path_stats_match_dfs_oracle():
+    # graphs of 2..7 nodes, zero padded to 7 (isolated nodes change no path)
     rng = Rng(2024)
-    for _ in range(300):
+    adj = np.zeros((300, 7, 7), dtype=np.uint8)
+    src, dst = [], []
+    for m in range(300):
         n = 2 + rng.randint(6)
-        adj = random_dag(rng, n)
-        src, dst = rng.randint(n), rng.randint(n)
-        cap = (1, 3, 1 << 16)[rng.randint(3)]
-        got = dag_path_stats(adj, src, dst, cap)
-        assert tuple(int(v) for v in got) == stats_oracle(adj, src, dst, cap)
+        adj[m, :n, :n] = random_dag(rng, n)
+        src.append(rng.randint(n))
+        dst.append(rng.randint(n))
+    adj[0], src[0], dst[0] = 0, 0, 6  # unreachable
+    src[1] = dst[1] = 3
+    for cap in (1, 3, 1 << 16):
+        want = [stats_oracle(adj[m], src[m], dst[m], cap) for m in range(300)]
+        assert stat_rows(adj, src, dst, cap) == want
+    assert want[0] == (-1, -1, 0) and want[1] == (0, 0, 1)
+    assert sum(w == (-1, -1, 0) for w in want) > 1
 
 
 def test_path_stats_exhaustive_four_nodes():
-    for bits in itertools.product((0, 1), repeat=6):
-        adj = np.zeros((4, 4), dtype=np.uint8)
-        adj[np.triu_indices(4, k=1)] = bits
-        got = dag_path_stats(adj, 0, 3, 1 << 16)
-        assert tuple(int(v) for v in got) == stats_oracle(adj, 0, 3, 1 << 16)
+    bits = np.array(list(itertools.product((0, 1), repeat=6)), dtype=np.uint8)
+    adj = np.zeros((len(bits), 4, 4), dtype=np.uint8)
+    rows, cols = np.triu_indices(4, k=1)
+    adj[:, rows, cols] = bits
+    ends = [0] * len(adj), [3] * len(adj)
+    assert stat_rows(adj, *ends, 1 << 16) == [
+        stats_oracle(a, 0, 3, 1 << 16) for a in adj
+    ]
 
 
 def test_path_stats_chain_and_unreachable():
-    chain = np.zeros((4, 4), dtype=np.uint8)
-    chain[0, 1] = chain[1, 2] = chain[2, 3] = 1
-    assert tuple(dag_path_stats(chain, 0, 3, 16)) == (3, 3, 1)
-    empty = np.zeros((3, 3), dtype=np.uint8)
-    assert tuple(dag_path_stats(empty, 0, 2, 16)) == (-1, -1, 0)
+    adj = np.zeros((2, 4, 4), dtype=np.uint8)
+    adj[0, 0, 1] = adj[0, 1, 2] = adj[0, 2, 3] = 1
+    assert stat_rows(adj, [0, 0], [3, 2], 16) == [(3, 3, 1), (-1, -1, 0)]
 
 
 def test_path_stats_src_equals_dst():
-    adj = np.zeros((2, 2), dtype=np.uint8)
-    assert tuple(dag_path_stats(adj, 1, 1, 16)) == (0, 0, 1)
+    adj = np.zeros((1, 2, 2), dtype=np.uint8)
+    assert stat_rows(adj, [1], [1], 16) == [(0, 0, 1)]
+
+
+def test_path_stats_empty_stack():
+    adj = np.zeros((0, 3, 3), dtype=np.uint8)
+    assert stat_rows(adj, np.zeros(0, int), np.zeros(0, int), 16) == []
 
 
 def test_path_count_saturates_at_cap():
     # diamond tower: two parallel routes per stage, 2^10 paths in total
     stages = 10
     n = 2 + 3 * stages
-    adj = np.zeros((n, n), dtype=np.uint8)
+    adj = np.zeros((1, n, n), dtype=np.uint8)
     node = 0
     for _ in range(stages):
         a, b, joint = node + 1, node + 2, node + 3
-        adj[node, a] = adj[node, b] = 1
-        adj[a, joint] = adj[b, joint] = 1
+        adj[0, node, a] = adj[0, node, b] = 1
+        adj[0, a, joint] = adj[0, b, joint] = 1
         node = joint
-    adj[node, n - 1] = 1
-    full = tuple(dag_path_stats(adj, 0, n - 1, 1 << 16))
+    adj[0, node, n - 1] = 1
+    (full,) = stat_rows(adj, [0], [n - 1], 1 << 16)
     assert full[2] == 2 ** stages
-    capped = tuple(dag_path_stats(adj, 0, n - 1, 100))
+    (capped,) = stat_rows(adj, [0], [n - 1], 100)
     assert capped[:2] == full[:2]
     assert capped[2] == 100

@@ -504,6 +504,16 @@ def test_checkpoint_hostile_bytes_raise_checkpoint_error(
 def test_checkpoint_refuses_non_finite(tmp_path):
     bench = small_bench()
     model = model_for(bench)
+    path = tmp_path / "x.ckpt"
+    save_model(model, path)
+    last = list(model.params)[-1]
+    for value in (np.inf, np.nan):
+        data = bytearray(path.read_bytes())
+        data[-8:] = struct.pack("<d", value)
+        broken = tmp_path / "broken.ckpt"
+        broken.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match=f"tensor '{last}'.*non-finite"):
+            load_model(broken)
     model.params["op_table"].data[0, 0] = np.inf
     with pytest.raises(Exception):
         save_model(model, tmp_path / "x.ckpt")
