@@ -12,7 +12,8 @@ Recording: ops push onto the innermost active ``Tape`` (a thread-local
 stack) whenever some input requires grad.  Without an active tape the same
 functions run as plain numpy, which is the scoring fast path.  Backward
 replays records in reverse creation order with no other ordering rule, so
-gradient accumulation is deterministic.
+gradient accumulation is deterministic; only leaves (tensors no record
+produced) get ``.grad``.
 
 Set ``FLAN_CHECKED=1`` (or call ``set_checked``) to assert every op output
 is finite; useful when chasing a diverging run, off by default.
@@ -114,20 +115,20 @@ class Tape:
         self._records.append((out, inputs, backward))
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate gradients of loss into .grad of recorded tensors.
+        """Write gradients of loss into .grad of the leaves.
 
-        loss must be scalar-sized.  Gradients are written for every tensor
-        with requires_grad on a path to the loss; others keep grad None.
+        loss must be scalar-sized.  A leaf is a tensor that no record on this
+        tape produced; every leaf with requires_grad on a path to the loss
+        gets its gradient, and every other tensor keeps grad None.
         """
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         alive: dict[int, Tensor] = {id(loss): loss}
         for out, inputs, backward_fn in reversed(self._records):
-            g = grads.get(id(out))
-            if g is None:
+            if id(out) not in grads:  # off the path to the loss
                 continue
-            contribs = backward_fn(g)
+            contribs = backward_fn(grads[id(out)])
             for t, c in zip(inputs, contribs):
                 if c is None or not t.requires_grad:
                     continue
@@ -141,8 +142,9 @@ class Tape:
                 else:
                     grads[key] = c
                     alive[key] = t
+        produced = {id(out) for out, _, _ in self._records}
         for key, t in alive.items():
-            if t.requires_grad:
+            if t.requires_grad and key not in produced:
                 t.grad = np.array(grads[key], dtype=np.float64, copy=True)
 
 

@@ -151,6 +151,8 @@ def _cmd_gen_bench(args) -> int:
 
 def _cmd_encode(args) -> int:
     bench = bench_mod.ingest(args.bench)
+    if not bench.archs:
+        raise ValueError(f"{args.bench} holds no architectures to encode")
     if args.kind == "score":
         rows = enc_mod.score_feature_matrix(bench.archs, bench.vocab)
     elif args.kind == "adjacency":

@@ -23,7 +23,8 @@ Refinement: per timestep the forward stack runs from the current op
 embeddings, a backward stack runs over reversed edges from the final node
 features, and a small MLP on [backward feature, current embedding] produces
 an additive embedding update.  The update is local to one forward call; the
-persistent table only changes by gradient descent.  After the last timestep
+persistent table only changes by gradient descent.  With one timestep no
+refinement runs, so its parameters are not built.  After the last timestep
 node features are mean-pooled over non-none nodes, optionally concatenated
 with an embedded supplemental vector, and fed to an MLP head (ReLU on the
 hidden layers, linear output).
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .cellgraph import OP_NONE, CellArch
+from .cellgraph import OP_NONE, CellArch, stack_cells
 from .encodings import UnifiedVocabulary
 from .rng import Rng
 
@@ -182,10 +183,11 @@ def gat_layer(x: Tensor, routing: Tensor, op_emb: Tensor,
 
 
 class PredictorModel:
-    """Parameter container bound to a unified vocabulary."""
+    """Parameters bound to a unified vocabulary.  ``flat`` is their only
+    storage; each ``params[name]`` is a reshaped view of one slice of it."""
 
     def __init__(self, config: PredictorConfig, vocab: UnifiedVocabulary,
-                 cells_per_arch: int, params: dict[str, Tensor]):
+                 cells_per_arch: int, arrays: dict[str, np.ndarray]):
         if cells_per_arch not in (1, 2):
             raise PredictorError(f"cells_per_arch must be 1 or 2, got {cells_per_arch}")
         if not config.unified and len(vocab.spaces) != 1:
@@ -196,20 +198,23 @@ class PredictorModel:
         self.config = config
         self.vocab = vocab
         self.cells_per_arch = cells_per_arch
-        self.params = params
+        self.flat = np.concatenate(
+            [np.ravel(a) for a in arrays.values()], dtype=np.float64)
+        self.params: dict[str, Tensor] = {}
+        offset = 0
+        for name, arr in arrays.items():
+            view = self.flat[offset:offset + np.size(arr)].reshape(np.shape(arr))
+            self.params[name] = Tensor(view, requires_grad=True, copy=False)
+            offset += view.size
 
     def num_params(self) -> int:
-        return sum(p.data.size for p in self.params.values())
+        return self.flat.size
 
     def check_finite(self) -> None:
-        for name, p in self.params.items():
-            if not np.all(np.isfinite(p.data)):
-                raise PredictorError(f"parameter {name} is non-finite")
-
-
-def _gat_param_names(variant: str) -> tuple[str, ...]:
-    proj = ("w_p",) if variant == "shared_sigmoid" else ("w_q", "w_k", "w_v")
-    return proj + ("attn_a", "w_o", "ln_gamma", "ln_beta")
+        if not np.isfinite(self.flat).all():
+            name = next(n for n, p in self.params.items()
+                        if not np.isfinite(p.data).all())
+            raise PredictorError(f"parameter {name} is non-finite")
 
 
 def _layer_shapes(config: PredictorConfig, din: int, dout: int,
@@ -253,10 +258,11 @@ def parameter_shapes(config: PredictorConfig, vocab_size: int,
 
     for cell in range(cells_per_arch):
         stack(cell, "f", config.forward_mode, config.gcn_dims, d_op)
-        stack(cell, "b", config.backward_mode, config.backward_gcn_dims,
-              config.gcn_dims[-1])
-        mlp(f"c{cell}.up", config.backward_gcn_dims[-1] + d_op,
-            config.op_update_mlp_dims + (d_op,))
+        if config.timesteps > 1:  # the refinement runs between timesteps
+            stack(cell, "b", config.backward_mode, config.backward_gcn_dims,
+                  config.gcn_dims[-1])
+            mlp(f"c{cell}.up", config.backward_gcn_dims[-1] + d_op,
+                config.op_update_mlp_dims + (d_op,))
     head_in = config.nn_emb_dim
     if config.supplemental_dims:
         mlp("supp", config.supplemental_total, config.supp_embedder_dims)
@@ -265,7 +271,7 @@ def parameter_shapes(config: PredictorConfig, vocab_size: int,
     return shapes
 
 
-def _init_tensor(name: str, shape: tuple, rng: Rng, d_op: int) -> Tensor:
+def _init_tensor(name: str, shape: tuple, rng: Rng, d_op: int) -> np.ndarray:
     stream = rng.child("param", name)
     size = int(np.prod(shape))
     if name == "op_table":
@@ -282,8 +288,7 @@ def _init_tensor(name: str, shape: tuple, rng: Rng, d_op: int) -> Tensor:
             fan_in, fan_out = shape[0], shape[1]
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         values = [stream.uniform(-limit, limit) for _ in range(size)]
-    arr = np.array(values, dtype=np.float64).reshape(shape)
-    return Tensor(arr, requires_grad=True)
+    return np.array(values, dtype=np.float64).reshape(shape)
 
 
 def init(config: PredictorConfig, vocab: UnifiedVocabulary,
@@ -291,24 +296,27 @@ def init(config: PredictorConfig, vocab: UnifiedVocabulary,
     """Deterministic initialization; every tensor draws from its own named
     stream, so layouts with shared prefixes initialize identically."""
     rng = Rng(seed).child("init")
-    params = {
+    arrays = {
         name: _init_tensor(name, shape, rng, config.op_embedding_dim)
         for name, shape in parameter_shapes(
             config, vocab.size, cells_per_arch
         ).items()
     }
-    return PredictorModel(config, vocab, cells_per_arch, params)
+    return PredictorModel(config, vocab, cells_per_arch, arrays)
 
 
 @dataclass
 class PreparedBatch:
-    """Numeric views of a batch of architectures, ready for the graph stacks."""
+    """Numeric views of a batch of architectures, ready for the graph stacks.
+
+    Routing uses the active adjacency: edges touching none nodes are dropped.
+    """
 
     size: int
     num_nodes: int
     ids: list[np.ndarray]          # per cell: (B, n) int64 unified ids
-    routing_fwd: list[np.ndarray]  # per cell: (B, n, n) transpose of storage
-    routing_bwd: list[np.ndarray]  # per cell: (B, n, n) storage adjacency
+    routing_fwd: list[np.ndarray]  # per cell: (B, n, n) transposed adjacency
+    routing_bwd: list[np.ndarray]  # per cell: (B, n, n) adjacency
     mask: list[np.ndarray]         # per cell: (B, n, 1) 1.0 for non-none nodes
     supplemental: np.ndarray | None
 
@@ -347,21 +355,14 @@ def prepare_batch(model: PredictorModel, archs,
 
     ids, routing_fwd, routing_bwd, mask = [], [], [], []
     for c in range(model.cells_per_arch):
-        cid = np.zeros((batch, n), dtype=np.int64)
-        fwd = np.zeros((batch, n, n), dtype=np.float64)
-        bwd = np.zeros((batch, n, n), dtype=np.float64)
-        msk = np.zeros((batch, n, 1), dtype=np.float64)
-        for b, arch in enumerate(archs):
-            cell = arch.cells[c]
-            cid[b] = model.vocab.map_ops(cell.space_id, cell.op_ids)
-            adj = cell.adjacency.astype(np.float64)
-            fwd[b] = adj.T
-            bwd[b] = adj
-            msk[b, :, 0] = [1.0 if op != OP_NONE else 0.0 for op in cell.op_ids]
-        ids.append(cid)
-        routing_fwd.append(fwd)
-        routing_bwd.append(bwd)
-        mask.append(msk)
+        cells = [arch.cells[c] for arch in archs]
+        stack = stack_cells(cells)
+        adj = stack.adjacency.astype(np.float64)
+        ids.append(np.stack([model.vocab.map_ops(cell.space_id, cell.op_ids)
+                             for cell in cells]))
+        routing_fwd.append(np.ascontiguousarray(adj.transpose(0, 2, 1)))
+        routing_bwd.append(adj)
+        mask.append((stack.ops != OP_NONE)[:, :, None].astype(np.float64))
     return PreparedBatch(batch, n, ids, routing_fwd, routing_bwd, mask, supplemental)
 
 
@@ -381,10 +382,8 @@ def _run_stack(model: PredictorModel, cell: int, tag: str, mode: str,
             ))
         if mode in ("gat", "ensemble"):
             key = f"c{cell}.{tag}{l}.gat."
-            gat_params = {
-                pname: model.params[key + pname]
-                for pname in _gat_param_names(cfg.attention_variant)
-            }
+            gat_params = {name[len(key):]: p for name, p in model.params.items()
+                          if name.startswith(key)}
             outs.append(gat_layer(x, routing, op_emb, gat_params,
                                   cfg.attention_variant))
         x = outs[0] if len(outs) == 1 else ad.scale(ad.add(outs[0], outs[1]), 0.5)
@@ -471,8 +470,5 @@ def score_archs(model: PredictorModel, archs,
 
 
 def clone_model(model: PredictorModel) -> PredictorModel:
-    params = {
-        name: Tensor(p.data.copy(), requires_grad=True)
-        for name, p in model.params.items()
-    }
-    return PredictorModel(model.config, model.vocab, model.cells_per_arch, params)
+    arrays = {name: p.data for name, p in model.params.items()}
+    return PredictorModel(model.config, model.vocab, model.cells_per_arch, arrays)

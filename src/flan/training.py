@@ -5,9 +5,8 @@ ordered pair inside a batch whose first accuracy is strictly higher
 contributes max(0, margin - (score_i - score_j)).  Accuracies are
 z-normalized over the training split first; the loss only sees orderings,
 so this changes nothing but keeps logged magnitudes comparable across
-benchmarks.  The optimizer is Adam with decoupled weight decay; decay is
-applied only to parameters that received a gradient, so parameters of an
-unused branch are never touched.
+benchmarks.  The optimizer is Adam with decoupled weight decay, applied as
+one update of the model's flat parameter vector.
 
 Transfer clones a unified-vocabulary model, registers the target space
 (appending freshly initialized op-table rows for its interior ops, existing
@@ -34,7 +33,6 @@ from .encodings import SupplementalProvider, UnifiedVocabulary, zscore_columns
 from .predictor import (
     PredictorConfig,
     PredictorModel,
-    clone_model,
     forward_batch,
     parameter_shapes,
     prepare_batch,
@@ -43,6 +41,7 @@ from .rng import Rng
 
 CKPT_MAGIC = b"FLANCKPT"
 CKPT_VERSION = 1
+ADAM_BLOCK = 16384  # elements per Adam update block: temporaries stay in cache
 
 
 class TrainError(RuntimeError):
@@ -114,38 +113,36 @@ def hinge_rank_loss(scores: Tensor, accuracies, margin: float) -> Tensor:
 
 
 class _AdamState:
-    def __init__(self):
+    def __init__(self, size: int):
         self.step = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
 
 def _adam_step(model: PredictorModel, state: _AdamState, lr: float,
                config: TrainConfig) -> None:
+    grads = []
+    for name, p in model.params.items():
+        if p.grad is None:
+            raise TrainError(f"parameter {name} received no gradient")
+        grads.append(p.grad.reshape(-1))
+        p.grad = None
+    grad = np.concatenate(grads)
     state.step += 1
     t = state.step
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
-    for name, p in model.params.items():
-        g = p.grad
-        if g is None:
-            continue
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            state.m[name] = m
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
+    for lo in range(0, grad.size, ADAM_BLOCK):
+        block = slice(lo, lo + ADAM_BLOCK)
+        g, m, v, w = grad[block], state.m[block], state.v[block], model.flat[block]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        update = (m / bias1) / (np.sqrt(v / bias2) + eps)
-        p.data -= lr * update
+        w -= lr * ((m / bias1) / (np.sqrt(v / bias2) + eps))
         if config.weight_decay:
-            p.data -= lr * config.weight_decay * p.data
-        p.grad = None
+            w -= lr * config.weight_decay * w
 
 
 def fit(model: PredictorModel, bench, train_ids, config: TrainConfig,
@@ -181,7 +178,7 @@ def fit(model: PredictorModel, bench, train_ids, config: TrainConfig,
     z_by_id = dict(zip(train_ids, zscore_columns(accs[:, None])[:, 0]))
 
     rng = Rng(config.seed).child("fit")
-    state = _AdamState()
+    state = _AdamState(model.num_params())
     history = {"epoch_losses": [], "steps": 0, "skipped_batches": 0}
     for epoch in range(epochs):
         order = list(train_ids)
@@ -235,30 +232,29 @@ def transfer(model: PredictorModel, target_bench, target_train_ids,
             f"cells_per_arch mismatch: model {model.cells_per_arch}, "
             f"target {target_bench.cells_per_arch}"
         )
-    out = clone_model(model)
+    vocab = model.vocab
+    arrays = {name: p.data for name, p in model.params.items()}
     target_vocab = target_bench.vocab
-    if out.vocab.has_space(target_vocab.space_id):
-        known = out.vocab.space(target_vocab.space_id)
+    if vocab.has_space(target_vocab.space_id):
+        known = vocab.space(target_vocab.space_id)
         if known.op_names != target_vocab.op_names:
             raise TrainError(
                 f"space {target_vocab.space_id} already registered with "
                 "different op names"
             )
     else:
-        old_size = out.vocab.size
-        new_vocab = out.vocab.extend(target_vocab)
-        d_op = out.config.op_embedding_dim
+        old_size = vocab.size
+        vocab = vocab.extend(target_vocab)
+        d_op = model.config.op_embedding_dim
         sigma = 1.0 / np.sqrt(d_op)
         rng = Rng(config.seed)
         rows = []
-        for unified_id in range(old_size, new_vocab.size):
+        for unified_id in range(old_size, vocab.size):
             stream = rng.child("transfer-row", unified_id)
             rows.append([stream.normal(0.0, sigma) for _ in range(d_op)])
-        table = np.concatenate(
-            [out.params["op_table"].data, np.array(rows, dtype=np.float64)]
-        )
-        out.params["op_table"] = Tensor(table, requires_grad=True)
-        out = PredictorModel(out.config, new_vocab, out.cells_per_arch, out.params)
+        arrays["op_table"] = np.concatenate([arrays["op_table"], rows])
+    # the model copies the arrays, so the source is never mutated
+    out = PredictorModel(model.config, vocab, model.cells_per_arch, arrays)
     target_train_ids = list(target_train_ids)
     if target_train_ids:
         fit(out, target_bench, target_train_ids, config,
@@ -387,11 +383,8 @@ def model_from_checkpoint(ckpt: Checkpoint) -> PredictorModel:
     extra = set(ckpt.tensors) - set(expected)
     if extra:
         raise CheckpointError(f"checkpoint carries unknown tensors {sorted(extra)}")
-    params = {
-        name: Tensor(ckpt.tensors[name], requires_grad=True)
-        for name in expected
-    }
-    return PredictorModel(ckpt.config, ckpt.vocab, ckpt.cells_per_arch, params)
+    arrays = {name: ckpt.tensors[name] for name in expected}
+    return PredictorModel(ckpt.config, ckpt.vocab, ckpt.cells_per_arch, arrays)
 
 
 def load_model(path) -> tuple[PredictorModel, dict[str, str]]:

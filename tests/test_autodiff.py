@@ -145,6 +145,21 @@ def test_grad_flows_only_to_requires_grad():
     assert y.grad is None
 
 
+def test_backward_writes_grad_only_on_leaves():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    w = Tensor([3.0, -1.0], requires_grad=True)
+    with Tape() as tape:
+        h = ad.mul(x, w)
+        y = ad.add(h, x)
+        loss = ad.sum_(ad.mul(y, y))
+        tape.backward(loss)
+    assert h.grad is None and y.grad is None and loss.grad is None
+    # loss = sum((x w + x)^2): dx = 2 y (w + 1), dw = 2 y x
+    y_val = np.array([4.0, 0.0])
+    np.testing.assert_array_equal(x.grad, 2.0 * y_val * np.array([4.0, 0.0]))
+    np.testing.assert_array_equal(w.grad, 2.0 * y_val * np.array([1.0, 2.0]))
+
+
 def test_reused_tensor_accumulates():
     x = Tensor([2.0], requires_grad=True)
     with Tape() as tape:

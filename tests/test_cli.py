@@ -269,6 +269,21 @@ def test_encode_is_deterministic(ws, tmp_path, capsys):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+@pytest.mark.parametrize("kind", ["adjacency", "path", "score"])
+def test_encode_zero_record_bench_exits_2(ws, tmp_path, capsys, kind):
+    header = json.loads(ws["bench_a"].read_text().splitlines()[0])
+    header["count"] = 0
+    empty = tmp_path / "empty.bench"
+    empty.write_text(json.dumps(header) + "\n")
+    out = tmp_path / f"{kind}.supp"
+    code, payload, err = run_cli(capsys, "encode", "--bench", str(empty),
+                                 "--kind", kind, "--out", str(out))
+    assert code == 2 and payload is None
+    assert err.startswith("error: ") and "no architectures" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 # -- train / eval ---------------------------------------------------------------------
 
 def test_train_writes_checkpoint_and_report(trained):

@@ -14,7 +14,7 @@ import pytest
 import flan.autodiff as ad
 from flan.autodiff import Tensor
 from flan.benchmark import make_vocab
-from flan.cellgraph import CellArch, pad, permute
+from flan.cellgraph import CellArch, CellGraph, pad, permute, validate
 from flan.encodings import EncodingError, unify
 from flan.predictor import (
     LAYER_NORM_EPS,
@@ -350,16 +350,39 @@ def test_model_num_params_and_finite_check():
     total = sum(p.data.size for p in model.params.values())
     assert model.num_params() == total
     model.check_finite()
-    model.params["op_table"].data[0, 0] = np.nan
-    with pytest.raises(PredictorError):
+    model.params["c0.f1.gat.ln_beta"].data[2] = np.nan
+    with pytest.raises(PredictorError, match=r"c0\.f1\.gat\.ln_beta"):
         model.check_finite()
+
+
+def test_parameters_are_views_of_the_flat_vector():
+    model = make_model()
+    assert all(p.data.base is model.flat for p in model.params.values())
+    model.flat[:] = np.arange(model.flat.size)
+    offset = 0
+    for p in model.params.values():
+        np.testing.assert_array_equal(
+            p.data.ravel(), np.arange(offset, offset + p.data.size))
+        offset += p.data.size
+    assert offset == model.flat.size
 
 
 def test_clone_is_independent():
     model = make_model()
     twin = clone_model(model)
+    assert twin.flat.tobytes() == model.flat.tobytes()
     twin.params["op_table"].data[0, 0] += 1.0
+    twin.flat[-1] += 1.0
     assert model.params["op_table"].data[0, 0] != twin.params["op_table"].data[0, 0]
+    assert model.flat[-1] != twin.flat[-1]
+
+
+def test_single_timestep_builds_no_refinement_parameters():
+    shapes = parameter_shapes(tiny_config(timesteps=1), 5, 2)
+    assert not [k for k in shapes if k.startswith("c") and ".up" in k]
+    assert not [k for k in shapes if k.startswith(("c0.b", "c1.b"))]
+    two = parameter_shapes(tiny_config(timesteps=2), 5, 2)
+    assert {k: v for k, v in two.items() if k in shapes} == shapes
 
 
 # -- forward ------------------------------------------------------------------------------
@@ -497,3 +520,20 @@ def test_padded_nodes_masked_out():
     cell = pad(chain_cell(3), 5)
     batch = prepare_batch(model, [arch_of(cell)])
     assert batch.mask[0][0, :, 0].tolist() == [1.0, 1.0, 1.0, 0.0, 0.0]
+
+
+def test_edges_touching_none_nodes_carry_no_message():
+    ops = [0, 3, 2, 2, 1]
+    adj = np.zeros((5, 5), dtype=np.uint8)
+    adj[0, 1] = adj[1, 4] = 1
+    plain = CellGraph(adj, ops, 0)
+    adj = adj.copy()
+    adj[2, 1] = 1
+    stray = CellGraph(adj, ops, 0)
+    assert validate(stray, 5) is None
+    model = make_model()
+    jitter_params(model, seed=6)
+    batch = prepare_batch(model, [arch_of(stray)])
+    assert not batch.routing_fwd[0].any(axis=(0, 1))[2]
+    assert not batch.routing_bwd[0][0, 2].any()
+    assert forward(model, arch_of(stray)) == forward(model, arch_of(plain))

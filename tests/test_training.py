@@ -5,24 +5,39 @@ loops so the vectorized pair indexing is checked against something that
 cannot share its bugs.
 """
 
+import itertools
 import json
+import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from flan.autodiff import Tape, Tensor
 from flan.benchmark import SyntheticSpec, generate_synthetic, split
+from flan.cellgraph import CellArch
 from flan.encodings import SupplementalProvider, SupplementalTable, unify
 from flan.metrics import kendall_tau
-from flan.predictor import forward, init, prepare_batch, score_archs
+from flan.predictor import (
+    PredictorModel,
+    forward,
+    forward_batch,
+    init,
+    parameter_shapes,
+    prepare_batch,
+    score_archs,
+)
 from flan.rng import Rng
 from flan.training import (
+    ADAM_BLOCK,
     CKPT_MAGIC,
     Checkpoint,
     CheckpointError,
     TrainConfig,
     TrainError,
+    _adam_step,
+    _AdamState,
     fit,
     hinge_rank_loss,
     load_checkpoint,
@@ -272,20 +287,98 @@ def test_fit_with_supplemental_runs_and_uses_it():
     assert any(name.startswith("supp") for name in model.params)
 
 
-def test_weight_decay_skips_gradient_free_branches():
-    # with a single timestep the backward and update stacks never run, so
-    # their parameters get no gradient and decay must leave them alone
+def two_cell_bench(bench):
+    """The same ids and accuracies with each arch's cell paired with the next
+    arch's cell."""
+    archs = bench.archs
+    paired = tuple(
+        CellArch((a.cells[0], archs[(k + 1) % len(archs)].cells[0]), a.arch_id)
+        for k, a in enumerate(archs)
+    )
+    return replace(bench, archs=paired, cells_per_arch=2)
+
+
+@pytest.mark.parametrize("modes", [("dgf", "gat"), ("gat", "dgf"),
+                                   ("ensemble", "ensemble")])
+@pytest.mark.parametrize("variant", ["shared_sigmoid", "kqv_softmax"])
+def test_every_parameter_receives_a_gradient(modes, variant):
+    base = small_bench()
+    for timesteps, supplemental, cells in itertools.product(
+            (1, 2, 3), (False, True), (1, 2)):
+        bench = base if cells == 1 else two_cell_bench(base)
+        provider = SupplementalProvider([bench.proxies]) if supplemental else None
+        model = init(
+            tiny_config(forward_mode=modes[0], backward_mode=modes[1],
+                        attention_variant=variant, timesteps=timesteps,
+                        supplemental_dims=(provider.dim,) if provider else ()),
+            unify([bench.vocab]), cells, seed=1,
+        )
+        refinement = [n for n in model.params if re.match(r"c\d\.(b|up)\d", n)]
+        assert bool(refinement) == (timesteps > 1)
+        ids = bench.arch_ids
+        batch = prepare_batch(model, [bench.arch(i) for i in ids],
+                              provider.matrix(ids) if provider else None)
+        with Tape() as tape:
+            loss = hinge_rank_loss(forward_batch(model, batch),
+                                   bench.accuracy_vector(ids), 0.1)
+            tape.backward(loss)
+        assert all(p.grad is not None for p in model.params.values())
+        # the loss sees only score differences, so the output bias gets a
+        # zero gradient up to rounding and may stay at its initial zero
+        out_bias = f"head{len(model.config.mlp_dims)}.b"
+        assert abs(model.params[out_bias].grad[0]) < 1e-12
+        before = params_bytes(model)
+        history = fit(model, bench, ids,
+                      quick_cfg(epochs=1, batch_size=len(ids), weight_decay=0.5),
+                      supplemental=provider)
+        assert history["steps"] == 1
+        after = params_bytes(model)
+        assert {n for n in before if before[n] == after[n]} <= {out_bias}
+
+
+def reference_adam(arrays, grads, lr, config, steps):
+    """Adam with decoupled decay, one tensor at a time."""
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    m = {n: np.zeros_like(a) for n, a in arrays.items()}
+    v = {n: np.zeros_like(a) for n, a in arrays.items()}
+    for t in range(1, steps + 1):
+        for n, w in arrays.items():
+            g = grads[t - 1][n]
+            m[n] = b1 * m[n] + (1.0 - b1) * g
+            v[n] = b2 * v[n] + (1.0 - b2) * g * g
+            step = (m[n] / (1.0 - b1**t)) / (np.sqrt(v[n] / (1.0 - b2**t))
+                                             + config.adam_eps)
+            w -= lr * step
+            w -= lr * config.weight_decay * w
+    return arrays
+
+
+def test_adam_step_matches_per_tensor_adam_bitwise():
     bench = small_bench()
-    model = model_for(bench, timesteps=1)
-    before = params_bytes(model)
-    fit(model, bench, bench.arch_ids,
-        quick_cfg(epochs=2, weight_decay=0.5))
-    after = params_bytes(model)
-    idle = [n for n in before
-            if n.startswith("c") and n.split(".")[1].startswith(("b", "up"))]
-    assert idle
-    assert all(before[n] == after[n] for n in idle)
-    assert any(before[n] != after[n] for n in before if ".f0." in n)
+    model = model_for(bench, gcn_dims=(96, 96), backward_gcn_dims=(96,))
+    assert model.num_params() > ADAM_BLOCK
+    config = quick_cfg(weight_decay=0.01)
+    rng = np.random.default_rng(4)
+    grads = [{n: rng.normal(size=p.shape) for n, p in model.params.items()}
+             for _ in range(5)]
+    want = reference_adam({n: p.data.copy() for n, p in model.params.items()},
+                          grads, 0.01, config, 5)
+    state = _AdamState(model.num_params())
+    for step_grads in grads:
+        for n, p in model.params.items():
+            p.grad = step_grads[n].copy()
+        _adam_step(model, state, 0.01, config)
+        assert all(p.grad is None for p in model.params.values())
+    assert params_bytes(model) == {n: a.tobytes() for n, a in want.items()}
+
+
+def test_adam_step_names_a_parameter_without_gradient():
+    model = model_for(small_bench())
+    for p in model.params.values():
+        p.grad = np.zeros_like(p.data)
+    model.params["head0.b"].grad = None
+    with pytest.raises(TrainError, match="head0.b"):
+        _adam_step(model, _AdamState(model.num_params()), 0.01, quick_cfg())
 
 
 # -- transfer -----------------------------------------------------------------------
@@ -450,6 +543,21 @@ def test_checkpoint_shape_and_name_mismatches(tmp_path):
     bad.tensors["mystery"] = np.zeros(3)
     with pytest.raises(CheckpointError, match="unknown"):
         model_from_checkpoint(bad)
+
+
+def test_single_timestep_checkpoint_with_refinement_tensors_is_refused(tmp_path):
+    # older single-timestep checkpoints also carried the never-read backward
+    # stack and update MLP, in the two-timestep layout
+    bench = small_bench()
+    model = model_for(bench, timesteps=1)
+    shapes = parameter_shapes(tiny_config(timesteps=2), model.vocab.size, 1)
+    arrays = {name: (model.params[name].data if name in model.params
+                     else np.zeros(shape))
+              for name, shape in shapes.items()}
+    path = tmp_path / "old.ckpt"
+    save_model(PredictorModel(model.config, model.vocab, 1, arrays), path)
+    with pytest.raises(CheckpointError, match=r"unknown tensors \['c0\.b0\."):
+        load_model(path)
 
 
 def test_checkpoint_tensor_names_must_match_promise(tmp_path):
