@@ -78,14 +78,22 @@ class SyntheticSpec:
             )
         if self.num_archs < 1:
             raise BenchmarkError(f"num_archs must be positive, got {self.num_archs}")
-        if self.noise_sigma < 0.0:
-            raise BenchmarkError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise BenchmarkError(
+                f"noise_sigma must be finite and >= 0, got {self.noise_sigma}"
+            )
+        if not math.isfinite(self.interaction_scale):
+            raise BenchmarkError(
+                f"interaction_scale must be finite, got {self.interaction_scale}"
+            )
         if self.op_utilities is not None:
             utils = tuple(float(u) for u in self.op_utilities)
             if len(utils) != self.vocab_size:
                 raise BenchmarkError(
                     f"op_utilities needs {self.vocab_size} entries, got {len(utils)}"
                 )
+            if not all(map(math.isfinite, utils)):
+                raise BenchmarkError(f"op_utilities must be finite, got {utils}")
             object.__setattr__(self, "op_utilities", utils)
 
     def utilities(self) -> np.ndarray:
@@ -116,33 +124,17 @@ def count_distinct_cells(num_nodes: int, vocab_size: int) -> int | None:
     if num_nodes > 6:
         return None
     n = num_nodes
-    k = vocab_size - 3
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    structures: set[bytes] = set()
-    total = 0
-    for mask in range(1 << len(pairs)):
-        adj = np.zeros((n, n), dtype=np.uint8)
-        for bit, (i, j) in enumerate(pairs):
-            if mask >> bit & 1:
-                adj[i, j] = 1
-        pruned = cellgraph.prune_to_paths(adj, [OP_NONE] * n, 0, n - 1)
-        if pruned is None:
-            continue
-        canon_adj, _ = pruned
-        key = canon_adj.tobytes()
-        if key in structures:
-            continue
-        structures.add(key)
-        interior = sum(
-            1
-            for node in range(1, n - 1)
-            if canon_adj[node].any() or canon_adj[:, node].any()
-        )
-        if k == 0:
-            total += 1 if interior == 0 else 0
-        else:
-            total += k**interior
-    return total
+    rows, cols = np.triu_indices(n, 1)
+    bits = 1 << np.arange(rows.size)
+    masks = np.zeros((1 << rows.size, n, n), dtype=np.uint8)
+    masks[:, rows, cols] = (np.arange(1 << rows.size)[:, None] & bits) != 0
+    pruned, keep = cellgraph.prune_stack(masks, 0, n - 1)
+    kept = keep[:, 0]
+    # a pruned structure is its edge bits; count each once, with k**m
+    # labellings for m kept interior nodes and k interior ops
+    _, first = np.unique(pruned[kept][:, rows, cols] @ bits, return_index=True)
+    interior = np.bincount(keep[kept][first, 1:n - 1].sum(axis=1))
+    return sum(int(count) * (vocab_size - 3) ** m for m, count in enumerate(interior))
 
 
 def _sample_cell(spec: SyntheticSpec, rng: Rng, space_id: int) -> CellGraph | None:
@@ -151,16 +143,16 @@ def _sample_cell(spec: SyntheticSpec, rng: Rng, space_id: int) -> CellGraph | No
     for i in range(n):
         for j in range(i + 1, n):
             adj[i, j] = rng.randint(2)
-    pruned = cellgraph.prune_to_paths(adj, [OP_NONE] * n, 0, n - 1)
+    pruned = cellgraph.prune_to_paths(adj, 0, n - 1)
     if pruned is None:
         return None
-    canon_adj, ops = pruned
+    canon_adj, keep = pruned
+    ops = [OP_NONE] * n
     ops[0] = OP_INPUT
     ops[n - 1] = OP_OUTPUT
     k = spec.vocab_size - 3
     for node in range(1, n - 1):
-        active = canon_adj[node].any() or canon_adj[:, node].any()
-        if not active:
+        if not keep[node]:
             continue
         if k == 0:
             return None
@@ -347,7 +339,11 @@ _need = partial(need_field, BenchmarkError)
 
 
 def ingest(path) -> TabularBenchmark:
-    """Read and fully validate a flan-bench/1 file."""
+    """Read and fully validate a flan-bench/1 file.
+
+    Every record is parsed first; the cells are then validated in one pass,
+    and the first invalid cell is reported with its line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -412,7 +408,8 @@ def ingest(path) -> TabularBenchmark:
                 raise BenchmarkError(
                     f"adjacency must be {num_nodes}x{num_nodes}", line
                 )
-            if any(v not in (0, 1) for row in adj for v in row):
+            # JSON true and 1.0 compare equal to 1 but are not integers
+            if any(type(v) is not int or v not in (0, 1) for row in adj for v in row):
                 raise BenchmarkError("adjacency entries must be 0 or 1", line)
             if len(ops) != num_nodes:
                 raise BenchmarkError(
@@ -422,9 +419,6 @@ def ingest(path) -> TabularBenchmark:
                 cell = CellGraph(adj, ops, vocab.space_id)
             except ValueError as exc:
                 raise BenchmarkError(f"bad cell: {exc}", line) from None
-            diag = cellgraph.validate(cell, vocab.size)
-            if diag is not None:
-                raise BenchmarkError(f"invalid cell: {diag}", line)
             cells.append(cell)
         try:
             arch = CellArch(tuple(cells), arch_id)
@@ -451,6 +445,11 @@ def ingest(path) -> TabularBenchmark:
             raise BenchmarkError("record carries zcp but header zcp_dim is 0", line)
         archs.append(arch)
         accuracies[arch_id] = accuracy
+
+    diags = cellgraph.validate_cells([c for a in archs for c in a.cells], vocab.size)
+    for k, diag in enumerate(diags):
+        if diag is not None:
+            raise BenchmarkError(f"invalid cell: {diag}", 2 + k // cells_per_arch)
 
     proxies = (
         SupplementalTable("zcp", zcp_dim, proxy_vectors) if zcp_dim > 0 else None

@@ -6,6 +6,11 @@ output, 2 the none/pad marker.  Edges run adjacency[i][j] = 1 for i -> j.
 Nodes carrying the none op are inert: their edges are ignored and they are
 excluded from every connectivity requirement, which is how differently sized
 cells coexist in one padded space.
+
+Every connectivity question (acyclicity, source-to-sink reachability,
+pruning to the source-to-sink paths) is answered by one boolean
+reachability closure over a padded stack of cells, so validating or
+pruning many cells is one array pass rather than a graph walk per cell.
 """
 
 from __future__ import annotations
@@ -127,68 +132,63 @@ class CellArch:
         return self.cells[0].space_id
 
 
-def topo_order(adjacency: np.ndarray) -> list[int] | None:
-    """Kahn topological order, or None when the graph has a cycle."""
-    n = adjacency.shape[0]
-    indeg = adjacency.sum(axis=0).astype(np.int64)
-    queue = [i for i in range(n) if indeg[i] == 0]
-    order: list[int] = []
-    while queue:
-        u = queue.pop()
-        order.append(u)
-        for v in np.nonzero(adjacency[u])[0]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(int(v))
-    return order if len(order) == n else None
+def _closure(adj: np.ndarray) -> np.ndarray:
+    """Reflexive-transitive reachability of each graph in an (M, n, n) stack:
+    out[m, i, j] is True when j is reachable from i in adj[m], or i == j.
+
+    A reachable node is reachable by a path of at most n - 1 edges, cyclic
+    graphs included, and each boolean squaring doubles the path length
+    covered, so ceil(log2(n - 1)) squarings suffice.
+    """
+    n = adj.shape[-1]
+    r = (adj != 0) | np.eye(n, dtype=bool)
+    for _ in range(max(n - 2, 0).bit_length()):
+        r = (r.astype(np.int64) @ r) > 0
+    return r
 
 
-def _reach(adjacency: np.ndarray, start: int, forward: bool) -> set[int]:
-    adj = adjacency if forward else adjacency.T
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in np.nonzero(adj[u])[0]:
-            v = int(v)
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
+def validate_cells(cells, vocab_size: int) -> list[str | None]:
+    """validate() for every cell, from one array pass over the whole stack;
+    messages are formatted only for the cells that fail.  Padding nodes
+    carry the none op, which every vocabulary (size >= 3) covers."""
+    _, ops, sources, sinks, raw = stack_cells(cells)
+    loops = np.diagonal(raw, axis1=1, axis2=2) != 0
+    cyclic = ((raw != 0) & _closure(raw).transpose(0, 2, 1)).any(axis=(1, 2))
+    bad_op = ops >= vocab_size
+    one_end = (sources.sum(axis=1) == 1) & (sinks.sum(axis=1) == 1)
+    failing = loops.any(axis=1) | cyclic | bad_op.any(axis=1) | ~one_end
+    out: list[str | None] = [None] * len(cells)
+    for k in np.flatnonzero(failing).tolist():
+        if loops[k].any():
+            out[k] = f"cycle: node {loops[k].argmax()} has a self loop"
+        elif cyclic[k]:
+            out[k] = "cycle: adjacency is not acyclic"
+        elif bad_op[k].any():
+            i = bad_op[k].argmax()
+            out[k] = (f"op out of range: node {i} has op {ops[k, i]}, "
+                      f"vocabulary size {vocab_size}")
+        elif not (ops[k] != OP_NONE).any():
+            out[k] = "disconnected: no active nodes"
+        else:
+            out[k] = (
+                f"disconnected: expected one source and one sink, found "
+                f"sources {np.flatnonzero(sources[k]).tolist()} and "
+                f"sinks {np.flatnonzero(sinks[k]).tolist()}"
+            )
+    return out
 
 
 def validate(cell: CellGraph, vocab_size: int) -> str | None:
     """None when the cell is well formed, else a short diagnostic.
 
-    Checks, in order: acyclicity (self loops included), op ids inside the
-    vocabulary, and connectivity of the active subgraph: exactly one source,
-    exactly one sink, and every active node on some source-to-sink path.
+    Checks, in order: acyclicity (self loops first, then any cycle, none
+    nodes included), op ids inside the vocabulary, and one source and one
+    sink in the active subgraph.  One reachability closure of the raw
+    adjacency finds cycles: an edge i -> j closes one when j reaches i.
+    Every node of a DAG descends from a source and reaches a sink, so a
+    unique source and sink put every active node on a path between them.
     """
-    if np.any(np.diag(cell.adjacency)):
-        node = int(np.nonzero(np.diag(cell.adjacency))[0][0])
-        return f"cycle: node {node} has a self loop"
-    if topo_order(cell.adjacency) is None:
-        return "cycle: adjacency is not acyclic"
-    for i, op in enumerate(cell.op_ids):
-        if op >= vocab_size:
-            return f"op out of range: node {i} has op {op}, vocabulary size {vocab_size}"
-    active = cell.active_nodes()
-    if not active:
-        return "disconnected: no active nodes"
-    (adj,), _, (sources,), (sinks,) = stack_cells([cell])
-    sources, sinks = np.flatnonzero(sources).tolist(), np.flatnonzero(sinks).tolist()
-    if len(sources) != 1 or len(sinks) != 1:
-        return (
-            f"disconnected: expected one source and one sink, "
-            f"found sources {sources} and sinks {sinks}"
-        )
-    src, dst = sources[0], sinks[0]
-    from_src = _reach(adj, src, forward=True)
-    to_dst = _reach(adj, dst, forward=False)
-    for i in active:
-        if i not in from_src or i not in to_dst:
-            return f"disconnected: node {i} is on no path from {src} to {dst}"
-    return None
+    return validate_cells([cell], vocab_size)[0]
 
 
 def pad(cell: CellGraph, target_nodes: int) -> CellGraph:
@@ -213,23 +213,23 @@ def permute(cell: CellGraph, perm) -> CellGraph:
     if sorted(perm) != list(range(n)):
         raise CellError(f"perm must be a permutation of 0..{n - 1}, got {perm}")
     adj = np.zeros_like(cell.adjacency)
-    ops = [0] * n
-    for i in range(n):
-        ops[perm[i]] = cell.op_ids[i]
-        for j in np.nonzero(cell.adjacency[i])[0]:
-            adj[perm[i], perm[int(j)]] = 1
+    adj[np.ix_(perm, perm)] = cell.adjacency
+    ops = np.empty(n, dtype=np.int64)
+    ops[perm] = cell.op_ids
     return CellGraph(adj, ops, cell.space_id)
 
 
 class CellStack(NamedTuple):
     """Cells padded to one node count: (M, n, n) active adjacencies, (M, n)
-    op ids, and (M, n) masks of the active nodes without in-edges (sources)
-    and without out-edges (sinks)."""
+    op ids, (M, n) masks of the active nodes without in-edges (sources) and
+    without out-edges (sinks), and the (M, n, n) raw adjacencies, edges
+    touching none nodes included."""
 
     adjacency: np.ndarray
     ops: np.ndarray
     sources: np.ndarray
     sinks: np.ndarray
+    raw: np.ndarray
 
     def ends(self) -> tuple[np.ndarray, np.ndarray]:
         """Index arrays of each cell's unique source and sink."""
@@ -243,14 +243,14 @@ def stack_cells(cells) -> CellStack:
     """Stack cells, padding each to the largest node count with none nodes
     and clearing every edge that touches a none node."""
     n = max((c.num_nodes for c in cells), default=0)
-    adj = np.zeros((len(cells), n, n), dtype=np.uint8)
+    raw = np.zeros((len(cells), n, n), dtype=np.uint8)
     ops = np.full((len(cells), n), OP_NONE, dtype=np.int64)
     for k, c in enumerate(cells):
-        adj[k, :c.num_nodes, :c.num_nodes] = c.adjacency
+        raw[k, :c.num_nodes, :c.num_nodes] = c.adjacency
         ops[k, :c.num_nodes] = c.op_ids
     active = ops != OP_NONE
-    adj &= active[:, :, None] & active[:, None, :]
-    return CellStack(adj, ops, active & ~adj.any(1), active & ~adj.any(2))
+    adj = raw & active[:, :, None] & active[:, None, :]
+    return CellStack(adj, ops, active & ~adj.any(1), active & ~adj.any(2), raw)
 
 
 def source_and_sink(cell: CellGraph) -> tuple[int, int]:
@@ -259,22 +259,20 @@ def source_and_sink(cell: CellGraph) -> tuple[int, int]:
     return int(src[0]), int(dst[0])
 
 
-def prune_to_paths(adjacency: np.ndarray, op_ids, src: int, dst: int):
-    """Canonical form: keep only nodes on some src -> dst path.
-
-    Dropped nodes get op none and lose all edges.  Returns (adjacency,
-    op_ids) or None when dst is unreachable from src.
-    """
-    from_src = _reach(adjacency, src, forward=True)
-    to_dst = _reach(adjacency, dst, forward=False)
-    keep = from_src & to_dst
-    if src not in keep or dst not in keep:
-        return None
+def prune_stack(adjacency: np.ndarray, src: int, dst: int):
+    """prune_to_paths() for every graph of an (M, n, n) stack: returns the
+    pruned stack and the (M, n) kept-node masks; a graph where dst is
+    unreachable from src keeps no node and no edge."""
+    reach = _closure(np.asarray(adjacency))
+    keep = reach[:, src] & reach[:, :, dst]
     adj = np.array(adjacency, dtype=np.uint8, copy=True)
-    ops = list(op_ids)
-    for i in range(adj.shape[0]):
-        if i not in keep:
-            adj[i, :] = 0
-            adj[:, i] = 0
-            ops[i] = OP_NONE
-    return adj, ops
+    adj[~(keep[:, :, None] & keep[:, None, :])] = 0
+    return adj, keep
+
+
+def prune_to_paths(adjacency: np.ndarray, src: int, dst: int):
+    """Canonical form: keep only nodes on some src -> dst path, dropping
+    the edges of all others.  Returns (adjacency, kept-node bool mask), or
+    None when dst is unreachable from src."""
+    (adj,), (keep,) = prune_stack(np.asarray(adjacency)[None], src, dst)
+    return (adj, keep) if keep[src] else None

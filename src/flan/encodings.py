@@ -75,18 +75,15 @@ def encode_adjacency(arch: CellArch, vocab: OpVocabulary) -> EncodingVector:
                 "adjacency encoding needs a topologically relabelled cell "
                 "(upper triangular adjacency)"
             )
-        n = cell.num_nodes
-        bits = [
-            float(cell.adjacency[i, j]) for i in range(n) for j in range(i + 1, n)
-        ]
-        onehots = np.zeros((n, vocab.size), dtype=np.float64)
-        for i, op in enumerate(cell.op_ids):
-            if op >= vocab.size:
-                raise EncodingError(
-                    f"op {op} outside vocabulary of size {vocab.size}"
-                )
-            onehots[i, op] = 1.0
-        parts.append(np.concatenate([np.asarray(bits), onehots.reshape(-1)]))
+        ops = np.asarray(cell.op_ids)
+        if (ops >= vocab.size).any():
+            raise EncodingError(
+                f"op {ops[ops >= vocab.size][0]} outside vocabulary of size "
+                f"{vocab.size}"
+            )
+        bits = cell.adjacency[np.triu_indices(cell.num_nodes, 1)]
+        onehots = np.eye(vocab.size)[ops]
+        parts.append(np.concatenate([bits, onehots.reshape(-1)]))
     return EncodingVector("adjacency", np.concatenate(parts))
 
 

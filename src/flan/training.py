@@ -67,19 +67,21 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
-        if self.lr <= 0.0 or self.transfer_lr <= 0.0:
-            raise TrainError("learning rates must be positive")
+        for name in ("lr", "transfer_lr", "adam_eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise TrainError(f"{name} must be finite and positive, got {value}")
+        for name in ("weight_decay", "hinge_margin"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise TrainError(f"{name} must be finite and >= 0, got {value}")
         # 0 epochs is a legal no-op run (the unchanged-model contract)
         if self.epochs < 0 or self.transfer_epochs < 0:
             raise TrainError("epoch counts must be >= 0")
         if self.batch_size < 1:
             raise TrainError("batch_size must be >= 1")
-        if self.hinge_margin < 0.0:
-            raise TrainError("hinge_margin must be >= 0")
         if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
             raise TrainError("Adam betas must be in [0, 1)")
-        if self.weight_decay < 0.0:
-            raise TrainError("weight_decay must be >= 0")
 
 
 def ranking_pairs(accuracies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

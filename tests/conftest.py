@@ -151,17 +151,15 @@ def random_valid_cell(rng, num_nodes, vocab_size, space_id=0):
         for i in range(num_nodes):
             for j in range(i + 1, num_nodes):
                 adj[i, j] = rng.randint(2)
-        pruned = prune_to_paths(
-            adj, [0] * num_nodes, 0, num_nodes - 1
-        )
+        pruned = prune_to_paths(adj, 0, num_nodes - 1)
         if pruned is None:
             continue
-        padj, _ = pruned
+        padj, keep = pruned
         ops = [0] + [
             3 + rng.randint(vocab_size - 3) for _ in range(num_nodes - 2)
         ] + [1]
         for i in range(1, num_nodes - 1):
-            if not (padj[i].any() or padj[:, i].any()):
+            if not keep[i]:
                 ops[i] = 2
         cand = CellGraph(padj, ops, space_id)
         if validate(cand, vocab_size) is None:

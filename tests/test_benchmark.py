@@ -1,10 +1,15 @@
 """Synthetic generation, file round-trips and splits."""
 
+import contextlib
+import io
 import json
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flan.benchmark import (
     BenchmarkError,
@@ -44,6 +49,15 @@ def test_spec_rejects_bad_fields():
         base_spec(noise_sigma=-0.1)
     with pytest.raises(BenchmarkError):
         base_spec(op_utilities=(1.0, 2.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(BenchmarkError, match="noise_sigma"):
+            base_spec(noise_sigma=bad)
+        with pytest.raises(BenchmarkError, match="interaction_scale"):
+            base_spec(interaction_scale=bad)
+        with pytest.raises(BenchmarkError, match="op_utilities"):
+            base_spec(op_utilities=(0.0,) * 5 + (bad,))
+        with pytest.raises(BenchmarkError, match="interaction_scale"):
+            base_spec(interaction_scale=-bad)
 
 
 def test_default_utilities_ramp():
@@ -66,6 +80,22 @@ def test_count_distinct_cells_hand_derived():
     assert count_distinct_cells(2, 9) == 1      # only the direct edge
     assert count_distinct_cells(3, 3) == 1      # no interior ops at all
     assert count_distinct_cells(7, 5) is None   # beyond exact enumeration
+
+
+# values of the per-mask enumeration this stacked count replaced
+DISTINCT_CELLS = {
+    (2, 3): 1, (2, 4): 1, (2, 5): 1, (2, 9): 1,
+    (3, 3): 1, (3, 4): 3, (3, 5): 5, (3, 9): 13,
+    (4, 3): 1, (4, 4): 15, (4, 5): 49, (4, 9): 385,
+    (5, 3): 1, (5, 4): 159, (5, 5): 1109, (5, 9): 27469,
+    (6, 3): 1, (6, 4): 3903, (6, 5): 57697, (6, 9): 4444033,
+}
+
+
+@pytest.mark.parametrize("num_nodes, vocab_size", sorted(DISTINCT_CELLS))
+def test_count_distinct_cells_pinned(num_nodes, vocab_size):
+    count = count_distinct_cells(num_nodes, vocab_size)
+    assert count == DISTINCT_CELLS[num_nodes, vocab_size]
 
 
 def test_count_matches_saturation_sampling():
@@ -285,6 +315,10 @@ def set_zcp(zcp):
                  "line 3: adjacency entries must be 0 or 1", id="adj-300"),
     pytest.param(set_cell(adj=[[0, -1], [0, 0]]),
                  "line 3: adjacency entries must be 0 or 1", id="adj-negative"),
+    pytest.param(set_cell(adj=[[0, True], [0, 0]]),
+                 "line 3: adjacency entries must be 0 or 1", id="adj-true"),
+    pytest.param(set_cell(adj=[[0, 1.0], [0, 0]]),
+                 "line 3: adjacency entries must be 0 or 1", id="adj-float"),
     pytest.param(set_record(id=[0]), "line 3: id must be an integer, got list",
                  id="id-list"),
     pytest.param(set_record(id="x"), "line 3: id must be an integer, got str",
@@ -328,6 +362,16 @@ def test_ingest_malformed_cells_names_line(tmp_path, capsys, mutate, message):
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"error: {message}\n"
+
+
+def test_ingest_reports_parse_errors_before_invalid_cells(tmp_path):
+    # cells are validated in one pass once every record has parsed
+    def mutate(header, records):
+        records[0]["cells"][0]["adj"] = [[1, 1], [0, 0]]
+        records[1]["acc"] = 1.5
+
+    with pytest.raises(BenchmarkError, match="line 3: acc"):
+        ingest(write_two_records(tmp_path, mutate))
 
 
 def test_ingest_accepts_non_upper_triangular_dags(tmp_path):
@@ -398,6 +442,83 @@ def test_ingest_record_json_error(tmp_path):
     path.write_text(json.dumps(header) + "\n{nope\n")
     with pytest.raises(BenchmarkError, match="line 2"):
         ingest(path)
+
+
+# -- mutation fuzz ------------------------------------------------------------------------
+
+JSON_VALUES = st.one_of(
+    st.integers(-3, 300), st.booleans(), st.none(), st.text(max_size=3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.integers(0, 1), max_size=3),
+)
+
+
+@st.composite
+def mutations(draw):
+    """A function that puts one drawn fault into a 4-node bench's lines."""
+    k = draw(st.integers(0, 5))
+    i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(
+        ["adj", "ops", "delete", "retype", "back-edge", "self-loop",
+         "duplicate-id", "truncate"]))
+    key = draw(st.sampled_from(["id", "cells", "acc", "zcp"]))
+    value = draw(JSON_VALUES)
+    other = draw(st.integers(0, 5))
+    at, cut = draw(st.integers(0, 6)), draw(st.floats(0.0, 1.0))
+
+    def mutate(lines):
+        records = [json.loads(line) for line in lines[1:]]
+        rec = records[k]
+        cell = rec["cells"][0]
+        if kind == "adj":
+            cell["adj"][i][j] = value
+        elif kind == "ops":
+            cell["ops"][i] = value
+        elif kind == "delete":
+            rec.pop(key, None)
+        elif kind == "retype":
+            rec[key] = value
+        elif kind == "back-edge":
+            cell["adj"][max(i, j)][min(i, j)] = 1
+        elif kind == "self-loop":
+            cell["adj"][i][i] = 1
+        elif kind == "duplicate-id":
+            rec["id"] = records[other]["id"]
+        out = lines[:1] + [json.dumps(r) for r in records]
+        if kind == "truncate":
+            out[at] = out[at][:int(cut * (len(out[at]) - 1))]
+        return "\n".join(out) + "\n"
+
+    return mutate
+
+
+@pytest.fixture(scope="module")
+def fuzz_bench(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    export(generate_synthetic(base_spec(num_archs=6)), root / "seed.jsonl")
+    return root, (root / "seed.jsonl").read_text().splitlines()
+
+
+@given(mutate=mutations(), kind=st.sampled_from(["adjacency", "path", "score"]))
+@settings(max_examples=200, deadline=None)
+def test_ingest_mutation_fuzz(fuzz_bench, mutate, kind):
+    root, lines = fuzz_bench
+    path = root / "mutated.jsonl"
+    path.write_text(mutate(lines))
+    try:
+        bench = ingest(path)
+    except BenchmarkError:
+        pass
+    else:
+        for arch in bench.archs:
+            for c in arch.cells:
+                assert validate(c, bench.vocab.size) is None
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["encode", "--bench", str(path), "--kind", kind,
+                     "--out", str(root / "enc.supp")])
+    assert code in (0, 2)
+    assert err.getvalue().count("\n") == (code == 2)
 
 
 def test_benchmark_error_carries_line():

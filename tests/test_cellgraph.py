@@ -14,10 +14,11 @@ from flan.cellgraph import (
     OpVocabulary,
     pad,
     permute,
+    prune_stack,
     prune_to_paths,
     source_and_sink,
-    topo_order,
     validate,
+    validate_cells,
 )
 from flan.rng import Rng
 
@@ -199,36 +200,16 @@ def test_permute_involution_twice_is_identity():
     assert permute(permute(c, swap), swap) == c
 
 
-# -- topo order -----------------------------------------------------------------------
-
-def test_topo_order_respects_all_edges():
-    rng = Rng(77)
-    for _ in range(60):
-        n = 2 + rng.randint(7)
-        c = random_valid_cell(rng, n, 5)
-        order = topo_order(c.adjacency)
-        assert order is not None and sorted(order) == list(range(n))
-        pos = {node: k for k, node in enumerate(order)}
-        for i in range(n):
-            for j in np.nonzero(c.adjacency[i])[0]:
-                assert pos[i] < pos[int(j)]
-
-
-def test_topo_order_none_on_cycle():
-    adj = np.array([[0, 1], [1, 0]], dtype=np.uint8)
-    assert topo_order(adj) is None
-
-
 # -- prune ------------------------------------------------------------------------------
 
 def test_prune_drops_island_and_keeps_path():
     adj = np.zeros((4, 4), dtype=np.uint8)
     adj[0, 1] = adj[1, 3] = 1
     adj[0, 2] = 1  # 2 reachable but dead-ended
-    out = prune_to_paths(adj, [0, 3, 3, 1], 0, 3)
+    out = prune_to_paths(adj, 0, 3)
     assert out is not None
-    padj, pops = out
-    assert pops == [0, 3, OP_NONE, 1]
+    padj, keep = out
+    assert keep.tolist() == [True, True, False, True]
     assert not padj[2].any() and not padj[:, 2].any()
     assert padj[0, 1] == 1 and padj[1, 3] == 1
 
@@ -236,7 +217,7 @@ def test_prune_drops_island_and_keeps_path():
 def test_prune_unreachable_returns_none():
     adj = np.zeros((3, 3), dtype=np.uint8)
     adj[1, 2] = 1
-    assert prune_to_paths(adj, [0, 3, 1], 0, 2) is None
+    assert prune_to_paths(adj, 0, 2) is None
 
 
 def test_source_and_sink():
@@ -244,3 +225,156 @@ def test_source_and_sink():
     two_sources = cell([[0, 0, 1], [0, 0, 1], [0, 0, 0]], [0, 3, 1])
     with pytest.raises(CellError):
         source_and_sink(two_sources)
+
+
+# -- closure equivalence against graph-walk oracles ----------------------------------------
+
+def _walk(succ, start):
+    """Nodes reachable from start (start included), by depth-first search."""
+    seen, stack = {start}, [start]
+    while stack:
+        for v in succ(stack.pop()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def _oracle_validate(adj, ops, vocab_size):
+    """validate() spelled out with Kahn's sort and two depth-first walks."""
+    n = len(ops)
+    for i in range(n):
+        if adj[i][i]:
+            return f"cycle: node {i} has a self loop"
+    indeg = [sum(adj[i][j] for i in range(n)) for j in range(n)]
+    queue = [i for i in range(n) if indeg[i] == 0]
+    ordered = 0
+    while queue:
+        u = queue.pop()
+        ordered += 1
+        for v in range(n):
+            if adj[u][v]:
+                indeg[v] -= 1
+                if indeg[v] == 0:
+                    queue.append(v)
+    if ordered < n:
+        return "cycle: adjacency is not acyclic"
+    for i, op in enumerate(ops):
+        if op >= vocab_size:
+            return f"op out of range: node {i} has op {op}, vocabulary size {vocab_size}"
+    active = [i for i in range(n) if ops[i] != OP_NONE]
+    if not active:
+        return "disconnected: no active nodes"
+    edges = {(i, j) for i in active for j in active if adj[i][j]}
+    sources = [i for i in active if not any((j, i) in edges for j in active)]
+    sinks = [i for i in active if not any((i, j) in edges for j in active)]
+    if len(sources) != 1 or len(sinks) != 1:
+        return (f"disconnected: expected one source and one sink, "
+                f"found sources {sources} and sinks {sinks}")
+    src, dst = sources[0], sinks[0]
+    from_src = _walk(lambda u: [v for v in active if (u, v) in edges], src)
+    to_dst = _walk(lambda u: [v for v in active if (v, u) in edges], dst)
+    for i in active:
+        if i not in from_src or i not in to_dst:
+            return f"disconnected: node {i} is on no path from {src} to {dst}"
+    return None
+
+
+def _oracle_prune(adj, src, dst):
+    n = len(adj)
+    from_src = _walk(lambda u: [v for v in range(n) if adj[u][v]], src)
+    to_dst = _walk(lambda u: [v for v in range(n) if adj[v][u]], dst)
+    keep = from_src & to_dst
+    if src not in keep or dst not in keep:
+        return None
+    mask = [i in keep for i in range(n)]
+    pruned = [[adj[i][j] if mask[i] and mask[j] else 0 for j in range(n)]
+              for i in range(n)]
+    return pruned, mask
+
+
+VOCAB = 6
+
+
+def _random_cell(rng):
+    """A seeded graph that reaches every validate() outcome: pruned valid
+    DAGs, long chains, self loops, back edges, cycles through none nodes
+    only, out-of-range ops, no active node, extra ends and islands."""
+    n = int(rng.integers(2, 9))
+    if rng.random() < 0.15:
+        adj = np.eye(n, k=1, dtype=np.uint8)
+    else:
+        adj = np.triu(rng.random((n, n)) < rng.uniform(0.15, 0.8), 1).astype(np.uint8)
+    ops = [0] + [int(o) for o in rng.choice([2, 3, 4, 5], n - 2)] + [1]
+    pruned = _oracle_prune(adj.tolist(), 0, n - 1)
+    if pruned is not None and rng.random() < 0.6:
+        adj = np.array(pruned[0], dtype=np.uint8)
+        ops = [o if keep else OP_NONE for o, keep in zip(ops, pruned[1])]
+    i, j = sorted(rng.choice(n, 2, replace=False).tolist())
+    roll = rng.random()
+    if roll < 0.05:
+        adj[i, i] = 1
+    elif roll < 0.12:
+        adj[j, i] = 1
+    elif roll < 0.25 and n > 3:
+        # a cycle over none nodes only: invisible on the active stack
+        ring = rng.permutation(np.arange(1, n - 1))[:int(rng.integers(2, n - 1))]
+        for a, b in zip(ring, np.roll(ring, -1)):
+            adj[a, b] = 1
+            ops[a] = OP_NONE
+    elif roll < 0.30:
+        ops[i] = VOCAB + int(rng.integers(3))
+    elif roll < 0.33:
+        ops = [OP_NONE] * n
+    elif roll < 0.45:
+        adj[i, j] = 1
+        ops[i] = ops[j] = 3
+    perm = rng.permutation(n) if rng.random() < 0.5 else np.arange(n)
+    return permute(CellGraph(adj, ops, 0), perm)
+
+
+def test_validate_cells_matches_graph_walk_oracle():
+    rng = np.random.default_rng(2024)
+    cells = [_random_cell(rng) for _ in range(6000)]
+    expected = [_oracle_validate(c.adjacency.tolist(), c.op_ids, VOCAB) for c in cells]
+    assert validate_cells(cells, VOCAB) == expected
+    assert [validate(c, VOCAB) for c in cells] == expected
+    # the oracle's last check never fires: in a DAG every node descends
+    # from a source and reaches a sink, so a unique pair is on every path
+    kinds = [m or "valid" for m in expected]
+    for kind in ("valid", "cycle: node", "cycle: adjacency", "op out of range",
+                 "disconnected: no active", "disconnected: expected"):
+        assert sum(k.startswith(kind) for k in kinds) >= 20, kind
+    assert not any(k.startswith("disconnected: node") for k in kinds)
+
+
+def test_validate_cells_empty_and_mixed_sizes():
+    assert validate_cells([], 4) == []
+    chain = chain_cell(3)
+    loop = cell([[0, 1], [0, 1]], [0, 1])
+    assert validate_cells([chain, loop, pad(chain, 6)], 4) == [
+        None, "cycle: node 1 has a self loop", None,
+    ]
+
+
+def test_prune_matches_graph_walk_oracle():
+    rng = np.random.default_rng(7)
+    for n in range(2, 9):
+        graphs = (rng.random((150, n, n)) < rng.uniform(0.05, 0.6, (150, 1, 1)))
+        graphs = graphs.astype(np.uint8)
+        # relabelled chains: reaching dst takes a path of n - 1 edges
+        for g in graphs[:20]:
+            order = rng.permutation(n)
+            g[order[:-1], order[1:]] = 1
+        src, dst = (int(v) for v in rng.choice(n, 2, replace=False))
+        stacked, kept = prune_stack(graphs, src, dst)
+        for g, s_adj, s_keep in zip(graphs, stacked, kept):
+            expected = _oracle_prune(g.tolist(), src, dst)
+            got = prune_to_paths(g, src, dst)
+            if expected is None:
+                assert got is None
+                assert not s_keep.any() and not s_adj.any()
+                continue
+            assert got is not None
+            assert got[0].tolist() == expected[0] == s_adj.tolist()
+            assert got[1].tolist() == expected[1] == s_keep.tolist()

@@ -1,5 +1,6 @@
 """End-to-end command line runs against generated benchmark files."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -233,6 +234,52 @@ def test_gen_bench_invalid_spec_fails_cleanly(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+def test_gen_bench_non_finite_noise_fails_cleanly(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "gen-bench", "--num-nodes", "4", "--vocab-size", "6",
+        "--num-archs", "4", "--noise-sigma", "nan",
+        "--out", str(tmp_path / "x.bench"),
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "noise_sigma" in err
+    assert err.count("\n") == 1
+
+
+# sha256 of CLI outputs; any change to generation, export or encoding that
+# alters a byte shows up here
+GEN_BENCH_DIGESTS = [
+    (["--num-nodes", "4", "--vocab-size", "5", "--num-archs", "40", "--seed", "1"],
+     "a792e406979ac9853415c56da91b5f0a379ee55822b3fe298cd026c86eafd4b5"),
+    (["--num-nodes", "7", "--vocab-size", "8", "--num-archs", "800", "--seed", "3",
+      "--interaction-scale", "0.5"],
+     "84493dcfe21ab05b963a4892fc8b7f249b4d4e0e2e51ed28661974c3b50b813d"),
+    (["--num-nodes", "6", "--vocab-size", "9", "--num-archs", "500", "--seed", "4",
+      "--interaction-scale", "1.5", "--noise-sigma", "0.1"],
+     "54b9450e3ff439f70f81425b1178d8fd046f33b60ca00d7643ade9e22c3f142b"),
+]
+ENCODE_DIGESTS = {
+    "adjacency": "658f212043822f19246b715d8ad979fbf788bdbb1770215d88cd45d12e74ffb0",
+    "path": "1049196a488ff195dbc447aa25e88f437b0493a0c7a7e36469dc370f0157e3ff",
+}
+
+
+def test_same_seed_gives_pinned_bytes(tmp_path, capsys):
+    def sha(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    for k, (args, digest) in enumerate(GEN_BENCH_DIGESTS):
+        out = tmp_path / f"{k}.bench"
+        code, _, _ = run_cli(capsys, "gen-bench", *args, "--out", str(out))
+        assert code == 0
+        assert sha(out) == digest, args
+    for kind, digest in ENCODE_DIGESTS.items():
+        out = tmp_path / f"{kind}.supp"
+        code, _, _ = run_cli(capsys, "encode", "--bench", str(tmp_path / "1.bench"),
+                             "--kind", kind, "--out", str(out))
+        assert code == 0
+        assert sha(out) == digest, kind
 
 
 # -- encode ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ cannot share its bugs.
 
 import itertools
 import json
+import math
 import re
 import struct
 from dataclasses import replace
@@ -88,9 +89,15 @@ def test_train_config_rejections():
         dict(adam_beta1=1.0),
         dict(adam_beta2=-0.5),
         dict(weight_decay=-1e-9),
+        dict(adam_eps=-1.0),
+        dict(adam_eps=0.0),
     ):
         with pytest.raises(TrainError):
             TrainConfig(**bad)
+    for name in ("lr", "transfer_lr", "weight_decay", "hinge_margin", "adam_eps"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(TrainError, match=name):
+                TrainConfig(**{name: value})
     assert TrainConfig(epochs=0).epochs == 0
 
 
