@@ -222,16 +222,16 @@ def generate_synthetic(
     rng = Rng(spec.seed).child("gen")
     seen: set[tuple[bytes, tuple[int, ...]]] = set()
     cells: list[CellGraph] = []
+    exact = count_distinct_cells(spec.num_nodes, spec.vocab_size)
+    if exact is not None and exact < spec.num_archs:
+        raise BenchmarkError(
+            f"space holds only {exact} distinct cells, "
+            f"cannot sample {spec.num_archs}"
+        )
     budget = 10_000 + 500 * spec.num_archs
     attempts = 0
     while len(cells) < spec.num_archs:
         if attempts >= budget:
-            exact = count_distinct_cells(spec.num_nodes, spec.vocab_size)
-            if exact is not None and exact < spec.num_archs:
-                raise BenchmarkError(
-                    f"space holds only {exact} distinct cells, "
-                    f"cannot sample {spec.num_archs}"
-                )
             raise BenchmarkError(
                 f"gave up after {budget} attempts sampling {spec.num_archs} "
                 "distinct cells; the space is too small or nearly exhausted"
@@ -344,8 +344,11 @@ def ingest(path) -> TabularBenchmark:
     Every record is parsed first; the cells are then validated in one pass,
     and the first invalid cell is reported with its line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise BenchmarkError(f"benchmark file is not UTF-8: {exc}") from None
     if not lines:
         raise BenchmarkError("empty benchmark file")
     try:

@@ -433,8 +433,11 @@ def _supp_error(line: int, message: str) -> EncodingError:
 
 def load_supplemental(path) -> SupplementalTable:
     """Read a flan-supp/1 JSONL file, validating as it goes."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"supplemental file is not UTF-8: {exc}") from None
     if not lines:
         raise EncodingError("empty supplemental file")
     try:

@@ -32,6 +32,7 @@ hidden layers, linear output).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, fields
 
@@ -41,10 +42,13 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .cellgraph import OP_NONE, CellArch, stack_cells
 from .encodings import UnifiedVocabulary
-from .rng import Rng
+from .rng import Rng, batch_u64
 
 LEAKY_SLOPE = 0.2
 LAYER_NORM_EPS = 1e-5
+# each timestep is a full pass and no tensor's shape bounds their number, so
+# without a cap a corrupted checkpoint could ask for 2**62 of them
+MAX_TIMESTEPS = 64
 
 FORWARD_MODES = ("dgf", "gat", "ensemble")
 ATTENTION_VARIANTS = ("shared_sigmoid", "kqv_softmax")
@@ -94,8 +98,9 @@ class PredictorConfig:
         )
         if any(d <= 0 for d in dims):
             raise PredictorError("all dimensions must be positive")
-        if self.timesteps < 1:
-            raise PredictorError(f"timesteps must be >= 1, got {self.timesteps}")
+        if not 1 <= self.timesteps <= MAX_TIMESTEPS:
+            raise PredictorError(f"timesteps must be between 1 and "
+                                 f"{MAX_TIMESTEPS}, got {self.timesteps}")
         if self.forward_mode not in FORWARD_MODES:
             raise PredictorError(f"forward_mode must be one of {FORWARD_MODES}")
         if self.backward_mode not in FORWARD_MODES:
@@ -271,38 +276,39 @@ def parameter_shapes(config: PredictorConfig, vocab_size: int,
     return shapes
 
 
-def _init_tensor(name: str, shape: tuple, rng: Rng, d_op: int) -> np.ndarray:
-    stream = rng.child("param", name)
-    size = int(np.prod(shape))
-    if name == "op_table":
-        sigma = 1.0 / np.sqrt(d_op)
-        values = [stream.normal(0.0, sigma) for _ in range(size)]
-    elif name.endswith((".b", ".b_f", ".ln_beta")):
-        values = [0.0] * size
-    elif name.endswith(".ln_gamma"):
-        values = [1.0] * size
-    else:
-        if len(shape) == 1:
-            fan_in, fan_out = shape[0], shape[0]
-        else:
-            fan_in, fan_out = shape[0], shape[1]
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        values = [stream.uniform(-limit, limit) for _ in range(size)]
-    return np.array(values, dtype=np.float64).reshape(shape)
-
-
 def init(config: PredictorConfig, vocab: UnifiedVocabulary,
          cells_per_arch: int, seed: int) -> PredictorModel:
     """Deterministic initialization; every tensor draws from its own named
-    stream, so layouts with shared prefixes initialize identically."""
+    stream, so layouts with shared prefixes initialize identically.  The
+    op table is normal, biases and layer-norm shifts zero, layer-norm gains
+    one, and every other tensor Glorot-uniform, drawn in one batch."""
     rng = Rng(seed).child("init")
-    arrays = {
-        name: _init_tensor(name, shape, rng, config.op_embedding_dim)
-        for name, shape in parameter_shapes(
-            config, vocab.size, cells_per_arch
-        ).items()
-    }
-    return PredictorModel(config, vocab, cells_per_arch, arrays)
+    shapes = parameter_shapes(config, vocab.size, cells_per_arch)
+    arrays: dict[str, np.ndarray] = {}
+    uniform: list[str] = []
+    for name, shape in shapes.items():
+        if name == "op_table":
+            stream = rng.child("param", name)
+            sigma = 1.0 / np.sqrt(config.op_embedding_dim)
+            arrays[name] = np.array(
+                [stream.normal(0.0, sigma) for _ in range(math.prod(shape))]
+            ).reshape(shape)
+        elif name.endswith((".b", ".b_f", ".ln_beta")):
+            arrays[name] = np.zeros(shape)
+        elif name.endswith(".ln_gamma"):
+            arrays[name] = np.ones(shape)
+        else:
+            uniform.append(name)
+    draws = batch_u64([rng.child("param", name) for name in uniform],
+                      [math.prod(shapes[name]) for name in uniform])
+    for name, x in zip(uniform, draws):
+        shape = shapes[name]
+        limit = np.sqrt(6.0 / (shape[0] + shape[-1]))  # fan in + fan out
+        # Rng.uniform(-limit, limit), one IEEE operation at a time
+        lo, hi = -limit, limit
+        arrays[name] = (lo + (hi - lo) * ((x >> 11) * (1.0 / (1 << 53)))).reshape(shape)
+    return PredictorModel(config, vocab, cells_per_arch,
+                          {name: arrays[name] for name in shapes})
 
 
 @dataclass
@@ -458,14 +464,20 @@ def forward(model: PredictorModel, arch: CellArch,
 def score_archs(model: PredictorModel, archs,
                 supplemental: np.ndarray | None = None,
                 chunk: int = 64) -> np.ndarray:
-    """Score many architectures without building any tape."""
+    """Score many architectures without building any tape.  Finite
+    parameters can still overflow the forward pass (a corrupted or
+    hand-edited checkpoint does); that raises PredictorError."""
     archs = list(archs)
     out = np.empty(len(archs), dtype=np.float64)
-    for lo in range(0, len(archs), chunk):
-        hi = min(lo + chunk, len(archs))
-        supp = None if supplemental is None else supplemental[lo:hi]
-        batch = prepare_batch(model, archs[lo:hi], supp)
-        out[lo:hi] = forward_batch(model, batch).data
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(archs), chunk):
+            hi = min(lo + chunk, len(archs))
+            supp = None if supplemental is None else supplemental[lo:hi]
+            batch = prepare_batch(model, archs[lo:hi], supp)
+            out[lo:hi] = forward_batch(model, batch).data
+    if not np.isfinite(out).all():
+        raise PredictorError("scores are non-finite: the parameters overflow "
+                             "the forward pass")
     return out
 
 

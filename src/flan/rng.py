@@ -8,11 +8,25 @@ and regenerating a benchmark or checkpoint must be byte-identical years later.
 Child streams are derived by absorbing a sequence of tags (ints or strings)
 into the parent seed, so independent concerns (noise, splits, init, proxies)
 never share or race a stream.  String tags are hashed with FNV-1a 64.
+
+``batch_u64(streams, sizes)`` draws many u64s from many streams in one NumPy
+pass.  Its contract: stream j's array is bit-identical to ``sizes[j]`` calls
+of ``streams[j].next_u64()``, and stream j ends advanced by exactly
+``sizes[j]`` draws, so scalar draws after a batch continue the same sequence.
+It works because xoshiro256** is linear over GF(2): one step is a 256x256 bit
+matrix T.  A stream's draws are cut into lanes of LANE_STEPS draws; lane k
+starts at T^(k*LANE_STEPS) applied to the stream's state (jump-ahead, as in
+Haramoto et al., INFORMS JoC 2008), and every lane of every stream then
+steps in lockstep as ``uint64`` arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+
+import numpy as np
 
 _MASK = (1 << 64) - 1
 
@@ -37,6 +51,115 @@ def _splitmix64(state: int) -> tuple[int, int]:
 
 def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK
+
+
+# draws per lane in batch_u64: lane k of a stream starts k * LANE_STEPS draws in
+LANE_STEPS = 256
+
+
+def _lockstep(state: np.ndarray, steps: int, stops: dict | None = None,
+              final: np.ndarray | None = None) -> np.ndarray:
+    """Step every column of a (4, lanes) uint64 state ``steps`` times in
+    place and return the (steps + 1, lanes) history of its s1 word, from
+    which draw i is ``_scramble(history[i])``.  ``stops`` maps a step count
+    to (lanes, columns): after that many steps those lanes' states are
+    copied into those columns of ``final``.  All arithmetic is on uint64
+    arrays, which wrap silently, never on NumPy scalars, which warn on
+    overflow."""
+    s0, _, s2, s3 = state
+    history = np.empty((steps + 1, state.shape[1]), dtype=np.uint64)
+    history[0] = state[1]
+    t, u = np.empty_like(s0), np.empty_like(s0)
+    for step in range(steps):
+        s1, s1_next = history[step], history[step + 1]
+        np.left_shift(s1, 17, out=t)
+        s2 ^= s0
+        s3 ^= s1
+        np.bitwise_xor(s1, s2, out=s1_next)
+        s0 ^= s3
+        s2 ^= t
+        np.left_shift(s3, 45, out=u)  # s3 = rotl(s3, 45)
+        s3 >>= 19
+        s3 |= u
+        if stops and step + 1 in stops:
+            lanes, columns = stops[step + 1]
+            final[:, columns] = (s0[lanes], s1_next[lanes], s2[lanes], s3[lanes])
+    state[1] = history[steps]
+    return history
+
+
+def _scramble(x: np.ndarray) -> None:
+    """xoshiro256**'s output function rotl(s1 * 5, 7) * 9, in place."""
+    x *= 5
+    high = x >> 57
+    x <<= 7
+    x |= high
+    x *= 9
+
+
+def _to_bits(words: np.ndarray) -> np.ndarray:
+    """(m, 4) uint64 states -> (m, 256) bits, bit 64*w + b of word w's bit b."""
+    return np.unpackbits(np.ascontiguousarray(words, "<u8").view(np.uint8), axis=1,
+                         bitorder="little")
+
+
+def _from_bits(bits: np.ndarray) -> np.ndarray:
+    return np.packbits(bits.astype(np.uint8), axis=1,
+                       bitorder="little").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _lane_jump() -> np.ndarray:
+    """T^LANE_STEPS as a float32 bit matrix acting on row vectors: row i is
+    the state reached from unit state e_i, so a state's bits x jump to
+    ``x @ J mod 2``.  Built by stepping the 256 unit states in lockstep."""
+    state = np.ascontiguousarray(_from_bits(np.eye(256, dtype=np.uint8)).T)
+    _lockstep(state, LANE_STEPS)
+    jump = _to_bits(state.T).astype(np.float32)
+    jump.flags.writeable = False  # one cached copy serves every caller
+    return jump
+
+
+def batch_u64(streams: list["Rng"], sizes: list[int]) -> list[np.ndarray]:
+    """``sizes[j]`` u64 draws of each ``streams[j]`` as uint64 arrays,
+    bit-identical to scalar ``next_u64`` calls; each stream advances by
+    exactly its size."""
+    if len(streams) != len(sizes):
+        raise ValueError(f"{len(streams)} streams but {len(sizes)} sizes")
+    if len({id(s) for s in streams}) != len(streams):
+        raise ValueError("a stream appears twice in one batch")
+    sizes = np.array([operator.index(n) for n in sizes], dtype=np.int64)
+    if (sizes < 0).any():
+        raise ValueError(f"sizes must be non-negative, got {sizes.min()}")
+    lanes = -(-sizes // LANE_STEPS)
+    ends = np.cumsum(lanes)
+    starts = ends - lanes
+    live = np.flatnonzero(lanes)
+    # every lane's start state, as bits; lane k of a stream is one jump
+    # past lane k - 1
+    bits = np.empty((int(lanes.sum()), 256), dtype=np.float32)
+    bits[starts[live]] = _to_bits(np.array(
+        [[streams[j]._s0, streams[j]._s1, streams[j]._s2, streams[j]._s3]
+         for j in live], dtype=np.uint64).reshape(-1, 4))
+    for k in range(1, int(lanes.max(initial=0))):
+        rows = starts[lanes > k] + k
+        bits[rows] = np.matmul(bits[rows - 1], _lane_jump()) % 2
+    state = np.ascontiguousarray(_from_bits(bits).T)
+    # a stream ends where its last lane stops, after its remaining draws
+    rest = sizes[live] - (lanes[live] - 1) * LANE_STEPS
+    stops = {r: (ends[live][rest == r] - 1, np.flatnonzero(rest == r))
+             for r in np.unique(rest).tolist()}
+    final = np.empty((4, len(live)), dtype=np.uint64)
+    steps = int(min(sizes.max(initial=0), LANE_STEPS))
+    out = _lockstep(state, steps, stops, final)[:steps]
+    _scramble(out)
+    for column, j in enumerate(live.tolist()):
+        stream = streams[j]
+        stream._s0, stream._s1, stream._s2, stream._s3 = map(int, final[:, column])
+    # each stream's lanes, one after another, copied out of the shared buffer
+    by_lane = out.T
+    return [np.ascontiguousarray(by_lane[a:b]).reshape(-1)[:n]
+            for a, b, n in zip(starts.tolist(), ends.tolist(), sizes.tolist())]
 
 
 class Rng:

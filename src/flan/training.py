@@ -348,6 +348,8 @@ def load_checkpoint(path) -> Checkpoint:
         provenance = {str(k): str(v) for k, v in metadata["provenance"].items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"invalid metadata: {exc}") from None
+    if cells_per_arch not in (1, 2):
+        raise CheckpointError(f"cells_per_arch must be 1 or 2, got {cells_per_arch}")
     tensors: dict[str, np.ndarray] = {}
     while not reader.done():
         try:

@@ -105,6 +105,22 @@ def test_count_matches_saturation_sampling():
         generate_synthetic(base_spec(num_nodes=3, vocab_size=5, num_archs=exact + 1))
 
 
+def test_oversized_request_fails_before_sampling(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled a cell for a request the count refuses")
+
+    monkeypatch.setattr("flan.benchmark._sample_cell", no_sampling)
+    with pytest.raises(BenchmarkError, match="space holds only 49 distinct cells"):
+        generate_synthetic(base_spec(num_nodes=4, vocab_size=5, num_archs=50))
+
+
+def test_spent_budget_gives_up(monkeypatch):
+    # beyond six nodes there is no exact count, so only the budget ends it
+    monkeypatch.setattr("flan.benchmark._sample_cell", lambda *args: None)
+    with pytest.raises(BenchmarkError, match="gave up after 10500 attempts"):
+        generate_synthetic(base_spec(num_nodes=7, num_archs=1))
+
+
 def test_exhaustible_space_can_be_fully_sampled():
     bench = generate_synthetic(base_spec(num_nodes=3, vocab_size=5, num_archs=5))
     assert len(bench) == 5
@@ -442,6 +458,17 @@ def test_ingest_record_json_error(tmp_path):
     path.write_text(json.dumps(header) + "\n{nope\n")
     with pytest.raises(BenchmarkError, match="line 2"):
         ingest(path)
+
+
+def test_ingest_non_utf8_file_is_a_benchmark_error(tmp_path, capsys):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(b'{"format": "flan-bench/1", "name": "caf\xe9"}\n')
+    with pytest.raises(BenchmarkError, match="not UTF-8"):
+        ingest(path)
+    assert main(["encode", "--bench", str(path), "--kind", "score",
+                 "--out", str(tmp_path / "x.supp")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: benchmark file is not UTF-8")
 
 
 # -- mutation fuzz ------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from flan.nas_search import SearchConfig
 from flan.predictor import PredictorConfig
 from flan.training import TrainConfig
 
+from conftest import REFERENCE_DIMS
+
 TINY_CFG = """\
 # predictor
 op_embedding_dim = 6
@@ -263,6 +265,8 @@ ENCODE_DIGESTS = {
     "adjacency": "658f212043822f19246b715d8ad979fbf788bdbb1770215d88cd45d12e74ffb0",
     "path": "1049196a488ff195dbc447aa25e88f437b0493a0c7a7e36469dc370f0157e3ff",
 }
+# checkpoint of a reference-dims `flan train` (two epochs, 32 archs) on 1.bench
+TRAIN_DIGEST = "5c22e0578e0db8f1c5738fd8c1f901066c6bd501fc0f8ba1e41fb92809213d20"
 
 
 def test_same_seed_gives_pinned_bytes(tmp_path, capsys):
@@ -280,6 +284,16 @@ def test_same_seed_gives_pinned_bytes(tmp_path, capsys):
                              "--kind", kind, "--out", str(out))
         assert code == 0
         assert sha(out) == digest, kind
+    cfg = tmp_path / "ref.cfg"
+    cfg.write_text("".join(
+        f"{key} = {','.join(map(str, value)) if isinstance(value, tuple) else value}\n"
+        for key, value in REFERENCE_DIMS.items()) + "epochs = 2\n")
+    out = tmp_path / "train.ckpt"
+    code, _, _ = run_cli(capsys, "train", "--bench", str(tmp_path / "1.bench"),
+                         "--train-count", "32", "--seed", "2", "--config", str(cfg),
+                         "--out", str(out))
+    assert code == 0
+    assert sha(out) == TRAIN_DIGEST
 
 
 # -- encode ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ evaluates the pairwise scores, masking and normalization without any tape
 machinery.
 """
 
+import hashlib
 import json
 from dataclasses import asdict
 
@@ -32,12 +33,14 @@ from flan.predictor import (
     score_archs,
 )
 from flan.rng import Rng
+from flan.training import save_model
 
 from conftest import (
     arch_of,
     chain_cell,
     jitter_params,
     random_valid_cell,
+    ref_config,
     tiny_config,
     unified_of,
 )
@@ -75,6 +78,8 @@ def test_config_defaults_match_reference_table():
 def test_config_rejections():
     with pytest.raises(PredictorError):
         tiny_config(timesteps=0)
+    with pytest.raises(PredictorError, match="between 1 and 64, got 65"):
+        tiny_config(timesteps=65)
     with pytest.raises(PredictorError, match="timesteps must be integer"):
         tiny_config(timesteps=1.5)
     with pytest.raises(PredictorError, match="mlp_dims must be integer"):
@@ -295,6 +300,38 @@ def test_init_different_seeds_differ():
     assert any(name.startswith("c0.f0.") for name in changed)
 
 
+# sha256 of save_model for a fresh init (8-op vocabulary, one cell, seed 0);
+# any change to the init streams or their float mapping alters a byte here
+INIT_DIGESTS = {
+    "paper-default": "271708933d37558ee097af970b24a8e7a0b92d83675725b48db05a8dd8ecb9a4",
+    "reference": "64b4fbc6bcedc7cc89093195962669b866f32f5cb451a843ef03db85ed8ea209",
+}
+
+
+@pytest.mark.parametrize("label", sorted(INIT_DIGESTS))
+def test_init_gives_pinned_bytes(tmp_path, label):
+    config = PredictorConfig() if label == "paper-default" else ref_config()
+    model = make_model(config, vocab_size=8)
+    save_model(model, tmp_path / "init.ckpt")
+    digest = hashlib.sha256((tmp_path / "init.ckpt").read_bytes()).hexdigest()
+    assert digest == INIT_DIGESTS[label]
+
+
+def test_init_uniform_tensors_equal_scalar_uniform_draws():
+    model = make_model(seed=3)
+    root = Rng(3).child("init")
+    drawn = 0
+    for name, p in model.params.items():
+        if name == "op_table" or name.endswith((".b", ".b_f", ".ln_beta", ".ln_gamma")):
+            continue
+        stream = root.child("param", name)
+        limit = np.sqrt(6.0 / (p.data.shape[0] + p.data.shape[-1]))
+        expected = [stream.uniform(-limit, limit) for _ in range(p.data.size)]
+        assert p.data.ravel().tolist() == expected, name
+        drawn += 1
+    assert drawn > 10
+
+
 def test_init_distributions():
     model = make_model(seed=7)
     for name, p in model.params.items():
@@ -365,6 +402,13 @@ def test_parameters_are_views_of_the_flat_vector():
             p.data.ravel(), np.arange(offset, offset + p.data.size))
         offset += p.data.size
     assert offset == model.flat.size
+
+
+def test_overflowing_parameters_raise_instead_of_scoring():
+    model = make_model()
+    model.flat[:] = 1e200  # finite, so a checkpoint holding it loads
+    with pytest.raises(PredictorError, match="scores are non-finite"):
+        score_archs(model, [arch_of(chain_cell(4))])
 
 
 def test_clone_is_independent():

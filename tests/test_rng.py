@@ -1,12 +1,14 @@
 """Determinism and distribution sanity for the seeded generator."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flan.rng import Rng
+from flan.rng import LANE_STEPS, Rng, batch_u64
 
 
 # -- determinism -------------------------------------------------------------
@@ -154,3 +156,60 @@ def test_bit_balance():
         ones += bin(r.next_u64()).count("1")
     # 64 * n Bernoulli(1/2) bits: mean 64n/2, sd ~ sqrt(16n)
     assert abs(ones - 32 * n) < 6 * math.sqrt(16 * n)
+
+
+# -- batched lanes -------------------------------------------------------------
+
+S = LANE_STEPS
+LANE_SIZES = [0, 1, S - 1, S, S + 1, 40_000]
+
+
+def test_batch_matches_scalar_draws_for_mixed_sizes():
+    sizes = LANE_SIZES + [3, 2 * S, 0, 5 * S + 7]
+    batched = [Rng(17).child("lane", k) for k in range(len(sizes))]
+    scalar = [Rng(17).child("lane", k) for k in range(len(sizes))]
+    draws = batch_u64(batched, sizes)
+    assert len(draws) == len(sizes)
+    for n, got, ref in zip(sizes, draws, scalar):
+        assert got.dtype == np.uint64 and got.shape == (n,)
+        assert got.tolist() == [ref.next_u64() for _ in range(n)], n
+
+
+@pytest.mark.parametrize("n", LANE_SIZES)
+def test_scalar_draws_after_a_batch_continue_the_stream(n):
+    batched, scalar = Rng(5).child("after"), Rng(5).child("after")
+    batch_u64([batched], [n])
+    for _ in range(n):
+        scalar.next_u64()
+    assert [batched.next_u64() for _ in range(3)] == [scalar.next_u64() for _ in range(3)]
+
+
+@given(st.lists(st.integers(min_value=0, max_value=3 * S), max_size=6),
+       st.integers(min_value=0, max_value=2**64 - 1))
+@settings(max_examples=25, deadline=None)
+def test_batch_matches_scalar_draws_for_any_sizes(sizes, seed):
+    draws = batch_u64([Rng(seed).child(k) for k in range(len(sizes))], sizes)
+    for k, (n, got) in enumerate(zip(sizes, draws)):
+        ref = Rng(seed).child(k)
+        assert got.tolist() == [ref.next_u64() for _ in range(n)]
+
+
+def test_batch_emits_no_warning():
+    # every multiply and shift overflows 64 bits; arrays must wrap silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = batch_u64([Rng(0), Rng(2**64 - 1)], [S + 1, 40_000])
+    assert [d.size for d in draws] == [S + 1, 40_000]
+
+
+def test_batch_rejects_bad_requests():
+    stream = Rng(0)
+    with pytest.raises(ValueError, match="sizes"):
+        batch_u64([stream], [1, 2])
+    with pytest.raises(ValueError, match="twice"):
+        batch_u64([stream, stream], [1, 2])
+    with pytest.raises(ValueError, match="non-negative"):
+        batch_u64([stream], [-1])
+    with pytest.raises(TypeError):
+        batch_u64([stream], [1.5])
+    assert stream.next_u64() == Rng(0).next_u64()

@@ -594,6 +594,11 @@ def test_checkpoint_tensor_names_must_match_promise(tmp_path):
     (lambda m: m["config"].update(timesteps=1.5), b"op_table", (1,),
      "timesteps must be integer"),
     (lambda m: m.update(provenance=[]), b"op_table", (1,), "invalid metadata"),
+    # unbounded loops: layer stacks per cell, and a full pass per timestep
+    (lambda m: m.update(cells_per_arch=2**62), b"op_table", (1,),
+     "cells_per_arch must be 1 or 2"),
+    (lambda m: m["config"].update(timesteps=2**62), b"op_table", (1,),
+     "timesteps must be between 1 and 64"),
 ])
 def test_checkpoint_hostile_bytes_raise_checkpoint_error(
         tmp_path, mutate, name, shape, match):
