@@ -1,19 +1,21 @@
 """Minimal reverse-mode differentiation over dense float64 arrays.
 
 Scope is exactly what the predictor needs: matmul (2-d and batched 3-d),
-elementwise add/multiply with suffix-aligned shapes, an explicit broadcast
-primitive, activations, softmax, layer norm, transpose/reshape/concat/slice,
-gather (take), and sum/mean reductions.  Everything is float64; there is no
-implicit dtype promotion and no implicit size-1 stretching: two shapes
-combine only when equal or when one is a trailing suffix of the other, and
-anything else must go through ``broadcast`` so shape bugs fail loudly.
+elementwise add/sub/multiply with suffix-aligned shapes, scale/shift, an
+explicit broadcast primitive, relu, reshape/concat, gather (take), and
+sum/mean reductions.  Everything is float64; there is no implicit dtype
+promotion and no implicit size-1 stretching: two shapes combine only when
+equal or when one is a trailing suffix of the other, and anything else must
+go through ``broadcast`` so shape bugs fail loudly.
 
 Recording: ops push onto the innermost active ``Tape`` (a thread-local
 stack) whenever some input requires grad.  Without an active tape the same
 functions run as plain numpy, which is the scoring fast path.  Backward
 replays records in reverse creation order with no other ordering rule, so
 gradient accumulation is deterministic; only leaves (tensors no record
-produced) get ``.grad``.
+produced) get ``.grad``.  The predictor's graph layers record themselves
+with ``emit``: a numpy forward plus a written-out backward built from the
+shared ``matmul_grads``, ``suffix_reduce`` and ``logistic`` helpers.
 
 Set ``FLAN_CHECKED=1`` (or call ``set_checked``) to assert every op output
 is finite; useful when chasing a diverging run, off by default.
@@ -153,7 +155,10 @@ def _finite_check(op: str, arr: np.ndarray) -> None:
         raise FloatingPointError(f"{op} produced non-finite values")
 
 
-def _emit(op: str, arr: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tensor:
+def emit(op: str, arr: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tensor:
+    """Wrap arr as op's output; record it when some input requires grad.
+    backward(g) returns one gradient (or None) per entry of inputs; a tensor
+    listed twice accumulates both, first entry first."""
     _finite_check(op, arr)
     out = _wrap(arr)
     tape = active_tape()
@@ -167,7 +172,8 @@ def _is_suffix(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
     return len(small) <= len(big) and (len(small) == 0 or big[-len(small):] == small)
 
 
-def _suffix_reduce(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+def suffix_reduce(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum g's leading axes away, down to the trailing-suffix shape."""
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -189,18 +195,18 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise("add", a, b)
 
     def backward(g):
-        return _suffix_reduce(g, a.shape), _suffix_reduce(g, b.shape)
+        return suffix_reduce(g, a.shape), suffix_reduce(g, b.shape)
 
-    return _emit("add", a.data + b.data, (a, b), backward)
+    return emit("add", a.data + b.data, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_elementwise("sub", a, b)
 
     def backward(g):
-        return _suffix_reduce(g, a.shape), _suffix_reduce(-g, b.shape)
+        return suffix_reduce(g, a.shape), suffix_reduce(-g, b.shape)
 
-    return _emit("sub", a.data - b.data, (a, b), backward)
+    return emit("sub", a.data - b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -208,11 +214,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         return (
-            _suffix_reduce(g * b.data, a.shape),
-            _suffix_reduce(g * a.data, b.shape),
+            suffix_reduce(g * b.data, a.shape),
+            suffix_reduce(g * a.data, b.shape),
         )
 
-    return _emit("mul", a.data * b.data, (a, b), backward)
+    return emit("mul", a.data * b.data, (a, b), backward)
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
@@ -221,7 +227,7 @@ def scale(x: Tensor, factor: float) -> Tensor:
     def backward(g):
         return (g * factor,)
 
-    return _emit("scale", x.data * factor, (x,), backward)
+    return emit("scale", x.data * factor, (x,), backward)
 
 
 def shift(x: Tensor, offset: float) -> Tensor:
@@ -230,7 +236,7 @@ def shift(x: Tensor, offset: float) -> Tensor:
     def backward(g):
         return (g,)
 
-    return _emit("shift", x.data + offset, (x,), backward)
+    return emit("shift", x.data + offset, (x,), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -242,26 +248,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul batch dims differ: {a.shape} @ {b.shape}")
 
     def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        if ga.ndim > a.ndim:
-            ga = ga.sum(axis=0)
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        if gb.ndim > b.ndim:
-            gb = gb.sum(axis=0)
-        return ga, gb
+        return matmul_grads(a.data, b.data, g)
 
-    return _emit("matmul", np.matmul(a.data, b.data), (a, b), backward)
+    return emit("matmul", np.matmul(a.data, b.data), (a, b), backward)
 
 
-def transpose(x: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    if x.ndim < 2:
-        raise ShapeError(f"transpose needs ndim >= 2, got {x.shape}")
+def matmul_grads(a: np.ndarray, b: np.ndarray,
+                 g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of a @ b given the output gradient g; a batch axis that
+    only one operand has is summed out of the other's gradient."""
+    ga = np.matmul(g, np.swapaxes(b, -1, -2))
+    if ga.ndim > a.ndim:
+        ga = ga.sum(axis=0)
+    gb = np.matmul(np.swapaxes(a, -1, -2), g)
+    if gb.ndim > b.ndim:
+        gb = gb.sum(axis=0)
+    return ga, gb
 
-    def backward(g):
-        return (np.swapaxes(g, -1, -2),)
 
-    return _emit("transpose", np.swapaxes(x.data, -1, -2).copy(), (x,), backward)
+def logistic(d: np.ndarray) -> np.ndarray:
+    """Overflow-free 1 / (1 + exp(-d)), bit for bit the two-branch form."""
+    pos = d >= 0
+    e = np.exp(np.where(pos, -d, d))  # not -|d|: that flips the sign of a NaN
+    return np.where(pos, 1.0, e) / (1.0 + e)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -271,7 +280,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     def backward(g):
         return (np.reshape(g, original),)
 
-    return _emit("reshape", arr.copy(), (x,), backward)
+    return emit("reshape", arr.copy(), (x,), backward)
 
 
 def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
@@ -299,24 +308,7 @@ def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
         return tuple(out)
 
     arr = np.concatenate([p.data for p in parts], axis=axis)
-    return _emit("concat", arr, tuple(parts), backward)
-
-
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    axis = axis % x.ndim
-    dim = x.shape[axis]
-    if not (0 <= start < stop <= dim):
-        raise ShapeError(f"slice [{start}:{stop}] out of bounds for dim {dim}")
-    slicer: list = [slice(None)] * x.ndim
-    slicer[axis] = slice(start, stop)
-    key = tuple(slicer)
-
-    def backward(g):
-        full = np.zeros_like(x.data)
-        full[key] = g
-        return (full,)
-
-    return _emit("slice", x.data[key].copy(), (x,), backward)
+    return emit("concat", arr, tuple(parts), backward)
 
 
 def take(x: Tensor, indices) -> Tensor:
@@ -335,7 +327,7 @@ def take(x: Tensor, indices) -> Tensor:
         np.add.at(full, idx, g)
         return (full,)
 
-    return _emit("take", x.data[idx].copy(), (x,), backward)
+    return emit("take", x.data[idx].copy(), (x,), backward)
 
 
 def broadcast(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -363,7 +355,7 @@ def broadcast(x: Tensor, shape: tuple[int, ...]) -> Tensor:
         return (np.reshape(out, x.shape),)
 
     arr = np.broadcast_to(x.data, shape).copy()
-    return _emit("broadcast", arr, (x,), backward)
+    return emit("broadcast", arr, (x,), backward)
 
 
 def sum_(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -375,7 +367,7 @@ def sum_(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
         gg = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, x.shape).copy(),)
 
-    return _emit("sum", np.asarray(arr, dtype=np.float64), (x,), backward)
+    return emit("sum", np.asarray(arr, dtype=np.float64), (x,), backward)
 
 
 def mean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -391,19 +383,7 @@ def mean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
         gg = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg * inv, x.shape).copy(),)
 
-    return _emit("mean", np.asarray(arr, dtype=np.float64), (x,), backward)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    d = x.data
-    pos = d >= 0
-    e = np.exp(np.where(pos, -d, d))  # not -|d|: that flips the sign of a NaN
-    out = np.where(pos, 1.0, e) / (1.0 + e)
-
-    def backward(g):
-        return (g * out * (1.0 - out),)
-
-    return _emit("sigmoid", out, (x,), backward)
+    return emit("mean", np.asarray(arr, dtype=np.float64), (x,), backward)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -412,56 +392,7 @@ def relu(x: Tensor) -> Tensor:
     def backward(g):
         return (g * mask,)
 
-    return _emit("relu", x.data * mask, (x,), backward)
-
-
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    slope = float(slope)
-    mask = x.data > 0.0
-    arr = np.where(mask, x.data, slope * x.data)
-
-    def backward(g):
-        return (np.where(mask, g, slope * g),)
-
-    return _emit("leaky_relu", arr, (x,), backward)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / np.sum(e, axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = np.sum(g * out, axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return _emit("softmax", out, (x,), backward)
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then apply affine gamma/beta."""
-    d = x.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeError(
-            f"layer_norm affine params must have shape ({d},), "
-            f"got {gamma.shape} and {beta.shape}"
-        )
-    mu = np.mean(x.data, axis=-1, keepdims=True)
-    var = np.mean((x.data - mu) ** 2, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    arr = xhat * gamma.data + beta.data
-
-    def backward(g):
-        g_xhat = g * gamma.data
-        m1 = np.mean(g_xhat, axis=-1, keepdims=True)
-        m2 = np.mean(g_xhat * xhat, axis=-1, keepdims=True)
-        gx = inv * (g_xhat - m1 - xhat * m2)
-        g_gamma = _suffix_reduce(g * xhat, gamma.shape)
-        g_beta = _suffix_reduce(g, beta.shape)
-        return gx, g_gamma, g_beta
-
-    return _emit("layer_norm", arr, (x, gamma, beta), backward)
+    return emit("relu", x.data * mask, (x,), backward)
 
 
 @dataclass

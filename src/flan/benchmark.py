@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -123,18 +123,23 @@ def count_distinct_cells(num_nodes: int, vocab_size: int) -> int | None:
     enumerate (more than six nodes)."""
     if num_nodes > 6:
         return None
-    n = num_nodes
+    # k**m labellings of a structure with m kept interior nodes, k interior ops
+    return sum(count * (vocab_size - 3) ** m
+               for m, count in enumerate(_interior_histogram(num_nodes)))
+
+
+@cache
+def _interior_histogram(n: int) -> tuple[int, ...]:
+    """Distinct pruned n-node structures by number of kept interior nodes."""
     rows, cols = np.triu_indices(n, 1)
     bits = 1 << np.arange(rows.size)
     masks = np.zeros((1 << rows.size, n, n), dtype=np.uint8)
     masks[:, rows, cols] = (np.arange(1 << rows.size)[:, None] & bits) != 0
     pruned, keep = cellgraph.prune_stack(masks, 0, n - 1)
     kept = keep[:, 0]
-    # a pruned structure is its edge bits; count each once, with k**m
-    # labellings for m kept interior nodes and k interior ops
+    # a pruned structure is its edge bits; count each once
     _, first = np.unique(pruned[kept][:, rows, cols] @ bits, return_index=True)
-    interior = np.bincount(keep[kept][first, 1:n - 1].sum(axis=1))
-    return sum(int(count) * (vocab_size - 3) ** m for m, count in enumerate(interior))
+    return tuple(int(c) for c in np.bincount(keep[kept][first, 1:n - 1].sum(axis=1)))
 
 
 def _sample_cell(spec: SyntheticSpec, rng: Rng, space_id: int) -> CellGraph | None:

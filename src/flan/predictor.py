@@ -14,6 +14,10 @@ softmax with separate query/key/value projections (``kqv_softmax``), gates
 the summed messages the same way as above, and applies layer norm.  In
 ``ensemble`` mode each stack level averages the two layer outputs.
 
+Each layer is one tape op: its forward is plain numpy, and it records itself
+through ``autodiff.emit`` with a written-out backward that the tests check
+against finite differences.
+
 Both layer functions take a message-routing matrix M with M[i, j] = 1 when
 node i receives from node j.  Cells store adjacency[i][j] = 1 for the edge
 i -> j, so the forward pass routes over the transpose of the stored matrix
@@ -134,12 +138,25 @@ def dgf_layer(x: Tensor, routing: Tensor, op_emb: Tensor,
               w_o: Tensor, w_f: Tensor, b_f: Tensor) -> Tensor:
     """Gated dense flow: sigmoid(op_emb W_o) * (routing (x W_f)) + x W_f + b_f.
 
-    routing[i, j] = 1 routes node j's features into node i.
+    routing[i, j] = 1 routes node j's features into node i; routing is
+    data and gets no gradient.
     """
-    gate = ad.sigmoid(ad.matmul(op_emb, w_o))
-    h = ad.matmul(x, w_f)
-    agg = ad.matmul(routing, h)
-    return ad.add(ad.add(ad.mul(gate, agg), h), b_f)
+    gate = ad.logistic(np.matmul(op_emb.data, w_o.data))
+    h = np.matmul(x.data, w_f.data)
+    agg = np.matmul(routing.data, h)
+
+    def backward(g):
+        g_h = g + np.matmul(np.swapaxes(routing.data, -1, -2), g * gate)
+        g_x, g_wf = ad.matmul_grads(x.data, w_f.data, g_h)
+        g_op, g_wo = ad.matmul_grads(op_emb.data, w_o.data,
+                                     g * agg * gate * (1.0 - gate))
+        return ad.suffix_reduce(g, b_f.shape), g_x, g_wf, g_op, g_wo
+
+    # the tape adds up a tensor's gradients in the order its uses are listed;
+    # listing inputs in reverse order of use keeps that order fixed when x is
+    # op_emb, as in each stack's first layer
+    return ad.emit("dgf_layer", gate * agg + h + b_f.data,
+                   (b_f, x, w_f, op_emb, w_o), backward)
 
 
 def gat_layer(x: Tensor, routing: Tensor, op_emb: Tensor,
@@ -153,38 +170,71 @@ def gat_layer(x: Tensor, routing: Tensor, op_emb: Tensor,
     passes through layer norm.
     """
     if variant == "shared_sigmoid":
-        proj_q = proj_v = ad.matmul(x, params["w_p"])
-        proj_k = proj_q
+        names = ("w_p",)
     elif variant == "kqv_softmax":
-        proj_q = ad.matmul(x, params["w_q"])
-        proj_k = ad.matmul(x, params["w_k"])
-        proj_v = ad.matmul(x, params["w_v"])
+        names = ("w_v", "w_k", "w_q")
     else:
         raise PredictorError(f"unknown attention variant {variant!r}")
-    d_out = params["w_o"].shape[1]
-    a_recv = ad.slice_axis(params["attn_a"], 0, 0, d_out)
-    a_send = ad.slice_axis(params["attn_a"], 0, d_out, 2 * d_out)
-    recv_score = ad.matmul(proj_q, a_recv)
-    send_score = ad.matmul(proj_k, a_send)
-    pair_shape = routing.shape
-    scores = ad.add(
-        ad.broadcast(recv_score, pair_shape),
-        ad.broadcast(ad.transpose(send_score), pair_shape),
-    )
-    scores = ad.leaky_relu(scores, LEAKY_SLOPE)
+    attn_a, w_o = params["attn_a"], params["w_o"]
+    gamma, beta = params["ln_gamma"], params["ln_beta"]
+    projs = [np.matmul(x.data, params[name].data) for name in names]
+    proj_v, proj_k, proj_q = projs if len(projs) == 3 else projs * 3
+    d_out = w_o.shape[1]
+    a_recv, a_send = attn_a.data[:d_out], attn_a.data[d_out:]
+    recv = np.matmul(proj_q, a_recv)
+    send = np.matmul(proj_k, a_send)
+    scores = recv + np.swapaxes(send, -1, -2)
+    positive = scores > 0.0
+    scores = np.where(positive, scores, LEAKY_SLOPE * scores)
     if variant == "shared_sigmoid":
-        weights = ad.mul(ad.sigmoid(scores), routing)
+        attn = ad.logistic(scores)
     else:
-        # push masked-out pairs far below the row max; re-mask afterwards so
-        # receivers with no senders end at exactly zero
-        bias = Tensor((routing.data - 1.0) * 1e9)
-        weights = ad.mul(ad.softmax(ad.add(scores, bias), axis=-1), routing)
-    messages = ad.matmul(weights, proj_v)
-    gate = ad.sigmoid(ad.matmul(op_emb, params["w_o"]))
-    return ad.layer_norm(
-        ad.mul(gate, messages), params["ln_gamma"], params["ln_beta"],
-        eps=LAYER_NORM_EPS,
-    )
+        # push masked-out pairs far below the row max; re-masking below
+        # leaves receivers with no senders at exactly zero
+        biased = scores + (routing.data - 1.0) * 1e9
+        e = np.exp(biased - np.max(biased, axis=-1, keepdims=True))
+        attn = e / np.sum(e, axis=-1, keepdims=True)
+    weights = attn * routing.data
+    messages = np.matmul(weights, proj_v)
+    gate = ad.logistic(np.matmul(op_emb.data, w_o.data))
+    gated = gate * messages
+    mu = np.mean(gated, axis=-1, keepdims=True)
+    var = np.mean((gated - mu) ** 2, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    xhat = (gated - mu) * inv
+
+    def backward(g):
+        g_xhat = g * gamma.data
+        m1 = np.mean(g_xhat, axis=-1, keepdims=True)
+        m2 = np.mean(g_xhat * xhat, axis=-1, keepdims=True)
+        g_gated = inv * (g_xhat - m1 - xhat * m2)
+        g_op, g_wo = ad.matmul_grads(op_emb.data, w_o.data,
+                                     g_gated * messages * gate * (1.0 - gate))
+        g_weights, g_v = ad.matmul_grads(weights, proj_v, g_gated * gate)
+        g_attn = g_weights * routing.data
+        if variant == "shared_sigmoid":
+            g_scores = g_attn * attn * (1.0 - attn)
+        else:
+            g_scores = attn * (g_attn - np.sum(g_attn * attn, axis=-1, keepdims=True))
+        g_scores = np.where(positive, g_scores, LEAKY_SLOPE * g_scores)
+        g_send = np.swapaxes(g_scores.sum(axis=-2, keepdims=True), -1, -2)
+        g_k, g_a_send = ad.matmul_grads(proj_k, a_send, g_send)
+        g_q, g_a_recv = ad.matmul_grads(proj_q, a_recv,
+                                        g_scores.sum(axis=-1, keepdims=True))
+        # + 0.0 maps -0.0 to 0.0, as adding two zero-padded halves does
+        g_attn_a = np.concatenate([g_a_recv, g_a_send]) + 0.0
+        g_projs = [g_v + g_k + g_q] if len(names) == 1 else [g_v, g_k, g_q]
+        grads = [ad.suffix_reduce(g * xhat, gamma.shape),
+                 ad.suffix_reduce(g, beta.shape), g_op, g_wo, g_attn_a]
+        for g_proj, name in zip(g_projs, names):
+            grads.extend(ad.matmul_grads(x.data, params[name].data, g_proj))
+        return grads
+
+    # reverse order of use, as in dgf_layer: x once per projection
+    inputs = [gamma, beta, op_emb, w_o, attn_a]
+    for name in names:
+        inputs += [x, params[name]]
+    return ad.emit("gat_layer", xhat * gamma.data + beta.data, tuple(inputs), backward)
 
 
 class PredictorModel:

@@ -74,11 +74,11 @@ def weighted_sum(t, weights):
 # -- analytic examples ---------------------------------------------------------
 
 def test_sigmoid_at_zero():
-    assert ad.sigmoid(Tensor([0.0])).data[0] == pytest.approx(0.5)
+    assert ad.logistic(np.array([0.0]))[0] == 0.5
 
 
 def test_sigmoid_extremes_are_stable():
-    out = ad.sigmoid(Tensor([-800.0, 800.0])).data
+    out = ad.logistic(np.array([-800.0, 800.0]))
     assert out[0] == pytest.approx(0.0, abs=1e-12)
     assert out[1] == pytest.approx(1.0, abs=1e-12)
     # bit for bit the two-branch form, special values included
@@ -89,15 +89,7 @@ def test_sigmoid_extremes_are_stable():
     two_branch[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
     ex = np.exp(d[~pos])
     two_branch[~pos] = ex / (1.0 + ex)
-    assert ad.sigmoid(Tensor(d)).data.tobytes() == two_branch.tobytes()
-
-
-def test_layer_norm_of_constant_row_is_bias():
-    x = Tensor([[3.0, 3.0, 3.0]])
-    gamma = Tensor([1.0, 1.0, 1.0])
-    beta = Tensor([0.5, -0.5, 0.0])
-    out = ad.layer_norm(x, gamma, beta).data
-    np.testing.assert_allclose(out, [[0.5, -0.5, 0.0]], atol=1e-12)
+    assert ad.logistic(d).tobytes() == two_branch.tobytes()
 
 
 def test_grad_of_sum_of_squares():
@@ -196,11 +188,8 @@ def test_backward_is_bit_deterministic():
         w.grad = None
         with Tape() as tape:
             h = ad.relu(ad.matmul(x, w))
-            out = ad.layer_norm(
-                h, Tensor(np.ones(3), requires_grad=False),
-                Tensor(np.zeros(3), requires_grad=False),
-            )
-            tape.backward(ad.sum_(out))
+            centred = ad.sub(h, ad.broadcast(ad.mean(h, axis=-1, keepdims=True), h.shape))
+            tape.backward(ad.sum_(ad.mul(centred, h)))
         return x.grad.tobytes(), w.grad.tobytes()
 
     assert run() == run()
@@ -228,13 +217,9 @@ def test_matmul_shape_errors():
 
 def test_misc_shape_errors():
     with pytest.raises(ShapeError):
-        ad.transpose(Tensor(np.zeros(3)))
-    with pytest.raises(ShapeError):
         ad.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))], axis=1)
     with pytest.raises(ShapeError):
         ad.concat([], axis=0)
-    with pytest.raises(ShapeError):
-        ad.slice_axis(Tensor(np.zeros((2, 3))), 1, 2, 5)
     with pytest.raises(ShapeError):
         ad.take(Tensor(np.zeros((4, 2))), [[0, 1]])
     with pytest.raises(ShapeError):
@@ -243,10 +228,6 @@ def test_misc_shape_errors():
         ad.broadcast(Tensor(np.zeros((2, 3))), (3,))
     with pytest.raises(ShapeError):
         ad.broadcast(Tensor(np.zeros((2, 3))), (2, 4))
-    with pytest.raises(ShapeError):
-        ad.layer_norm(
-            Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)), Tensor(np.zeros(3))
-        )
 
 
 # -- per-op finite differences --------------------------------------------------------
@@ -300,13 +281,11 @@ def test_grad_matmul_batched_times_shared():
     check_grads(lambda: weighted_sum(ad.matmul(c, d), w2), {"c": c, "d": d})
 
 
-def test_grad_transpose_reshape():
+def test_grad_reshape():
     rng = Rng(7)
     x = randt(rng, (2, 3, 4))
-    w = randt(rng, (2, 4, 3), grad=False)
-    check_grads(lambda: weighted_sum(ad.transpose(x), w), {"x": x})
-    w2 = randt(rng, (6, 4), grad=False)
-    check_grads(lambda: weighted_sum(ad.reshape(x, (6, 4)), w2), {"x": x})
+    w = randt(rng, (6, 4), grad=False)
+    check_grads(lambda: weighted_sum(ad.reshape(x, (6, 4)), w), {"x": x})
 
 
 def test_grad_concat_and_slice():
@@ -323,9 +302,11 @@ def test_grad_concat_and_slice():
         lambda: weighted_sum(ad.concat(rows, axis=0), w3),
         {"r0": rows[0], "r1": rows[1]},
     )
-    x = randt(rng, (4, 5))
-    w4 = randt(rng, (4, 2), grad=False)
-    check_grads(lambda: weighted_sum(ad.slice_axis(x, 1, 2, 4), w4), {"x": x})
+    # the backward slices the output gradient back into the parts
+    with Tape() as tape:
+        tape.backward(weighted_sum(ad.concat(rows, axis=0), w3))
+    np.testing.assert_array_equal(rows[0].grad, w3.data[:2])
+    np.testing.assert_array_equal(rows[1].grad, w3.data[2:])
 
 
 def test_grad_take_with_duplicate_rows():
@@ -367,42 +348,8 @@ def test_grad_activations():
     rng = Rng(12)
     x = randt(rng, (3, 4), away_from=0.0)
     w = randt(rng, (3, 4), grad=False)
-    check_grads(lambda: weighted_sum(ad.sigmoid(x), w), {"x": x})
     check_grads(lambda: weighted_sum(ad.relu(x), w), {"x": x})
-    check_grads(lambda: weighted_sum(ad.leaky_relu(x), w), {"x": x})
-    check_grads(lambda: weighted_sum(ad.leaky_relu(x, slope=0.01), w), {"x": x})
-
-
-def test_leaky_relu_slope_semantics():
-    x = Tensor([-2.0, 3.0])
-    np.testing.assert_allclose(ad.leaky_relu(x, 0.2).data, [-0.4, 3.0])
-
-
-def test_grad_softmax_axes():
-    rng = Rng(13)
-    x = randt(rng, (3, 4))
-    w = randt(rng, (3, 4), grad=False)
-    check_grads(lambda: weighted_sum(ad.softmax(x, axis=-1), w), {"x": x})
-    check_grads(lambda: weighted_sum(ad.softmax(x, axis=0), w), {"x": x})
-
-
-def test_softmax_rows_sum_to_one():
-    rng = Rng(14)
-    x = randt(rng, (5, 7), grad=False)
-    out = ad.softmax(x, axis=-1).data
-    np.testing.assert_allclose(out.sum(axis=-1), np.ones(5), atol=1e-12)
-
-
-def test_grad_layer_norm_full():
-    rng = Rng(15)
-    x = randt(rng, (4, 5))
-    gamma = randt(rng, (5,))
-    beta = randt(rng, (5,))
-    w = randt(rng, (4, 5), grad=False)
-    check_grads(
-        lambda: weighted_sum(ad.layer_norm(x, gamma, beta), w),
-        {"x": x, "gamma": gamma, "beta": beta},
-    )
+    np.testing.assert_array_equal(ad.relu(Tensor([-2.0, 3.0])).data, [0.0, 3.0])
 
 
 def test_grad_composite_chain():
@@ -417,11 +364,12 @@ def test_grad_composite_chain():
 
     def loss():
         h = ad.add(ad.matmul(x, w1), b1)
-        h = ad.leaky_relu(h)
-        h = ad.layer_norm(h, gamma, beta)
+        h = ad.relu(ad.shift(h, 0.1))
+        h = ad.add(ad.mul(h, gamma), beta)
         e = ad.take(table, [1, 1, 0, 3])
-        h = ad.mul(h, ad.sigmoid(e))
-        return ad.mean(ad.softmax(h, axis=-1))
+        h = ad.sub(ad.mul(h, e), ad.scale(h, 0.5))
+        h = ad.concat([h, ad.reshape(e, (4, 6))], axis=-1)
+        return ad.mean(ad.mul(h, h))
 
     check_grads(
         loss,
@@ -439,8 +387,8 @@ def test_grad_check_quadratic_is_tight():
 
 
 def test_grad_check_flags_saturation_as_near_zero():
-    x = Tensor([20.0, -20.0], requires_grad=True)
-    report = ad.grad_check(lambda: ad.sum_(ad.sigmoid(x)), {"x": x})
+    x = Tensor([-20.0, -3.0], requires_grad=True)
+    report = ad.grad_check(lambda: ad.sum_(ad.relu(x)), {"x": x})
     (block,) = report.blocks
     assert block.near_zero_entries == 2
     assert block.checked_entries == 0

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flan import cellgraph
 from flan.benchmark import (
     BenchmarkError,
     SyntheticSpec,
@@ -96,6 +97,17 @@ DISTINCT_CELLS = {
 def test_count_distinct_cells_pinned(num_nodes, vocab_size):
     count = count_distinct_cells(num_nodes, vocab_size)
     assert count == DISTINCT_CELLS[num_nodes, vocab_size]
+
+
+def test_count_distinct_cells_enumerates_once_per_node_count(monkeypatch):
+    first = count_distinct_cells(6, 9)
+
+    def no_enumeration(*args):
+        raise AssertionError("re-enumerated the masks of a node count seen before")
+
+    monkeypatch.setattr(cellgraph, "prune_stack", no_enumeration)
+    assert count_distinct_cells(6, 5) == DISTINCT_CELLS[6, 5]
+    assert count_distinct_cells(6, 9) == first
 
 
 def test_count_matches_saturation_sampling():

@@ -5,6 +5,7 @@ loops so the vectorized pair indexing is checked against something that
 cannot share its bugs.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -225,6 +226,31 @@ def test_fit_reduces_loss_at_reference_scale():
     history = fit(model, bench, train_ids,
                   TrainConfig(epochs=10, batch_size=16, lr=0.01, seed=0))
     assert history["epoch_losses"][-1] < history["epoch_losses"][0]
+
+
+# sha256 of model.flat after a short reference-dims fit, one per graph-layer
+# variant; the layers' backward must keep every gradient byte
+VARIANT_DIGESTS = {
+    ("ensemble", "ensemble", "shared_sigmoid", 2):
+        "944a7e02b0b231871c8ddff0f04e4abf2cc8da0fd33c9214d7be5a532f794362",
+    ("ensemble", "ensemble", "kqv_softmax", 2):
+        "96255eab33cd92052590c279cecffd5199d25d5c1f75c1013b5fbd1ef83c787c",
+    ("gat", "dgf", "shared_sigmoid", 3):
+        "b779c48e0594d2896f5c5e280ae4d7049c464df7d51ef56833e7afc77a2122a7",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANT_DIGESTS),
+                         ids=lambda v: "-".join(map(str, v)))
+def test_fit_gives_pinned_bytes_for_each_layer_variant(variant):
+    forward_mode, backward_mode, attention, timesteps = variant
+    bench = small_bench(num_archs=32, seed=5)
+    model = init(ref_config(forward_mode=forward_mode, backward_mode=backward_mode,
+                            attention_variant=attention, timesteps=timesteps),
+                 unify([bench.vocab]), 1, seed=0)
+    fit(model, bench, bench.arch_ids,
+        TrainConfig(epochs=2, batch_size=8, lr=0.01, seed=3))
+    assert hashlib.sha256(model.flat.tobytes()).hexdigest() == VARIANT_DIGESTS[variant]
 
 
 def test_fit_improves_held_out_ranking():
