@@ -1,21 +1,19 @@
 """Minimal reverse-mode differentiation over dense float64 arrays.
 
-Scope is exactly what the predictor needs: matmul (2-d and batched 3-d),
-elementwise add/sub/multiply with suffix-aligned shapes, scale/shift, an
-explicit broadcast primitive, relu, reshape/concat, gather (take), and
-sum/mean reductions.  Everything is float64; there is no implicit dtype
-promotion and no implicit size-1 stretching: two shapes combine only when
-equal or when one is a trailing suffix of the other, and anything else must
-go through ``broadcast`` so shape bugs fail loudly.
+Each stage of the predictor (graph layer, dense layer, readout pool) and
+the hinge loss records itself with ``emit``: a numpy forward plus a
+written-out backward built from the shared ``matmul_grads``,
+``suffix_reduce`` and ``logistic`` helpers.  The generic ops that join the
+stages are few: add of two equal shapes, scale, reshape, concat and gather
+(take).  Everything is float64, with no implicit dtype promotion and no
+broadcasting between tape inputs, so shape bugs fail loudly.
 
 Recording: ops push onto the innermost active ``Tape`` (a thread-local
 stack) whenever some input requires grad.  Without an active tape the same
 functions run as plain numpy, which is the scoring fast path.  Backward
 replays records in reverse creation order with no other ordering rule, so
 gradient accumulation is deterministic; only leaves (tensors no record
-produced) get ``.grad``.  The predictor's graph layers record themselves
-with ``emit``: a numpy forward plus a written-out backward built from the
-shared ``matmul_grads``, ``suffix_reduce`` and ``logistic`` helpers.
+produced) get ``.grad``.
 
 Set ``FLAN_CHECKED=1`` (or call ``set_checked``) to assert every op output
 is finite; useful when chasing a diverging run, off by default.
@@ -168,57 +166,24 @@ def emit(op: str, arr: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tens
     return out
 
 
-def _is_suffix(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
-    return len(small) <= len(big) and (len(small) == 0 or big[-len(small):] == small)
-
-
 def suffix_reduce(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum g's leading axes away, down to the trailing-suffix shape."""
+    """Sum g's leading axes away, down to shape, a trailing suffix of
+    g's shape: the gradient of a bias added to every row."""
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
     return g
 
 
-def _check_elementwise(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape == b.shape:
-        return
-    if _is_suffix(b.shape, a.shape) or _is_suffix(a.shape, b.shape):
-        return
-    raise ShapeError(
-        f"{op}: shapes {a.shape} and {b.shape} are neither equal nor "
-        "suffix-aligned; use broadcast() for size-1 stretching"
-    )
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_elementwise("add", a, b)
+    """Elementwise sum of two tensors of one shape."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
 
     def backward(g):
-        return suffix_reduce(g, a.shape), suffix_reduce(g, b.shape)
+        return g, g
 
     return emit("add", a.data + b.data, (a, b), backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_elementwise("sub", a, b)
-
-    def backward(g):
-        return suffix_reduce(g, a.shape), suffix_reduce(-g, b.shape)
-
-    return emit("sub", a.data - b.data, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_elementwise("mul", a, b)
-
-    def backward(g):
-        return (
-            suffix_reduce(g * b.data, a.shape),
-            suffix_reduce(g * a.data, b.shape),
-        )
-
-    return emit("mul", a.data * b.data, (a, b), backward)
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
@@ -228,29 +193,6 @@ def scale(x: Tensor, factor: float) -> Tensor:
         return (g * factor,)
 
     return emit("scale", x.data * factor, (x,), backward)
-
-
-def shift(x: Tensor, offset: float) -> Tensor:
-    offset = float(offset)
-
-    def backward(g):
-        return (g,)
-
-    return emit("shift", x.data + offset, (x,), backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim not in (2, 3) or b.ndim not in (2, 3):
-        raise ShapeError(f"matmul needs 2-d or 3-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    if a.ndim == 3 and b.ndim == 3 and a.shape[0] != b.shape[0]:
-        raise ShapeError(f"matmul batch dims differ: {a.shape} @ {b.shape}")
-
-    def backward(g):
-        return matmul_grads(a.data, b.data, g)
-
-    return emit("matmul", np.matmul(a.data, b.data), (a, b), backward)
 
 
 def matmul_grads(a: np.ndarray, b: np.ndarray,
@@ -328,71 +270,6 @@ def take(x: Tensor, indices) -> Tensor:
         return (full,)
 
     return emit("take", x.data[idx].copy(), (x,), backward)
-
-
-def broadcast(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    """Explicitly stretch to a larger shape (new leading axes, size-1 axes)."""
-    shape = tuple(int(s) for s in shape)
-    if len(shape) < x.ndim:
-        raise ShapeError(f"broadcast cannot drop axes: {x.shape} -> {shape}")
-    aligned = (1,) * (len(shape) - x.ndim) + x.shape
-    for have, want in zip(aligned, shape):
-        if have != want and have != 1:
-            raise ShapeError(f"broadcast incompatible: {x.shape} -> {shape}")
-    new_axes = tuple(range(len(shape) - x.ndim))
-    stretched = tuple(
-        i for i in range(len(shape)) if aligned[i] == 1 and shape[i] != 1
-    )
-
-    def backward(g):
-        out = g
-        if stretched:
-            keep = tuple(ax for ax in stretched if ax not in new_axes)
-            if keep:
-                out = out.sum(axis=keep, keepdims=True)
-        if new_axes:
-            out = out.sum(axis=new_axes)
-        return (np.reshape(out, x.shape),)
-
-    arr = np.broadcast_to(x.data, shape).copy()
-    return emit("broadcast", arr, (x,), backward)
-
-
-def sum_(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    arr = np.sum(x.data, axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if axis is None:
-            return (np.full(x.shape, float(g.reshape(())), dtype=np.float64),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, x.shape).copy(),)
-
-    return emit("sum", np.asarray(arr, dtype=np.float64), (x,), backward)
-
-
-def mean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    count = x.data.size if axis is None else x.shape[axis]
-    if count == 0:
-        raise ShapeError("mean over an empty axis")
-    arr = np.mean(x.data, axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        inv = 1.0 / count
-        if axis is None:
-            return (np.full(x.shape, float(g.reshape(())) * inv, dtype=np.float64),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg * inv, x.shape).copy(),)
-
-    return emit("mean", np.asarray(arr, dtype=np.float64), (x,), backward)
-
-
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0.0
-
-    def backward(g):
-        return (g * mask,)
-
-    return emit("relu", x.data * mask, (x,), backward)
 
 
 @dataclass

@@ -14,9 +14,9 @@ softmax with separate query/key/value projections (``kqv_softmax``), gates
 the summed messages the same way as above, and applies layer norm.  In
 ``ensemble`` mode each stack level averages the two layer outputs.
 
-Each layer is one tape op: its forward is plain numpy, and it records itself
-through ``autodiff.emit`` with a written-out backward that the tests check
-against finite differences.
+Each graph layer, each MLP layer and the readout pool is one tape op: its
+forward is plain numpy, and it records itself through ``autodiff.emit`` with
+a written-out backward that the tests check against finite differences.
 
 Both layer functions take a message-routing matrix M with M[i, j] = 1 when
 node i receives from node j.  Cells store adjacency[i][j] = 1 for the edge
@@ -168,6 +168,12 @@ def gat_layer(x: Tensor, routing: Tensor, op_emb: Tensor,
     softmaxed over each receiver's senders, applied to value projections.
     Receivers without senders get a zero message; the gated message sum
     passes through layer norm.
+
+    Under kqv_softmax the receiver term q_i . a_recv is the same for every
+    sender in row i, so the softmax cancels it wherever the LeakyReLU is
+    linear: w_q and the receiver half of attn_a learn only from rows whose
+    scores the kink splits into both signs.  This is GAT's "static
+    attention" (Brody et al., ICLR 2022).
     """
     if variant == "shared_sigmoid":
         names = ("w_p",)
@@ -235,6 +241,30 @@ def gat_layer(x: Tensor, routing: Tensor, op_emb: Tensor,
     for name in names:
         inputs += [x, params[name]]
     return ad.emit("gat_layer", xhat * gamma.data + beta.data, tuple(inputs), backward)
+
+
+def dense_layer(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
+    """x @ w + b over the last axis of a 2-d or 3-d x, then ReLU if relu."""
+    h = np.matmul(x.data, w.data) + b.data
+    positive = h > 0.0 if relu else None
+
+    def backward(g):
+        g_h = g * positive if relu else g
+        return (ad.suffix_reduce(g_h, b.shape),) + ad.matmul_grads(x.data, w.data, g_h)
+
+    return ad.emit("dense_layer", h * positive if relu else h, (b, x, w), backward)
+
+
+def masked_mean_pool(x: Tensor, mask: np.ndarray) -> Tensor:
+    """(B, n, d) node features to (B, d): the mean over the nodes whose
+    (B, n, 1) mask is 1.0.  The mask is data and gets no gradient."""
+    inv = 1.0 / mask.sum(axis=1)
+
+    def backward(g):
+        return ((g * inv)[:, None, :] * mask,)
+
+    return ad.emit("masked_mean_pool", np.sum(x.data * mask, axis=1) * inv,
+                   (x,), backward)
 
 
 class PredictorModel:
@@ -426,7 +456,7 @@ def _run_stack(model: PredictorModel, cell: int, tag: str, mode: str,
                dims: tuple[int, ...], x: Tensor, routing: Tensor,
                op_emb: Tensor) -> Tensor:
     cfg = model.config
-    for l in range(len(dims)):
+    for l, dout in enumerate(dims):
         outs = []
         if mode in ("dgf", "ensemble"):
             key = f"c{cell}.{tag}{l}.dgf."
@@ -438,8 +468,8 @@ def _run_stack(model: PredictorModel, cell: int, tag: str, mode: str,
             ))
         if mode in ("gat", "ensemble"):
             key = f"c{cell}.{tag}{l}.gat."
-            gat_params = {name[len(key):]: p for name, p in model.params.items()
-                          if name.startswith(key)}
+            gat_params = {name: model.params[key + name] for name in
+                          _layer_shapes(cfg, x.shape[-1], dout, "gat")}
             outs.append(gat_layer(x, routing, op_emb, gat_params,
                                   cfg.attention_variant))
         x = outs[0] if len(outs) == 1 else ad.scale(ad.add(outs[0], outs[1]), 0.5)
@@ -450,10 +480,8 @@ def _apply_mlp(model: PredictorModel, prefix: str, layers: int,
                x: Tensor) -> Tensor:
     """ReLU between layers, linear output."""
     for k in range(layers):
-        x = ad.add(ad.matmul(x, model.params[f"{prefix}{k}.w"]),
-                   model.params[f"{prefix}{k}.b"])
-        if k < layers - 1:
-            x = ad.relu(x)
+        x = dense_layer(x, model.params[f"{prefix}{k}.w"],
+                        model.params[f"{prefix}{k}.b"], relu=k < layers - 1)
     return x
 
 
@@ -477,13 +505,7 @@ def _cell_embedding(model: PredictorModel, batch: PreparedBatch,
             update = _apply_mlp(model, f"c{cell}.up", up_layers,
                                 ad.concat([back, op_emb], axis=-1))
             op_emb = ad.add(op_emb, update)
-    mask = Tensor(batch.mask[cell])
-    d = cfg.nn_emb_dim
-    masked = ad.mul(x, ad.broadcast(mask, (b, n, d)))
-    summed = ad.sum_(masked, axis=1)
-    counts = batch.mask[cell].sum(axis=1)
-    inv = Tensor(1.0 / counts)
-    return ad.mul(summed, ad.broadcast(inv, (b, d)))
+    return masked_mean_pool(x, batch.mask[cell])
 
 
 def forward_batch(model: PredictorModel, batch: PreparedBatch) -> Tensor:

@@ -108,10 +108,22 @@ def hinge_rank_loss(scores: Tensor, accuracies, margin: float) -> Tensor:
     idx_i, idx_j = ranking_pairs(accs)
     if idx_i.size == 0:
         return Tensor(0.0)
-    s_i = ad.take(scores, idx_i)
-    s_j = ad.take(scores, idx_j)
-    violation = ad.shift(ad.scale(ad.sub(s_i, s_j), -1.0), float(margin))
-    return ad.mean(ad.relu(violation))
+    violation = (scores.data[idx_i] - scores.data[idx_j]) * -1.0 + float(margin)
+    active = violation > 0.0
+
+    def backward(g):
+        g_mean = float(g.reshape(())) * (1.0 / violation.size)
+        g_diff = np.full(violation.shape, g_mean) * active * -1.0
+        # each index set scatters into its own zeros and the two are added
+        # after: one shared scatter would round the sums in another order
+        g_j = np.zeros_like(scores.data)
+        np.add.at(g_j, idx_j, -g_diff)
+        g_i = np.zeros_like(scores.data)
+        np.add.at(g_i, idx_i, g_diff)
+        return (g_j + g_i,)
+
+    return ad.emit("hinge_rank_loss", np.asarray(np.mean(violation * active)),
+                   (scores,), backward)
 
 
 class _AdamState:
@@ -250,10 +262,10 @@ def transfer(model: PredictorModel, target_bench, target_train_ids,
         d_op = model.config.op_embedding_dim
         sigma = 1.0 / np.sqrt(d_op)
         rng = Rng(config.seed)
-        rows = []
-        for unified_id in range(old_size, vocab.size):
+        rows = np.empty((vocab.size - old_size, d_op))  # no rows if no op is new
+        for k, unified_id in enumerate(range(old_size, vocab.size)):
             stream = rng.child("transfer-row", unified_id)
-            rows.append([stream.normal(0.0, sigma) for _ in range(d_op)])
+            rows[k] = [stream.normal(0.0, sigma) for _ in range(d_op)]
         arrays["op_table"] = np.concatenate([arrays["op_table"], rows])
     # the model copies the arrays, so the source is never mutated
     out = PredictorModel(model.config, vocab, model.cells_per_arch, arrays)

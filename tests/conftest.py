@@ -7,6 +7,7 @@ live here so every module agrees on what "tiny" means.
 
 import numpy as np
 
+from flan import autodiff as ad
 from flan.benchmark import SyntheticSpec, generate_synthetic, make_vocab
 from flan.cellgraph import CellArch, CellGraph, OpVocabulary
 from flan.encodings import UnifiedVocabulary
@@ -79,6 +80,14 @@ def jitter_params(model, seed, scale=0.3):
         flat = model.params[name].data.reshape(-1)
         for i in range(flat.size):
             flat[i] += stream.uniform(-scale, scale)
+
+
+def weighted_sum(t, weights):
+    """sum(t * weights) as one tape op; weights (a Tensor of t's shape) is
+    data, so any output of t's shape reduces to a generic scalar loss."""
+    w = weights.data
+    return ad.emit("weighted_sum", np.asarray(np.sum(t.data * w)), (t,),
+                   lambda g: (g * w,))
 
 
 def small_bench(num_archs=12, seed=11, num_nodes=4, vocab_size=5,
@@ -169,5 +178,5 @@ def random_valid_cell(rng, num_nodes, vocab_size, space_id=0):
 __all__ = [
     "arch_of", "basic_vocab", "cell", "chain_cell", "jitter_params",
     "random_valid_cell", "ref_config", "reference_bench", "small_bench",
-    "tiny_config", "unified_of",
+    "tiny_config", "unified_of", "weighted_sum",
 ]

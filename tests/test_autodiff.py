@@ -1,8 +1,11 @@
-"""Tape engine: per-op gradients against central differences, shape
-contracts, and the grad_check harness itself.
+"""Tape engine: tape mechanics, the generic ops and the shared backward
+helpers against central differences, shape contracts, and the grad_check
+harness itself.
 
-The numeric side here is written out longhand (no calls into grad_check) so
-the harness and the primitives are verified against each other on two
+The predictor's stages record themselves through ``emit``, so the tape is
+exercised here through a few test-local ops built the same way.  The
+numeric side is written out longhand (no calls into grad_check) so the
+harness and the primitives are verified against each other on two
 independent routes.
 """
 
@@ -12,6 +15,8 @@ import pytest
 import flan.autodiff as ad
 from flan.autodiff import ShapeError, Tape, Tensor
 from flan.rng import Rng
+
+from conftest import weighted_sum
 
 
 # -- helpers -----------------------------------------------------------------
@@ -67,8 +72,36 @@ def check_grads(loss_fn, params, rtol=1e-5, atol=1e-8):
         )
 
 
-def weighted_sum(t, weights):
-    return ad.sum_(ad.mul(t, weights))
+def op(arr, inputs, backward):
+    """A test-local tape op: arr, recorded with a written-out backward."""
+    return ad.emit("test_op", arr, inputs, backward)
+
+
+def mul(a, b):
+    """Elementwise product of two equal shapes."""
+    return op(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+
+
+def total(x):
+    return op(np.asarray(np.sum(x.data)), (x,),
+              lambda g: (np.full(x.shape, float(g)),))
+
+
+def matmul(a, b):
+    """a @ b through the shared matmul_grads backward."""
+    return op(np.matmul(a.data, b.data), (a, b),
+              lambda g: ad.matmul_grads(a.data, b.data, g))
+
+
+def add_bias(x, b):
+    """x + b for a trailing-suffix b, through the shared suffix_reduce."""
+    return op(x.data + b.data, (x, b), lambda g: (g, ad.suffix_reduce(g, b.shape)))
+
+
+def mul_gain(x, b):
+    """x * b for a trailing-suffix b, as a layer-norm gain is applied."""
+    return op(x.data * b.data, (x, b),
+              lambda g: (g * b.data, ad.suffix_reduce(g * x.data, b.shape)))
 
 
 # -- analytic examples ---------------------------------------------------------
@@ -95,7 +128,7 @@ def test_sigmoid_extremes_are_stable():
 def test_grad_of_sum_of_squares():
     x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
     with Tape() as tape:
-        tape.backward(ad.sum_(ad.mul(x, x)))
+        tape.backward(total(mul(x, x)))
     np.testing.assert_allclose(x.grad, [2.0, 4.0, 6.0])
 
 
@@ -118,7 +151,7 @@ def test_tensor_item_and_shapes():
 
 def test_ops_outside_tape_do_not_track():
     x = Tensor([1.0], requires_grad=True)
-    y = ad.mul(x, x)
+    y = ad.add(x, x)
     assert not y.requires_grad and y.grad is None
 
 
@@ -132,7 +165,7 @@ def test_grad_flows_only_to_requires_grad():
     x = Tensor([1.0, 2.0], requires_grad=True)
     y = Tensor([3.0, 4.0])
     with Tape() as tape:
-        tape.backward(ad.sum_(ad.mul(x, y)))
+        tape.backward(total(mul(x, y)))
     np.testing.assert_allclose(x.grad, [3.0, 4.0])
     assert y.grad is None
 
@@ -141,9 +174,9 @@ def test_backward_writes_grad_only_on_leaves():
     x = Tensor([1.0, 2.0], requires_grad=True)
     w = Tensor([3.0, -1.0], requires_grad=True)
     with Tape() as tape:
-        h = ad.mul(x, w)
+        h = mul(x, w)
         y = ad.add(h, x)
-        loss = ad.sum_(ad.mul(y, y))
+        loss = total(mul(y, y))
         tape.backward(loss)
     assert h.grad is None and y.grad is None and loss.grad is None
     # loss = sum((x w + x)^2): dx = 2 y (w + 1), dw = 2 y x
@@ -155,14 +188,14 @@ def test_backward_writes_grad_only_on_leaves():
 def test_reused_tensor_accumulates():
     x = Tensor([2.0], requires_grad=True)
     with Tape() as tape:
-        tape.backward(ad.sum_(ad.add(x, x)))
+        tape.backward(total(ad.add(x, x)))
     np.testing.assert_allclose(x.grad, [2.0])
 
 
 def test_backward_requires_scalar():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with Tape() as tape:
-        y = ad.mul(x, x)
+        y = ad.add(x, x)
         with pytest.raises(ShapeError):
             tape.backward(y)
 
@@ -170,9 +203,9 @@ def test_backward_requires_scalar():
 def test_nested_tapes_are_isolated():
     x = Tensor([3.0], requires_grad=True)
     with Tape() as outer:
-        ad.mul(x, x)
+        mul(x, x)
         with Tape() as inner:
-            inner.backward(ad.sum_(ad.mul(x, x)))
+            inner.backward(total(mul(x, x)))
         inner_grad = x.grad.copy()
         assert len(outer) == 1
     np.testing.assert_allclose(inner_grad, [6.0])
@@ -187,9 +220,9 @@ def test_backward_is_bit_deterministic():
         x.grad = None
         w.grad = None
         with Tape() as tape:
-            h = ad.relu(ad.matmul(x, w))
-            centred = ad.sub(h, ad.broadcast(ad.mean(h, axis=-1, keepdims=True), h.shape))
-            tape.backward(ad.sum_(ad.mul(centred, h)))
+            h = matmul(x, w)
+            centred = ad.add(h, ad.scale(ad.take(h, [1, 0, 3, 2]), -1.0))
+            tape.backward(total(mul(centred, h)))
         return x.grad.tobytes(), w.grad.tobytes()
 
     assert run() == run()
@@ -198,21 +231,11 @@ def test_backward_is_bit_deterministic():
 # -- shape contract errors ----------------------------------------------------------
 
 def test_elementwise_shape_errors():
-    with pytest.raises(ShapeError):
-        ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
-    with pytest.raises(ShapeError):
-        # size-1 stretching must go through broadcast()
-        ad.mul(Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, 3))))
-    ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))  # suffix ok
-
-
-def test_matmul_shape_errors():
-    with pytest.raises(ShapeError):
-        ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
-    with pytest.raises(ShapeError):
-        ad.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
-    with pytest.raises(ShapeError):
-        ad.matmul(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((3, 3, 2))))
+    # add joins equal shapes only: no suffix alignment, no size-1 stretching
+    for other in ((3, 2), (3,), (2, 1), (1, 2, 3)):
+        with pytest.raises(ShapeError, match="differ"):
+            ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(other)))
+    assert ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3)))).data.sum() == 12.0
 
 
 def test_misc_shape_errors():
@@ -224,10 +247,6 @@ def test_misc_shape_errors():
         ad.take(Tensor(np.zeros((4, 2))), [[0, 1]])
     with pytest.raises(ShapeError):
         ad.take(Tensor(np.zeros((4, 2))), [0, 4])
-    with pytest.raises(ShapeError):
-        ad.broadcast(Tensor(np.zeros((2, 3))), (3,))
-    with pytest.raises(ShapeError):
-        ad.broadcast(Tensor(np.zeros((2, 3))), (2, 4))
 
 
 # -- per-op finite differences --------------------------------------------------------
@@ -237,48 +256,51 @@ def test_grad_add_sub_equal_shapes():
     a, b = randt(rng, (3, 4)), randt(rng, (3, 4))
     w = randt(rng, (3, 4), grad=False)
     check_grads(lambda: weighted_sum(ad.add(a, b), w), {"a": a, "b": b})
-    check_grads(lambda: weighted_sum(ad.sub(a, b), w), {"a": a, "b": b})
+    check_grads(lambda: weighted_sum(ad.add(a, ad.scale(b, -1.0)), w), {"a": a, "b": b})
 
 
 def test_grad_add_mul_suffix_bias():
+    # suffix_reduce sums a bias or gain gradient over one or two leading axes
     rng = Rng(2)
-    x = randt(rng, (4, 3))
     bias = randt(rng, (3,))
-    w = randt(rng, (4, 3), grad=False)
-    check_grads(lambda: weighted_sum(ad.add(x, bias), w), {"x": x, "b": bias})
-    check_grads(lambda: weighted_sum(ad.mul(x, bias), w), {"x": x, "b": bias})
+    for lead in ((4,), (2, 4)):
+        x = randt(rng, lead + (3,))
+        w = randt(rng, lead + (3,), grad=False)
+        check_grads(lambda: weighted_sum(add_bias(x, bias), w), {"x": x, "b": bias})
+        check_grads(lambda: weighted_sum(mul_gain(x, bias), w), {"x": x, "b": bias})
 
 
 def test_grad_scale_shift():
     rng = Rng(3)
     x = randt(rng, (5,))
     w = randt(rng, (5,), grad=False)
-    check_grads(lambda: weighted_sum(ad.shift(ad.scale(x, -2.5), 0.7), w), {"x": x})
+    offset = Tensor(np.full(5, 0.7))
+    check_grads(lambda: weighted_sum(ad.add(ad.scale(x, -2.5), offset), w), {"x": x})
 
 
 def test_grad_matmul_2d():
     rng = Rng(4)
     a, b = randt(rng, (3, 4)), randt(rng, (4, 2))
     w = randt(rng, (3, 2), grad=False)
-    check_grads(lambda: weighted_sum(ad.matmul(a, b), w), {"a": a, "b": b})
+    check_grads(lambda: weighted_sum(matmul(a, b), w), {"a": a, "b": b})
 
 
 def test_grad_matmul_batched():
     rng = Rng(5)
     a, b = randt(rng, (2, 3, 4)), randt(rng, (2, 4, 2))
     w = randt(rng, (2, 3, 2), grad=False)
-    check_grads(lambda: weighted_sum(ad.matmul(a, b), w), {"a": a, "b": b})
+    check_grads(lambda: weighted_sum(matmul(a, b), w), {"a": a, "b": b})
 
 
 def test_grad_matmul_batched_times_shared():
     rng = Rng(6)
     a, b = randt(rng, (2, 3, 4)), randt(rng, (4, 5))
     w = randt(rng, (2, 3, 5), grad=False)
-    check_grads(lambda: weighted_sum(ad.matmul(a, b), w), {"a": a, "b": b})
+    check_grads(lambda: weighted_sum(matmul(a, b), w), {"a": a, "b": b})
     c = randt(rng, (3, 2))
     d = randt(rng, (4, 2, 5))
     w2 = randt(rng, (4, 3, 5), grad=False)
-    check_grads(lambda: weighted_sum(ad.matmul(c, d), w2), {"c": c, "d": d})
+    check_grads(lambda: weighted_sum(matmul(c, d), w2), {"c": c, "d": d})
 
 
 def test_grad_reshape():
@@ -317,43 +339,8 @@ def test_grad_take_with_duplicate_rows():
     check_grads(lambda: weighted_sum(ad.take(table, idx), w), {"t": table})
 
 
-def test_grad_broadcast_variants():
-    rng = Rng(10)
-    v = randt(rng, (3,))
-    w = randt(rng, (4, 3), grad=False)
-    check_grads(lambda: weighted_sum(ad.broadcast(v, (4, 3)), w), {"v": v})
-    col = randt(rng, (4, 1))
-    check_grads(lambda: weighted_sum(ad.broadcast(col, (4, 3)), w), {"c": col})
-    both = randt(rng, (1, 3))
-    w2 = randt(rng, (2, 5, 3), grad=False)
-    check_grads(lambda: weighted_sum(ad.broadcast(both, (2, 5, 3)), w2), {"b": both})
-
-
-def test_grad_reductions():
-    rng = Rng(11)
-    x = randt(rng, (3, 4))
-    check_grads(lambda: ad.sum_(x), {"x": x})
-    check_grads(lambda: ad.mean(x), {"x": x})
-    w = randt(rng, (4,), grad=False)
-    check_grads(lambda: weighted_sum(ad.sum_(x, axis=0), w), {"x": x})
-    w2 = randt(rng, (3,), grad=False)
-    check_grads(lambda: weighted_sum(ad.mean(x, axis=1), w2), {"x": x})
-    w3 = randt(rng, (3, 1), grad=False)
-    check_grads(
-        lambda: weighted_sum(ad.sum_(x, axis=1, keepdims=True), w3), {"x": x}
-    )
-
-
-def test_grad_activations():
-    rng = Rng(12)
-    x = randt(rng, (3, 4), away_from=0.0)
-    w = randt(rng, (3, 4), grad=False)
-    check_grads(lambda: weighted_sum(ad.relu(x), w), {"x": x})
-    np.testing.assert_array_equal(ad.relu(Tensor([-2.0, 3.0])).data, [0.0, 3.0])
-
-
 def test_grad_composite_chain():
-    # one deep chain mixing most primitives, as the predictor does
+    # one deep chain mixing every generic op with local stage-style ops
     rng = Rng(16)
     x = randt(rng, (4, 3))
     w1 = randt(rng, (3, 6))
@@ -363,13 +350,12 @@ def test_grad_composite_chain():
     table = randt(rng, (5, 6))
 
     def loss():
-        h = ad.add(ad.matmul(x, w1), b1)
-        h = ad.relu(ad.shift(h, 0.1))
-        h = ad.add(ad.mul(h, gamma), beta)
+        h = add_bias(matmul(x, w1), b1)
+        h = add_bias(mul_gain(h, gamma), beta)
         e = ad.take(table, [1, 1, 0, 3])
-        h = ad.sub(ad.mul(h, e), ad.scale(h, 0.5))
+        h = ad.add(mul(h, e), ad.scale(h, -0.5))
         h = ad.concat([h, ad.reshape(e, (4, 6))], axis=-1)
-        return ad.mean(ad.mul(h, h))
+        return total(mul(h, h))
 
     check_grads(
         loss,
@@ -381,14 +367,19 @@ def test_grad_composite_chain():
 
 def test_grad_check_quadratic_is_tight():
     x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
-    report = ad.grad_check(lambda: ad.sum_(ad.mul(x, x)), {"x": x})
+    report = ad.grad_check(lambda: total(mul(x, x)), {"x": x})
     assert report.max_rel_err < 1e-6
     assert report.ok(rel_tol=1e-6)
 
 
 def test_grad_check_flags_saturation_as_near_zero():
-    x = Tensor([-20.0, -3.0], requires_grad=True)
-    report = ad.grad_check(lambda: ad.sum_(ad.relu(x)), {"x": x})
+    x = Tensor([-20.0, -30.0], requires_grad=True)
+
+    def squashed():
+        s = ad.logistic(x.data)
+        return total(op(s, (x,), lambda g: (g * s * (1.0 - s),)))
+
+    report = ad.grad_check(squashed, {"x": x})
     (block,) = report.blocks
     assert block.near_zero_entries == 2
     assert block.checked_entries == 0
@@ -398,13 +389,13 @@ def test_grad_check_flags_saturation_as_near_zero():
 def test_grad_check_rejects_non_scalar():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ShapeError):
-        ad.grad_check(lambda: ad.mul(x, x), {"x": x})
+        ad.grad_check(lambda: ad.add(x, x), {"x": x})
 
 
 def test_grad_check_entry_subsampling():
     x = Tensor(np.arange(1.0, 21.0), requires_grad=True)
     report = ad.grad_check(
-        lambda: ad.sum_(ad.mul(x, x)), {"x": x}, max_entries_per_block=5, seed=3
+        lambda: total(mul(x, x)), {"x": x}, max_entries_per_block=5, seed=3
     )
     (block,) = report.blocks
     assert block.checked_entries + block.near_zero_entries == 5
@@ -424,7 +415,7 @@ def test_grad_check_catches_wrong_gradient():
         tape = ad.active_tape()
         if tape is not None:  # finite-difference evaluations run tapeless
             tape.record(out, (x,), backward)
-        return ad.sum_(out)
+        return total(out)
 
     report = ad.grad_check(bad, {"x": x})
     assert report.max_rel_err > 0.3
@@ -439,10 +430,10 @@ def test_checked_mode_traps_nonfinite():
         try:
             big = Tensor([1e308])
             with pytest.raises(FloatingPointError):
-                ad.mul(big, big)
+                ad.add(big, big)
         finally:
             ad.set_checked(False)
-        out = ad.mul(Tensor([1e308]), Tensor([1e308]))
+        out = ad.add(Tensor([1e308]), Tensor([1e308]))
     assert np.isinf(out.data[0])
 
 

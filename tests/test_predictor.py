@@ -23,11 +23,13 @@ from flan.predictor import (
     PredictorConfig,
     PredictorError,
     clone_model,
+    dense_layer,
     dgf_layer,
     forward,
     forward_batch,
     gat_layer,
     init,
+    masked_mean_pool,
     parameter_shapes,
     prepare_batch,
     score_archs,
@@ -43,6 +45,7 @@ from conftest import (
     ref_config,
     tiny_config,
     unified_of,
+    weighted_sum,
 )
 
 
@@ -308,13 +311,56 @@ def test_layer_gradients_match_finite_differences(layer, lead, shared):
             out = dgf_layer(x, Tensor(routing), op_emb, **params)
         else:
             out = gat_layer(x, Tensor(routing), op_emb, params, layer)
-        return ad.sum_(ad.mul(out, weights))
+        return weighted_sum(out, weights)
 
     checked = {"x": x, **params} if shared else {"x": x, "op_emb": op_emb, **params}
     report = ad.grad_check(loss, checked)
     assert report.ok(rel_tol=1e-5), [
         (b.name, b.max_rel_err, b.worst_index) for b in report.blocks]
     assert all(b.checked_entries for b in report.blocks)
+
+
+@pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
+@pytest.mark.parametrize("lead", [(5,), (2, 4)], ids=["2d", "3d"])
+def test_dense_layer_gradients_match_finite_differences(relu, lead):
+    rng = Rng(7)
+    x = Tensor(randa(rng, lead + (3,)), requires_grad=True)
+    params = {"w": Tensor(randa(rng, (3, 4)), requires_grad=True),
+              "b": Tensor(randa(rng, (4,)), requires_grad=True)}
+    weights = Tensor(randa(rng, lead + (4,)))
+    out = dense_layer(x, params["w"], params["b"], relu)
+    h = x.data @ params["w"].data + params["b"].data
+    np.testing.assert_array_equal(out.data, np.maximum(h, 0.0) if relu else h)
+    if relu:  # both sides of the kink are exercised, none sits on it
+        assert (h > 0.0).any() and (h < 0.0).any() and np.abs(h).min() > 1e-3
+    report = ad.grad_check(
+        lambda: weighted_sum(dense_layer(x, params["w"], params["b"], relu), weights),
+        {"x": x, **params})
+    assert report.ok(rel_tol=1e-6), [(b.name, b.max_rel_err) for b in report.blocks]
+    assert all(b.checked_entries for b in report.blocks)
+
+
+def test_masked_mean_pool_gradients_skip_padded_nodes():
+    rng = Rng(8)
+    x = Tensor(randa(rng, (3, 5, 4)), requires_grad=True)
+    # rows keep 5, 3 and 2 nodes; the rest are padded none nodes
+    mask = np.zeros((3, 5, 1))
+    mask[0] = 1.0
+    mask[1, [0, 2, 4]] = 1.0
+    mask[2, [0, 4]] = 1.0
+    pooled = masked_mean_pool(x, mask)
+    want = np.stack([x.data[b][mask[b, :, 0] > 0].mean(axis=0) for b in range(3)])
+    np.testing.assert_allclose(pooled.data, want, rtol=1e-15, atol=1e-15)
+    weights = Tensor(randa(rng, (3, 4)))
+    report = ad.grad_check(lambda: weighted_sum(masked_mean_pool(x, mask), weights),
+                           {"x": x})
+    assert report.ok(rel_tol=1e-6)
+    with ad.Tape() as tape:
+        tape.backward(weighted_sum(masked_mean_pool(x, mask), weights))
+    counts = mask.sum(axis=1)
+    np.testing.assert_array_equal(x.grad == 0.0, np.broadcast_to(mask == 0.0, x.shape))
+    np.testing.assert_allclose(x.grad, mask * (weights.data / counts)[:, None, :],
+                               rtol=1e-15)
 
 
 # -- initialization --------------------------------------------------------------------

@@ -16,12 +16,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from flan.autodiff import Tape, Tensor
+from flan.autodiff import Tape, Tensor, grad_check
 from flan.benchmark import SyntheticSpec, generate_synthetic, split
 from flan.cellgraph import CellArch
 from flan.encodings import SupplementalProvider, SupplementalTable, unify
 from flan.metrics import kendall_tau
 from flan.predictor import (
+    PredictorConfig,
     PredictorModel,
     forward,
     forward_batch,
@@ -50,7 +51,7 @@ from flan.training import (
     transfer,
 )
 
-from conftest import ref_config, reference_bench, small_bench, tiny_config
+from conftest import REFERENCE_DIMS, ref_config, reference_bench, small_bench, tiny_config
 
 
 def hinge_oracle(scores, accs, margin):
@@ -163,6 +164,36 @@ def test_hinge_gradient_direction():
     np.testing.assert_allclose(scores.grad, [-1.0, 1.0])
 
 
+@pytest.mark.parametrize("case", ["generic", "tied", "past_margin"])
+def test_hinge_gradients_match_finite_differences(case):
+    # every score sits in several pairs, so each gradient entry sums the
+    # scatters of repeated indices; ties form no pair, and a pair already
+    # past the margin adds nothing
+    rng = Rng(19)
+    scores = Tensor([rng.normal(0.0, 1.0) for _ in range(6)], requires_grad=True)
+    accs = np.array([0.3, 0.1, 0.7, 0.5, 0.9, 0.2])
+    if case == "tied":
+        accs = np.array([0.3, 0.3, 0.7, 0.7, 0.7, 0.1])
+    elif case == "past_margin":
+        scores.data[:] = 4.0 * accs  # correctly ordered, some pairs by > margin
+        scores.data[1] += 1.0
+    margin = 0.5
+    i, j = ranking_pairs(accs)
+    violation = margin - (scores.data[i] - scores.data[j])
+    assert np.abs(violation).min() > 1e-3  # no pair on the kink
+    if case == "past_margin":
+        assert (violation < 0.0).any() and (violation > 0.0).any()
+    report = grad_check(lambda: hinge_rank_loss(scores, accs, margin), {"s": scores})
+    assert report.ok(rel_tol=1e-7), report.blocks
+    with Tape() as tape:
+        tape.backward(hinge_rank_loss(scores, accs, margin))
+    active = (violation > 0.0) / i.size
+    want = np.zeros(6)
+    np.add.at(want, i, -active)
+    np.add.at(want, j, active)
+    np.testing.assert_allclose(scores.grad, want, rtol=1e-15, atol=1e-15)
+
+
 def test_hinge_validation():
     with pytest.raises(TrainError):
         hinge_rank_loss(Tensor(np.zeros((2, 2))), [1.0, 0.0], 0.1)
@@ -251,6 +282,23 @@ def test_fit_gives_pinned_bytes_for_each_layer_variant(variant):
     fit(model, bench, bench.arch_ids,
         TrainConfig(epochs=2, batch_size=8, lr=0.01, seed=3))
     assert hashlib.sha256(model.flat.tobytes()).hexdigest() == VARIANT_DIGESTS[variant]
+
+
+# tape records of one forward_batch plus hinge_rank_loss: each graph layer,
+# dense layer, the readout pool and the loss record once
+TAPE_RECORDS = {"reference": 31, "paper-default": 73}
+
+
+@pytest.mark.parametrize("label", sorted(TAPE_RECORDS))
+def test_training_step_tape_length_is_pinned(label):
+    config = PredictorConfig(**({} if label == "paper-default" else REFERENCE_DIMS))
+    bench = small_bench(num_archs=8, seed=5)
+    model = init(config, unify([bench.vocab]), 1, seed=0)
+    batch = prepare_batch(model, list(bench.archs))
+    with Tape() as tape:
+        hinge_rank_loss(forward_batch(model, batch),
+                        bench.accuracy_vector(bench.arch_ids), 0.1)
+        assert len(tape) == TAPE_RECORDS[label]
 
 
 def test_fit_improves_held_out_ranking():
@@ -472,6 +520,22 @@ def test_zero_shot_scores_target_archs():
     out = transfer(model, tgt, [], quick_cfg())
     scores = score_archs(out, [tgt.arch(i) for i in tgt.arch_ids])
     assert np.all(np.isfinite(scores))
+
+
+def test_zero_shot_into_a_space_of_reserved_ops_only():
+    # a target whose vocabulary is input, output, none brings no new op, so
+    # no op-table row is added
+    _, _, model = two_space_setup()
+    before = params_bytes(model)
+    tgt = generate_synthetic(SyntheticSpec(
+        num_nodes=4, vocab_size=3, num_archs=1, seed=21,
+        noise_sigma=0.1, interaction_scale=0.5), space_id=1)
+    out = transfer(model, tgt, [], quick_cfg())
+    assert params_bytes(model) == before
+    assert out.vocab.has_space(1) and out.vocab.size == model.vocab.size
+    assert params_bytes(out) == before
+    scores = score_archs(out, [tgt.arch(i) for i in tgt.arch_ids])
+    assert scores.shape == (1,) and np.all(np.isfinite(scores))
 
 
 def test_transfer_fine_tuning_moves_parameters():
