@@ -208,11 +208,25 @@ def matmul_grads(a: np.ndarray, b: np.ndarray,
     return ga, gb
 
 
+def fold_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w for a 2-d w, with x's leading axes folded into the rows of one
+    GEMM instead of one product per batch entry: the same bytes, since each
+    row's sums do not depend on the other rows.  A one-column w is left
+    unfolded: folded, it would run as GEMV, whose sums differ."""
+    k, m = w.shape
+    if m == 1:
+        return np.matmul(x, w)
+    return np.matmul(x.reshape(-1, k), w).reshape(x.shape[:-1] + (m,))
+
+
 def logistic(d: np.ndarray) -> np.ndarray:
-    """Overflow-free 1 / (1 + exp(-d)), bit for bit the two-branch form."""
-    pos = d >= 0
-    e = np.exp(np.where(pos, -d, d))  # not -|d|: that flips the sign of a NaN
-    return np.where(pos, 1.0, e) / (1.0 + e)
+    """Overflow-free 1 / (1 + exp(-d)), bit for bit the two-branch form.
+    The numerator max(e, d >= 0) is 1.0 where d >= 0, since e <= 1."""
+    e = np.exp(np.minimum(d, -d))  # not -|d|: that flips the sign of a NaN
+    den = e + 1.0
+    np.maximum(e, d >= 0, out=e)
+    e /= den
+    return e
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -215,8 +215,9 @@ def _cmd_train(args) -> int:
         "epochs": tcfg.epochs,
         "supp": ",".join(args.supp),
     }
-    save_model(model, args.out, provenance)
+    # score first: a split too small to rank must not leave a checkpoint
     payload = _score_report(model, bench, test_ids, provider)
+    save_model(model, args.out, provenance)
     payload.update({
         "train_count": len(train_ids),
         "final_loss": history["epoch_losses"][-1] if history["epoch_losses"] else None,
@@ -269,8 +270,9 @@ def _cmd_transfer(args) -> int:
         "epochs": tcfg.transfer_epochs,
         "supp": ",".join(supp_specs),
     }
-    save_model(tuned, args.out, provenance)
+    # score first: a split too small to rank must not leave a checkpoint
     payload = _score_report(tuned, bench, test_ids, provider)
+    save_model(tuned, args.out, provenance)
     payload.update({
         "train_count": len(train_ids),
         "checkpoint": str(args.out),

@@ -317,6 +317,9 @@ def unify(vocabs) -> UnifiedVocabulary:
 
 
 SUPP_FORMAT = "flan-supp/1"
+# z-normalising a column squares deviations of up to twice this and sums
+# them, which stays finite for any realistic number of records (< 4e107)
+SUPP_MAX_ABS = 1e100
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,6 +479,10 @@ def load_supplemental(path) -> SupplementalTable:
             )
         if not np.all(np.isfinite(vec)):
             raise _supp_error(line, "values contain non-finite entries")
+        if np.any(np.abs(vec) > SUPP_MAX_ABS):
+            raise _supp_error(
+                line, f"values must be at most {SUPP_MAX_ABS:g} in magnitude"
+            )
         vectors[arch_id] = vec
     return SupplementalTable(kind, dim, vectors)
 

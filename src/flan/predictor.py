@@ -141,8 +141,8 @@ def dgf_layer(x: Tensor, routing: Tensor, op_emb: Tensor,
     routing[i, j] = 1 routes node j's features into node i; routing is
     data and gets no gradient.
     """
-    gate = ad.logistic(np.matmul(op_emb.data, w_o.data))
-    h = np.matmul(x.data, w_f.data)
+    gate = ad.logistic(ad.fold_matmul(op_emb.data, w_o.data))
+    h = ad.fold_matmul(x.data, w_f.data)
     agg = np.matmul(routing.data, h)
 
     def backward(g):
@@ -152,11 +152,13 @@ def dgf_layer(x: Tensor, routing: Tensor, op_emb: Tensor,
                                      g * agg * gate * (1.0 - gate))
         return ad.suffix_reduce(g, b_f.shape), g_x, g_wf, g_op, g_wo
 
+    out = gate * agg
+    out += h
+    out += b_f.data
     # the tape adds up a tensor's gradients in the order its uses are listed;
     # listing inputs in reverse order of use keeps that order fixed when x is
     # op_emb, as in each stack's first layer
-    return ad.emit("dgf_layer", gate * agg + h + b_f.data,
-                   (b_f, x, w_f, op_emb, w_o), backward)
+    return ad.emit("dgf_layer", out, (b_f, x, w_f, op_emb, w_o), backward)
 
 
 def gat_layer(x: Tensor, routing: Tensor, op_emb: Tensor,
@@ -183,10 +185,11 @@ def gat_layer(x: Tensor, routing: Tensor, op_emb: Tensor,
         raise PredictorError(f"unknown attention variant {variant!r}")
     attn_a, w_o = params["attn_a"], params["w_o"]
     gamma, beta = params["ln_gamma"], params["ln_beta"]
-    projs = [np.matmul(x.data, params[name].data) for name in names]
+    projs = [ad.fold_matmul(x.data, params[name].data) for name in names]
     proj_v, proj_k, proj_q = projs if len(projs) == 3 else projs * 3
     d_out = w_o.shape[1]
     a_recv, a_send = attn_a.data[:d_out], attn_a.data[d_out:]
+    # one-column products: folded they would run as GEMV and change bytes
     recv = np.matmul(proj_q, a_recv)
     send = np.matmul(proj_k, a_send)
     scores = recv + np.swapaxes(send, -1, -2)
@@ -202,12 +205,12 @@ def gat_layer(x: Tensor, routing: Tensor, op_emb: Tensor,
         attn = e / np.sum(e, axis=-1, keepdims=True)
     weights = attn * routing.data
     messages = np.matmul(weights, proj_v)
-    gate = ad.logistic(np.matmul(op_emb.data, w_o.data))
-    gated = gate * messages
-    mu = np.mean(gated, axis=-1, keepdims=True)
-    var = np.mean((gated - mu) ** 2, axis=-1, keepdims=True)
+    gate = ad.logistic(ad.fold_matmul(op_emb.data, w_o.data))
+    xhat = gate * messages  # centred and scaled in place: layer norm
+    xhat -= np.sum(xhat, axis=-1, keepdims=True) / d_out
+    var = np.sum(np.square(xhat), axis=-1, keepdims=True) / d_out
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (gated - mu) * inv
+    xhat *= inv
 
     def backward(g):
         g_xhat = g * gamma.data
@@ -240,19 +243,24 @@ def gat_layer(x: Tensor, routing: Tensor, op_emb: Tensor,
     inputs = [gamma, beta, op_emb, w_o, attn_a]
     for name in names:
         inputs += [x, params[name]]
-    return ad.emit("gat_layer", xhat * gamma.data + beta.data, tuple(inputs), backward)
+    out = xhat * gamma.data
+    out += beta.data
+    return ad.emit("gat_layer", out, tuple(inputs), backward)
 
 
 def dense_layer(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
     """x @ w + b over the last axis of a 2-d or 3-d x, then ReLU if relu."""
-    h = np.matmul(x.data, w.data) + b.data
+    h = ad.fold_matmul(x.data, w.data)
+    h += b.data
     positive = h > 0.0 if relu else None
 
     def backward(g):
         g_h = g * positive if relu else g
         return (ad.suffix_reduce(g_h, b.shape),) + ad.matmul_grads(x.data, w.data, g_h)
 
-    return ad.emit("dense_layer", h * positive if relu else h, (b, x, w), backward)
+    if relu:
+        h *= positive
+    return ad.emit("dense_layer", h, (b, x, w), backward)
 
 
 def masked_mean_pool(x: Tensor, mask: np.ndarray) -> Tensor:

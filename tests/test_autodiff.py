@@ -114,15 +114,33 @@ def test_sigmoid_extremes_are_stable():
     out = ad.logistic(np.array([-800.0, 800.0]))
     assert out[0] == pytest.approx(0.0, abs=1e-12)
     assert out[1] == pytest.approx(1.0, abs=1e-12)
-    # bit for bit the two-branch form, special values included
-    d = np.array([-800.0, 800.0, 0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
-                  1e-320, -1e-320, -3.5, 2.25, 1e-3, -40.0])
-    two_branch = np.empty_like(d)
-    pos = d >= 0
-    two_branch[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    two_branch[~pos] = ex / (1.0 + ex)
-    assert ad.logistic(d).tobytes() == two_branch.tobytes()
+    # bit for bit the two-branch form, on special values and on a seeded
+    # random array whose magnitudes span from subnormal to past exp's range
+    special = np.array([-800.0, 800.0, 0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                        1e-320, -1e-320, -3.5, 2.25, 1e-3, -40.0])
+    rng = np.random.default_rng(11)
+    noise = rng.standard_normal((64, 7, 16)) * np.exp2(rng.uniform(-1070, 11, (64, 7, 16)))
+    for d in (special, noise):
+        two_branch = np.empty_like(d)
+        pos = d >= 0
+        two_branch[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+        ex = np.exp(d[~pos])
+        two_branch[~pos] = ex / (1.0 + ex)
+        assert ad.logistic(d).tobytes() == two_branch.tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 2, 16, 64])
+def test_fold_matmul_gives_the_bytes_of_batched_matmul(batch):
+    # one GEMM over the folded rows sums each entry as the per-batch GEMMs
+    # do; a one-column product stays per batch, since folded GEMV sums differ
+    rng = np.random.default_rng(batch)
+    for n in (3, 7):
+        for k in (8, 48, 128):
+            x = rng.standard_normal((batch, n, k))
+            for m in (1, 4, 16, 128):
+                w = rng.standard_normal((k, m))
+                assert ad.fold_matmul(x, w).tobytes() == np.matmul(x, w).tobytes()
+            assert ad.fold_matmul(x[0], w).tobytes() == np.matmul(x[0], w).tobytes()
 
 
 def test_grad_of_sum_of_squares():

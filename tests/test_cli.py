@@ -435,6 +435,27 @@ def test_transfer_requires_a_unified_checkpoint(ws, tmp_path, capsys):
     assert "unified" in err
 
 
+def test_a_split_too_small_to_rank_leaves_no_checkpoint(ws, trained, tmp_path, capsys):
+    # a vocabulary of input, output and none holds one distinct cell, so a
+    # zero-shot transfer into it has one arch to rank; train holds out one
+    target = tmp_path / "reserved.bench"
+    assert main(["gen-bench", "--num-nodes", "4", "--vocab-size", "3",
+                 "--num-archs", "1", "--seed", "2", "--space-id", "1",
+                 "--out", str(target)]) == 0
+    runs = [
+        ("transfer", "--ckpt", str(trained["ckpt"]), "--bench", str(target),
+         "--train-count", "0", "--config", str(ws["cfg"])),
+        ("train", "--bench", str(ws["bench_a"]), "--train-count", "23",
+         "--seed", "5", "--config", str(ws["cfg"])),
+    ]
+    for argv in runs:
+        out = tmp_path / f"{argv[0]}.ckpt"
+        code, _, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert err == "error: rank correlation needs at least two observations\n"
+        assert not out.exists()
+
+
 # -- search ---------------------------------------------------------------------------
 
 def test_search_oracle_surrogate(ws, tmp_path, capsys):

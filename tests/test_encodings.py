@@ -583,6 +583,7 @@ def test_supplemental_load_errors_carry_line_numbers(tmp_path):
     ({"kind": 5}, None, "line 1: kind must be a string, got int"),
     ({"count": [2]}, None, "line 1: count must be an integer, got list"),
     (["flan-supp/1"], None, "line 1: header must be an object, got list"),
+    (None, {"v": [3.0, -1e300]}, "line 3: values must be at most 1e+100 in magnitude"),
 ])
 def test_supplemental_malformed_fields_name_line(
         tmp_path, capsys, header_patch, record_patch, message):
@@ -606,6 +607,17 @@ def test_supplemental_malformed_fields_name_line(
                  "--out", str(tmp_path / "m.ckpt")])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_supplemental_values_at_the_bound_normalise_finitely(tmp_path):
+    path = tmp_path / "big.jsonl"
+    rows = [{"id": i, "v": [(-1.0) ** i * 1e100, i % 3 * 5e99]} for i in range(64)]
+    path.write_text("".join(json.dumps(x) + "\n" for x in
+                            [{"format": "flan-supp/1", "kind": "zcp", "dim": 2}] + rows))
+    table = load_supplemental(path).z_normalized()
+    mat = np.stack([table.vector(i) for i in range(64)])
+    assert np.isfinite(mat).all()
+    np.testing.assert_allclose(mat[:, 0], (-1.0) ** np.arange(64))
 
 
 def test_supplemental_header_without_count_is_accepted(tmp_path):

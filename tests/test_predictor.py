@@ -22,6 +22,7 @@ from flan.predictor import (
     LEAKY_SLOPE,
     PredictorConfig,
     PredictorError,
+    _cell_embedding,
     clone_model,
     dense_layer,
     dgf_layer,
@@ -595,6 +596,28 @@ def test_score_archs_matches_forward_chunked():
     scores = score_archs(model, archs, chunk=3)
     singles = np.array([forward(model, a) for a in archs])
     np.testing.assert_allclose(scores, singles, atol=1e-9)
+
+
+@pytest.mark.parametrize("config, count", [
+    (ref_config(), 70),
+    (ref_config(attention_variant="kqv_softmax"), 70),
+    (PredictorConfig(), 5),
+], ids=["reference", "reference-kqv", "paper-default"])
+def test_graph_stacks_give_the_same_bytes_for_every_chunk(config, count):
+    # every weight product in the stacks is one GEMM over batch x node rows,
+    # and each row's sums do not depend on the other rows; the head's
+    # one-column output layer runs through GEMV, whose sums do depend on a
+    # row's place in the batch, so score_archs is compared with a tolerance
+    model = make_model(config, seed=3)
+    jitter_params(model, seed=4)
+    rng = Rng(8)
+    archs = [arch_of(random_valid_cell(rng, 6, 5), i) for i in range(count)]
+    pooled = []
+    for chunk in (1, 3, 64):
+        parts = [_cell_embedding(model, prepare_batch(model, archs[lo:lo + chunk]), 0)
+                 for lo in range(0, count, chunk)]
+        pooled.append(np.concatenate([p.data for p in parts]).tobytes())
+    assert pooled[0] == pooled[1] == pooled[2]
 
 
 # -- batch validation -----------------------------------------------------------------------
