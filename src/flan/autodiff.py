@@ -197,15 +197,21 @@ def scale(x: Tensor, factor: float) -> Tensor:
 
 def matmul_grads(a: np.ndarray, b: np.ndarray,
                  g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of a @ b given the output gradient g; a batch axis that
-    only one operand has is summed out of the other's gradient."""
+    """Gradients of a @ b given the output gradient g.
+
+    For a 2-d weight b, a's leading axes are folded into GEMM rows, so each
+    gradient is one GEMM and the weight gradient sums over the batch inside
+    it.  Otherwise b is a batch of matrices: the products run per batch
+    entry, and a 2-d a shared by the batch gets the batch axis summed out.
+    """
+    if b.ndim == 2:
+        k, m = b.shape
+        g2 = g.reshape(-1, m)
+        return (g2 @ b.T).reshape(a.shape), a.reshape(-1, k).T @ g2
     ga = np.matmul(g, np.swapaxes(b, -1, -2))
     if ga.ndim > a.ndim:
         ga = ga.sum(axis=0)
-    gb = np.matmul(np.swapaxes(a, -1, -2), g)
-    if gb.ndim > b.ndim:
-        gb = gb.sum(axis=0)
-    return ga, gb
+    return ga, np.matmul(np.swapaxes(a, -1, -2), g)
 
 
 def fold_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -185,7 +185,9 @@ def zscore_columns(matrix: np.ndarray) -> np.ndarray:
     mu = mat.mean(axis=0)
     sd = mat.std(axis=0)
     out = np.zeros_like(mat)
-    nonzero = sd > 0.0
+    # the rounded mean of equal values can miss them, leaving sd a few ulps
+    # above 0, so a column counts as varying only if two entries differ
+    nonzero = (sd > 0.0) & np.any(mat != mat[:1], axis=0)
     out[:, nonzero] = (mat[:, nonzero] - mu[nonzero]) / sd[nonzero]
     return out
 

@@ -214,8 +214,8 @@ def gat_layer(x: Tensor, routing: Tensor, op_emb: Tensor,
 
     def backward(g):
         g_xhat = g * gamma.data
-        m1 = np.mean(g_xhat, axis=-1, keepdims=True)
-        m2 = np.mean(g_xhat * xhat, axis=-1, keepdims=True)
+        m1 = np.sum(g_xhat, axis=-1, keepdims=True) / d_out
+        m2 = np.sum(g_xhat * xhat, axis=-1, keepdims=True) / d_out
         g_gated = inv * (g_xhat - m1 - xhat * m2)
         g_op, g_wo = ad.matmul_grads(op_emb.data, w_o.data,
                                      g_gated * messages * gate * (1.0 - gate))

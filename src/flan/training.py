@@ -131,6 +131,7 @@ class _AdamState:
         self.step = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
+        self.g = np.empty(size)  # gathered gradients, rewritten every step
 
 
 def _adam_step(model: PredictorModel, state: _AdamState, lr: float,
@@ -141,7 +142,7 @@ def _adam_step(model: PredictorModel, state: _AdamState, lr: float,
             raise TrainError(f"parameter {name} received no gradient")
         grads.append(p.grad.reshape(-1))
         p.grad = None
-    grad = np.concatenate(grads)
+    grad = np.concatenate(grads, out=state.g)
     state.step += 1
     t = state.step
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps

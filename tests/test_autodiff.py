@@ -143,6 +143,31 @@ def test_fold_matmul_gives_the_bytes_of_batched_matmul(batch):
             assert ad.fold_matmul(x[0], w).tobytes() == np.matmul(x[0], w).tobytes()
 
 
+@pytest.mark.parametrize("batch", [1, 2, 16, 64])
+def test_matmul_grads_folds_a_2d_weight_into_one_gemm(batch):
+    # the folded GEMMs sum in another order than per-batch products plus a
+    # batch-axis sum, so they agree to rounding, not to the byte; the bound
+    # is relative to the sum of the terms' magnitudes, since an entry whose
+    # terms cancel carries the rounding of the large terms
+    def close(got, x, y, batch_sum):
+        want, bound = np.matmul(x, y), np.matmul(np.abs(x), np.abs(y))
+        if batch_sum:
+            want, bound = want.sum(axis=0), bound.sum(axis=0)
+        return np.all(np.abs(got - want) <= 1e-12 * bound)
+
+    rng = np.random.default_rng(100 + batch)
+    for n in (3, 7):
+        for k in (8, 48, 128):
+            a = rng.standard_normal((batch, n, k))
+            for m in (1, 4, 128):
+                b = rng.standard_normal((k, m))
+                g = rng.standard_normal((batch, n, m))
+                ga, gb = ad.matmul_grads(a, b, g)
+                assert ga.shape == a.shape and gb.shape == b.shape
+                assert close(ga, g, b.T, batch_sum=False)
+                assert close(gb, np.swapaxes(a, -1, -2), g, batch_sum=True)
+
+
 def test_grad_of_sum_of_squares():
     x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
     with Tape() as tape:

@@ -303,6 +303,15 @@ def test_zscore_columns():
     assert np.all(z[:, 1] == 0.0)  # constant column maps to zeros
 
 
+@pytest.mark.parametrize("rows, value", [(3, 0.1), (24, 0.7)])
+def test_zscore_columns_maps_an_inexact_mean_constant_column_to_zeros(rows, value):
+    # the mean of these equal values rounds off the value, so std is a few
+    # ulps above zero; the column is still constant
+    mat = np.full((rows, 1), value)
+    assert mat.std(axis=0)[0] > 0.0
+    assert np.all(zscore_columns(mat) == 0.0)
+
+
 def test_score_feature_matrix_rows():
     vocab = basic_vocab()
     archs = [arch_of(chain_cell(3), 0), arch_of(chain_cell(4), 1)]
