@@ -214,10 +214,6 @@ class TabularBenchmark:
     def accuracy_vector(self, arch_ids) -> np.ndarray:
         return np.array([self.accuracy(i) for i in arch_ids], dtype=np.float64)
 
-    def best_arch_id(self) -> int:
-        """Highest accuracy, ties broken by the smaller id."""
-        return min(self.accuracies, key=lambda i: (-self.accuracies[i], i))
-
 
 def generate_synthetic(
     spec: SyntheticSpec, name: str | None = None, space_id: int = 0

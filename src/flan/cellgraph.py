@@ -102,13 +102,6 @@ class CellGraph:
             f"ops={self.op_ids})"
         )
 
-    def active_nodes(self) -> tuple[int, ...]:
-        return tuple(i for i, o in enumerate(self.op_ids) if o != OP_NONE)
-
-    def active_adjacency(self) -> np.ndarray:
-        """Adjacency with every edge touching a none node removed."""
-        return stack_cells([self]).adjacency[0]
-
 
 @dataclass(frozen=True)
 class CellArch:
@@ -191,34 +184,6 @@ def validate(cell: CellGraph, vocab_size: int) -> str | None:
     return validate_cells([cell], vocab_size)[0]
 
 
-def pad(cell: CellGraph, target_nodes: int) -> CellGraph:
-    """Grow to target_nodes by appending none nodes with no edges."""
-    if target_nodes < cell.num_nodes:
-        raise CellError(
-            f"cannot pad {cell.num_nodes} nodes down to {target_nodes}"
-        )
-    if target_nodes == cell.num_nodes:
-        return cell
-    n = cell.num_nodes
-    adj = np.zeros((target_nodes, target_nodes), dtype=np.uint8)
-    adj[:n, :n] = cell.adjacency
-    ops = cell.op_ids + (OP_NONE,) * (target_nodes - n)
-    return CellGraph(adj, ops, cell.space_id)
-
-
-def permute(cell: CellGraph, perm) -> CellGraph:
-    """Relabel nodes: node i becomes node perm[i]."""
-    perm = [int(p) for p in perm]
-    n = cell.num_nodes
-    if sorted(perm) != list(range(n)):
-        raise CellError(f"perm must be a permutation of 0..{n - 1}, got {perm}")
-    adj = np.zeros_like(cell.adjacency)
-    adj[np.ix_(perm, perm)] = cell.adjacency
-    ops = np.empty(n, dtype=np.int64)
-    ops[perm] = cell.op_ids
-    return CellGraph(adj, ops, cell.space_id)
-
-
 class CellStack(NamedTuple):
     """Cells padded to one node count: (M, n, n) active adjacencies, (M, n)
     op ids, (M, n) masks of the active nodes without in-edges (sources) and
@@ -251,12 +216,6 @@ def stack_cells(cells) -> CellStack:
     active = ops != OP_NONE
     adj = raw & active[:, :, None] & active[:, None, :]
     return CellStack(adj, ops, active & ~adj.any(1), active & ~adj.any(2), raw)
-
-
-def source_and_sink(cell: CellGraph) -> tuple[int, int]:
-    """The unique active source and sink of a valid cell."""
-    src, dst = stack_cells([cell]).ends()
-    return int(src[0]), int(dst[0])
 
 
 def prune_stack(adjacency: np.ndarray, src: int, dst: int):

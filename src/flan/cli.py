@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 
@@ -123,7 +124,11 @@ def _supplemental_provider(specs, bench: TabularBenchmark):
 
 
 def _emit(payload: dict, out_path) -> None:
-    text = json.dumps(payload, sort_keys=True)
+    """One strict JSON line: a non-finite float (the rank correlation of
+    constant accuracies, the loss of a fit that skipped every batch) is null."""
+    payload = {key: None if isinstance(v, float) and not math.isfinite(v) else v
+               for key, v in payload.items()}
+    text = json.dumps(payload, sort_keys=True, allow_nan=False)
     print(text)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -227,6 +232,14 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _held_out_split(bench, train_count: int, seed: int):
+    """(train ids, held-out ids) of a seeded split; a train count of 0 is
+    a zero-shot transfer, which holds out every arch."""
+    if train_count == 0:
+        return (), bench.arch_ids
+    return bench_mod.split(bench, train_count, seed)
+
+
 def _restore(args):
     model, provenance = load_model(args.ckpt)
     bench = bench_mod.ingest(args.bench)
@@ -240,7 +253,7 @@ def _cmd_eval(args) -> int:
             f"checkpoint was trained on {provenance.get('bench_name')!r}, "
             f"given benchmark is {bench.name!r}"
         )
-    train_ids, test_ids = bench_mod.split(
+    train_ids, test_ids = _held_out_split(
         bench, int(provenance["train_count"]), int(provenance["split_seed"])
     )
     supp_specs = [s for s in provenance.get("supp", "").split(",") if s]
@@ -255,10 +268,7 @@ def _cmd_transfer(args) -> int:
     model, _, bench = _restore(args)
     _, train_kwargs, _ = _load_config(args)
     tcfg = TrainConfig(**train_kwargs)
-    if args.train_count > 0:
-        train_ids, test_ids = bench_mod.split(bench, args.train_count, tcfg.seed)
-    else:
-        train_ids, test_ids = (), bench.arch_ids
+    train_ids, test_ids = _held_out_split(bench, args.train_count, tcfg.seed)
     supp_specs = list(args.supp)
     provider = _supplemental_provider(supp_specs, bench)
     tuned = transfer(model, bench, train_ids, tcfg, supplemental=provider)

@@ -94,8 +94,6 @@ class RankReport:
     n: int
     kendall: float
     spearman: float
-    x_tied_pairs: int
-    y_tied_pairs: int
 
 
 def rank_report(x, y) -> RankReport:
@@ -104,6 +102,4 @@ def rank_report(x, y) -> RankReport:
         n=xv.shape[0],
         kendall=kendall_tau(xv, yv),
         spearman=spearman_rho(xv, yv),
-        x_tied_pairs=_tied_pairs(np.sort(xv, kind="stable")),
-        y_tied_pairs=_tied_pairs(np.sort(yv, kind="stable")),
     )

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .cellgraph import OP_NONE, CellArch, stack_cells
+from .cellgraph import OP_NONE, stack_cells
 from .encodings import UnifiedVocabulary
 from .rng import Rng, batch_u64
 
@@ -530,15 +530,6 @@ def forward_batch(model: PredictorModel, batch: PreparedBatch) -> Tensor:
         head_in = nn_emb
     out = _apply_mlp(model, "head", len(cfg.mlp_dims) + 1, head_in)
     return ad.reshape(out, (batch.size,))
-
-
-def forward(model: PredictorModel, arch: CellArch,
-            supplemental: np.ndarray | None = None) -> float:
-    """Score one architecture."""
-    supp = None if supplemental is None else np.asarray(
-        supplemental, dtype=np.float64).reshape(1, -1)
-    batch = prepare_batch(model, [arch], supp)
-    return float(forward_batch(model, batch).data[0])
 
 
 def score_archs(model: PredictorModel, archs,

@@ -9,7 +9,7 @@ import numpy as np
 
 from flan import autodiff as ad
 from flan.benchmark import SyntheticSpec, generate_synthetic, make_vocab
-from flan.cellgraph import CellArch, CellGraph, OpVocabulary
+from flan.cellgraph import OP_NONE, CellArch, CellError, CellGraph, OpVocabulary
 from flan.encodings import UnifiedVocabulary
 from flan.predictor import PredictorConfig
 from flan.rng import Rng
@@ -26,6 +26,34 @@ def chain_cell(n, interior_op=3, space_id=0):
         adj[i, i + 1] = 1
     ops = [0] + [interior_op] * (n - 2) + [1]
     return CellGraph(adj, ops, space_id)
+
+
+def pad(cell: CellGraph, target_nodes: int) -> CellGraph:
+    """Grow to target_nodes by appending none nodes with no edges."""
+    if target_nodes < cell.num_nodes:
+        raise CellError(
+            f"cannot pad {cell.num_nodes} nodes down to {target_nodes}"
+        )
+    if target_nodes == cell.num_nodes:
+        return cell
+    n = cell.num_nodes
+    adj = np.zeros((target_nodes, target_nodes), dtype=np.uint8)
+    adj[:n, :n] = cell.adjacency
+    ops = cell.op_ids + (OP_NONE,) * (target_nodes - n)
+    return CellGraph(adj, ops, cell.space_id)
+
+
+def permute(cell: CellGraph, perm) -> CellGraph:
+    """Relabel nodes: node i becomes node perm[i]."""
+    perm = [int(p) for p in perm]
+    n = cell.num_nodes
+    if sorted(perm) != list(range(n)):
+        raise CellError(f"perm must be a permutation of 0..{n - 1}, got {perm}")
+    adj = np.zeros_like(cell.adjacency)
+    adj[np.ix_(perm, perm)] = cell.adjacency
+    ops = np.empty(n, dtype=np.int64)
+    ops[perm] = cell.op_ids
+    return CellGraph(adj, ops, cell.space_id)
 
 
 def arch_of(cells, arch_id=0):
@@ -176,7 +204,7 @@ def random_valid_cell(rng, num_nodes, vocab_size, space_id=0):
 
 
 __all__ = [
-    "arch_of", "basic_vocab", "cell", "chain_cell", "jitter_params",
-    "random_valid_cell", "ref_config", "reference_bench", "small_bench",
-    "tiny_config", "unified_of", "weighted_sum",
+    "arch_of", "basic_vocab", "cell", "chain_cell", "jitter_params", "pad",
+    "permute", "random_valid_cell", "ref_config", "reference_bench",
+    "small_bench", "tiny_config", "unified_of", "weighted_sum",
 ]

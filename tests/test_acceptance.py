@@ -28,7 +28,7 @@ import time
 import numpy as np
 import pytest
 
-from flan.autodiff import Tensor, grad_check
+from flan.autodiff import Tensor
 from flan.benchmark import (
     SyntheticSpec,
     export,
@@ -37,12 +37,12 @@ from flan.benchmark import (
     make_vocab,
     split,
 )
-from flan.cellgraph import CellArch, CellGraph, pad, permute, validate
+from flan.cellgraph import CellArch, CellGraph, validate
 from flan.cli import main as cli_main
 from flan.encodings import SupplementalProvider, encode_path, unify
 from flan.metrics import kendall_tau, spearman_rho
 from flan.nas_search import SearchConfig, oracle_factory, pool_size, search
-from flan.predictor import forward, forward_batch, init, prepare_batch, score_archs
+from flan.predictor import forward_batch, init, prepare_batch, score_archs
 from flan.rng import Rng
 from flan.training import (
     TrainConfig,
@@ -55,12 +55,15 @@ from flan.training import (
 
 from conftest import (
     jitter_params,
+    pad,
+    permute,
     random_valid_cell,
     ref_config,
     reference_bench,
     small_bench,
     tiny_config,
 )
+from gradcheck import grad_check
 
 
 def verdict(num, ok, detail):
@@ -294,12 +297,12 @@ def test_criterion_4_predictor_symmetry():
     for _ in range(200):
         n = 3 + rng.randint(4)
         cell = random_valid_cell(rng, n, 6)
-        base = forward(model, CellArch((cell,), 0))
+        base = score_archs(model, [CellArch((cell,), 0)])[0]
 
         perm = list(range(n))
         rng.shuffle(perm)
-        moved = forward(model, CellArch((permute(cell, perm),), 0))
-        padded = forward(model, CellArch((pad(cell, n + 1 + rng.randint(3)),), 0))
+        moved = score_archs(model, [CellArch((permute(cell, perm),), 0)])[0]
+        padded = score_archs(model, [CellArch((pad(cell, n + 1 + rng.randint(3)),), 0)])[0]
         worst = max(worst, abs(base - moved), abs(base - padded))
     verdict(4, worst <= 1e-8,
             f"200 cells, max |forward delta| {worst:.2e} under relabeling "
@@ -505,8 +508,8 @@ def test_criterion_9_determinism_and_persistence(tmp_path, capsys):
     save_model(model, tmp_path / "direct.ckpt", {"stage": "test"})
     loaded, _ = load_model(tmp_path / "direct.ckpt")
     for arch_id in bench.arch_ids:
-        a = forward(model, bench.arch(arch_id))
-        b = forward(loaded, bench.arch(arch_id))
+        a = score_archs(model, [bench.arch(arch_id)])[0]
+        b = score_archs(loaded, [bench.arch(arch_id)])[0]
         if a != b:
             problems.append(f"prediction drift on arch {arch_id}: {a} vs {b}")
             break

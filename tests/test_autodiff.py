@@ -1,6 +1,6 @@
 """Tape engine: tape mechanics, the generic ops and the shared backward
 helpers against central differences, shape contracts, and the grad_check
-harness itself.
+harness itself (tests/gradcheck.py).
 
 The predictor's stages record themselves through ``emit``, so the tape is
 exercised here through a few test-local ops built the same way.  The
@@ -8,6 +8,10 @@ numeric side is written out longhand (no calls into grad_check) so the
 harness and the primitives are verified against each other on two
 independent routes.
 """
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from flan.autodiff import ShapeError, Tape, Tensor
 from flan.rng import Rng
 
 from conftest import weighted_sum
+from gradcheck import grad_check
 
 
 # -- helpers -----------------------------------------------------------------
@@ -410,7 +415,7 @@ def test_grad_composite_chain():
 
 def test_grad_check_quadratic_is_tight():
     x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
-    report = ad.grad_check(lambda: total(mul(x, x)), {"x": x})
+    report = grad_check(lambda: total(mul(x, x)), {"x": x})
     assert report.max_rel_err < 1e-6
     assert report.ok(rel_tol=1e-6)
 
@@ -422,7 +427,7 @@ def test_grad_check_flags_saturation_as_near_zero():
         s = ad.logistic(x.data)
         return total(op(s, (x,), lambda g: (g * s * (1.0 - s),)))
 
-    report = ad.grad_check(squashed, {"x": x})
+    report = grad_check(squashed, {"x": x})
     (block,) = report.blocks
     assert block.near_zero_entries == 2
     assert block.checked_entries == 0
@@ -432,12 +437,12 @@ def test_grad_check_flags_saturation_as_near_zero():
 def test_grad_check_rejects_non_scalar():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ShapeError):
-        ad.grad_check(lambda: ad.add(x, x), {"x": x})
+        grad_check(lambda: ad.add(x, x), {"x": x})
 
 
 def test_grad_check_entry_subsampling():
     x = Tensor(np.arange(1.0, 21.0), requires_grad=True)
-    report = ad.grad_check(
+    report = grad_check(
         lambda: total(mul(x, x)), {"x": x}, max_entries_per_block=5, seed=3
     )
     (block,) = report.blocks
@@ -460,28 +465,35 @@ def test_grad_check_catches_wrong_gradient():
             tape.record(out, (x,), backward)
         return total(out)
 
-    report = ad.grad_check(bad, {"x": x})
+    report = grad_check(bad, {"x": x})
     assert report.max_rel_err > 0.3
     assert not report.ok(rel_tol=1e-4)
 
 
 # -- checked mode ----------------------------------------------------------------------
 
-def test_checked_mode_traps_nonfinite():
+def test_checked_mode_traps_nonfinite(monkeypatch):
     with np.errstate(over="ignore"):
-        ad.set_checked(True)
-        try:
-            big = Tensor([1e308])
-            with pytest.raises(FloatingPointError):
-                ad.add(big, big)
-        finally:
-            ad.set_checked(False)
+        monkeypatch.setattr(ad, "_checked", True)
+        big = Tensor([1e308])
+        with pytest.raises(FloatingPointError):
+            ad.add(big, big)
+        monkeypatch.setattr(ad, "_checked", False)
         out = ad.add(Tensor([1e308]), Tensor([1e308]))
     assert np.isinf(out.data[0])
 
 
 def test_checked_mode_flag_roundtrip():
-    before = ad.checked_mode()
-    ad.set_checked(not before)
-    assert ad.checked_mode() == (not before)
-    ad.set_checked(before)
+    # FLAN_CHECKED is read at import, so a child process re-imports autodiff
+    # once per value; it imports the same flan as this process
+    flags = {"1": True, " On ": True, "yes": True, "0": False, "off": False, "": False}
+    probe = ("import importlib, os, sys\n"
+             "import flan.autodiff as ad\n"
+             "for raw in sys.argv[1:]:\n"
+             "    os.environ['FLAN_CHECKED'] = raw\n"
+             "    print(importlib.reload(ad)._checked)\n")
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(ad.__file__)))
+    proc = subprocess.run([sys.executable, "-c", probe, *flags], check=True,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=package_root))
+    assert proc.stdout.split() == [str(want) for want in flags.values()]

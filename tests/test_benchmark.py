@@ -218,13 +218,6 @@ def test_metadata_is_string_valued():
     assert bench.metadata["num_nodes"] == "4"
 
 
-def test_best_arch_id_breaks_ties_low():
-    bench = generate_synthetic(base_spec(
-        noise_sigma=0.0, interaction_scale=0.0, op_utilities=(0.1,) * 6,
-    ))
-    assert bench.best_arch_id() == min(bench.arch_ids)
-
-
 # -- export / ingest -------------------------------------------------------------------------
 
 def test_round_trip_identity(tmp_path):

@@ -5,18 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import arch_of, cell, chain_cell, random_valid_cell
+from conftest import arch_of, cell, chain_cell, pad, permute, random_valid_cell
 from flan.cellgraph import (
     OP_NONE,
     CellArch,
     CellError,
     CellGraph,
     OpVocabulary,
-    pad,
-    permute,
     prune_stack,
     prune_to_paths,
-    source_and_sink,
+    stack_cells,
     validate,
     validate_cells,
 )
@@ -76,10 +74,13 @@ def test_vocabulary_reserved_prefix():
 
 def test_active_adjacency_drops_none_edges():
     c = cell([[0, 1, 1], [0, 0, 1], [0, 0, 0]], [0, OP_NONE, 1])
-    active = c.active_adjacency()
+    stack = stack_cells([c])
+    active = stack.adjacency[0]
     assert active[0, 1] == 0 and active[1, 2] == 0
     assert active[0, 2] == 1
-    assert c.active_nodes() == (0, 2)
+    assert np.flatnonzero(stack.ops[0] != OP_NONE).tolist() == [0, 2]
+    assert stack.sources[0].tolist() == [True, False, False]
+    assert stack.sinks[0].tolist() == [False, False, True]
 
 
 # -- validate --------------------------------------------------------------------
@@ -221,10 +222,11 @@ def test_prune_unreachable_returns_none():
 
 
 def test_source_and_sink():
-    assert source_and_sink(chain_cell(4)) == (0, 3)
+    src, dst = stack_cells([chain_cell(4)]).ends()
+    assert (src.tolist(), dst.tolist()) == ([0], [3])
     two_sources = cell([[0, 0, 1], [0, 0, 1], [0, 0, 0]], [0, 3, 1])
     with pytest.raises(CellError):
-        source_and_sink(two_sources)
+        stack_cells([two_sources]).ends()
 
 
 # -- closure equivalence against graph-walk oracles ----------------------------------------

@@ -386,6 +386,27 @@ def test_train_with_proxies(ws, tmp_path, capsys):
     assert payload["n"] == 8
 
 
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_stdout_and_report_are_strict_json_when_a_value_is_not_finite(
+        ws, tmp_path, capsys):
+    # one training arch gives no ranking pair, so every batch is skipped
+    # and the final epoch loss is NaN
+    report = tmp_path / "r.json"
+    code = main(["train", "--bench", str(ws["bench_a"]), "--train-count", "1",
+                 "--seed", "5", "--config", str(ws["cfg"]),
+                 "--out", str(tmp_path / "m.ckpt"), "--report", str(report)])
+    assert code == 0
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["final_loss"] is None
+    assert _strict_json(report.read_text()) == payload
+
+
 def test_train_degenerate_test_split_fails_cleanly(ws, tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "train", "--bench", str(ws["bench_a"]), "--train-count", "23",
@@ -417,6 +438,23 @@ def test_transfer_zero_shot_and_fine_tune(ws, trained, tmp_path, capsys):
     assert code == 0
     assert tuned["train_count"] == 6 and tuned["n"] == 6
     assert (tmp_path / "zero.ckpt").read_bytes() != (tmp_path / "tuned.ckpt").read_bytes()
+
+
+def test_eval_ranks_every_arch_of_a_zero_shot_transfer(ws, trained, tmp_path,
+                                                      capsys):
+    ckpt = tmp_path / "zero.ckpt"
+    code, zero, _ = run_cli(
+        capsys, "transfer", "--ckpt", str(trained["ckpt"]),
+        "--bench", str(ws["bench_b"]), "--train-count", "0",
+        "--config", str(ws["cfg"]), "--out", str(ckpt),
+    )
+    assert code == 0
+    code, payload, err = run_cli(capsys, "eval", "--ckpt", str(ckpt),
+                                 "--bench", str(ws["bench_b"]))
+    assert (code, err) == (0, "")
+    assert payload == {"n": 12, "train_count": 0,
+                       "kendall_tau": zero["kendall_tau"],
+                       "spearman_rho": zero["spearman_rho"]}
 
 
 def test_transfer_requires_a_unified_checkpoint(ws, tmp_path, capsys):

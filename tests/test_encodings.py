@@ -12,9 +12,9 @@ import re
 import numpy as np
 import pytest
 
-from conftest import arch_of, basic_vocab, cell, chain_cell, random_valid_cell
+from conftest import arch_of, basic_vocab, cell, chain_cell, pad, permute, random_valid_cell
 from flan.benchmark import SyntheticSpec, export, generate_synthetic
-from flan.cellgraph import OP_NONE, OpVocabulary, pad, permute
+from flan.cellgraph import OP_NONE, OpVocabulary
 from flan.cli import main
 from flan.encodings import (
     PATH_COUNT_CAP,
@@ -40,8 +40,9 @@ from flan.rng import Rng
 
 def dfs_op_sequences(c):
     """Interior op sequences over all source->sink paths, by plain recursion."""
-    adj = c.active_adjacency()
-    active = c.active_nodes()
+    active = [i for i, o in enumerate(c.op_ids) if o != OP_NONE]
+    adj = np.zeros_like(c.adjacency)
+    adj[np.ix_(active, active)] = c.adjacency[np.ix_(active, active)]
     sources = [i for i in active if adj[:, i].sum() == 0]
     sinks = [i for i in active if adj[i, :].sum() == 0]
     (src,), (dst,) = sources, sinks
@@ -239,7 +240,7 @@ def test_score_adding_edge_never_decreases_paths():
         c = random_valid_cell(rng, 5, vocab.size)
         base = score_features(arch_of(c), vocab).values[4]
         adj = np.array(c.adjacency)
-        active = [i for i in c.active_nodes()]
+        active = [i for i, o in enumerate(c.op_ids) if o != OP_NONE]
         added = False
         for i in active:
             for j in active:

@@ -15,7 +15,7 @@ import pytest
 import flan.autodiff as ad
 from flan.autodiff import Tensor
 from flan.benchmark import make_vocab
-from flan.cellgraph import CellArch, CellGraph, pad, permute, validate
+from flan.cellgraph import CellArch, CellGraph, validate
 from flan.encodings import EncodingError, unify
 from flan.predictor import (
     LAYER_NORM_EPS,
@@ -26,7 +26,6 @@ from flan.predictor import (
     clone_model,
     dense_layer,
     dgf_layer,
-    forward,
     forward_batch,
     gat_layer,
     init,
@@ -42,12 +41,15 @@ from conftest import (
     arch_of,
     chain_cell,
     jitter_params,
+    pad,
+    permute,
     random_valid_cell,
     ref_config,
     tiny_config,
     unified_of,
     weighted_sum,
 )
+from gradcheck import grad_check
 
 
 def make_model(config=None, vocab_size=5, cells=1, seed=0, space_id=0):
@@ -315,7 +317,7 @@ def test_layer_gradients_match_finite_differences(layer, lead, shared):
         return weighted_sum(out, weights)
 
     checked = {"x": x, **params} if shared else {"x": x, "op_emb": op_emb, **params}
-    report = ad.grad_check(loss, checked)
+    report = grad_check(loss, checked)
     assert report.ok(rel_tol=1e-5), [
         (b.name, b.max_rel_err, b.worst_index) for b in report.blocks]
     assert all(b.checked_entries for b in report.blocks)
@@ -334,7 +336,7 @@ def test_dense_layer_gradients_match_finite_differences(relu, lead):
     np.testing.assert_array_equal(out.data, np.maximum(h, 0.0) if relu else h)
     if relu:  # both sides of the kink are exercised, none sits on it
         assert (h > 0.0).any() and (h < 0.0).any() and np.abs(h).min() > 1e-3
-    report = ad.grad_check(
+    report = grad_check(
         lambda: weighted_sum(dense_layer(x, params["w"], params["b"], relu), weights),
         {"x": x, **params})
     assert report.ok(rel_tol=1e-6), [(b.name, b.max_rel_err) for b in report.blocks]
@@ -353,7 +355,7 @@ def test_masked_mean_pool_gradients_skip_padded_nodes():
     want = np.stack([x.data[b][mask[b, :, 0] > 0].mean(axis=0) for b in range(3)])
     np.testing.assert_allclose(pooled.data, want, rtol=1e-15, atol=1e-15)
     weights = Tensor(randa(rng, (3, 4)))
-    report = ad.grad_check(lambda: weighted_sum(masked_mean_pool(x, mask), weights),
+    report = grad_check(lambda: weighted_sum(masked_mean_pool(x, mask), weights),
                            {"x": x})
     assert report.ok(rel_tol=1e-6)
     with ad.Tape() as tape:
@@ -519,7 +521,7 @@ def test_single_timestep_builds_no_refinement_parameters():
 def test_forward_is_deterministic():
     model = make_model()
     arch = arch_of(chain_cell(4))
-    assert forward(model, arch) == forward(model, arch)
+    assert score_archs(model, [arch])[0] == score_archs(model, [arch])[0]
 
 
 def test_zero_update_makes_timesteps_equivalent():
@@ -533,7 +535,7 @@ def test_zero_update_makes_timesteps_equivalent():
     for name, p in m1.params.items():
         p.data[...] = m2.params[name].data
     arch = arch_of(random_valid_cell(Rng(8), 5, 5))
-    assert forward(m1, arch) == forward(m2, arch)
+    assert score_archs(m1, [arch])[0] == score_archs(m2, [arch])[0]
 
 
 def test_nonzero_update_changes_prediction_with_timesteps():
@@ -543,7 +545,7 @@ def test_nonzero_update_changes_prediction_with_timesteps():
     for name, p in m1.params.items():
         p.data[...] = m2.params[name].data
     arch = arch_of(random_valid_cell(Rng(8), 5, 5))
-    assert forward(m1, arch) != forward(m2, arch)
+    assert score_archs(m1, [arch])[0] != score_archs(m2, [arch])[0]
 
 
 @pytest.mark.parametrize("mode", ["dgf", "gat", "ensemble"])
@@ -557,8 +559,8 @@ def test_forward_permutation_invariance(mode):
         cell = random_valid_cell(rng, n, 5)
         perm = list(range(n))
         rng.shuffle(perm)
-        base = forward(model, arch_of(cell))
-        moved = forward(model, arch_of(permute(cell, perm)))
+        base = score_archs(model, [arch_of(cell)])[0]
+        moved = score_archs(model, [arch_of(permute(cell, perm))])[0]
         assert abs(base - moved) <= 1e-8
 
 
@@ -569,8 +571,8 @@ def test_forward_padding_invariance():
     for _ in range(12):
         n = 3 + rng.randint(3)
         cell = random_valid_cell(rng, n, 5)
-        base = forward(model, arch_of(cell))
-        padded = forward(model, arch_of(pad(cell, n + 2)))
+        base = score_archs(model, [arch_of(cell)])[0]
+        padded = score_archs(model, [arch_of(pad(cell, n + 2))])[0]
         assert abs(base - padded) <= 1e-8
 
 
@@ -579,7 +581,7 @@ def test_two_cell_embeddings_add():
     jitter_params(model, seed=2)
     a = random_valid_cell(Rng(1), 4, 5)
     b = random_valid_cell(Rng(2), 4, 5)
-    ab = forward(model, CellArch((a, b), 0))
+    ab = score_archs(model, [CellArch((a, b), 0)])[0]
     # adding per-cell embeddings is symmetric up to the head MLP only when
     # the per-cell encoders share weights, which they do not; just pin the
     # batch path against the single path
@@ -594,7 +596,7 @@ def test_score_archs_matches_forward_chunked():
     rng = Rng(55)
     archs = [arch_of(random_valid_cell(rng, 4, 5), i) for i in range(7)]
     scores = score_archs(model, archs, chunk=3)
-    singles = np.array([forward(model, a) for a in archs])
+    singles = score_archs(model, archs, chunk=1)
     np.testing.assert_allclose(scores, singles, atol=1e-9)
 
 
@@ -687,4 +689,6 @@ def test_edges_touching_none_nodes_carry_no_message():
     batch = prepare_batch(model, [arch_of(stray)])
     assert not batch.routing_fwd[0].any(axis=(0, 1))[2]
     assert not batch.routing_bwd[0][0, 2].any()
-    assert forward(model, arch_of(stray)) == forward(model, arch_of(plain))
+    stray_score, plain_score = score_archs(model, [arch_of(stray), arch_of(plain)],
+                                           chunk=1)
+    assert stray_score == plain_score

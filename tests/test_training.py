@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from flan.autodiff import Tape, Tensor, grad_check
+from flan.autodiff import Tape, Tensor
 from flan.benchmark import SyntheticSpec, generate_synthetic, split
 from flan.cellgraph import CellArch
 from flan.encodings import SupplementalProvider, SupplementalTable, unify
@@ -24,7 +24,6 @@ from flan.metrics import kendall_tau
 from flan.predictor import (
     PredictorConfig,
     PredictorModel,
-    forward,
     forward_batch,
     init,
     parameter_shapes,
@@ -52,6 +51,7 @@ from flan.training import (
 )
 
 from conftest import REFERENCE_DIMS, ref_config, reference_bench, small_bench, tiny_config
+from gradcheck import grad_check
 
 
 def hinge_oracle(scores, accs, margin):
@@ -490,7 +490,7 @@ def test_zero_shot_same_space_is_an_exact_clone():
     assert out is not model
     assert params_bytes(out) == params_bytes(model)
     arch = src.arch(src.arch_ids[0])
-    assert forward(out, arch) == forward(model, arch)
+    assert score_archs(out, [arch])[0] == score_archs(model, [arch])[0]
 
 
 def test_zero_shot_new_space_appends_rows_only():
@@ -514,7 +514,7 @@ def test_zero_shot_preserves_source_predictions():
     out = transfer(model, tgt, [], quick_cfg())
     for arch_id in src.arch_ids[:4]:
         arch = src.arch(arch_id)
-        assert forward(out, arch) == forward(model, arch)
+        assert score_archs(out, [arch])[0] == score_archs(model, [arch])[0]
 
 
 def test_zero_shot_scores_target_archs():
@@ -580,7 +580,7 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert loaded.config == model.config
     assert loaded.vocab.to_dict() == model.vocab.to_dict()
     arch = bench.arch(bench.arch_ids[0])
-    assert forward(loaded, arch) == forward(model, arch)
+    assert score_archs(loaded, [arch])[0] == score_archs(model, [arch])[0]
 
 
 def test_checkpoint_bytes_are_stable(tmp_path):
