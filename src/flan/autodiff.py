@@ -13,7 +13,12 @@ stack) whenever some input requires grad.  Without an active tape the same
 functions run as plain numpy, which is the scoring fast path.  Backward
 replays records in reverse creation order with no other ordering rule, so
 gradient accumulation is deterministic; only leaves (tensors no record
-produced) get ``.grad``.
+produced) get ``.grad``.  Each tensor comes from one record, which replays
+after every use of the tensor, so an intermediate gradient is complete
+when its record runs and is dropped right after.  A caller may hand
+``backward`` preallocated arrays for some leaves (training passes views of
+one vector aligned with the model's parameters); their gradients then
+accumulate in place there instead of in fresh arrays.
 
 Set ``FLAN_CHECKED=1`` in the environment to assert every op output is
 finite; useful when chasing a diverging run, off by default.
@@ -102,22 +107,29 @@ class Tape:
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward) -> None:
         self._records.append((out, inputs, backward))
 
-    def backward(self, loss: Tensor) -> None:
+    def backward(self, loss: Tensor,
+                 into: dict[Tensor, np.ndarray] | None = None) -> None:
         """Write gradients of loss into .grad of the leaves.
 
         loss must be scalar-sized.  A leaf is a tensor that no record on this
         tape produced; every leaf with requires_grad on a path to the loss
-        gets its gradient, and every other tensor keeps grad None.
+        gets its gradient, and every other tensor keeps grad None.  into may
+        map leaves to float64 arrays of their shape: such a leaf's gradient
+        is written in place into its array, which becomes its .grad.
         """
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+        into = into or {}
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        alive: dict[int, Tensor] = {id(loss): loss}
+        tensors: dict[int, Tensor] = {id(loss): loss}
+        written: set[int] = set()
         for out, inputs, backward_fn in reversed(self._records):
-            if id(out) not in grads:  # off the path to the loss
+            # every use of out has replayed, so its gradient is complete;
+            # popped here, it is freed once this record has used it
+            g = grads.pop(id(out), None)
+            if g is None:  # off the path to the loss
                 continue
-            contribs = backward_fn(grads[id(out)])
-            for t, c in zip(inputs, contribs):
+            for t, c in zip(inputs, backward_fn(g)):
                 if c is None or not t.requires_grad:
                     continue
                 if c.shape != t.data.shape:  # pragma: no cover - op bug guard
@@ -125,15 +137,23 @@ class Tape:
                         f"backward produced shape {c.shape} for tensor {t.data.shape}"
                     )
                 key = id(t)
-                if key in grads:
+                buf = into.get(t)
+                if buf is not None:
+                    if key in written:
+                        buf += c
+                    else:
+                        np.copyto(buf, c)
+                        t.grad = buf
+                        written.add(key)
+                elif key in grads:
                     grads[key] = grads[key] + c
                 else:
                     grads[key] = c
-                    alive[key] = t
-        produced = {id(out) for out, _, _ in self._records}
-        for key, t in alive.items():
-            if t.requires_grad and key not in produced:
-                t.grad = np.array(grads[key], dtype=np.float64, copy=True)
+                    tensors[key] = t
+        # every record popped its output's gradient: what is left is leaves'
+        for key, g in grads.items():
+            if tensors[key].requires_grad:
+                tensors[key].grad = np.array(g, dtype=np.float64, copy=True)
 
 
 def _finite_check(op: str, arr: np.ndarray) -> None:
@@ -195,7 +215,12 @@ def matmul_grads(a: np.ndarray, b: np.ndarray,
     if b.ndim == 2:
         k, m = b.shape
         g2 = g.reshape(-1, m)
-        return (g2 @ b.T).reshape(a.shape), a.reshape(-1, k).T @ g2
+        if m == 1:  # an outer product: a broadcast multiply, not a GEMM
+            ga = g2 * b[:, 0]
+            ga += 0.0  # the GEMM gives +0.0 where the product is -0.0
+        else:
+            ga = g2 @ b.T
+        return ga.reshape(a.shape), a.reshape(-1, k).T @ g2
     ga = np.matmul(g, np.swapaxes(b, -1, -2))
     if ga.ndim > a.ndim:
         ga = ga.sum(axis=0)

@@ -17,6 +17,9 @@ the summed messages the same way as above, and applies layer norm.  In
 Each graph layer, each MLP layer and the readout pool is one tape op: its
 forward is plain numpy, and it records itself through ``autodiff.emit`` with
 a written-out backward that the tests check against finite differences.
+Until the first refinement update the op embeddings are rows of the op
+table, so the layers of the timestep-0 stacks compute each sigmoid gate
+once per table row and gather it per node, with the same bytes.
 
 Both layer functions take a message-routing matrix M with M[i, j] = 1 when
 node i receives from node j.  Cells store adjacency[i][j] = 1 for the edge
@@ -134,14 +137,28 @@ class PredictorConfig:
         return sum(self.supplemental_dims)
 
 
+def _op_gate(op_emb: Tensor, w_o: Tensor,
+             rows: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+    """sigmoid(op_emb W_o).  rows = (op_table, flat_ids) says op_emb is
+    op_table[flat_ids]: the gate is then computed once per table row and
+    gathered, with the same bytes, since a GEMM row's sums do not depend
+    on the other rows (checked for outputs at least 4 wide)."""
+    if rows is None:
+        return ad.logistic(ad.fold_matmul(op_emb.data, w_o.data))
+    table, flat_ids = rows
+    per_row = ad.logistic(ad.fold_matmul(table, w_o.data))
+    return per_row[flat_ids].reshape(op_emb.shape[:-1] + (w_o.shape[1],))
+
+
 def dgf_layer(x: Tensor, routing: Tensor, op_emb: Tensor,
-              w_o: Tensor, w_f: Tensor, b_f: Tensor) -> Tensor:
+              w_o: Tensor, w_f: Tensor, b_f: Tensor, rows=None) -> Tensor:
     """Gated dense flow: sigmoid(op_emb W_o) * (routing (x W_f)) + x W_f + b_f.
 
     routing[i, j] = 1 routes node j's features into node i; routing is
-    data and gets no gradient.
+    data and gets no gradient.  rows, if given, is (op_table, flat_ids)
+    with op_emb = op_table[flat_ids] (see _op_gate).
     """
-    gate = ad.logistic(ad.fold_matmul(op_emb.data, w_o.data))
+    gate = _op_gate(op_emb, w_o, rows)
     h = ad.fold_matmul(x.data, w_f.data)
     agg = np.matmul(routing.data, h)
 
@@ -162,14 +179,14 @@ def dgf_layer(x: Tensor, routing: Tensor, op_emb: Tensor,
 
 
 def gat_layer(x: Tensor, routing: Tensor, op_emb: Tensor,
-              params: dict[str, Tensor], variant: str) -> Tensor:
+              params: dict[str, Tensor], variant: str, rows=None) -> Tensor:
     """Attention flow over the routing matrix (row = receiver).
 
     shared_sigmoid: per-edge weight sigmoid(leaky_relu(a . [P_i, P_j])) with
     one shared projection P = x W_p; kqv_softmax: query/key scores,
     softmaxed over each receiver's senders, applied to value projections.
     Receivers without senders get a zero message; the gated message sum
-    passes through layer norm.
+    passes through layer norm.  rows is as in dgf_layer.
 
     Under kqv_softmax the receiver term q_i . a_recv is the same for every
     sender in row i, so the softmax cancels it wherever the LeakyReLU is
@@ -205,7 +222,7 @@ def gat_layer(x: Tensor, routing: Tensor, op_emb: Tensor,
         attn = e / np.sum(e, axis=-1, keepdims=True)
     weights = attn * routing.data
     messages = np.matmul(weights, proj_v)
-    gate = ad.logistic(ad.fold_matmul(op_emb.data, w_o.data))
+    gate = _op_gate(op_emb, w_o, rows)
     xhat = gate * messages  # centred and scaled in place: layer norm
     xhat -= np.sum(xhat, axis=-1, keepdims=True) / d_out
     var = np.sum(np.square(xhat), axis=-1, keepdims=True) / d_out
@@ -462,7 +479,7 @@ def prepare_batch(model: PredictorModel, archs,
 
 def _run_stack(model: PredictorModel, cell: int, tag: str, mode: str,
                dims: tuple[int, ...], x: Tensor, routing: Tensor,
-               op_emb: Tensor) -> Tensor:
+               op_emb: Tensor, rows) -> Tensor:
     cfg = model.config
     for l, dout in enumerate(dims):
         outs = []
@@ -473,13 +490,14 @@ def _run_stack(model: PredictorModel, cell: int, tag: str, mode: str,
                 model.params[key + "w_o"],
                 model.params[key + "w_f"],
                 model.params[key + "b_f"],
+                rows,
             ))
         if mode in ("gat", "ensemble"):
             key = f"c{cell}.{tag}{l}.gat."
             gat_params = {name: model.params[key + name] for name in
                           _layer_shapes(cfg, x.shape[-1], dout, "gat")}
             outs.append(gat_layer(x, routing, op_emb, gat_params,
-                                  cfg.attention_variant))
+                                  cfg.attention_variant, rows))
         x = outs[0] if len(outs) == 1 else ad.scale(ad.add(outs[0], outs[1]), 0.5)
     return x
 
@@ -503,16 +521,20 @@ def _cell_embedding(model: PredictorModel, batch: PreparedBatch,
     flat_ids = batch.ids[cell].reshape(-1)
     op_emb = ad.reshape(ad.take(model.params["op_table"], flat_ids), (b, n, d_op))
     up_layers = len(cfg.op_update_mlp_dims) + 1
+    # until the first refinement update op_emb is op_table[flat_ids], so the
+    # gates of the t = 0 stacks are computed per table row
+    rows = (model.params["op_table"].data, flat_ids)
     x = op_emb
     for t in range(cfg.timesteps):
         x = _run_stack(model, cell, "f", cfg.forward_mode, cfg.gcn_dims,
-                       op_emb, routing_fwd, op_emb)
+                       op_emb, routing_fwd, op_emb, rows)
         if t < cfg.timesteps - 1:
             back = _run_stack(model, cell, "b", cfg.backward_mode,
-                              cfg.backward_gcn_dims, x, routing_bwd, op_emb)
+                              cfg.backward_gcn_dims, x, routing_bwd, op_emb, rows)
             update = _apply_mlp(model, f"c{cell}.up", up_layers,
                                 ad.concat([back, op_emb], axis=-1))
             op_emb = ad.add(op_emb, update)
+            rows = None
     return masked_mean_pool(x, batch.mask[cell])
 
 

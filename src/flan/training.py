@@ -6,7 +6,8 @@ contributes max(0, margin - (score_i - score_j)).  Accuracies are
 z-normalized over the training split first; the loss only sees orderings,
 so this changes nothing but keeps logged magnitudes comparable across
 benchmarks.  The optimizer is Adam with decoupled weight decay, applied as
-one update of the model's flat parameter vector.
+one update of the model's flat parameter vector from one gradient vector
+aligned with it, which the tape's backward writes in place.
 
 Transfer clones a unified-vocabulary model, registers the target space
 (appending freshly initialized op-table rows for its interior ops, existing
@@ -127,22 +128,33 @@ def hinge_rank_loss(scores: Tensor, accuracies, margin: float) -> Tensor:
 
 
 class _AdamState:
-    def __init__(self, size: int):
+    """Adam's moments and the gradient vector g, aligned with model.flat;
+    views maps each parameter tensor to its slice of g, for Tape.backward
+    to write that parameter's gradient into."""
+
+    def __init__(self, model: PredictorModel):
+        size = model.num_params()
         self.step = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        self.g = np.empty(size)  # gathered gradients, rewritten every step
+        self.g = np.empty(size)
+        self.views: dict[Tensor, np.ndarray] = {}
+        offset = 0
+        for p in model.params.values():
+            self.views[p] = self.g[offset:offset + p.data.size].reshape(p.shape)
+            offset += p.data.size
 
 
 def _adam_step(model: PredictorModel, state: _AdamState, lr: float,
                config: TrainConfig) -> None:
-    grads = []
+    """One Adam update of model.flat from state.g, which the last
+    Tape.backward(loss, into=state.views) wrote; a parameter whose .grad it
+    left None received no gradient."""
     for name, p in model.params.items():
         if p.grad is None:
             raise TrainError(f"parameter {name} received no gradient")
-        grads.append(p.grad.reshape(-1))
         p.grad = None
-    grad = np.concatenate(grads, out=state.g)
+    grad = state.g
     state.step += 1
     t = state.step
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
@@ -193,7 +205,7 @@ def fit(model: PredictorModel, bench, train_ids, config: TrainConfig,
     z_by_id = dict(zip(train_ids, zscore_columns(accs[:, None])[:, 0]))
 
     rng = Rng(config.seed).child("fit")
-    state = _AdamState(model.num_params())
+    state = _AdamState(model)
     history = {"epoch_losses": [], "steps": 0, "skipped_batches": 0}
     for epoch in range(epochs):
         order = list(train_ids)
@@ -221,7 +233,7 @@ def fit(model: PredictorModel, bench, train_ids, config: TrainConfig,
                         f"{chunk}; lower the learning rate or rerun with "
                         "FLAN_CHECKED=1 to locate the op"
                     )
-                tape.backward(loss)
+                tape.backward(loss, into=state.views)
             _adam_step(model, state, lr, config)
             losses.append(value)
             history["steps"] += 1

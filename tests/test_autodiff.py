@@ -12,6 +12,7 @@ independent routes.
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -173,6 +174,26 @@ def test_matmul_grads_folds_a_2d_weight_into_one_gemm(batch):
                 assert close(gb, np.swapaxes(a, -1, -2), g, batch_sum=True)
 
 
+def test_matmul_grads_one_column_weight_gives_the_gemm_bytes():
+    # a one-column weight's input gradient is an outer product, computed as a
+    # broadcast multiply; the GEMM it replaces gives +0.0 where the product
+    # is -0.0, so signed zeros in either factor must come out as the GEMM's
+    rng = np.random.default_rng(21)
+    for lead in ((5,), (2, 7), (16, 7), (64, 7)):
+        for k in (1, 8, 128):
+            a = rng.standard_normal(lead + (k,))
+            b = rng.standard_normal((k, 1))
+            g = rng.standard_normal(lead + (1,))
+            b[::3] = -0.0
+            b[1::5] = 0.0
+            g.reshape(-1)[::4] = -0.0
+            g.reshape(-1)[1::6] = 0.0
+            ga, gb = ad.matmul_grads(a, b, g)
+            want = (g.reshape(-1, 1) @ b.T).reshape(a.shape)
+            assert ga.tobytes() == want.tobytes()
+            assert gb.tobytes() == (a.reshape(-1, k).T @ g.reshape(-1, 1)).tobytes()
+
+
 def test_grad_of_sum_of_squares():
     x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
     with Tape() as tape:
@@ -231,6 +252,52 @@ def test_backward_writes_grad_only_on_leaves():
     y_val = np.array([4.0, 0.0])
     np.testing.assert_array_equal(x.grad, 2.0 * y_val * np.array([4.0, 0.0]))
     np.testing.assert_array_equal(w.grad, 2.0 * y_val * np.array([1.0, 2.0]))
+
+
+def test_backward_into_writes_leaf_gradients_in_place():
+    # a leaf handed a preallocated array gets its gradient written there, with
+    # the bytes of the fresh .grad a plain backward gives; other leaves and
+    # the non-leaves keep the plain behaviour
+    rng = Rng(78)
+    x, w, b = randt(rng, (4, 3)), randt(rng, (3, 3)), randt(rng, (4, 3))
+
+    def run(into=None):
+        for t in (x, w, b):
+            t.grad = None
+        with Tape() as tape:
+            h = matmul(x, w)
+            y = ad.add(ad.add(h, x), ad.scale(ad.take(x, [1, 0, 3, 2]), -1.0))
+            tape.backward(total(mul(mul(y, b), h)), into=into)
+        assert h.grad is None and y.grad is None
+        return x.grad, w.grad, b.grad
+
+    want = [g.tobytes() for g in run()]
+    flat = np.full(21, np.nan)
+    into = {x: flat[:12].reshape(4, 3), w: flat[12:].reshape(3, 3)}
+    got = run(into)
+    assert got[0] is into[x] and got[1] is into[w]
+    assert [g.tobytes() for g in got] == want
+
+
+def test_backward_drops_an_intermediate_gradient_once_its_record_has_used_it():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    refs, dead = [], []
+
+    def first(g):
+        refs.append(weakref.ref(g))
+        return (g * 2.0,)
+
+    def second(g):
+        # the record above replayed before this one: nothing holds its gradient
+        dead.append(refs[0]() is None)
+        return (g * 3.0,)
+
+    with Tape() as tape:
+        h = op(x.data * 3.0, (x,), second)
+        y = op(h.data * 2.0, (h,), first)
+        tape.backward(total(y))
+    assert dead == [True]
+    np.testing.assert_array_equal(x.grad, [6.0, 6.0])
 
 
 def test_reused_tensor_accumulates():

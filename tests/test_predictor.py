@@ -23,6 +23,7 @@ from flan.predictor import (
     PredictorConfig,
     PredictorError,
     _cell_embedding,
+    _op_gate,
     clone_model,
     dense_layer,
     dgf_layer,
@@ -283,6 +284,37 @@ def test_gat_singleton_softmax_weight_is_exactly_one():
     messages = np.stack([np.zeros(dout), v[0]])
     want = ln_rows(gate * messages, params["ln_gamma"], params["ln_beta"])
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("variant", ["shared_sigmoid", "kqv_softmax"])
+@pytest.mark.parametrize("batch", [1, 2, 16, 64])
+def test_table_row_gates_give_the_bytes_of_per_node_gates(variant, batch):
+    # until the refinement update op_emb is op_table[ids], and the layers
+    # compute its gate once per table row; a GEMM row's bytes do not depend
+    # on the row count for outputs at least 4 wide, so the gathered gates and
+    # the layer outputs must equal the per-node computation byte for byte
+    rng = np.random.default_rng(batch)
+    n, d_op, din = 7, 48, 16
+    routing = Tensor((rng.random((batch, n, n)) < 0.4).astype(np.float64))
+    x = Tensor(rng.standard_normal((batch, n, din)))
+    for vocab in (3, 8, 37):
+        table = rng.standard_normal((vocab, d_op))
+        flat_ids = rng.integers(0, vocab, batch * n)
+        rows = (table, flat_ids)
+        op_emb = Tensor(table[flat_ids].reshape(batch, n, d_op))
+        for dout in (4, 5, 8, 16, 128):
+            w_o = Tensor(rng.standard_normal((d_op, dout)))
+            want = ad.logistic(ad.fold_matmul(op_emb.data, w_o.data))
+            assert _op_gate(op_emb, w_o, rows).tobytes() == want.tobytes()
+            dgf = {"w_o": w_o, "w_f": Tensor(rng.standard_normal((din, dout))),
+                   "b_f": Tensor(rng.standard_normal(dout))}
+            assert (dgf_layer(x, routing, op_emb, **dgf, rows=rows).data.tobytes()
+                    == dgf_layer(x, routing, op_emb, **dgf).data.tobytes())
+            gat = {k: Tensor(v) for k, v in
+                   gat_params(Rng(dout), din, dout, variant).items()}
+            gat["w_o"] = w_o
+            assert (gat_layer(x, routing, op_emb, gat, variant, rows).data.tobytes()
+                    == gat_layer(x, routing, op_emb, gat, variant).data.tobytes())
 
 
 # -- layer gradients -----------------------------------------------------------------

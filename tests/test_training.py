@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from flan import training
 from flan.autodiff import Tape, Tensor
 from flan.benchmark import SyntheticSpec, generate_synthetic, split
 from flan.cellgraph import CellArch
@@ -24,6 +25,7 @@ from flan.metrics import kendall_tau
 from flan.predictor import (
     PredictorConfig,
     PredictorModel,
+    clone_model,
     forward_batch,
     init,
     parameter_shapes,
@@ -286,6 +288,27 @@ def test_fit_gives_pinned_bytes_for_each_layer_variant(variant):
     assert hashlib.sha256(model.flat.tobytes()).hexdigest() == VARIANT_DIGESTS[variant]
 
 
+# sha256 of a paper-default model after one fit step on twelve 7-node archs,
+# and of its score_archs output on them: the only pins at the paper's
+# 128-wide layers, where the timestep-0 gates come from op-table rows
+PAPER_DEFAULT_DIGESTS = {
+    "model": "989b0dc070b2b50b42312f0b6a778e19860db395b8619b815e813346ecc49662",
+    "scores": "1052472336556609c34fdb96bedf61b3473e5984f29d5e659c2c9765e55a304c",
+}
+
+
+def test_paper_default_fit_and_score_give_pinned_bytes():
+    bench = small_bench(num_archs=12, seed=5, num_nodes=7, vocab_size=8)
+    model = init(PredictorConfig(), unify([bench.vocab]), 1, seed=0)
+    history = fit(model, bench, bench.arch_ids,
+                  TrainConfig(epochs=1, batch_size=12, lr=0.01, seed=3))
+    assert history["steps"] == 1
+    scores = score_archs(model, list(bench.archs))
+    digests = {"model": hashlib.sha256(model.flat.tobytes()).hexdigest(),
+               "scores": hashlib.sha256(scores.tobytes()).hexdigest()}
+    assert digests == PAPER_DEFAULT_DIGESTS
+
+
 # tape records of one forward_batch plus hinge_rank_loss: each graph layer,
 # dense layer, the readout pool and the loss record once
 TAPE_RECORDS = {"reference": 31, "paper-default": 73}
@@ -384,7 +407,23 @@ def two_cell_bench(bench):
 @pytest.mark.parametrize("modes", [("dgf", "gat"), ("gat", "dgf"),
                                    ("ensemble", "ensemble")])
 @pytest.mark.parametrize("variant", ["shared_sigmoid", "kqv_softmax"])
-def test_every_parameter_receives_a_gradient(modes, variant):
+def test_every_parameter_receives_a_gradient(monkeypatch, modes, variant):
+    # one fit step on the whole split; fit's backward writes every gradient
+    # in place into the vector Adam reads, which must hold the bytes a plain
+    # backward on fit's batch leaves in .grad, in parameter order
+    calls = {}
+
+    def spy(name):
+        fn = getattr(training, name)
+
+        def wrapper(*args):
+            calls[name] = args
+            return fn(*args)
+
+        monkeypatch.setattr(training, name, wrapper)
+
+    for name in ("prepare_batch", "hinge_rank_loss", "_adam_step"):
+        spy(name)
     base = small_bench()
     for timesteps, supplemental, cells in itertools.product(
             (1, 2, 3), (False, True), (1, 2)):
@@ -398,23 +437,25 @@ def test_every_parameter_receives_a_gradient(modes, variant):
         )
         refinement = [n for n in model.params if re.match(r"c\d\.(b|up)\d", n)]
         assert bool(refinement) == (timesteps > 1)
-        ids = bench.arch_ids
-        batch = prepare_batch(model, [bench.arch(i) for i in ids],
-                              provider.matrix(ids) if provider else None)
-        with Tape() as tape:
-            loss = hinge_rank_loss(forward_batch(model, batch),
-                                   bench.accuracy_vector(ids), 0.1)
-            tape.backward(loss)
-        assert all(p.grad is not None for p in model.params.values())
-        # the loss sees only score differences, so the output bias gets a
-        # zero gradient up to rounding and may stay at its initial zero
-        out_bias = f"head{len(model.config.mlp_dims)}.b"
-        assert abs(model.params[out_bias].grad[0]) < 1e-12
+        plain = clone_model(model)
         before = params_bytes(model)
+        ids = bench.arch_ids
         history = fit(model, bench, ids,
                       quick_cfg(epochs=1, batch_size=len(ids), weight_decay=0.5),
                       supplemental=provider)
         assert history["steps"] == 1
+        _, archs, supp = calls["prepare_batch"]
+        _, z, margin = calls["hinge_rank_loss"]
+        with Tape() as tape:
+            tape.backward(hinge_rank_loss(
+                forward_batch(plain, prepare_batch(plain, archs, supp)), z, margin))
+        assert all(p.grad is not None for p in plain.params.values())
+        want = b"".join(p.grad.tobytes() for p in plain.params.values())
+        assert calls["_adam_step"][1].g.tobytes() == want
+        # the loss sees only score differences, so the output bias gets a
+        # zero gradient up to rounding and may stay at its initial zero
+        out_bias = f"head{len(model.config.mlp_dims)}.b"
+        assert abs(plain.params[out_bias].grad[0]) < 1e-12
         after = params_bytes(model)
         assert {n for n in before if before[n] == after[n]} <= {out_bias}
 
@@ -446,10 +487,13 @@ def test_adam_step_matches_per_tensor_adam_bitwise():
              for _ in range(5)]
     want = reference_adam({n: p.data.copy() for n, p in model.params.items()},
                           grads, 0.01, config, 5)
-    state = _AdamState(model.num_params())
+    # each gradient is written into its parameter's view of the state's
+    # gradient vector, as Tape.backward(loss, into=state.views) does in fit
+    state = _AdamState(model)
     for step_grads in grads:
         for n, p in model.params.items():
-            p.grad = step_grads[n].copy()
+            state.views[p][...] = step_grads[n]
+            p.grad = state.views[p]
         _adam_step(model, state, 0.01, config)
         assert all(p.grad is None for p in model.params.values())
     assert params_bytes(model) == {n: a.tobytes() for n, a in want.items()}
@@ -457,11 +501,13 @@ def test_adam_step_matches_per_tensor_adam_bitwise():
 
 def test_adam_step_names_a_parameter_without_gradient():
     model = model_for(small_bench())
+    state = _AdamState(model)
+    state.g[:] = 0.0
     for p in model.params.values():
-        p.grad = np.zeros_like(p.data)
+        p.grad = state.views[p]
     model.params["head0.b"].grad = None
     with pytest.raises(TrainError, match="head0.b"):
-        _adam_step(model, _AdamState(model.num_params()), 0.01, quick_cfg())
+        _adam_step(model, state, 0.01, quick_cfg())
 
 
 # -- transfer -----------------------------------------------------------------------
