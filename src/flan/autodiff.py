@@ -20,13 +20,13 @@ when its record runs and is dropped right after.  A caller may hand
 one vector aligned with the model's parameters); their gradients then
 accumulate in place there instead of in fresh arrays.
 
-Set ``FLAN_CHECKED=1`` in the environment to assert every op output is
-finite; useful when chasing a diverging run, off by default.
+Each record keeps its op's name, so a caller whose loss came out
+non-finite can ask the tape which op first produced a non-finite value;
+nothing is checked until then.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 
 import numpy as np
@@ -37,8 +37,6 @@ class ShapeError(ValueError):
 
 
 _STATE = threading.local()
-
-_checked = os.environ.get("FLAN_CHECKED", "").strip().lower() in ("1", "true", "yes", "on")
 
 
 def _tape_stack() -> list:
@@ -90,7 +88,7 @@ class Tape:
     """Wengert list; use as a context manager around the forward pass."""
 
     def __init__(self):
-        self._records: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
+        self._records: list[tuple[Tensor, tuple[Tensor, ...], object, str]] = []
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -104,8 +102,17 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward) -> None:
-        self._records.append((out, inputs, backward))
+    def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward,
+               op: str) -> None:
+        self._records.append((out, inputs, backward, op))
+
+    def first_nonfinite(self) -> str | None:
+        """The op name of the earliest record whose output holds an inf or
+        a NaN, or None if every recorded output is finite."""
+        for out, _, _, op in self._records:
+            if not np.isfinite(out.data).all():
+                return op
+        return None
 
     def backward(self, loss: Tensor,
                  into: dict[Tensor, np.ndarray] | None = None) -> None:
@@ -123,7 +130,7 @@ class Tape:
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         tensors: dict[int, Tensor] = {id(loss): loss}
         written: set[int] = set()
-        for out, inputs, backward_fn in reversed(self._records):
+        for out, inputs, backward_fn, _ in reversed(self._records):
             # every use of out has replayed, so its gradient is complete;
             # popped here, it is freed once this record has used it
             g = grads.pop(id(out), None)
@@ -156,21 +163,15 @@ class Tape:
                 tensors[key].grad = np.array(g, dtype=np.float64, copy=True)
 
 
-def _finite_check(op: str, arr: np.ndarray) -> None:
-    if _checked and not np.all(np.isfinite(arr)):
-        raise FloatingPointError(f"{op} produced non-finite values")
-
-
 def emit(op: str, arr: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tensor:
     """Wrap arr as op's output; record it when some input requires grad.
     backward(g) returns one gradient (or None) per entry of inputs; a tensor
     listed twice accumulates both, first entry first."""
-    _finite_check(op, arr)
     out = _wrap(arr)
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape.record(out, inputs, backward)
+        tape.record(out, inputs, backward, op)
     return out
 
 

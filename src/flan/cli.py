@@ -31,22 +31,12 @@ from .predictor import PredictorConfig, init, score_archs
 from .training import TrainConfig, fit, load_model, save_model, transfer
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 # one parser per field annotation in use by the config dataclasses
 _FIELD_PARSERS = {
     "int": int,
     "int | None": int,
     "float": float,
     "str": str,
-    "bool": _parse_bool,
     "tuple[int, ...]": lambda raw: tuple(
         int(v) for v in raw.split(",") if v.strip() != ""
     ),
@@ -176,13 +166,10 @@ def _cmd_encode(args) -> int:
     return 0
 
 
-def _train_model(bench, train_ids, pred_kwargs, train_kwargs, supp_specs,
-                 unified: bool):
+def _train_model(bench, train_ids, pred_kwargs, train_kwargs, supp_specs):
     provider = _supplemental_provider(supp_specs, bench)
     if provider is not None:
         pred_kwargs.setdefault("supplemental_dims", provider.dims)
-    if unified:
-        pred_kwargs["unified"] = True
     pcfg = PredictorConfig(**pred_kwargs)
     tcfg = TrainConfig(**train_kwargs)
     vocab = enc_mod.unify([bench.vocab])
@@ -210,7 +197,7 @@ def _cmd_train(args) -> int:
         bench, args.train_count, train_kwargs.get("seed", 0)
     )
     model, history, provider, tcfg = _train_model(
-        bench, train_ids, pred_kwargs, train_kwargs, args.supp, args.unified
+        bench, train_ids, pred_kwargs, train_kwargs, args.supp
     )
     provenance = {
         "bench_name": bench.name,
@@ -378,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--bench", required=True)
     p.add_argument("--train-count", type=int, required=True)
-    p.add_argument("--unified", action="store_true",
-                   help="build a transfer-capable unified-vocabulary model")
     p.add_argument("--supp", action="append", default=[],
                    help="supplemental input: `zcp` or a flan-supp file; "
                         "repeatable, order matters")

@@ -80,7 +80,6 @@ class PredictorConfig:
     forward_mode: str = "ensemble"
     backward_mode: str = "ensemble"
     attention_variant: str = "shared_sigmoid"
-    unified: bool = False
     supplemental_dims: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -150,7 +149,7 @@ def _op_gate(op_emb: Tensor, w_o: Tensor,
     return per_row[flat_ids].reshape(op_emb.shape[:-1] + (w_o.shape[1],))
 
 
-def dgf_layer(x: Tensor, routing: Tensor, op_emb: Tensor,
+def dgf_layer(x: Tensor, routing: np.ndarray, op_emb: Tensor,
               w_o: Tensor, w_f: Tensor, b_f: Tensor, rows=None) -> Tensor:
     """Gated dense flow: sigmoid(op_emb W_o) * (routing (x W_f)) + x W_f + b_f.
 
@@ -160,10 +159,10 @@ def dgf_layer(x: Tensor, routing: Tensor, op_emb: Tensor,
     """
     gate = _op_gate(op_emb, w_o, rows)
     h = ad.fold_matmul(x.data, w_f.data)
-    agg = np.matmul(routing.data, h)
+    agg = np.matmul(routing, h)
 
     def backward(g):
-        g_h = g + np.matmul(np.swapaxes(routing.data, -1, -2), g * gate)
+        g_h = g + np.matmul(np.swapaxes(routing, -1, -2), g * gate)
         g_x, g_wf = ad.matmul_grads(x.data, w_f.data, g_h)
         g_op, g_wo = ad.matmul_grads(op_emb.data, w_o.data,
                                      g * agg * gate * (1.0 - gate))
@@ -178,7 +177,7 @@ def dgf_layer(x: Tensor, routing: Tensor, op_emb: Tensor,
     return ad.emit("dgf_layer", out, (b_f, x, w_f, op_emb, w_o), backward)
 
 
-def gat_layer(x: Tensor, routing: Tensor, op_emb: Tensor,
+def gat_layer(x: Tensor, routing: np.ndarray, op_emb: Tensor,
               params: dict[str, Tensor], variant: str, rows=None) -> Tensor:
     """Attention flow over the routing matrix (row = receiver).
 
@@ -217,10 +216,10 @@ def gat_layer(x: Tensor, routing: Tensor, op_emb: Tensor,
     else:
         # push masked-out pairs far below the row max; re-masking below
         # leaves receivers with no senders at exactly zero
-        biased = scores + (routing.data - 1.0) * 1e9
+        biased = scores + (routing - 1.0) * 1e9
         e = np.exp(biased - np.max(biased, axis=-1, keepdims=True))
         attn = e / np.sum(e, axis=-1, keepdims=True)
-    weights = attn * routing.data
+    weights = attn * routing
     messages = np.matmul(weights, proj_v)
     gate = _op_gate(op_emb, w_o, rows)
     xhat = gate * messages  # centred and scaled in place: layer norm
@@ -237,7 +236,7 @@ def gat_layer(x: Tensor, routing: Tensor, op_emb: Tensor,
         g_op, g_wo = ad.matmul_grads(op_emb.data, w_o.data,
                                      g_gated * messages * gate * (1.0 - gate))
         g_weights, g_v = ad.matmul_grads(weights, proj_v, g_gated * gate)
-        g_attn = g_weights * routing.data
+        g_attn = g_weights * routing
         if variant == "shared_sigmoid":
             g_scores = g_attn * attn * (1.0 - attn)
         else:
@@ -300,11 +299,6 @@ class PredictorModel:
                  cells_per_arch: int, arrays: dict[str, np.ndarray]):
         if cells_per_arch not in (1, 2):
             raise PredictorError(f"cells_per_arch must be 1 or 2, got {cells_per_arch}")
-        if not config.unified and len(vocab.spaces) != 1:
-            raise PredictorError(
-                "a non-unified model binds exactly one space "
-                f"(got {len(vocab.spaces)})"
-            )
         self.config = config
         self.vocab = vocab
         self.cells_per_arch = cells_per_arch
@@ -478,7 +472,7 @@ def prepare_batch(model: PredictorModel, archs,
 
 
 def _run_stack(model: PredictorModel, cell: int, tag: str, mode: str,
-               dims: tuple[int, ...], x: Tensor, routing: Tensor,
+               dims: tuple[int, ...], x: Tensor, routing: np.ndarray,
                op_emb: Tensor, rows) -> Tensor:
     cfg = model.config
     for l, dout in enumerate(dims):
@@ -516,8 +510,6 @@ def _cell_embedding(model: PredictorModel, batch: PreparedBatch,
     cfg = model.config
     b, n = batch.size, batch.num_nodes
     d_op = cfg.op_embedding_dim
-    routing_fwd = Tensor(batch.routing_fwd[cell])
-    routing_bwd = Tensor(batch.routing_bwd[cell])
     flat_ids = batch.ids[cell].reshape(-1)
     op_emb = ad.reshape(ad.take(model.params["op_table"], flat_ids), (b, n, d_op))
     up_layers = len(cfg.op_update_mlp_dims) + 1
@@ -527,10 +519,11 @@ def _cell_embedding(model: PredictorModel, batch: PreparedBatch,
     x = op_emb
     for t in range(cfg.timesteps):
         x = _run_stack(model, cell, "f", cfg.forward_mode, cfg.gcn_dims,
-                       op_emb, routing_fwd, op_emb, rows)
+                       op_emb, batch.routing_fwd[cell], op_emb, rows)
         if t < cfg.timesteps - 1:
             back = _run_stack(model, cell, "b", cfg.backward_mode,
-                              cfg.backward_gcn_dims, x, routing_bwd, op_emb, rows)
+                              cfg.backward_gcn_dims, x, batch.routing_bwd[cell],
+                              op_emb, rows)
             update = _apply_mlp(model, f"c{cell}.up", up_layers,
                                 ad.concat([back, op_emb], axis=-1))
             op_emb = ad.add(op_emb, update)

@@ -7,12 +7,17 @@ z-normalized over the training split first; the loss only sees orderings,
 so this changes nothing but keeps logged magnitudes comparable across
 benchmarks.  The optimizer is Adam with decoupled weight decay, applied as
 one update of the model's flat parameter vector from one gradient vector
-aligned with it, which the tape's backward writes in place.
+aligned with it, which the tape's backward writes in place.  A loss that
+comes out inf or NaN stops training with a TrainError that names where the
+failure is: the first non-finite parameter if an update has blown the
+parameters up, otherwise the first op on the step's tape whose output
+overflowed.
 
-Transfer clones a unified-vocabulary model, registers the target space
-(appending freshly initialized op-table rows for its interior ops, existing
-ids never move), and fine-tunes on the target samples; with no samples the
-clone is returned as-is, which is the zero-shot path.
+Transfer clones a model, registers the target space in its unified
+vocabulary (appending freshly initialized op-table rows for its interior
+ops, existing ids never move), and fine-tunes on the target samples with
+the transfer epochs and learning rate; with no samples the clone is
+returned as-is, which is the zero-shot path.
 
 Checkpoints are a small binary container: magic, version, a length-prefixed
 JSON block (config, vocabulary, provenance), then named float64 tensor
@@ -24,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -43,6 +48,9 @@ from .rng import Rng
 CKPT_MAGIC = b"FLANCKPT"
 CKPT_VERSION = 1
 ADAM_BLOCK = 16384  # elements per Adam update block: temporaries stay in cache
+# config keys that older checkpoints carry but that shape nothing any more;
+# the loader drops them, so those checkpoints still load
+RETIRED_CONFIG_KEYS = ("unified",)
 
 
 class TrainError(RuntimeError):
@@ -145,7 +153,7 @@ class _AdamState:
             offset += p.data.size
 
 
-def _adam_step(model: PredictorModel, state: _AdamState, lr: float,
+def _adam_step(model: PredictorModel, state: _AdamState,
                config: TrainConfig) -> None:
     """One Adam update of model.flat from state.g, which the last
     Tape.backward(loss, into=state.views) wrote; a parameter whose .grad it
@@ -157,7 +165,7 @@ def _adam_step(model: PredictorModel, state: _AdamState, lr: float,
     grad = state.g
     state.step += 1
     t = state.step
-    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
+    lr, b1, b2, eps = config.lr, config.adam_beta1, config.adam_beta2, config.adam_eps
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
     for lo in range(0, grad.size, ADAM_BLOCK):
@@ -172,9 +180,21 @@ def _adam_step(model: PredictorModel, state: _AdamState, lr: float,
             w -= lr * config.weight_decay * w
 
 
+def _divergence(model: PredictorModel, tape: Tape) -> str:
+    """Where a non-finite loss came from: the first non-finite parameter,
+    else the first op on the tape whose output is non-finite."""
+    for name, p in model.params.items():
+        if not np.isfinite(p.data).all():
+            return f"parameter {name} is non-finite"
+    return f"{tape.first_nonfinite()} overflowed with finite parameters"
+
+
+# a diverging run overflows in Adam's update or the forward pass before its
+# loss is non-finite: that loss raises one TrainError naming the failure,
+# with no numpy warnings on the way
+@np.errstate(over="ignore", invalid="ignore")
 def fit(model: PredictorModel, bench, train_ids, config: TrainConfig,
-        supplemental: SupplementalProvider | None = None,
-        epochs: int | None = None, lr: float | None = None) -> dict:
+        supplemental: SupplementalProvider | None = None) -> dict:
     """Train in place; returns a history dict with per-epoch mean losses.
 
     Deterministic given config.seed: batch order, and therefore every
@@ -185,8 +205,6 @@ def fit(model: PredictorModel, bench, train_ids, config: TrainConfig,
         raise TrainError("empty training split")
     if len(set(train_ids)) != len(train_ids):
         raise TrainError("duplicate ids in training split")
-    epochs = config.epochs if epochs is None else epochs
-    lr = config.lr if lr is None else lr
 
     expected = model.config.supplemental_total
     if expected:
@@ -207,7 +225,7 @@ def fit(model: PredictorModel, bench, train_ids, config: TrainConfig,
     rng = Rng(config.seed).child("fit")
     state = _AdamState(model)
     history = {"epoch_losses": [], "steps": 0, "skipped_batches": 0}
-    for epoch in range(epochs):
+    for epoch in range(config.epochs):
         order = list(train_ids)
         rng.shuffle(order)
         losses = []
@@ -230,11 +248,11 @@ def fit(model: PredictorModel, bench, train_ids, config: TrainConfig,
                 if not math.isfinite(value):
                     raise TrainError(
                         f"non-finite loss {value} at epoch {epoch}, batch "
-                        f"{chunk}; lower the learning rate or rerun with "
-                        "FLAN_CHECKED=1 to locate the op"
+                        f"{chunk}: {_divergence(model, tape)}; lower the "
+                        "learning rate"
                     )
                 tape.backward(loss, into=state.views)
-            _adam_step(model, state, lr, config)
+            _adam_step(model, state, config)
             losses.append(value)
             history["steps"] += 1
         history["epoch_losses"].append(
@@ -246,14 +264,13 @@ def fit(model: PredictorModel, bench, train_ids, config: TrainConfig,
 def transfer(model: PredictorModel, target_bench, target_train_ids,
              config: TrainConfig,
              supplemental: SupplementalProvider | None = None) -> PredictorModel:
-    """Adapt a unified-vocabulary model to a target space.
+    """Adapt a model to a target space.
 
     The source model is never mutated.  Unseen target ops get fresh
-    op-table rows (seeded per unified id); with an empty sample list the
-    adapted clone is returned without fine-tuning (zero-shot).
+    op-table rows (seeded per unified id); the clone is fine-tuned for
+    config.transfer_epochs at config.transfer_lr, and with an empty sample
+    list it is returned without fine-tuning (zero-shot).
     """
-    if not model.config.unified:
-        raise TrainError("transfer requires a model built with unified=True")
     if target_bench.cells_per_arch != model.cells_per_arch:
         raise TrainError(
             f"cells_per_arch mismatch: model {model.cells_per_arch}, "
@@ -284,9 +301,9 @@ def transfer(model: PredictorModel, target_bench, target_train_ids,
     out = PredictorModel(model.config, vocab, model.cells_per_arch, arrays)
     target_train_ids = list(target_train_ids)
     if target_train_ids:
-        fit(out, target_bench, target_train_ids, config,
-            supplemental=supplemental, epochs=config.transfer_epochs,
-            lr=config.transfer_lr)
+        tuning = replace(config, epochs=config.transfer_epochs,
+                         lr=config.transfer_lr)
+        fit(out, target_bench, target_train_ids, tuning, supplemental=supplemental)
     return out
 
 
@@ -366,7 +383,9 @@ def load_checkpoint(path) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt metadata block: {exc}") from None
     try:
-        config = PredictorConfig(**metadata["config"])
+        config = PredictorConfig(**{
+            key: value for key, value in metadata["config"].items()
+            if key not in RETIRED_CONFIG_KEYS})
         vocab = UnifiedVocabulary.from_dict(metadata["vocab"])
         cells_per_arch = int(metadata["cells_per_arch"])
         promised = list(metadata["tensors"])

@@ -394,7 +394,7 @@ def test_criterion_7_transfer_beats_scratch():
     src_bench = reference_bench("a")
     tgt_bench = reference_bench("b")
 
-    pretrained = init(ref_config(unified=True), unify([src_bench.vocab]), 1, seed=0)
+    pretrained = init(ref_config(), unify([src_bench.vocab]), 1, seed=0)
     fit(pretrained, src_bench, src_bench.arch_ids,
         TrainConfig(epochs=10, batch_size=16, lr=0.01, seed=0))
 
@@ -408,7 +408,7 @@ def test_criterion_7_transfer_beats_scratch():
                          lr=0.01, transfer_lr=0.01, seed=seed)
         tuned = transfer(pretrained, tgt_bench, ids16, tc)
         transferred.append(full_space_tau(tuned, tgt_bench))
-        cold = init(ref_config(unified=True), unify([tgt_bench.vocab]), 1,
+        cold = init(ref_config(), unify([tgt_bench.vocab]), 1,
                     seed=seed)
         fit(cold, tgt_bench, ids16, tc)
         scratch.append(full_space_tau(cold, tgt_bench))

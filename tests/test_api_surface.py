@@ -3,7 +3,8 @@
 Every public top-level function or class, and every public method, in
 src/flan must be referenced from src/ or perfbench/ (by name or attribute,
 or by a dotted-name string such as a trace target) or named in a backticked
-README span.  A helper that only tests call belongs in tests/.
+README span.  A helper that only tests call belongs in tests/.  No
+module reads the environment.
 """
 
 import ast
@@ -60,3 +61,23 @@ def test_every_public_name_is_used_or_documented():
         referenced |= _code_references(path, dotted_strings=True)
     unused = [qual for qual, bare in _public_names() if bare not in referenced]
     assert not unused, f"only tests call {unused}"
+
+
+ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    # behaviour comes from arguments and config files only, so no switch
+    # can hide in the environment
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            readers += [f"{path.name}:{node.lineno}: {name}"
+                        for name in sorted(names & ENV_READERS)]
+    assert not readers, f"environment read in src/flan: {readers}"

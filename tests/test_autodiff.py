@@ -9,9 +9,6 @@ harness and the primitives are verified against each other on two
 independent routes.
 """
 
-import os
-import subprocess
-import sys
 import weakref
 
 import numpy as np
@@ -529,7 +526,7 @@ def test_grad_check_catches_wrong_gradient():
         out = Tensor(arr, requires_grad=True, copy=False)
         tape = ad.active_tape()
         if tape is not None:  # finite-difference evaluations run tapeless
-            tape.record(out, (x,), backward)
+            tape.record(out, (x,), backward, "bad")
         return total(out)
 
     report = grad_check(bad, {"x": x})
@@ -537,30 +534,16 @@ def test_grad_check_catches_wrong_gradient():
     assert not report.ok(rel_tol=1e-4)
 
 
-# -- checked mode ----------------------------------------------------------------------
+# -- locating a non-finite value --------------------------------------------------------
 
-def test_checked_mode_traps_nonfinite(monkeypatch):
-    with np.errstate(over="ignore"):
-        monkeypatch.setattr(ad, "_checked", True)
-        big = Tensor([1e308])
-        with pytest.raises(FloatingPointError):
-            ad.add(big, big)
-        monkeypatch.setattr(ad, "_checked", False)
-        out = ad.add(Tensor([1e308]), Tensor([1e308]))
-    assert np.isinf(out.data[0])
-
-
-def test_checked_mode_flag_roundtrip():
-    # FLAN_CHECKED is read at import, so a child process re-imports autodiff
-    # once per value; it imports the same flan as this process
-    flags = {"1": True, " On ": True, "yes": True, "0": False, "off": False, "": False}
-    probe = ("import importlib, os, sys\n"
-             "import flan.autodiff as ad\n"
-             "for raw in sys.argv[1:]:\n"
-             "    os.environ['FLAN_CHECKED'] = raw\n"
-             "    print(importlib.reload(ad)._checked)\n")
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(ad.__file__)))
-    proc = subprocess.run([sys.executable, "-c", probe, *flags], check=True,
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=package_root))
-    assert proc.stdout.split() == [str(want) for want in flags.values()]
+def test_first_nonfinite_names_the_earliest_overflowing_record():
+    x = Tensor([1e308, 1.0], requires_grad=True)
+    with Tape() as tape:
+        assert tape.first_nonfinite() is None
+        y = ad.scale(x, 0.5)
+        assert tape.first_nonfinite() is None
+        with np.errstate(over="ignore"):
+            z = ad.add(ad.scale(y, 4.0), y)
+        ad.reshape(z, (2, 1))
+        assert np.isinf(z.data[0])
+        assert tape.first_nonfinite() == "scale"

@@ -79,7 +79,7 @@ def trained(ws, tmp_path_factory):
     report = root / "train.json"
     code = main([
         "train", "--bench", str(ws["bench_a"]), "--train-count", "16",
-        "--seed", "5", "--config", str(ws["cfg"]), "--unified",
+        "--seed", "5", "--config", str(ws["cfg"]),
         "--out", str(ckpt), "--report", str(report),
     ])
     assert code == 0
@@ -104,10 +104,12 @@ def test_parse_config_rejects_duplicates(tmp_path):
 
 
 def test_parse_config_rejects_unknown_keys(tmp_path):
+    # unified is retired: checkpoints may still carry it, config files not
     path = tmp_path / "c.cfg"
-    path.write_text("learning_rate = 0.1\n")
-    with pytest.raises(ValueError, match="unknown config keys"):
-        parse_config_file(path)
+    for key, value in (("learning_rate", "0.1"), ("unified", "true")):
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ValueError, match=rf"unknown config keys \['{key}'\]"):
+            parse_config_file(path)
 
 
 def test_parse_config_rejects_bad_lines(tmp_path):
@@ -124,7 +126,6 @@ def test_parse_config_rejects_bad_lines(tmp_path):
     ("train", "epochs = x", "epochs"),
     ("search", "initial_sample = none", "initial_sample"),
     ("train", "gcn_dims = 16, x", "gcn_dims"),
-    ("search", "unified = maybe", "unified"),
 ])
 def test_unparsable_config_value_names_file_and_key(ws, tmp_path, capsys,
                                                     command, line, key):
@@ -156,7 +157,6 @@ NON_DEFAULT = {
     "forward_mode": ("dgf", "dgf"),
     "backward_mode": ("gat", "gat"),
     "attention_variant": ("kqv_softmax", "kqv_softmax"),
-    "unified": ("yes", True),
     "supplemental_dims": ("3, 2", (3, 2)),
     "lr": ("0.005", 0.005),
     "weight_decay": ("0", 0.0),
@@ -266,7 +266,7 @@ ENCODE_DIGESTS = {
     "path": "1049196a488ff195dbc447aa25e88f437b0493a0c7a7e36469dc370f0157e3ff",
 }
 # checkpoint of a reference-dims `flan train` (two epochs, 32 archs) on 1.bench
-TRAIN_DIGEST = "0f5cf27111040d0a4a2735e422549acd67eaf53e943f005f717729681e40a1d2"
+TRAIN_DIGEST = "c47e8f68efb1246994b558c3da50978c9f2a0ea454273f70a5d3be05030756db"
 
 
 def test_same_seed_gives_pinned_bytes(tmp_path, capsys):
@@ -407,6 +407,24 @@ def test_stdout_and_report_are_strict_json_when_a_value_is_not_finite(
     assert _strict_json(report.read_text()) == payload
 
 
+def test_diverging_train_exits_2_naming_the_failure(ws, tmp_path, capsys):
+    # the first Adam step at this rate overflows the weights; the run must
+    # end in one error line, with no numpy warning (pytest makes warnings
+    # errors) and no checkpoint
+    path = tmp_path / "diverge.cfg"
+    path.write_text(ws["cfg"].read_text().replace("lr = 0.01", "lr = 1e300"))
+    out = tmp_path / "m.ckpt"
+    code, payload, err = run_cli(
+        capsys, "train", "--bench", str(ws["bench_a"]), "--train-count", "16",
+        "--seed", "5", "--config", str(path), "--out", str(out),
+    )
+    assert code == 2 and payload is None
+    (message,) = err.strip().splitlines()
+    assert message.startswith("error: non-finite loss")
+    assert "parameter op_table is non-finite" in message
+    assert not out.exists()
+
+
 def test_train_degenerate_test_split_fails_cleanly(ws, tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "train", "--bench", str(ws["bench_a"]), "--train-count", "23",
@@ -455,22 +473,6 @@ def test_eval_ranks_every_arch_of_a_zero_shot_transfer(ws, trained, tmp_path,
     assert payload == {"n": 12, "train_count": 0,
                        "kendall_tau": zero["kendall_tau"],
                        "spearman_rho": zero["spearman_rho"]}
-
-
-def test_transfer_requires_a_unified_checkpoint(ws, tmp_path, capsys):
-    ckpt = tmp_path / "plain.ckpt"
-    code, _, _ = run_cli(
-        capsys, "train", "--bench", str(ws["bench_a"]), "--train-count", "16",
-        "--seed", "5", "--config", str(ws["cfg"]), "--out", str(ckpt),
-    )
-    assert code == 0
-    code, _, err = run_cli(
-        capsys, "transfer", "--ckpt", str(ckpt),
-        "--bench", str(ws["bench_b"]), "--train-count", "0",
-        "--config", str(ws["cfg"]), "--out", str(tmp_path / "t.ckpt"),
-    )
-    assert code == 2
-    assert "unified" in err
 
 
 def test_a_split_too_small_to_rank_leaves_no_checkpoint(ws, trained, tmp_path, capsys):

@@ -116,7 +116,7 @@ def test_config_dict_round_trip():
 def test_dgf_zero_weights_annihilate():
     rng = Rng(0)
     x = Tensor(randa(rng, (3, 4)))
-    routing = Tensor(randa(rng, (3, 3)))
+    routing = randa(rng, (3, 3))
     op_emb = Tensor(randa(rng, (3, 4)))
     out = dgf_layer(
         x, routing, op_emb,
@@ -131,7 +131,7 @@ def test_dgf_no_edges_is_residual_only():
     rng = Rng(1)
     x = Tensor(randa(rng, (3, 4)))
     out = dgf_layer(
-        x, Tensor(np.zeros((3, 3))), Tensor(randa(rng, (3, 4))),
+        x, np.zeros((3, 3)), Tensor(randa(rng, (3, 4))),
         w_o=Tensor(randa(rng, (4, 4))),
         w_f=Tensor(np.eye(4)),
         b_f=Tensor(np.zeros(4)),
@@ -142,7 +142,7 @@ def test_dgf_no_edges_is_residual_only():
 def test_dgf_two_node_chain_half_gate():
     # gate = sigmoid(0) = 0.5 everywhere; receiver row mixes half the sender
     x = Tensor(np.eye(2))
-    routing = Tensor(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    routing = np.array([[0.0, 0.0], [1.0, 0.0]])
     out = dgf_layer(
         x, routing, Tensor(np.ones((2, 3))),
         w_o=Tensor(np.zeros((3, 2))),
@@ -164,7 +164,7 @@ def test_dgf_oracle_random():
         w_f = randa(rng, (din, dout))
         b_f = randa(rng, (dout,))
         got = dgf_layer(
-            Tensor(x), Tensor(routing), Tensor(op_emb),
+            Tensor(x), routing, Tensor(op_emb),
             Tensor(w_o), Tensor(w_f), Tensor(b_f),
         ).data
         gate = 1.0 / (1.0 + np.exp(-(op_emb @ w_o)))
@@ -245,7 +245,7 @@ def test_gat_matches_straight_line_oracle(variant):
         op_emb = randa(rng, (n, din))
         params = gat_params(rng, din, dout, variant)
         got = gat_layer(
-            Tensor(x), Tensor(routing), Tensor(op_emb),
+            Tensor(x), routing, Tensor(op_emb),
             {k: Tensor(v) for k, v in params.items()}, variant,
         ).data
         want = gat_oracle(x, routing, op_emb, params, variant)
@@ -259,7 +259,7 @@ def test_gat_no_edges_gives_bias_rows(variant):
     params = gat_params(rng, din, dout, variant)
     out = gat_layer(
         Tensor(randa(rng, (n, din))),
-        Tensor(np.zeros((n, n))),
+        np.zeros((n, n)),
         Tensor(randa(rng, (n, din))),
         {k: Tensor(v) for k, v in params.items()}, variant,
     ).data
@@ -276,7 +276,7 @@ def test_gat_singleton_softmax_weight_is_exactly_one():
     routing = np.array([[0.0, 0.0], [1.0, 0.0]])
     params = gat_params(rng, din, dout, "kqv_softmax")
     got = gat_layer(
-        Tensor(x), Tensor(routing), Tensor(op_emb),
+        Tensor(x), routing, Tensor(op_emb),
         {k: Tensor(v) for k, v in params.items()}, "kqv_softmax",
     ).data
     v = x @ params["w_v"]
@@ -295,7 +295,7 @@ def test_table_row_gates_give_the_bytes_of_per_node_gates(variant, batch):
     # the layer outputs must equal the per-node computation byte for byte
     rng = np.random.default_rng(batch)
     n, d_op, din = 7, 48, 16
-    routing = Tensor((rng.random((batch, n, n)) < 0.4).astype(np.float64))
+    routing = (rng.random((batch, n, n)) < 0.4).astype(np.float64)
     x = Tensor(rng.standard_normal((batch, n, din)))
     for vocab in (3, 8, 37):
         table = rng.standard_normal((vocab, d_op))
@@ -343,9 +343,9 @@ def test_layer_gradients_match_finite_differences(layer, lead, shared):
 
     def loss():
         if layer == "dgf":
-            out = dgf_layer(x, Tensor(routing), op_emb, **params)
+            out = dgf_layer(x, routing, op_emb, **params)
         else:
-            out = gat_layer(x, Tensor(routing), op_emb, params, layer)
+            out = gat_layer(x, routing, op_emb, params, layer)
         return weighted_sum(out, weights)
 
     checked = {"x": x, **params} if shared else {"x": x, "op_emb": op_emb, **params}
@@ -422,8 +422,8 @@ def test_init_different_seeds_differ():
 # sha256 of save_model for a fresh init (8-op vocabulary, one cell, seed 0);
 # any change to the init streams or their float mapping alters a byte here
 INIT_DIGESTS = {
-    "paper-default": "271708933d37558ee097af970b24a8e7a0b92d83675725b48db05a8dd8ecb9a4",
-    "reference": "64b4fbc6bcedc7cc89093195962669b866f32f5cb451a843ef03db85ed8ea209",
+    "paper-default": "ef01c065f6082a8b9995413f2f382d18dd092dabbff3dfed3d620ad8c01ca737",
+    "reference": "1625d56435de3d256ddeb1613832f8e4aacf31dcc78b138eb09ef51f357098b1",
 }
 
 

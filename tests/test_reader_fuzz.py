@@ -65,7 +65,7 @@ def ws(tmp_path_factory):
     # the supp checkpoint's provenance names fuzz.supp, so eval rereads it
     assert run_cli("train", *common, "--supp", root / "fuzz.supp",
                    "--out", root / "supp.ckpt") == 0
-    assert run_cli("train", *common, "--unified", "--out", root / "plain.ckpt") == 0
+    assert run_cli("train", *common, "--out", root / "plain.ckpt") == 0
     (root / "seed.supp").write_bytes((root / "fuzz.supp").read_bytes())
     return root
 

@@ -217,14 +217,6 @@ def test_fit_zero_epochs_is_identity():
     assert params_bytes(model) == before
 
 
-def test_fit_epochs_override_wins():
-    bench = small_bench()
-    model = model_for(bench)
-    before = params_bytes(model)
-    fit(model, bench, bench.arch_ids, quick_cfg(epochs=5), epochs=0)
-    assert params_bytes(model) == before
-
-
 def test_fit_is_bit_deterministic():
     bench = small_bench()
     runs = []
@@ -494,9 +486,31 @@ def test_adam_step_matches_per_tensor_adam_bitwise():
         for n, p in model.params.items():
             state.views[p][...] = step_grads[n]
             p.grad = state.views[p]
-        _adam_step(model, state, 0.01, config)
+        _adam_step(model, state, config)
         assert all(p.grad is None for p in model.params.values())
     assert params_bytes(model) == {n: a.tobytes() for n, a in want.items()}
+
+
+def test_diverging_fit_names_the_parameter_an_update_blew_up():
+    # the first Adam step at this rate overflows every weight it moves, and
+    # the next batch's loss is NaN
+    bench = small_bench()
+    model = model_for(bench)
+    with pytest.raises(TrainError, match="parameter op_table is non-finite"):
+        fit(model, bench, bench.arch_ids, quick_cfg(epochs=2, lr=1e300))
+
+
+def test_diverging_fit_names_the_op_that_overflowed():
+    # finite head weights that overflow the forward pass: the first head
+    # layer's output is still finite, the second's is not
+    bench = small_bench()
+    model = model_for(bench)
+    for name, p in model.params.items():
+        if name.startswith("head") and name.endswith(".w"):
+            p.data[...] = 1e200
+    with pytest.raises(TrainError, match="dense_layer overflowed with finite "
+                                         "parameters"):
+        fit(model, bench, bench.arch_ids, quick_cfg(epochs=1))
 
 
 def test_adam_step_names_a_parameter_without_gradient():
@@ -507,7 +521,7 @@ def test_adam_step_names_a_parameter_without_gradient():
         p.grad = state.views[p]
     model.params["head0.b"].grad = None
     with pytest.raises(TrainError, match="head0.b"):
-        _adam_step(model, state, 0.01, quick_cfg())
+        _adam_step(model, state, quick_cfg())
 
 
 # -- transfer -----------------------------------------------------------------------
@@ -519,15 +533,8 @@ def two_space_setup():
         noise_sigma=0.1, interaction_scale=0.5,
     )
     tgt = generate_synthetic(tgt_spec, space_id=1)
-    model = init(tiny_config(unified=True), unify([src.vocab]), 1, seed=6)
+    model = init(tiny_config(), unify([src.vocab]), 1, seed=6)
     return src, tgt, model
-
-
-def test_transfer_requires_unified_model():
-    src = small_bench()
-    model = model_for(src)
-    with pytest.raises(TrainError, match="unified"):
-        transfer(model, src, [], quick_cfg())
 
 
 def test_zero_shot_same_space_is_an_exact_clone():
@@ -594,6 +601,20 @@ def test_transfer_fine_tuning_moves_parameters():
     assert params_bytes(tuned) != params_bytes(shot)
 
 
+def test_transfer_fine_tunes_with_the_transfer_epochs_and_lr():
+    # fine-tuning is fit on the zero-shot clone under the transfer fields;
+    # epochs and lr play no part
+    _, tgt, model = two_space_setup()
+    ids = list(tgt.arch_ids)[:8]
+    config = quick_cfg(epochs=5, lr=0.5, transfer_epochs=3, transfer_lr=0.02)
+    tuned = transfer(model, tgt, ids, config)
+    want = transfer(model, tgt, [], config)
+    fit(want, tgt, ids, replace(config, epochs=3, lr=0.02))
+    assert params_bytes(tuned) == params_bytes(want)
+    idle = transfer(model, tgt, ids, replace(config, transfer_epochs=0))
+    assert params_bytes(idle) == params_bytes(transfer(model, tgt, [], config))
+
+
 def test_transfer_rejects_renamed_space():
     src, _, model = two_space_setup()
     other = generate_synthetic(
@@ -607,7 +628,7 @@ def test_transfer_rejects_renamed_space():
 
 def test_transfer_rejects_cell_count_mismatch():
     src, tgt, model = two_space_setup()
-    model2 = init(tiny_config(unified=True), unify([src.vocab]), 2, seed=6)
+    model2 = init(tiny_config(), unify([src.vocab]), 2, seed=6)
     with pytest.raises(TrainError, match="cells_per_arch"):
         transfer(model2, tgt, [], quick_cfg())
 
@@ -627,6 +648,37 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert loaded.vocab.to_dict() == model.vocab.to_dict()
     arch = bench.arch(bench.arch_ids[0])
     assert score_archs(loaded, [arch])[0] == score_archs(model, [arch])[0]
+
+
+def set_config_key(path, key, value):
+    """Rewrite the config JSON of the checkpoint at path with key = value."""
+    raw = path.read_bytes()
+    (size,) = struct.unpack("<Q", raw[12:20])
+    metadata = json.loads(raw[20:20 + size])
+    metadata["config"][key] = value
+    blob = json.dumps(metadata, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:12] + struct.pack("<Q", len(blob)) + blob
+                     + raw[20 + size:])
+
+
+@pytest.mark.parametrize("value", [False, True, "maybe", None])
+def test_checkpoint_with_a_retired_unified_key_loads_scores_and_transfers(
+        tmp_path, value):
+    # every checkpoint written while the config had a `unified` flag carries
+    # the key; it shapes nothing now and any value of it is dropped
+    src, tgt, model = two_space_setup()
+    fit(model, src, src.arch_ids, quick_cfg(epochs=1))
+    path = tmp_path / "old.ckpt"
+    save_model(model, path)
+    set_config_key(path, "unified", value)
+    loaded, _ = load_model(path)
+    assert loaded.config == model.config
+    assert params_bytes(loaded) == params_bytes(model)
+    archs = list(src.archs)
+    assert score_archs(loaded, archs).tobytes() == score_archs(model, archs).tobytes()
+    shot = transfer(loaded, tgt, [], quick_cfg())
+    assert params_bytes(shot) == params_bytes(transfer(model, tgt, [], quick_cfg()))
+    assert np.isfinite(score_archs(shot, list(tgt.archs))).all()
 
 
 def test_checkpoint_bytes_are_stable(tmp_path):
