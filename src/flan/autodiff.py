@@ -81,7 +81,13 @@ class Tensor:
 
 
 def _wrap(arr: np.ndarray) -> Tensor:
-    return Tensor(arr, requires_grad=False, copy=False)
+    if (type(arr) is not np.ndarray or arr.dtype != np.float64
+            or not arr.flags.writeable):
+        return Tensor(arr, requires_grad=False, copy=False)
+    # what Tensor(arr, copy=False) makes of such an array, without its checks
+    out = Tensor.__new__(Tensor)
+    out.data, out.requires_grad, out.grad = arr, False, None
+    return out
 
 
 class Tape:
@@ -101,10 +107,6 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self._records)
-
-    def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward,
-               op: str) -> None:
-        self._records.append((out, inputs, backward, op))
 
     def first_nonfinite(self) -> str | None:
         """The op name of the earliest record whose output holds an inf or
@@ -149,7 +151,7 @@ class Tape:
                     if key in written:
                         buf += c
                     else:
-                        np.copyto(buf, c)
+                        buf[...] = c
                         t.grad = buf
                         written.add(key)
                 elif key in grads:
@@ -171,7 +173,7 @@ def emit(op: str, arr: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tens
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape.record(out, inputs, backward, op)
+        tape._records.append((out, inputs, backward, op))
     return out
 
 

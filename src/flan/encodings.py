@@ -230,13 +230,17 @@ def score_feature_matrix(archs, vocab: OpVocabulary) -> np.ndarray:
     return out
 
 
+_NO_IDS = np.empty(0, dtype=np.int64)  # an unregistered space's lookup
+
+
 @dataclass(frozen=True)
 class UnifiedVocabulary:
     """Shared op-id assignment across one or more registered spaces.
 
     Ids 0/1/2 are the reserved input/output/none in every space; each other
     (space, local op) pair owns one id.  ``spaces`` keeps registration order,
-    which fixes the id layout and is serialized into checkpoints.
+    which fixes the id layout and is serialized into checkpoints.  Each
+    space keeps one int64 array of its unified ids, indexed by local op.
     """
 
     spaces: tuple[OpVocabulary, ...]
@@ -248,15 +252,14 @@ class UnifiedVocabulary:
             if vocab.space_id in seen:
                 raise EncodingError(f"space {vocab.space_id} registered twice")
             seen.add(vocab.space_id)
-        index: dict[tuple[int, int], int] = {}
+        lookup: dict[int, np.ndarray] = {}
         nxt = 3
         for vocab in self.spaces:
-            for local in range(3):
-                index[(vocab.space_id, local)] = local
-            for local in vocab.interior_op_ids:
-                index[(vocab.space_id, local)] = nxt
-                nxt += 1
-        object.__setattr__(self, "_index", index)
+            interior = len(vocab.interior_op_ids)
+            lookup[vocab.space_id] = np.concatenate(
+                [np.arange(3), np.arange(nxt, nxt + interior)])
+            nxt += interior
+        object.__setattr__(self, "_lookup", lookup)
         object.__setattr__(self, "_size", nxt)
 
     @property
@@ -273,18 +276,20 @@ class UnifiedVocabulary:
         raise EncodingError(f"space {space_id} is not registered")
 
     def unified_id(self, space_id: int, local_op: int) -> int:
-        try:
-            return self._index[(space_id, local_op)]
-        except KeyError:
-            raise EncodingError(
-                f"no unified id for op {local_op} of space {space_id}; "
-                "the space is unregistered or the op is out of range"
-            ) from None
+        return int(self.map_ops(space_id, local_op))
 
     def map_ops(self, space_id: int, op_ids) -> np.ndarray:
-        return np.array(
-            [self.unified_id(space_id, op) for op in op_ids], dtype=np.int64
-        )
+        """The unified ids of an array of one space's local op ids, in its
+        shape; the first op without one (in C order) raises."""
+        ops = np.asarray(op_ids, dtype=np.int64)
+        table = self._lookup.get(space_id, _NO_IDS)
+        bad = (ops < 0) | (ops >= table.size)
+        if bad.any():
+            raise EncodingError(
+                f"no unified id for op {ops[bad][0]} of space {space_id}; "
+                "the space is unregistered or the op is out of range"
+            )
+        return table[ops]
 
     def extend(self, vocab: OpVocabulary) -> "UnifiedVocabulary":
         """Register another space; existing ids are preserved, new ids appended."""

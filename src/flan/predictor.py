@@ -59,6 +59,11 @@ MAX_TIMESTEPS = 64
 
 FORWARD_MODES = ("dgf", "gat", "ensemble")
 ATTENTION_VARIANTS = ("shared_sigmoid", "kqv_softmax")
+# an attention layer's parameter names per variant, in creation order
+GAT_PARAM_NAMES = {
+    "shared_sigmoid": ("attn_a", "w_o", "ln_gamma", "ln_beta", "w_p"),
+    "kqv_softmax": ("attn_a", "w_o", "ln_gamma", "ln_beta", "w_q", "w_k", "w_v"),
+}
 
 
 class PredictorError(ValueError):
@@ -150,19 +155,25 @@ def _op_gate(op_emb: Tensor, w_o: Tensor,
 
 
 def dgf_layer(x: Tensor, routing: np.ndarray, op_emb: Tensor,
-              w_o: Tensor, w_f: Tensor, b_f: Tensor, rows=None) -> Tensor:
+              w_o: Tensor, w_f: Tensor, b_f: Tensor, rows=None,
+              routing_t: np.ndarray | None = None) -> Tensor:
     """Gated dense flow: sigmoid(op_emb W_o) * (routing (x W_f)) + x W_f + b_f.
 
     routing[i, j] = 1 routes node j's features into node i; routing is
     data and gets no gradient.  rows, if given, is (op_table, flat_ids)
-    with op_emb = op_table[flat_ids] (see _op_gate).
+    with op_emb = op_table[flat_ids] (see _op_gate).  routing_t, if given,
+    is routing with its last two axes swapped, held contiguous: the
+    backward's product then runs on a contiguous operand, with the same
+    bytes as on the strided view it otherwise makes.
     """
     gate = _op_gate(op_emb, w_o, rows)
     h = ad.fold_matmul(x.data, w_f.data)
     agg = np.matmul(routing, h)
+    if routing_t is None:
+        routing_t = np.swapaxes(routing, -1, -2)
 
     def backward(g):
-        g_h = g + np.matmul(np.swapaxes(routing, -1, -2), g * gate)
+        g_h = g + np.matmul(routing_t, g * gate)
         g_x, g_wf = ad.matmul_grads(x.data, w_f.data, g_h)
         g_op, g_wo = ad.matmul_grads(op_emb.data, w_o.data,
                                      g * agg * gate * (1.0 - gate))
@@ -209,29 +220,31 @@ def gat_layer(x: Tensor, routing: np.ndarray, op_emb: Tensor,
     recv = np.matmul(proj_q, a_recv)
     send = np.matmul(proj_k, a_send)
     scores = recv + np.swapaxes(send, -1, -2)
-    positive = scores > 0.0
-    scores = np.where(positive, scores, LEAKY_SLOPE * scores)
+    # the LeakyReLU's local slope: x * 1.0 and x * LEAKY_SLOPE have the
+    # bytes of np.where(x > 0, x, LEAKY_SLOPE * x), NaN and -0.0 included
+    slope = np.where(scores > 0.0, 1.0, LEAKY_SLOPE)
+    scores *= slope
     if variant == "shared_sigmoid":
         attn = ad.logistic(scores)
     else:
         # push masked-out pairs far below the row max; re-masking below
         # leaves receivers with no senders at exactly zero
         biased = scores + (routing - 1.0) * 1e9
-        e = np.exp(biased - np.max(biased, axis=-1, keepdims=True))
-        attn = e / np.sum(e, axis=-1, keepdims=True)
+        e = np.exp(biased - biased.max(axis=-1, keepdims=True))
+        attn = e / e.sum(axis=-1, keepdims=True)
     weights = attn * routing
     messages = np.matmul(weights, proj_v)
     gate = _op_gate(op_emb, w_o, rows)
     xhat = gate * messages  # centred and scaled in place: layer norm
-    xhat -= np.sum(xhat, axis=-1, keepdims=True) / d_out
-    var = np.sum(np.square(xhat), axis=-1, keepdims=True) / d_out
+    xhat -= xhat.sum(axis=-1, keepdims=True) / d_out
+    var = np.square(xhat).sum(axis=-1, keepdims=True) / d_out
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv
 
     def backward(g):
         g_xhat = g * gamma.data
-        m1 = np.sum(g_xhat, axis=-1, keepdims=True) / d_out
-        m2 = np.sum(g_xhat * xhat, axis=-1, keepdims=True) / d_out
+        m1 = g_xhat.sum(axis=-1, keepdims=True) / d_out
+        m2 = (g_xhat * xhat).sum(axis=-1, keepdims=True) / d_out
         g_gated = inv * (g_xhat - m1 - xhat * m2)
         g_op, g_wo = ad.matmul_grads(op_emb.data, w_o.data,
                                      g_gated * messages * gate * (1.0 - gate))
@@ -240,8 +253,8 @@ def gat_layer(x: Tensor, routing: np.ndarray, op_emb: Tensor,
         if variant == "shared_sigmoid":
             g_scores = g_attn * attn * (1.0 - attn)
         else:
-            g_scores = attn * (g_attn - np.sum(g_attn * attn, axis=-1, keepdims=True))
-        g_scores = np.where(positive, g_scores, LEAKY_SLOPE * g_scores)
+            g_scores = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True))
+        g_scores *= slope
         g_send = np.swapaxes(g_scores.sum(axis=-2, keepdims=True), -1, -2)
         g_k, g_a_send = ad.matmul_grads(proj_k, a_send, g_send)
         g_q, g_a_recv = ad.matmul_grads(proj_q, a_recv,
@@ -287,7 +300,7 @@ def masked_mean_pool(x: Tensor, mask: np.ndarray) -> Tensor:
     def backward(g):
         return ((g * inv)[:, None, :] * mask,)
 
-    return ad.emit("masked_mean_pool", np.sum(x.data * mask, axis=1) * inv,
+    return ad.emit("masked_mean_pool", (x.data * mask).sum(axis=1) * inv,
                    (x,), backward)
 
 
@@ -326,17 +339,10 @@ def _layer_shapes(config: PredictorConfig, din: int, dout: int,
     d_op = config.op_embedding_dim
     if branch == "dgf":
         return {"w_o": (d_op, dout), "w_f": (din, dout), "b_f": (dout,)}
-    shapes = {
-        "attn_a": (2 * dout, 1),
-        "w_o": (d_op, dout),
-        "ln_gamma": (dout,),
-        "ln_beta": (dout,),
-    }
-    if config.attention_variant == "shared_sigmoid":
-        shapes["w_p"] = (din, dout)
-    else:
-        shapes.update({"w_q": (din, dout), "w_k": (din, dout), "w_v": (din, dout)})
-    return shapes
+    shapes = {"attn_a": (2 * dout, 1), "w_o": (d_op, dout),
+              "ln_gamma": (dout,), "ln_beta": (dout,)}
+    return {name: shapes.get(name, (din, dout))
+            for name in GAT_PARAM_NAMES[config.attention_variant]}
 
 
 def parameter_shapes(config: PredictorConfig, vocab_size: int,
@@ -415,6 +421,8 @@ class PreparedBatch:
     """Numeric views of a batch of architectures, ready for the graph stacks.
 
     Routing uses the active adjacency: edges touching none nodes are dropped.
+    Preparing is pure data, so callers prepare each arch once per call and
+    gather the batches they run with ``take``.
     """
 
     size: int
@@ -424,6 +432,18 @@ class PreparedBatch:
     routing_bwd: list[np.ndarray]  # per cell: (B, n, n) adjacency
     mask: list[np.ndarray]         # per cell: (B, n, 1) 1.0 for non-none nodes
     supplemental: np.ndarray | None
+
+    def take(self, rows) -> "PreparedBatch":
+        """The batch of the given rows (an index sequence or a slice): the
+        bytes prepare_batch gives for those archs and supplemental rows."""
+        def pick(arrays):
+            return [a[rows] for a in arrays]
+
+        ids = pick(self.ids)
+        supp = None if self.supplemental is None else self.supplemental[rows]
+        return PreparedBatch(len(ids[0]), self.num_nodes, ids,
+                             pick(self.routing_fwd), pick(self.routing_bwd),
+                             pick(self.mask), supp)
 
 
 def prepare_batch(model: PredictorModel, archs,
@@ -463,8 +483,13 @@ def prepare_batch(model: PredictorModel, archs,
         cells = [arch.cells[c] for arch in archs]
         stack = stack_cells(cells)
         adj = stack.adjacency.astype(np.float64)
-        ids.append(np.stack([model.vocab.map_ops(cell.space_id, cell.op_ids)
-                             for cell in cells]))
+        # one vocabulary lookup per space the batch draws from
+        space_of = np.array([cell.space_id for cell in cells])
+        cell_ids = np.empty_like(stack.ops)
+        for space in dict.fromkeys(space_of.tolist()):
+            same = space_of == space
+            cell_ids[same] = model.vocab.map_ops(space, stack.ops[same])
+        ids.append(cell_ids)
         routing_fwd.append(np.ascontiguousarray(adj.transpose(0, 2, 1)))
         routing_bwd.append(adj)
         mask.append((stack.ops != OP_NONE)[:, :, None].astype(np.float64))
@@ -473,9 +498,10 @@ def prepare_batch(model: PredictorModel, archs,
 
 def _run_stack(model: PredictorModel, cell: int, tag: str, mode: str,
                dims: tuple[int, ...], x: Tensor, routing: np.ndarray,
-               op_emb: Tensor, rows) -> Tensor:
-    cfg = model.config
-    for l, dout in enumerate(dims):
+               routing_t: np.ndarray, op_emb: Tensor, rows) -> Tensor:
+    """routing_t is routing with its last two axes swapped."""
+    variant = model.config.attention_variant
+    for l in range(len(dims)):
         outs = []
         if mode in ("dgf", "ensemble"):
             key = f"c{cell}.{tag}{l}.dgf."
@@ -484,14 +510,13 @@ def _run_stack(model: PredictorModel, cell: int, tag: str, mode: str,
                 model.params[key + "w_o"],
                 model.params[key + "w_f"],
                 model.params[key + "b_f"],
-                rows,
+                rows, routing_t,
             ))
         if mode in ("gat", "ensemble"):
             key = f"c{cell}.{tag}{l}.gat."
-            gat_params = {name: model.params[key + name] for name in
-                          _layer_shapes(cfg, x.shape[-1], dout, "gat")}
-            outs.append(gat_layer(x, routing, op_emb, gat_params,
-                                  cfg.attention_variant, rows))
+            gat_params = {name: model.params[key + name]
+                          for name in GAT_PARAM_NAMES[variant]}
+            outs.append(gat_layer(x, routing, op_emb, gat_params, variant, rows))
         x = outs[0] if len(outs) == 1 else ad.scale(ad.add(outs[0], outs[1]), 0.5)
     return x
 
@@ -519,11 +544,12 @@ def _cell_embedding(model: PredictorModel, batch: PreparedBatch,
     x = op_emb
     for t in range(cfg.timesteps):
         x = _run_stack(model, cell, "f", cfg.forward_mode, cfg.gcn_dims,
-                       op_emb, batch.routing_fwd[cell], op_emb, rows)
+                       op_emb, batch.routing_fwd[cell], batch.routing_bwd[cell],
+                       op_emb, rows)
         if t < cfg.timesteps - 1:
             back = _run_stack(model, cell, "b", cfg.backward_mode,
                               cfg.backward_gcn_dims, x, batch.routing_bwd[cell],
-                              op_emb, rows)
+                              batch.routing_fwd[cell], op_emb, rows)
             update = _apply_mlp(model, f"c{cell}.up", up_layers,
                                 ad.concat([back, op_emb], axis=-1))
             op_emb = ad.add(op_emb, update)
@@ -550,17 +576,19 @@ def forward_batch(model: PredictorModel, batch: PreparedBatch) -> Tensor:
 def score_archs(model: PredictorModel, archs,
                 supplemental: np.ndarray | None = None,
                 chunk: int = 64) -> np.ndarray:
-    """Score many architectures without building any tape.  Finite
+    """Score many architectures without building any tape, chunk archs
+    per forward pass.  Each arch is prepared once per call.  Finite
     parameters can still overflow the forward pass (a corrupted or
     hand-edited checkpoint does); that raises PredictorError."""
     archs = list(archs)
     out = np.empty(len(archs), dtype=np.float64)
+    if not archs:
+        return out
+    prepared = prepare_batch(model, archs, supplemental)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(archs), chunk):
-            hi = min(lo + chunk, len(archs))
-            supp = None if supplemental is None else supplemental[lo:hi]
-            batch = prepare_batch(model, archs[lo:hi], supp)
-            out[lo:hi] = forward_batch(model, batch).data
+            batch = prepared.take(slice(lo, lo + chunk))
+            out[lo:lo + chunk] = forward_batch(model, batch).data
     if not np.isfinite(out).all():
         raise PredictorError("scores are non-finite: the parameters overflow "
                              "the forward pass")

@@ -38,6 +38,7 @@ from .autodiff import Tape, Tensor
 from .encodings import SupplementalProvider, UnifiedVocabulary, zscore_columns
 from .predictor import (
     PredictorConfig,
+    PredictorError,
     PredictorModel,
     forward_batch,
     parameter_shapes,
@@ -198,7 +199,8 @@ def fit(model: PredictorModel, bench, train_ids, config: TrainConfig,
     """Train in place; returns a history dict with per-epoch mean losses.
 
     Deterministic given config.seed: batch order, and therefore every
-    parameter byte, reproduces exactly.
+    parameter byte, reproduces exactly.  Each training arch is prepared
+    once per call; every batch gathers its rows from that one stack.
     """
     train_ids = list(train_ids)
     if not train_ids:
@@ -218,34 +220,36 @@ def fit(model: PredictorModel, bench, train_ids, config: TrainConfig,
                 f"supplemental provider dim {supplemental.dim} != config "
                 f"total {expected}"
             )
-    archs = {i: bench.arch(i) for i in train_ids}
+    supp = supplemental.matrix(train_ids) if expected else None
+    prepared = prepare_batch(model, [bench.arch(i) for i in train_ids], supp)
     accs = bench.accuracy_vector(train_ids)
-    z_by_id = dict(zip(train_ids, zscore_columns(accs[:, None])[:, 0]))
+    z_all = zscore_columns(accs[:, None])[:, 0]
 
     rng = Rng(config.seed).child("fit")
     state = _AdamState(model)
     history = {"epoch_losses": [], "steps": 0, "skipped_batches": 0}
     for epoch in range(config.epochs):
-        order = list(train_ids)
+        # shuffled positions into train_ids: the shuffle moves any list of
+        # this length the same way
+        order = list(range(len(train_ids)))
         rng.shuffle(order)
         losses = []
         for lo in range(0, len(order), config.batch_size):
-            chunk = order[lo:lo + config.batch_size]
-            if len(chunk) < 2:
+            rows = order[lo:lo + config.batch_size]
+            if len(rows) < 2:
                 history["skipped_batches"] += 1
                 continue
-            z = np.array([z_by_id[i] for i in chunk])
+            z = z_all[rows]
             pair_i, _ = ranking_pairs(z)
             if pair_i.size == 0:
                 history["skipped_batches"] += 1
                 continue
-            supp = supplemental.matrix(chunk) if expected else None
-            batch = prepare_batch(model, [archs[i] for i in chunk], supp)
             with Tape() as tape:
-                scores = forward_batch(model, batch)
+                scores = forward_batch(model, prepared.take(rows))
                 loss = hinge_rank_loss(scores, z, config.hinge_margin)
                 value = loss.item()
                 if not math.isfinite(value):
+                    chunk = [train_ids[k] for k in rows]
                     raise TrainError(
                         f"non-finite loss {value} at epoch {epoch}, batch "
                         f"{chunk}: {_divergence(model, tape)}; lower the "
@@ -258,6 +262,12 @@ def fit(model: PredictorModel, bench, train_ids, config: TrainConfig,
         history["epoch_losses"].append(
             float(np.mean(losses)) if losses else float("nan")
         )
+    # the last step's update is the only one no later loss has checked
+    try:
+        model.check_finite()
+    except PredictorError as exc:
+        raise TrainError(f"the last update (step {history['steps']}) diverged: "
+                         f"{exc}; lower the learning rate") from None
     return history
 
 

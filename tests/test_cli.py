@@ -425,6 +425,24 @@ def test_diverging_train_exits_2_naming_the_failure(ws, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_whose_last_step_diverges_exits_2_naming_the_parameter(
+        ws, tmp_path, capsys):
+    # one step on six archs: no later loss sees what that update did
+    path = tmp_path / "diverge.cfg"
+    path.write_text(ws["cfg"].read_text().replace("lr = 0.01", "lr = 1e300")
+                    .replace("epochs = 2", "epochs = 1"))
+    out = tmp_path / "m.ckpt"
+    code, payload, err = run_cli(
+        capsys, "train", "--bench", str(ws["bench_a"]), "--train-count", "6",
+        "--seed", "5", "--config", str(path), "--out", str(out),
+    )
+    assert code == 2 and payload is None
+    (message,) = err.strip().splitlines()
+    assert message == ("error: the last update (step 1) diverged: parameter "
+                       "op_table is non-finite; lower the learning rate")
+    assert not out.exists()
+
+
 def test_train_degenerate_test_split_fails_cleanly(ws, tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "train", "--bench", str(ws["bench_a"]), "--train-count", "23",

@@ -488,6 +488,33 @@ def test_map_ops_and_errors():
         uni.unified_id(2, 4)
 
 
+def test_map_ops_of_a_stack_gives_unified_ids_in_its_shape():
+    # transfer registers a target space with extend; both spaces' lookups
+    # must give unified_id of every local op, for a stacked (B, n) array
+    va = OpVocabulary(0, ("input", "output", "none", "a1", "a2"))
+    vb = OpVocabulary(4, ("input", "output", "none", "b1", "b2", "b3"))
+    uni = unify([va]).extend(vb)
+    want = {0: [0, 1, 2, 3, 4], 4: [0, 1, 2, 5, 6, 7]}
+    for vocab in uni.spaces:
+        ops = np.array([range(vocab.size), range(vocab.size - 1, -1, -1)])
+        got = uni.map_ops(vocab.space_id, ops)
+        assert got.dtype == np.int64 and got.shape == ops.shape
+        assert got.tolist() == [[uni.unified_id(vocab.space_id, op) for op in row]
+                                for row in ops.tolist()]
+        assert got[0].tolist() == want[vocab.space_id]
+
+
+def test_map_ops_of_a_stack_raises_for_the_first_op_without_an_id():
+    va = OpVocabulary(0, ("input", "output", "none", "a1", "a2"))
+    uni = unify([va]).extend(OpVocabulary(4, ("input", "output", "none", "b1")))
+    with pytest.raises(EncodingError, match="no unified id for op 5 of space 0"):
+        uni.map_ops(0, np.array([[0, 3, 1], [4, 5, 9]]))
+    with pytest.raises(EncodingError, match="no unified id for op -1 of space 0"):
+        uni.map_ops(0, np.array([[0, 3], [-1, 1]]))
+    with pytest.raises(EncodingError, match="no unified id for op 3 of space 9"):
+        uni.map_ops(9, np.array([[3, 0], [1, 2]]))
+
+
 def test_unified_vocab_dict_round_trip():
     va = OpVocabulary(0, ("input", "output", "none", "a1"))
     vb = OpVocabulary(1, ("input", "output", "none", "b1"))

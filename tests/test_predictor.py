@@ -7,7 +7,7 @@ machinery.
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from flan.predictor import (
     LEAKY_SLOPE,
     PredictorConfig,
     PredictorError,
+    PreparedBatch,
     _cell_embedding,
     _op_gate,
     clone_model,
@@ -681,6 +682,39 @@ def test_supplemental_batch_validation():
         prepare_batch(model, [arch], np.full((1, 4), np.nan))
     batch = prepare_batch(model, [arch], np.zeros((1, 4)))
     assert forward_batch(model, batch).shape == (1,)
+
+
+def test_prepared_take_gives_the_bytes_of_preparing_those_rows():
+    # fit and score_archs prepare every arch once per call and gather each
+    # batch from that stack
+    model = make_model(config=tiny_config(supplemental_dims=(3,)), cells=2)
+    rng = Rng(21)
+    archs = [arch_of((random_valid_cell(rng, 5, 5), random_valid_cell(rng, 5, 5)), k)
+             for k in range(9)]
+    supp = np.random.default_rng(2).standard_normal((9, 3))
+    whole = prepare_batch(model, archs, supp)
+    for rows in ([4, 0, 7], [8], list(range(9)), [3, 3, 1], slice(2, 6)):
+        picked = np.arange(9)[rows]
+        want = prepare_batch(model, [archs[k] for k in picked], supp[picked])
+        got = whole.take(rows)
+        for field in fields(PreparedBatch):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if field.name in ("size", "num_nodes"):
+                assert a == b
+                continue
+            for x, y in zip(*((a, b) if isinstance(a, list) else ([a], [b])),
+                            strict=True):
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
+def test_prepare_batch_maps_each_cell_through_its_own_space():
+    model = init(tiny_config(), unify([make_vocab(0, 5)]).extend(make_vocab(1, 6)),
+                 1, seed=0)
+    rng = Rng(4)
+    cells = [random_valid_cell(rng, 5, 5 + k % 2, space_id=k % 2) for k in range(7)]
+    batch = prepare_batch(model, [arch_of(c, k) for k, c in enumerate(cells)])
+    want = np.stack([model.vocab.map_ops(c.space_id, c.op_ids) for c in cells])
+    assert batch.ids[0].tobytes() == want.tobytes()
 
 
 def test_vocabulary_miss_is_an_error():

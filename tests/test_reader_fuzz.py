@@ -137,7 +137,8 @@ def test_load_supplemental_mutation_fuzz(ws, mutate):
 
 METADATA_PATHS = [
     ("config", "gcn_dims"), ("config", "timesteps"), ("config", "op_embedding_dim"),
-    ("config", "unified"), ("config", "supplemental_dims"), ("config", "forward_mode"),
+    ("config", "attention_variant"), ("config", "supplemental_dims"),
+    ("config", "forward_mode"),
     ("vocab",), ("vocab", "spaces"), ("cells_per_arch",), ("tensors",),
     ("provenance",), ("provenance", "bench_name"), ("provenance", "train_count"),
     ("provenance", "split_seed"), ("provenance", "supp"), ("config",),

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from flan import training
+from flan import predictor, training
 from flan.autodiff import Tape, Tensor
 from flan.benchmark import SyntheticSpec, generate_synthetic, split
 from flan.cellgraph import CellArch
@@ -414,7 +414,7 @@ def test_every_parameter_receives_a_gradient(monkeypatch, modes, variant):
 
         monkeypatch.setattr(training, name, wrapper)
 
-    for name in ("prepare_batch", "hinge_rank_loss", "_adam_step"):
+    for name in ("forward_batch", "hinge_rank_loss", "_adam_step"):
         spy(name)
     base = small_bench()
     for timesteps, supplemental, cells in itertools.product(
@@ -436,11 +436,10 @@ def test_every_parameter_receives_a_gradient(monkeypatch, modes, variant):
                       quick_cfg(epochs=1, batch_size=len(ids), weight_decay=0.5),
                       supplemental=provider)
         assert history["steps"] == 1
-        _, archs, supp = calls["prepare_batch"]
+        _, batch = calls["forward_batch"]
         _, z, margin = calls["hinge_rank_loss"]
         with Tape() as tape:
-            tape.backward(hinge_rank_loss(
-                forward_batch(plain, prepare_batch(plain, archs, supp)), z, margin))
+            tape.backward(hinge_rank_loss(forward_batch(plain, batch), z, margin))
         assert all(p.grad is not None for p in plain.params.values())
         want = b"".join(p.grad.tobytes() for p in plain.params.values())
         assert calls["_adam_step"][1].g.tobytes() == want
@@ -450,6 +449,28 @@ def test_every_parameter_receives_a_gradient(monkeypatch, modes, variant):
         assert abs(plain.params[out_bias].grad[0]) < 1e-12
         after = params_bytes(model)
         assert {n for n in before if before[n] == after[n]} <= {out_bias}
+
+
+def test_fit_and_score_archs_prepare_each_arch_once_per_call(monkeypatch):
+    # counted as a tracer does: the length of the second positional argument
+    counts = []
+    for module in (training, predictor):
+        def wrapper(*args, _fn=module.prepare_batch):
+            counts.append(len(args[1]))
+            return _fn(*args)
+
+        monkeypatch.setattr(module, "prepare_batch", wrapper)
+    bench = small_bench()
+    provider = SupplementalProvider([bench.proxies])
+    model = model_for(bench, supplemental_dims=(provider.dim,))
+    ids = bench.arch_ids
+    history = fit(model, bench, ids, quick_cfg(epochs=3, batch_size=4),
+                  supplemental=provider)
+    assert history["steps"] > 3
+    assert counts == [len(ids)]
+    scores = score_archs(model, [bench.arch(i) for i in ids],
+                         provider.matrix(ids), chunk=5)
+    assert counts == [len(ids), len(ids)] and np.isfinite(scores).all()
 
 
 def reference_adam(arrays, grads, lr, config, steps):
@@ -511,6 +532,15 @@ def test_diverging_fit_names_the_op_that_overflowed():
     with pytest.raises(TrainError, match="dense_layer overflowed with finite "
                                          "parameters"):
         fit(model, bench, bench.arch_ids, quick_cfg(epochs=1))
+
+
+def test_fit_raises_when_its_last_update_blows_up_the_parameters():
+    # one step on six archs: no later loss sees what that update did
+    bench = small_bench()
+    model = model_for(bench)
+    with pytest.raises(TrainError, match="parameter op_table is non-finite"):
+        fit(model, bench, bench.arch_ids[:6],
+            TrainConfig(epochs=1, batch_size=6, lr=1e300))
 
 
 def test_adam_step_names_a_parameter_without_gradient():
