@@ -154,23 +154,19 @@ def _op_gate(op_emb: Tensor, w_o: Tensor,
     return per_row[flat_ids].reshape(op_emb.shape[:-1] + (w_o.shape[1],))
 
 
-def dgf_layer(x: Tensor, routing: np.ndarray, op_emb: Tensor,
-              w_o: Tensor, w_f: Tensor, b_f: Tensor, rows=None,
-              routing_t: np.ndarray | None = None) -> Tensor:
+def dgf_layer(x: Tensor, routing: np.ndarray, routing_t: np.ndarray,
+              op_emb: Tensor, w_o: Tensor, w_f: Tensor, b_f: Tensor,
+              rows=None) -> Tensor:
     """Gated dense flow: sigmoid(op_emb W_o) * (routing (x W_f)) + x W_f + b_f.
 
     routing[i, j] = 1 routes node j's features into node i; routing is
-    data and gets no gradient.  rows, if given, is (op_table, flat_ids)
-    with op_emb = op_table[flat_ids] (see _op_gate).  routing_t, if given,
-    is routing with its last two axes swapped, held contiguous: the
-    backward's product then runs on a contiguous operand, with the same
-    bytes as on the strided view it otherwise makes.
+    data and gets no gradient.  routing_t is routing with its last two axes
+    swapped, held contiguous for the backward's product.  rows, if given,
+    is (op_table, flat_ids) with op_emb = op_table[flat_ids] (see _op_gate).
     """
     gate = _op_gate(op_emb, w_o, rows)
     h = ad.fold_matmul(x.data, w_f.data)
     agg = np.matmul(routing, h)
-    if routing_t is None:
-        routing_t = np.swapaxes(routing, -1, -2)
 
     def backward(g):
         g_h = g + np.matmul(routing_t, g * gate)
@@ -421,8 +417,8 @@ class PreparedBatch:
     """Numeric views of a batch of architectures, ready for the graph stacks.
 
     Routing uses the active adjacency: edges touching none nodes are dropped.
-    Preparing is pure data, so callers prepare each arch once per call and
-    gather the batches they run with ``take``.
+    Preparing is pure data: fit prepares its training split once per call
+    and gathers each batch with ``take``; score_archs prepares each chunk.
     """
 
     size: int
@@ -434,8 +430,8 @@ class PreparedBatch:
     supplemental: np.ndarray | None
 
     def take(self, rows) -> "PreparedBatch":
-        """The batch of the given rows (an index sequence or a slice): the
-        bytes prepare_batch gives for those archs and supplemental rows."""
+        """The batch of the given rows (an index sequence): the bytes
+        prepare_batch gives for those archs and supplemental rows."""
         def pick(arrays):
             return [a[rows] for a in arrays]
 
@@ -506,11 +502,11 @@ def _run_stack(model: PredictorModel, cell: int, tag: str, mode: str,
         if mode in ("dgf", "ensemble"):
             key = f"c{cell}.{tag}{l}.dgf."
             outs.append(dgf_layer(
-                x, routing, op_emb,
+                x, routing, routing_t, op_emb,
                 model.params[key + "w_o"],
                 model.params[key + "w_f"],
                 model.params[key + "b_f"],
-                rows, routing_t,
+                rows,
             ))
         if mode in ("gat", "ensemble"):
             key = f"c{cell}.{tag}{l}.gat."
@@ -577,18 +573,18 @@ def score_archs(model: PredictorModel, archs,
                 supplemental: np.ndarray | None = None,
                 chunk: int = 64) -> np.ndarray:
     """Score many architectures without building any tape, chunk archs
-    per forward pass.  Each arch is prepared once per call.  Finite
-    parameters can still overflow the forward pass (a corrupted or
+    per forward pass.  The chunks do not overlap, so each arch is prepared
+    once per call, and at most chunk prepared archs are held at a time.
+    Finite parameters can still overflow the forward pass (a corrupted or
     hand-edited checkpoint does); that raises PredictorError."""
     archs = list(archs)
     out = np.empty(len(archs), dtype=np.float64)
-    if not archs:
-        return out
-    prepared = prepare_batch(model, archs, supplemental)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(archs), chunk):
-            batch = prepared.take(slice(lo, lo + chunk))
-            out[lo:lo + chunk] = forward_batch(model, batch).data
+            hi = min(lo + chunk, len(archs))
+            supp = None if supplemental is None else supplemental[lo:hi]
+            batch = prepare_batch(model, archs[lo:hi], supp)
+            out[lo:hi] = forward_batch(model, batch).data
     if not np.isfinite(out).all():
         raise PredictorError("scores are non-finite: the parameters overflow "
                              "the forward pass")

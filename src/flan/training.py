@@ -184,9 +184,10 @@ def _adam_step(model: PredictorModel, state: _AdamState,
 def _divergence(model: PredictorModel, tape: Tape) -> str:
     """Where a non-finite loss came from: the first non-finite parameter,
     else the first op on the tape whose output is non-finite."""
-    for name, p in model.params.items():
-        if not np.isfinite(p.data).all():
-            return f"parameter {name} is non-finite"
+    try:
+        model.check_finite()
+    except PredictorError as exc:
+        return str(exc)
     return f"{tape.first_nonfinite()} overflowed with finite parameters"
 
 
