@@ -1,10 +1,11 @@
 """Command line front end.
 
-Subcommands: gen-bench, encode, train, eval, transfer, search.  Every
-command takes --seed and an optional --config file of `key = value` lines
-whose keys match the training, predictor, or search config fields; explicit
-command line flags win over the file.  Outputs are machine readable (JSON,
-JSONL, or CSV) and deterministic for a fixed seed.
+Subcommands: gen-bench, encode, train, eval, transfer, search.  train,
+transfer and search take --seed and an optional --config file of
+`key = value` lines whose keys match the training, predictor, or search
+config fields; explicit command line flags win over the file.  gen-bench
+takes --seed alone, and encode and eval take neither.  Outputs are machine
+readable (JSON, JSONL, or CSV) and deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def _cmd_gen_bench(args) -> int:
         num_nodes=args.num_nodes,
         vocab_size=args.vocab_size,
         num_archs=args.num_archs,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         noise_sigma=args.noise_sigma,
         op_utilities=utilities,
         interaction_scale=args.interaction_scale,
@@ -298,19 +299,13 @@ def _cmd_search(args) -> int:
     if args.surrogate == "oracle":
         factory = oracle_factory
     elif args.surrogate == "constant":
-        factory = constant_factory()
+        factory = constant_factory
     else:
-        if args.supp:
-            if args.supp != ["zcp"]:
-                raise ValueError(
-                    "search supports only --supp zcp (proxies from the benchmark)"
-                )
-            if bench.proxies is None:
-                raise ValueError(f"benchmark {bench.name!r} carries no proxies")
-            pred_kwargs.setdefault("supplemental_dims", (bench.proxies.dim,))
-        pcfg = PredictorConfig(**pred_kwargs)
-        factory = predictor_factory(pcfg, tcfg, use_proxies=bool(args.supp))
-    state = search(bench, factory, tcfg, scfg)
+        provider = _supplemental_provider(args.supp, bench)
+        if provider is not None:
+            pred_kwargs.setdefault("supplemental_dims", provider.dims)
+        factory = predictor_factory(PredictorConfig(**pred_kwargs), tcfg, provider)
+    state = search(bench, factory, scfg)
     write_trace_csv(state, args.out)
     best_id, best_acc = state.best_so_far
     _emit({
@@ -332,14 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def config_flags(p):
         p.add_argument("--seed", type=int, default=None,
                        help="run seed; overrides any seed in --config")
         p.add_argument("--config", default=None,
                        help="key = value file with config fields")
 
     p = sub.add_parser("gen-bench", help="generate a synthetic benchmark file")
-    common(p)
+    p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument("--num-nodes", type=int, required=True)
     p.add_argument("--vocab-size", type=int, required=True)
     p.add_argument("--num-archs", type=int, required=True)
@@ -353,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen_bench)
 
     p = sub.add_parser("encode", help="write structural or score encodings")
-    common(p)
     p.add_argument("--bench", required=True)
     p.add_argument("--kind", choices=("adjacency", "path", "score"),
                    required=True)
@@ -362,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("train", help="fit a predictor on a benchmark split")
-    common(p)
+    config_flags(p)
     p.add_argument("--bench", required=True)
     p.add_argument("--train-count", type=int, required=True)
     p.add_argument("--supp", action="append", default=[],
@@ -373,14 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="rank the held-out split of a checkpoint")
-    common(p)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--bench", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("transfer", help="fine-tune a checkpoint on a new space")
-    common(p)
+    config_flags(p)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--bench", required=True, help="target benchmark")
     p.add_argument("--train-count", type=int, required=True,
@@ -391,11 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_transfer)
 
     p = sub.add_parser("search", help="iterative-sampling search with a surrogate")
-    common(p)
+    config_flags(p)
     p.add_argument("--bench", required=True)
     p.add_argument("--surrogate", choices=("flan", "oracle", "constant"),
                    default="flan")
-    p.add_argument("--supp", action="append", default=[])
+    p.add_argument("--supp", action="append", default=[],
+                   help="as for train; feeds the flan surrogate")
     p.add_argument("--budget", type=int, default=None,
                    help="oracle evaluations per iteration (even)")
     p.add_argument("--iters", type=int, default=None)

@@ -31,7 +31,7 @@ from .cellgraph import CellArch, OpVocabulary, OP_NONE
 
 PATH_COUNT_CAP = 1 << 16
 
-ENCODING_KINDS = ("adjacency", "path", "score", "supplemental")
+ENCODING_KINDS = ("adjacency", "path", "score")
 
 
 class EncodingError(ValueError):

@@ -95,10 +95,11 @@ class SearchState:
         ))
 
 
-def search(bench: TabularBenchmark, scorer_factory, train_config: TrainConfig,
+def search(bench: TabularBenchmark, scorer_factory,
            search_config: SearchConfig) -> SearchState:
     """Run the loop; scorer_factory(bench, evaluated_ids, seed) must return a
-    callable mapping a list of arch ids to a float score array."""
+    callable mapping a list of arch ids to a float score array.  Training
+    settings, if any, belong to the factory (see predictor_factory)."""
     m = len(bench)
     cfg = search_config
     if cfg.initial > m:
@@ -171,43 +172,32 @@ def oracle_factory(bench: TabularBenchmark, evaluated_ids, seed: int):
     return lambda ids: bench.accuracy_vector(ids)
 
 
-def constant_factory(value: float = 0.0):
+def constant_factory(bench: TabularBenchmark, evaluated_ids, seed: int):
     """All scores equal: exploit falls back to id order, explore is uniform."""
-
-    def factory(bench, evaluated_ids, seed):
-        del bench, evaluated_ids, seed
-        return lambda ids: np.full(len(ids), value, dtype=np.float64)
-
-    return factory
+    del bench, evaluated_ids, seed
+    return lambda ids: np.zeros(len(ids), dtype=np.float64)
 
 
 def predictor_factory(predictor_config, base_train_config: TrainConfig,
-                      use_proxies: bool = False):
+                      supplemental=None):
     """Train-from-scratch surrogate; the factory seed varies per iteration
-    so retraining does not reuse the previous iteration's init."""
-    from .encodings import SupplementalProvider, unify
+    so retraining does not reuse the previous iteration's init.  A
+    SupplementalProvider, if given, feeds both training and scoring, and
+    fit refuses one whose dim is not predictor_config's supplemental total."""
+    # imported at call time, so a wrapper installed on these names after
+    # import (a tracer, a test's monkeypatch) is the one that runs
+    from .encodings import unify
     from .predictor import init, score_archs
     from .training import fit
 
     def factory(bench, evaluated_ids, seed):
-        provider = None
-        cfg = predictor_config
-        if use_proxies:
-            if bench.proxies is None:
-                raise SearchError("benchmark carries no proxy vectors")
-            provider = SupplementalProvider([bench.proxies])
-            if tuple(cfg.supplemental_dims) != (provider.dim,):
-                raise SearchError(
-                    f"predictor_config.supplemental_dims must be "
-                    f"({provider.dim},) to use this benchmark's proxies"
-                )
-        vocab = unify([bench.vocab])
-        model = init(cfg, vocab, bench.cells_per_arch, seed)
+        model = init(predictor_config, unify([bench.vocab]),
+                     bench.cells_per_arch, seed)
         fit(model, bench, evaluated_ids, replace(base_train_config, seed=seed),
-            supplemental=provider)
+            supplemental=supplemental)
 
         def scorer(ids):
-            supp = provider.matrix(ids) if provider is not None else None
+            supp = None if supplemental is None else supplemental.matrix(ids)
             return score_archs(model, [bench.arch(i) for i in ids], supp)
 
         return scorer

@@ -210,18 +210,18 @@ def fit(model: PredictorModel, bench, train_ids, config: TrainConfig,
         raise TrainError("duplicate ids in training split")
 
     expected = model.config.supplemental_total
-    if expected:
-        if supplemental is None:
-            raise TrainError(
-                f"model expects supplemental input of dim {expected} but no "
-                "provider was given"
-            )
-        if supplemental.dim != expected:
-            raise TrainError(
-                f"supplemental provider dim {supplemental.dim} != config "
-                f"total {expected}"
-            )
-    supp = supplemental.matrix(train_ids) if expected else None
+    if supplemental is None and expected:
+        raise TrainError(
+            f"model expects supplemental input of dim {expected} but no "
+            "provider was given"
+        )
+    # a provider the model cannot take is refused, not silently dropped
+    if supplemental is not None and supplemental.dim != expected:
+        raise TrainError(
+            f"supplemental provider dim {supplemental.dim} != config "
+            f"total {expected}"
+        )
+    supp = None if supplemental is None else supplemental.matrix(train_ids)
     prepared = prepare_batch(model, [bench.arch(i) for i in train_ids], supp)
     accs = bench.accuracy_vector(train_ids)
     z_all = zscore_columns(accs[:, None])[:, 0]

@@ -320,7 +320,7 @@ def test_criterion_5_search_correctness():
     argmax_hits = 0
     for bench in benches:
         cfg = SearchConfig(budget_per_iter=8, max_iters=1, pool_floor=16, seed=1)
-        state = search(bench, oracle_factory, TrainConfig(), cfg)
+        state = search(bench, oracle_factory, cfg)
         best_id, best_acc = state.best_so_far
         true_best = max(bench.accuracies.values())
         hit = (

@@ -5,7 +5,7 @@ import json
 import os
 import subprocess
 import sys
-from argparse import Namespace
+from argparse import Namespace, _SubParsersAction
 from dataclasses import fields
 from pathlib import Path
 
@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import flan
-from flan.cli import _load_config, _split_config, main, parse_config_file
-from flan.encodings import load_supplemental
-from flan.nas_search import SearchConfig
+from flan.benchmark import ingest
+from flan.cli import _load_config, _split_config, build_parser, main, parse_config_file
+from flan.encodings import SupplementalProvider, load_supplemental
+from flan.nas_search import SearchConfig, predictor_factory, search, write_trace_csv
 from flan.predictor import PredictorConfig
 from flan.training import TrainConfig
 
@@ -568,18 +569,106 @@ def test_search_requires_a_budget(ws, tmp_path, capsys):
     assert "budget" in err
 
 
-def test_search_rejects_file_supp(ws, tmp_path, capsys):
-    code, _, err = run_cli(
+def test_search_takes_a_file_supp_and_zcp(ws, tmp_path, capsys):
+    supp = tmp_path / "score.supp"
+    assert main(["encode", "--bench", str(ws["bench_a"]), "--kind", "score",
+                 "--out", str(supp)]) == 0
+    code, payload, err = run_cli(
         capsys, "search", "--bench", str(ws["bench_a"]),
-        "--surrogate", "flan", "--supp", "other.supp", "--budget", "4",
-        "--iters", "1", "--config", str(ws["cfg"]),
-        "--out", str(tmp_path / "t.csv"),
+        "--surrogate", "flan", "--supp", str(supp), "--supp", "zcp",
+        "--budget", "4", "--iters", "2", "--pool-floor", "4", "--seed", "1",
+        "--config", str(ws["cfg"]), "--out", str(tmp_path / "t.csv"),
     )
-    assert code == 2
-    assert "zcp" in err
+    assert (code, err) == (0, "")
+    assert payload["evaluated"] == 4 + 2 * 4
+    assert not payload["budget_truncated"]
+
+
+def test_search_supp_zcp_writes_the_trace_of_the_library_search(ws, tmp_path,
+                                                                capsys):
+    out = tmp_path / "cli.csv"
+    code, _, _ = run_cli(
+        capsys, "search", "--bench", str(ws["bench_a"]),
+        "--surrogate", "flan", "--supp", "zcp", "--budget", "4",
+        "--iters", "2", "--pool-floor", "4", "--seed", "1",
+        "--config", str(ws["cfg"]), "--out", str(out),
+    )
+    assert code == 0
+    bench = ingest(ws["bench_a"])
+    pred, train, search_kw = _load_config(Namespace(config=ws["cfg"], seed=1))
+    cfg = PredictorConfig(**pred, supplemental_dims=(bench.proxies.dim,))
+    scfg = SearchConfig(budget_per_iter=4, max_iters=2, pool_floor=4, **search_kw)
+    state = search(bench, predictor_factory(
+        cfg, TrainConfig(**train), SupplementalProvider([bench.proxies])), scfg)
+    write_trace_csv(state, tmp_path / "lib.csv")
+    assert out.read_bytes() == (tmp_path / "lib.csv").read_bytes()
 
 
 # -- plumbing -------------------------------------------------------------------------
+
+class ReadRecorder(Namespace):
+    """A namespace that notes the name of every attribute read from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_every_flag_a_subcommand_accepts_is_read(ws, tmp_path, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    common = ["--config", str(ws["cfg"]), "--seed", "2"]
+    runs = [
+        ["gen-bench", "--num-nodes", "4", "--vocab-size", "5",
+         "--num-archs", "8", "--seed", "1", "--noise-sigma", "0.05",
+         "--interaction-scale", "0.5", "--utilities", "0.1,0.2,0.3,0.4,0.5",
+         "--space-id", "2", "--name", "g", "--out", str(tmp_path / "g.bench")],
+        ["encode", "--bench", str(ws["bench_a"]), "--kind", "path",
+         "--max-paths", "64", "--out", str(tmp_path / "p.supp")],
+        ["train", "--bench", str(ws["bench_a"]), "--train-count", "16",
+         "--supp", "zcp", "--out", str(ckpt),
+         "--report", str(tmp_path / "m.json"), *common],
+        ["eval", "--ckpt", str(ckpt), "--bench", str(ws["bench_a"]),
+         "--out", str(tmp_path / "e.json")],
+        ["transfer", "--ckpt", str(ckpt), "--bench", str(ws["bench_b"]),
+         "--train-count", "6", "--supp", "zcp", "--out", str(tmp_path / "t.ckpt"),
+         "--report", str(tmp_path / "t.json"), *common],
+        ["search", "--bench", str(ws["bench_a"]), "--surrogate", "flan",
+         "--supp", "zcp", "--budget", "4", "--iters", "1", "--initial", "4",
+         "--pool-floor", "4", "--out", str(tmp_path / "s.csv"), *common],
+    ]
+    parser = build_parser()
+    accepted, read = {}, {}
+    for argv in runs:
+        args = ReadRecorder(**vars(parser.parse_args(argv)))
+        object.__setattr__(args, "_reads", set())
+        assert args.func(args) == 0, argv
+        capsys.readouterr()
+        accepted[argv[0]] = set(vars(args)) - {"func", "command", "_reads"}
+        read.setdefault(argv[0], set()).update(args._reads)
+    (subcommands,) = [a.choices for a in parser._actions
+                      if isinstance(a, _SubParsersAction)]
+    assert set(accepted) == set(subcommands)
+    for command, dests in accepted.items():
+        assert dests <= read[command], (command, sorted(dests - read[command]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-bench", "--num-nodes", "4", "--vocab-size", "5", "--num-archs", "8",
+     "--config", "c.cfg", "--out", "g.bench"],
+    ["encode", "--bench", "a.bench", "--kind", "path", "--config", "c.cfg",
+     "--out", "p.supp"],
+    ["encode", "--bench", "a.bench", "--kind", "path", "--seed", "1",
+     "--out", "p.supp"],
+    ["eval", "--ckpt", "m.ckpt", "--bench", "a.bench", "--seed", "1"],
+    ["eval", "--ckpt", "m.ckpt", "--bench", "a.bench", "--config", "c.cfg"],
+])
+def test_a_flag_a_subcommand_does_not_read_exits_via_argparse(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
 
 def test_unknown_flag_exits_via_argparse(ws, capsys):
     with pytest.raises(SystemExit) as info:

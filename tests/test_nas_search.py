@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from flan.encodings import SupplementalProvider
 from flan.nas_search import (
     SearchConfig,
     SearchError,
@@ -17,7 +18,7 @@ from flan.nas_search import (
     write_trace_csv,
 )
 from flan.rng import Rng
-from flan.training import TrainConfig
+from flan.training import TrainConfig, TrainError
 
 from conftest import ref_config, reference_bench, small_bench, tiny_config
 
@@ -33,7 +34,7 @@ def run(bench, factory, budget=4, iters=2, floor=2, seed=0, initial=None):
         budget_per_iter=budget, max_iters=iters, initial_sample=initial,
         pool_floor=floor, seed=seed,
     )
-    return search(bench, factory, quick_tc(), cfg)
+    return search(bench, factory, cfg)
 
 
 # -- pool schedule -------------------------------------------------------------------
@@ -94,7 +95,7 @@ def test_initial_sample_cannot_exceed_space():
     bench = small_bench(num_archs=8)
     cfg = SearchConfig(budget_per_iter=4, max_iters=1, initial_sample=9)
     with pytest.raises(SearchError, match="exceeds"):
-        search(bench, oracle_factory, quick_tc(), cfg)
+        search(bench, oracle_factory, cfg)
 
 
 # -- search dynamics -----------------------------------------------------------------
@@ -125,7 +126,7 @@ def test_trace_layout_and_phases():
 
 def test_best_so_far_is_monotone_and_correct():
     bench = small_bench(num_archs=48, seed=3)
-    state = run(bench, constant_factory(), budget=4, iters=3, floor=4)
+    state = run(bench, constant_factory, budget=4, iters=3, floor=4)
     best = -np.inf
     for row in state.trace:
         best = max(best, row.true_acc)
@@ -135,7 +136,7 @@ def test_best_so_far_is_monotone_and_correct():
 
 def test_no_architecture_evaluated_twice():
     bench = small_bench(num_archs=40, seed=7)
-    state = run(bench, constant_factory(), budget=6, iters=4, floor=3)
+    state = run(bench, constant_factory, budget=6, iters=4, floor=3)
     ids = [r.arch_id for r in state.trace]
     assert len(ids) == len(set(ids))
     assert set(ids) == set(state.evaluated)
@@ -158,7 +159,7 @@ def test_full_budget_run_is_not_truncated():
 
 def test_constant_scores_exploit_lowest_remaining_ids():
     bench = small_bench(num_archs=20, seed=9)
-    state = run(bench, constant_factory(0.5), budget=4, iters=1, floor=20)
+    state = run(bench, constant_factory, budget=4, iters=1, floor=20)
     seeded = {r.arch_id for r in state.trace if r.iteration == 0}
     remaining = sorted(set(bench.arch_ids) - seeded)
     exploit = [r.arch_id for r in state.trace
@@ -168,10 +169,10 @@ def test_constant_scores_exploit_lowest_remaining_ids():
 
 def test_search_is_deterministic():
     bench = small_bench(num_archs=32, seed=2)
-    a = run(bench, constant_factory(), budget=4, iters=3, floor=4, seed=11)
-    b = run(bench, constant_factory(), budget=4, iters=3, floor=4, seed=11)
+    a = run(bench, constant_factory, budget=4, iters=3, floor=4, seed=11)
+    b = run(bench, constant_factory, budget=4, iters=3, floor=4, seed=11)
     assert a.trace == b.trace
-    c = run(bench, constant_factory(), budget=4, iters=3, floor=4, seed=12)
+    c = run(bench, constant_factory, budget=4, iters=3, floor=4, seed=12)
     assert a.trace != c.trace
 
 
@@ -253,7 +254,8 @@ def test_predictor_factory_with_proxies():
     bench = small_bench(num_archs=12, seed=10)
     dim = bench.proxies.dim
     factory = predictor_factory(
-        tiny_config(supplemental_dims=(dim,)), quick_tc(), use_proxies=True,
+        tiny_config(supplemental_dims=(dim,)), quick_tc(),
+        SupplementalProvider([bench.proxies]),
     )
     state = run(bench, factory, budget=4, iters=1, floor=4, seed=1)
     assert len(state.evaluated) == 8
@@ -261,10 +263,12 @@ def test_predictor_factory_with_proxies():
 
 def test_predictor_factory_proxy_dim_mismatch():
     bench = small_bench(num_archs=12, seed=10)
+    assert bench.proxies.dim != 3
     factory = predictor_factory(
-        tiny_config(supplemental_dims=(3,)), quick_tc(), use_proxies=True,
+        tiny_config(supplemental_dims=(3,)), quick_tc(),
+        SupplementalProvider([bench.proxies]),
     )
-    with pytest.raises(SearchError, match="supplemental_dims"):
+    with pytest.raises(TrainError, match="dim"):
         run(bench, factory, budget=4, iters=1)
 
 
@@ -297,7 +301,7 @@ def test_surrogate_search_beats_equal_budget_random_sampling():
     for seed in range(9):
         tc = TrainConfig(epochs=20, batch_size=16, lr=0.01, seed=seed)
         state = search(
-            bench, predictor_factory(ref_config(), tc), tc,
+            bench, predictor_factory(ref_config(), tc),
             SearchConfig(budget_per_iter=16, max_iters=3, seed=seed),
         )
         assert len(state.evaluated) == 64

@@ -375,6 +375,17 @@ def test_fit_supplemental_contract():
             supplemental=SupplementalProvider([table]))
 
 
+def test_fit_refuses_a_provider_the_model_cannot_take():
+    # scoring refuses these rows, so training must not quietly drop them
+    bench = small_bench()
+    model = model_for(bench)
+    before = params_bytes(model)
+    with pytest.raises(TrainError, match="dim .* != config total 0"):
+        fit(model, bench, bench.arch_ids, quick_cfg(epochs=1),
+            supplemental=SupplementalProvider([bench.proxies]))
+    assert params_bytes(model) == before
+
+
 def test_fit_with_supplemental_runs_and_uses_it():
     bench = small_bench(num_archs=10)
     provider = SupplementalProvider([bench.proxies])
