@@ -14,10 +14,27 @@ rank correlation with accuracy without making any of them perfect.
 Everything is seeded through tagged child streams, so regeneration is
 byte-identical; export writes records sorted by arch id with sorted JSON
 keys for the same reason.
+
+The draw order of the ``gen`` stream, ``Rng(seed).child("gen")``, is the
+contract that keeps every seed's file byte-identical.  Sampling attempts
+follow one another with no draw in between.  An attempt first draws one
+u64 per edge bit, row by row over the strict upper triangle ((0, 1),
+(0, 2), ..., (n - 2, n - 1)); the bit is the draw's low bit, as in
+``randint(2)``.  If node n - 1 is then unreachable from node 0 the attempt
+ends with no cell.  Otherwise each interior node that pruning keeps, in
+node order, takes one op draw x, the op ``3 + x % k`` of k interior ops; a
+draw at or above the largest multiple of k that is at most 2**64 is
+redrawn, as in ``randint(k)``.  With no interior op (k = 0), an attempt that keeps an
+interior node ends there with no cell.  Accuracy noise and proxies are
+polar-method normals (``Rng.normal``) of each arch's own
+``child("noise", id)`` and ``child("proxy", id)`` streams.
+``generate_synthetic`` draws all of these in batches (``batch_u64``,
+``batch_normal``) that give the bytes of these scalar draws.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -42,7 +59,7 @@ from .encodings import (
     score_feature_matrix,
     zscore_columns,
 )
-from .rng import Rng
+from .rng import Rng, batch_normal, batch_u64
 
 BENCH_FORMAT = "flan-bench/1"
 
@@ -142,27 +159,84 @@ def _interior_histogram(n: int) -> tuple[int, ...]:
     return tuple(int(c) for c in np.bincount(keep[kept][first, 1:n - 1].sum(axis=1)))
 
 
-def _sample_cell(spec: SyntheticSpec, rng: Rng, space_id: int) -> CellGraph | None:
-    n = spec.num_nodes
-    adj = np.zeros((n, n), dtype=np.uint8)
-    for i in range(n):
-        for j in range(i + 1, n):
-            adj[i, j] = rng.randint(2)
-    pruned = cellgraph.prune_to_paths(adj, 0, n - 1)
-    if pruned is None:
-        return None
-    canon_adj, keep = pruned
-    ops = [OP_NONE] * n
-    ops[0] = OP_INPUT
-    ops[n - 1] = OP_OUTPUT
-    k = spec.vocab_size - 3
-    for node in range(1, n - 1):
-        if not keep[node]:
+# gen-stream u64s drawn per block: each block is analysed for every start
+# position at once, so this bounds sampling's transient memory
+GEN_BLOCK = 16384
+
+
+def _sample_attempts(spec: SyntheticSpec, blocks):
+    """Yield one item per sampling attempt, in draw order: None when the
+    attempt gives no cell, else the cell's key, the pair of its pruned
+    adjacency's bytes and its op ids.  ``blocks`` yields the gen stream's
+    u64 draws (uint64 arrays), block after block.
+
+    Every start position of a block is analysed at once: whether its edge
+    window reaches the sink, which nodes pruning keeps, and where its op
+    draws end, so the next attempt's start.  Only that chain of starts is
+    walked in Python, one step per attempt; draws past the last complete
+    attempt carry over to the next block."""
+    n, k = spec.num_nodes, spec.vocab_size - 3
+    rows, cols = np.triu_indices(n, 1)
+    width = rows.size  # edge draws per attempt
+    edges = list(enumerate(zip(rows.tolist(), cols.tolist())))
+    # the largest draw randint(k) keeps: one below the largest multiple of
+    # k that is at most 2**64
+    top = (1 << 64) - (1 << 64) % k - 1 if k else 0
+    buf = np.empty(0, dtype=np.uint64)
+    for block in blocks:
+        buf = np.concatenate((buf, block))
+        count = buf.size - width + 1  # starts with a whole edge window
+        if count <= 0:
             continue
-        if k == 0:
-            return None
-        ops[node] = 3 + rng.randint(k)
-    return CellGraph(canon_adj, ops, space_id)
+        # randint(2) never redraws, and its draw is the u64's low bit; edge e
+        # of the attempt starting at p is bit p + e, so for every start at
+        # once it is the slice bits[e:e + count]
+        bits = (buf & 1).astype(bool)
+        fwd = np.zeros((n, count), dtype=bool)  # reached from node 0
+        back = np.zeros((n, count), dtype=bool)  # reaches node n - 1
+        fwd[0] = back[n - 1] = True
+        # row by row, each node's reach is final before an edge reads it
+        for e, (i, j) in edges:
+            fwd[j] |= fwd[i] & bits[e:e + count]
+        for e, (i, j) in reversed(edges):
+            back[i] |= back[j] & bits[e:e + count]
+        keep = fwd & back  # no node at all when the sink is unreachable
+        kept = keep[1:n - 1].sum(axis=0)
+        # an attempt gives a cell when the sink is reachable and, with no
+        # interior op (k = 0), no interior node is kept; a cell takes one op
+        # draw per kept interior node, the first accepted draws after its
+        # edges, and an attempt with no cell takes none
+        made = keep[0] if k else keep[0] & (kept == 0)
+        ops_drawn = kept * made
+        accepted = np.flatnonzero(buf <= top)
+        follow = np.arange(count) + width
+        first = np.searchsorted(accepted, follow)
+        last = first + ops_drawn - 1
+        nxt = follow.copy()  # where the next attempt starts
+        drawn = (ops_drawn > 0) & (last < accepted.size)
+        nxt[drawn] = accepted[last[drawn]] + 1
+        nxt[last >= accepted.size] = -1  # runs past this block's draws
+        starts, pos = [], 0
+        while pos < count and (step := nxt.item(pos)) >= 0:
+            starts.append(pos)
+            pos = step
+        made = made[starts]
+        hits = np.asarray(starts, dtype=np.int64)[made]
+        hit_keep = keep[:, hits].T
+        adj = np.zeros((hits.size, n * n), dtype=np.uint8)
+        adj[:, rows * n + cols] = (bits[hits[:, None] + np.arange(width)]
+                                   & hit_keep[:, rows] & hit_keep[:, cols])
+        ops = np.full((hits.size, n), OP_NONE, dtype=np.int64)
+        ops[:, 0], ops[:, n - 1] = OP_INPUT, OP_OUTPUT
+        inner, inner_keep = ops[:, 1:n - 1], hit_keep[:, 1:n - 1]
+        if k:
+            draw = first[hits][:, None] + np.cumsum(inner_keep, axis=1) - 1
+            inner[inner_keep] = 3 + buf[accepted[draw[inner_keep]]] % k
+        keys = iter(zip(adj.view(np.dtype((np.void, n * n))).ravel().tolist(),
+                        map(tuple, ops.tolist())))
+        for hit in made.tolist():
+            yield next(keys) if hit else None
+        buf = buf[pos:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,6 +289,12 @@ class TabularBenchmark:
         return np.array([self.accuracy(i) for i in arch_ids], dtype=np.float64)
 
 
+def _arch_normals(root: Rng, tag: str, archs, count: int, sigma: float) -> np.ndarray:
+    """``count`` normal(0, sigma) draws per arch, each from the arch's own
+    ``root.child(tag, arch_id)`` stream, as an (archs, count) array."""
+    return batch_normal([root.child(tag, a.arch_id) for a in archs], count, 0.0, sigma)
+
+
 def generate_synthetic(
     spec: SyntheticSpec, name: str | None = None, space_id: int = 0
 ) -> TabularBenchmark:
@@ -230,22 +310,22 @@ def generate_synthetic(
             f"cannot sample {spec.num_archs}"
         )
     budget = 10_000 + 500 * spec.num_archs
-    attempts = 0
-    while len(cells) < spec.num_archs:
-        if attempts >= budget:
+    n = spec.num_nodes
+    blocks = (batch_u64([rng], [GEN_BLOCK])[0] for _ in itertools.count())
+    for attempts, key in enumerate(_sample_attempts(spec, blocks), 1):
+        if attempts > budget:
             raise BenchmarkError(
                 f"gave up after {budget} attempts sampling {spec.num_archs} "
                 "distinct cells; the space is too small or nearly exhausted"
             )
-        attempts += 1
-        cell = _sample_cell(spec, rng, space_id)
-        if cell is None:
-            continue
-        key = (cell.adjacency.tobytes(), cell.op_ids)
-        if key in seen:
+        if key is None or key in seen:
             continue
         seen.add(key)
-        cells.append(cell)
+        adjacency, ops = key
+        cells.append(CellGraph(np.frombuffer(adjacency, dtype=np.uint8).reshape(n, n),
+                               ops, space_id))
+        if len(cells) == spec.num_archs:
+            break
     archs = tuple(
         CellArch((cell,), arch_id=i) for i, cell in enumerate(cells)
     )
@@ -253,14 +333,14 @@ def generate_synthetic(
     raw = score_feature_matrix(archs, vocab)
     utils = spec.utilities()
     noise_root = Rng(spec.seed)
+    noises = [0.0] * len(archs)
+    if spec.noise_sigma > 0.0:
+        noises = _arch_normals(noise_root, "noise", archs, 1, spec.noise_sigma)[:, 0].tolist()
     accuracies: dict[int, float] = {}
-    for arch, longest in zip(archs, raw[:, 2].tolist()):
+    for arch, longest, noise in zip(archs, raw[:, 2].tolist(), noises):
         cell = arch.cells[0]
         base = sum(utils[op] for op in cell.op_ids) / spec.num_nodes
         depth = spec.interaction_scale * longest / spec.num_nodes
-        noise = 0.0
-        if spec.noise_sigma > 0.0:
-            noise = noise_root.child("noise", arch.arch_id).normal(0.0, spec.noise_sigma)
         z = base + depth + noise
         accuracies[arch.arch_id] = 1.0 / (1.0 + math.exp(-z))
 
@@ -268,8 +348,7 @@ def generate_synthetic(
     acc_vec = np.array([accuracies[a.arch_id] for a in archs], dtype=np.float64)
     zacc = zscore_columns(acc_vec.reshape(-1, 1)).reshape(-1)
     dim = feats.shape[1]
-    streams = (noise_root.child("proxy", a.arch_id) for a in archs)
-    draws = np.array([[s.normal(0.0, 0.5) for _ in range(dim)] for s in streams])
+    draws = _arch_normals(noise_root, "proxy", archs, dim, 0.5)
     proxy = 0.5 * feats + 0.5 * (zacc[:, None] + draws)
     proxies = SupplementalTable(
         "zcp", dim, {a.arch_id: p for a, p in zip(archs, proxy)}

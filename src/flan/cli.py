@@ -280,6 +280,10 @@ def _cmd_transfer(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.supp and args.surrogate != "flan":
+        raise ValueError(
+            f"--supp feeds only the flan surrogate, not --surrogate {args.surrogate}"
+        )
     bench = bench_mod.ingest(args.bench)
     pred_kwargs, train_kwargs, search_kwargs = _load_config(args)
     if args.budget is not None:

@@ -17,7 +17,8 @@ It works because xoshiro256** is linear over GF(2): one step is a 256x256 bit
 matrix T.  A stream's draws are cut into lanes of LANE_STEPS draws; lane k
 starts at T^(k*LANE_STEPS) applied to the stream's state (jump-ahead, as in
 Haramoto et al., INFORMS JoC 2008), and every lane of every stream then
-steps in lockstep as ``uint64`` arrays.
+steps in lockstep as ``uint64`` arrays.  ``batch_normal(streams, count)``
+keeps the same contract for ``count`` calls of ``normal`` per stream.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 
+@functools.lru_cache(maxsize=256)
 def _fnv1a(text: str) -> int:
     h = _FNV_OFFSET
     for byte in text.encode("utf-8"):
@@ -124,6 +126,14 @@ def batch_u64(streams: list["Rng"], sizes: list[int]) -> list[np.ndarray]:
     """``sizes[j]`` u64 draws of each ``streams[j]`` as uint64 arrays,
     bit-identical to scalar ``next_u64`` calls; each stream advances by
     exactly its size."""
+    sizes = [operator.index(n) for n in sizes]
+    flat = _draw_flat(streams, sizes)
+    ends = np.cumsum(sizes, dtype=np.int64).tolist()
+    return [flat[end - n:end] for n, end in zip(sizes, ends)]
+
+
+def _draw_flat(streams: list["Rng"], sizes: list[int]) -> np.ndarray:
+    """batch_u64's draws as one uint64 array, stream after stream."""
     if len(streams) != len(sizes):
         raise ValueError(f"{len(streams)} streams but {len(sizes)} sizes")
     if len({id(s) for s in streams}) != len(streams):
@@ -135,16 +145,18 @@ def batch_u64(streams: list["Rng"], sizes: list[int]) -> list[np.ndarray]:
     ends = np.cumsum(lanes)
     starts = ends - lanes
     live = np.flatnonzero(lanes)
-    # every lane's start state, as bits; lane k of a stream is one jump
-    # past lane k - 1
-    bits = np.empty((int(lanes.sum()), 256), dtype=np.float32)
-    bits[starts[live]] = _to_bits(np.array(
-        [[streams[j]._s0, streams[j]._s1, streams[j]._s2, streams[j]._s3]
-         for j in live], dtype=np.uint64).reshape(-1, 4))
-    for k in range(1, int(lanes.max(initial=0))):
-        rows = starts[lanes > k] + k
-        bits[rows] = np.matmul(bits[rows - 1], _lane_jump()) % 2
-    state = np.ascontiguousarray(_from_bits(bits).T)
+    state = np.array([[streams[j]._s0, streams[j]._s1, streams[j]._s2, streams[j]._s3]
+                      for j in live.tolist()], dtype=np.uint64).reshape(-1, 4)
+    if lanes.max(initial=0) > 1:
+        # every lane's start state, as bits; lane k of a stream is one jump
+        # past lane k - 1
+        bits = np.empty((int(lanes.sum()), 256), dtype=np.float32)
+        bits[starts[live]] = _to_bits(state)
+        for k in range(1, int(lanes.max())):
+            rows = starts[lanes > k] + k
+            bits[rows] = np.matmul(bits[rows - 1], _lane_jump()) % 2
+        state = _from_bits(bits)
+    state = np.ascontiguousarray(state.T)
     # a stream ends where its last lane stops, after its remaining draws
     rest = sizes[live] - (lanes[live] - 1) * LANE_STEPS
     stops = {r: (ends[live][rest == r] - 1, np.flatnonzero(rest == r))
@@ -153,13 +165,51 @@ def batch_u64(streams: list["Rng"], sizes: list[int]) -> list[np.ndarray]:
     steps = int(min(sizes.max(initial=0), LANE_STEPS))
     out = _lockstep(state, steps, stops, final)[:steps]
     _scramble(out)
-    for column, j in enumerate(live.tolist()):
+    for j, words in zip(live.tolist(), final.T.tolist()):
         stream = streams[j]
-        stream._s0, stream._s1, stream._s2, stream._s3 = map(int, final[:, column])
-    # each stream's lanes, one after another, copied out of the shared buffer
-    by_lane = out.T
-    return [np.ascontiguousarray(by_lane[a:b]).reshape(-1)[:n]
-            for a, b, n in zip(starts.tolist(), ends.tolist(), sizes.tolist())]
+        stream._s0, stream._s1, stream._s2, stream._s3 = words
+    # each stream's lanes, one after another: every lane is full but a
+    # stream's last, which holds its remaining draws
+    lane_len = np.full(int(lanes.sum()), LANE_STEPS)
+    lane_len[ends[live] - 1] = rest
+    return out.T[np.arange(steps) < lane_len[:, None]]
+
+
+def batch_normal(streams: list["Rng"], count: int, mu: float = 0.0,
+                 sigma: float = 1.0) -> np.ndarray:
+    """``count`` normal draws of each stream as a (len(streams), count)
+    float64 array, bit-identical to ``count`` scalar ``normal(mu, sigma)``
+    calls per stream, and each stream ends where those calls leave it.
+
+    Each round draws two u64s per normal a stream still lacks: the polar
+    method takes at least that many, so no stream is advanced past the
+    pairs its scalar calls would consume, and the accepted pairs of a round
+    all land in order.  ``math.log`` is taken per value, because ``np.log``
+    need not round as it does; every other step is one IEEE operation,
+    done in the scalar order."""
+    if sigma < 0.0:
+        raise ValueError(f"sigma must be non-negative, got {sigma}")
+    out = np.empty((len(streams), operator.index(count)), dtype=np.float64)
+    filled = np.zeros(len(streams), dtype=np.int64)
+    live = np.arange(len(streams) if count > 0 else 0)
+    while live.size:
+        wanted = count - filled[live]
+        draws = _draw_flat([streams[j] for j in live.tolist()], (2 * wanted).tolist())
+        uv = 2.0 * ((draws >> 11).astype(np.float64) * (1.0 / (1 << 53))) - 1.0
+        u, v = uv[0::2], uv[1::2]
+        s = u * u + v * v
+        ok = (0.0 < s) & (s < 1.0)
+        # the accepted pairs of each stream fill its next free slots in order
+        owner = np.repeat(np.arange(live.size), wanted)[ok]
+        taken = np.bincount(owner, minlength=live.size)
+        slot = np.arange(owner.size) - (np.cumsum(taken) - taken)[owner]
+        s = s[ok]
+        logs = np.array([math.log(x) for x in s.tolist()], dtype=np.float64)
+        out[live[owner], filled[live][owner] + slot] = (
+            mu + sigma * u[ok] * np.sqrt(-2.0 * logs / s))
+        filled[live] += taken
+        live = live[filled[live] < count]
+    return out
 
 
 class Rng:

@@ -1,7 +1,9 @@
 """Synthetic generation, file round-trips and splits."""
 
+import collections
 import contextlib
 import io
+import itertools
 import json
 import math
 import re
@@ -11,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flan import cellgraph
+from flan import benchmark, cellgraph
 from flan.benchmark import (
     BenchmarkError,
     SyntheticSpec,
     TabularBenchmark,
+    _sample_attempts,
     count_distinct_cells,
     export,
     generate_synthetic,
@@ -26,6 +29,8 @@ from flan.benchmark import (
 from flan.cellgraph import validate
 from flan.cli import main
 from flan.metrics import spearman_rho
+from flan.rng import Rng, batch_u64
+from reference_gen import ScriptedRng, reference_generate, sample_cell
 
 
 def base_spec(**overrides):
@@ -121,14 +126,15 @@ def test_oversized_request_fails_before_sampling(monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampled a cell for a request the count refuses")
 
-    monkeypatch.setattr("flan.benchmark._sample_cell", no_sampling)
+    monkeypatch.setattr("flan.benchmark._sample_attempts", no_sampling)
     with pytest.raises(BenchmarkError, match="space holds only 49 distinct cells"):
         generate_synthetic(base_spec(num_nodes=4, vocab_size=5, num_archs=50))
 
 
 def test_spent_budget_gives_up(monkeypatch):
     # beyond six nodes there is no exact count, so only the budget ends it
-    monkeypatch.setattr("flan.benchmark._sample_cell", lambda *args: None)
+    monkeypatch.setattr("flan.benchmark._sample_attempts",
+                        lambda *args: itertools.repeat(None))
     with pytest.raises(BenchmarkError, match="gave up after 10500 attempts"):
         generate_synthetic(base_spec(num_nodes=7, num_archs=1))
 
@@ -216,6 +222,119 @@ def test_metadata_is_string_valued():
     assert bench.name == "custom"
     assert all(isinstance(v, str) for v in bench.metadata.values())
     assert bench.metadata["num_nodes"] == "4"
+
+
+# -- batched sampling against the scalar reference -------------------------------------
+
+def _export_bytes(bench, path):
+    export(bench, path)
+    return path.read_bytes()
+
+
+def _assert_same_as_reference(spec, tmp):
+    """generate_synthetic writes the reference's file, or refuses alike."""
+    try:
+        want = _export_bytes(reference_generate(spec), tmp / "ref.jsonl")
+    except BenchmarkError as exc:
+        with pytest.raises(BenchmarkError, match=f"^{re.escape(str(exc))}$"):
+            generate_synthetic(spec)
+        return
+    assert _export_bytes(generate_synthetic(spec), tmp / "got.jsonl") == want
+
+
+@st.composite
+def small_specs(draw):
+    n = draw(st.integers(min_value=2, max_value=9))
+    v = draw(st.integers(min_value=3, max_value=10))
+    exact = count_distinct_cells(n, v)
+    if exact is None:
+        # beyond six nodes a 3-op vocabulary holds one cell, and a second
+        # one would cost the whole attempt budget
+        most = 1 if v == 3 else 30
+    else:
+        most = min(exact + 1, 30)  # exact + 1 is refused up front
+    return SyntheticSpec(
+        num_nodes=n, vocab_size=v,
+        num_archs=draw(st.integers(min_value=1, max_value=most)),
+        seed=draw(st.integers(min_value=0, max_value=2**64 - 1)),
+        noise_sigma=draw(st.sampled_from([0.0, 0.1])),
+        interaction_scale=draw(st.sampled_from([0.0, 0.5])),
+    )
+
+
+@given(small_specs())
+@settings(max_examples=60, deadline=None)
+def test_generation_matches_the_scalar_reference(tmp_path_factory, spec):
+    _assert_same_as_reference(spec, tmp_path_factory.mktemp("gen"))
+
+
+@pytest.mark.parametrize("spec", [
+    # 66 edge bits per attempt: more than an int64 mask holds
+    SyntheticSpec(num_nodes=12, vocab_size=7, num_archs=40, seed=5,
+                  noise_sigma=0.1, interaction_scale=0.5),
+    # every distinct cell of the space
+    SyntheticSpec(num_nodes=3, vocab_size=5, num_archs=5, seed=2),
+    SyntheticSpec(num_nodes=4, vocab_size=4, num_archs=15, seed=3, noise_sigma=0.1),
+    # the attempt budget runs out
+    SyntheticSpec(num_nodes=7, vocab_size=3, num_archs=2, seed=1),
+], ids=["12-nodes", "3-nodes-full", "4-nodes-full", "budget-spent"])
+def test_generation_matches_the_scalar_reference_at_the_edges(tmp_path, spec):
+    _assert_same_as_reference(spec, tmp_path)
+
+
+@pytest.mark.parametrize("block, spec", [
+    (1, base_spec(num_archs=20)),
+    (37, SyntheticSpec(num_nodes=12, vocab_size=7, num_archs=10, seed=5)),
+    (100, base_spec(num_nodes=7, vocab_size=8, num_archs=60, seed=4)),
+])
+def test_block_size_changes_no_byte(monkeypatch, tmp_path, block, spec):
+    monkeypatch.setattr(benchmark, "GEN_BLOCK", block)
+    _assert_same_as_reference(spec, tmp_path)
+
+
+def test_a_rejected_op_draw_is_redrawn():
+    # randint(3) redraws 2**64 - 1, which no seeded run meets; plant it
+    spec = base_spec(num_nodes=4, vocab_size=6)
+    top = 2**64 - 1
+    draws = batch_u64([Rng(3)], [3000])[0].tolist()
+    # all six edges, then a rejected, an accepted, a rejected and an
+    # accepted op draw
+    draws[:10] = [1] * 6 + [top, top - 1, top, 5]
+    draws[10::7] = [top] * len(draws[10::7])
+    scripted = ScriptedRng(draws)
+    want = []
+    while scripted._used < len(draws) - 40:
+        cell = sample_cell(spec, scripted, 0)
+        want.append(None if cell is None else (cell.adjacency.tobytes(), cell.op_ids))
+    assert scripted.redraws > 10
+    assert want[0] == (np.array([[0, 1, 1, 1], [0, 0, 1, 1], [0, 0, 0, 1], [0, 0, 0, 0]],
+                                dtype=np.uint8).tobytes(), (0, 5, 5, 1))
+    cuts = [0, 1, 7, 64, 65, 500, 1800, len(draws)]
+    blocks = (np.array(draws[a:b], dtype=np.uint64) for a, b in zip(cuts, cuts[1:]))
+    assert list(itertools.islice(_sample_attempts(spec, blocks), len(want))) == want
+
+
+def test_generation_makes_no_scalar_draw_and_prunes_no_single_cell(monkeypatch):
+    calls = collections.Counter()
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(Rng, "randint", spy("randint", Rng.randint))
+    monkeypatch.setattr(Rng, "normal", spy("normal", Rng.normal))
+    monkeypatch.setattr(cellgraph, "prune_to_paths",
+                        spy("prune_to_paths", cellgraph.prune_to_paths))
+    reference_generate(base_spec(num_archs=4))
+    assert min(calls[name] for name in ("randint", "normal", "prune_to_paths")) > 0
+    calls.clear()
+    bench = generate_synthetic(SyntheticSpec(
+        num_nodes=7, vocab_size=8, num_archs=1024, seed=1,
+        noise_sigma=0.05, interaction_scale=0.5))
+    assert len(bench) == 1024
+    assert (calls["randint"], calls["normal"], calls["prune_to_paths"]) == (0, 0, 0)
 
 
 # -- export / ingest -------------------------------------------------------------------------

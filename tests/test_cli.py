@@ -569,6 +569,21 @@ def test_search_requires_a_budget(ws, tmp_path, capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("surrogate", ["oracle", "constant"])
+def test_search_supp_with_a_surrogate_that_ignores_it_exits_2(ws, tmp_path, capsys,
+                                                              surrogate):
+    out = tmp_path / "t.csv"
+    code, _, err = run_cli(
+        capsys, "search", "--bench", str(ws["bench_a"]), "--surrogate", surrogate,
+        "--supp", str(tmp_path / "no-such-file.supp"), "--budget", "4",
+        "--iters", "1", "--out", str(out),
+    )
+    assert code == 2
+    assert err == ("error: --supp feeds only the flan surrogate, "
+                   f"not --surrogate {surrogate}\n")
+    assert not out.exists()
+
+
 def test_search_takes_a_file_supp_and_zcp(ws, tmp_path, capsys):
     supp = tmp_path / "score.supp"
     assert main(["encode", "--bench", str(ws["bench_a"]), "--kind", "score",

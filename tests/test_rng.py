@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flan.rng import LANE_STEPS, Rng, batch_u64
+from flan.rng import LANE_STEPS, Rng, batch_normal, batch_u64
 
 
 # -- determinism -------------------------------------------------------------
@@ -213,3 +213,36 @@ def test_batch_rejects_bad_requests():
     with pytest.raises(TypeError):
         batch_u64([stream], [1.5])
     assert stream.next_u64() == Rng(0).next_u64()
+
+
+# -- batched normals -----------------------------------------------------------
+
+@pytest.mark.parametrize("count", [0, 1, 2, 9, 300])
+def test_batch_normal_matches_scalar_normals(count):
+    batched = [Rng(23).child("normal", k) for k in range(40)]
+    scalar = [Rng(23).child("normal", k) for k in range(40)]
+    got = batch_normal(batched, count, 0.25, 1.5)
+    assert got.dtype == np.float64 and got.shape == (40, count)
+    assert got.tolist() == [[s.normal(0.25, 1.5) for _ in range(count)] for s in scalar]
+    # each stream continues exactly where the scalar calls left it
+    assert [s.next_u64() for s in batched] == [s.next_u64() for s in scalar]
+
+
+@given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=2**64 - 1),
+       st.sampled_from([0.0, 0.5, 3.0]))
+@settings(max_examples=25, deadline=None)
+def test_batch_normal_matches_scalar_normals_for_any_streams(count, seed, sigma):
+    batched = [Rng(seed).child(k) for k in range(300)]
+    got = batch_normal(batched, count, -1.0, sigma)
+    for k, stream in enumerate(batched):
+        ref = Rng(seed).child(k)
+        assert got[k].tolist() == [ref.normal(-1.0, sigma) for _ in range(count)]
+        assert stream.next_u64() == ref.next_u64()
+
+
+def test_batch_normal_of_no_streams_and_bad_sigma():
+    assert batch_normal([], 3).shape == (0, 3)
+    stream = Rng(4)
+    with pytest.raises(ValueError, match="sigma"):
+        batch_normal([stream], 2, 0.0, -1.0)
+    assert stream.next_u64() == Rng(4).next_u64()
