@@ -167,19 +167,14 @@ def _cmd_encode(args) -> int:
     return 0
 
 
-def _train_model(bench, train_ids, pred_kwargs, train_kwargs, supp_specs):
-    provider = _supplemental_provider(supp_specs, bench)
+def _predictor_config(pred_kwargs: dict, provider) -> PredictorConfig:
+    """A --supp provider's dims are the default supplemental dims."""
     if provider is not None:
         pred_kwargs.setdefault("supplemental_dims", provider.dims)
-    pcfg = PredictorConfig(**pred_kwargs)
-    tcfg = TrainConfig(**train_kwargs)
-    vocab = enc_mod.unify([bench.vocab])
-    model = init(pcfg, vocab, bench.cells_per_arch, tcfg.seed)
-    history = fit(model, bench, train_ids, tcfg, supplemental=provider)
-    return model, history, provider, tcfg
+    return PredictorConfig(**pred_kwargs)
 
 
-def _score_report(model, bench, test_ids, provider) -> dict:
+def _score_report(model, bench, train_ids, test_ids, provider) -> dict:
     supp = provider.matrix(test_ids) if provider is not None else None
     scores = score_archs(model, [bench.arch(i) for i in test_ids], supp)
     accs = bench.accuracy_vector(test_ids)
@@ -188,35 +183,21 @@ def _score_report(model, bench, test_ids, provider) -> dict:
         "n": report.n,
         "kendall_tau": report.kendall,
         "spearman_rho": report.spearman,
+        "train_count": len(train_ids),
     }
 
 
 def _cmd_train(args) -> int:
     bench = bench_mod.ingest(args.bench)
     pred_kwargs, train_kwargs, _ = _load_config(args)
-    train_ids, test_ids = bench_mod.split(
-        bench, args.train_count, train_kwargs.get("seed", 0)
-    )
-    model, history, provider, tcfg = _train_model(
-        bench, train_ids, pred_kwargs, train_kwargs, args.supp
-    )
-    provenance = {
-        "bench_name": bench.name,
-        "bench_count": len(bench),
-        "split_seed": tcfg.seed,
-        "train_count": args.train_count,
-        "epochs": tcfg.epochs,
-        "supp": ",".join(args.supp),
-    }
-    # score first: a split too small to rank must not leave a checkpoint
-    payload = _score_report(model, bench, test_ids, provider)
-    save_model(model, args.out, provenance)
-    payload.update({
-        "train_count": len(train_ids),
-        "final_loss": history["epoch_losses"][-1] if history["epoch_losses"] else None,
-        "checkpoint": str(args.out),
-    })
-    _emit(payload, args.report)
+    tcfg = TrainConfig(**train_kwargs)
+    train_ids, test_ids = bench_mod.split(bench, args.train_count, tcfg.seed)
+    provider = _supplemental_provider(args.supp, bench)
+    model = init(_predictor_config(pred_kwargs, provider),
+                 enc_mod.unify([bench.vocab]), bench.cells_per_arch, tcfg.seed)
+    losses = fit(model, bench, train_ids, tcfg, supplemental=provider)["epoch_losses"]
+    _save_scored(args, model, bench, train_ids, test_ids, provider, tcfg.seed,
+                 tcfg.epochs, final_loss=losses[-1] if losses else None)
     return 0
 
 
@@ -228,54 +209,53 @@ def _held_out_split(bench, train_count: int, seed: int):
     return bench_mod.split(bench, train_count, seed)
 
 
-def _restore(args):
-    model, provenance = load_model(args.ckpt)
-    bench = bench_mod.ingest(args.bench)
-    return model, provenance, bench
+def _save_scored(args, model, bench, train_ids, test_ids, provider, seed,
+                 epochs, **extra) -> None:
+    """Score, then save with the provenance eval reads, then report."""
+    provenance = {
+        "bench_name": bench.name,
+        "bench_count": len(bench),
+        "split_seed": seed,
+        "train_count": args.train_count,
+        "epochs": epochs,
+        "supp": ",".join(args.supp),
+    }
+    # score first: a split too small to rank must not leave a checkpoint
+    payload = _score_report(model, bench, train_ids, test_ids, provider)
+    save_model(model, args.out, provenance)
+    _emit({**payload, **extra, "checkpoint": str(args.out)}, args.report)
 
 
 def _cmd_eval(args) -> int:
-    model, provenance, bench = _restore(args)
-    if provenance.get("bench_name") != bench.name:
+    model, provenance = load_model(args.ckpt)
+    bench = bench_mod.ingest(args.bench)
+    try:
+        name, count, seed = (provenance[key] for key in
+                             ("bench_name", "train_count", "split_seed"))
+    except KeyError as exc:
+        raise ValueError(f"checkpoint provenance has no {exc}: eval reads "
+                         "checkpoints written by flan train or flan transfer") from None
+    if name != bench.name:
         raise ValueError(
-            f"checkpoint was trained on {provenance.get('bench_name')!r}, "
-            f"given benchmark is {bench.name!r}"
+            f"checkpoint was trained on {name!r}, given benchmark is {bench.name!r}"
         )
-    train_ids, test_ids = _held_out_split(
-        bench, int(provenance["train_count"]), int(provenance["split_seed"])
-    )
+    train_ids, test_ids = _held_out_split(bench, int(count), int(seed))
     supp_specs = [s for s in provenance.get("supp", "").split(",") if s]
     provider = _supplemental_provider(supp_specs, bench)
-    payload = _score_report(model, bench, test_ids, provider)
-    payload["train_count"] = len(train_ids)
-    _emit(payload, args.out)
+    _emit(_score_report(model, bench, train_ids, test_ids, provider), args.out)
     return 0
 
 
 def _cmd_transfer(args) -> int:
-    model, _, bench = _restore(args)
+    model, _ = load_model(args.ckpt)
+    bench = bench_mod.ingest(args.bench)
     _, train_kwargs, _ = _load_config(args)
     tcfg = TrainConfig(**train_kwargs)
     train_ids, test_ids = _held_out_split(bench, args.train_count, tcfg.seed)
-    supp_specs = list(args.supp)
-    provider = _supplemental_provider(supp_specs, bench)
+    provider = _supplemental_provider(args.supp, bench)
     tuned = transfer(model, bench, train_ids, tcfg, supplemental=provider)
-    provenance = {
-        "bench_name": bench.name,
-        "bench_count": len(bench),
-        "split_seed": tcfg.seed,
-        "train_count": args.train_count,
-        "epochs": tcfg.transfer_epochs,
-        "supp": ",".join(supp_specs),
-    }
-    # score first: a split too small to rank must not leave a checkpoint
-    payload = _score_report(tuned, bench, test_ids, provider)
-    save_model(tuned, args.out, provenance)
-    payload.update({
-        "train_count": len(train_ids),
-        "checkpoint": str(args.out),
-    })
-    _emit(payload, args.report)
+    _save_scored(args, tuned, bench, train_ids, test_ids, provider, tcfg.seed,
+                 tcfg.transfer_epochs)
     return 0
 
 
@@ -286,29 +266,21 @@ def _cmd_search(args) -> int:
         )
     bench = bench_mod.ingest(args.bench)
     pred_kwargs, train_kwargs, search_kwargs = _load_config(args)
-    if args.budget is not None:
-        search_kwargs["budget_per_iter"] = args.budget
-    if args.iters is not None:
-        search_kwargs["max_iters"] = args.iters
-    if args.initial is not None:
-        search_kwargs["initial_sample"] = args.initial
-    if args.pool_floor is not None:
-        search_kwargs["pool_floor"] = args.pool_floor
-    if "budget_per_iter" not in search_kwargs:
-        raise ValueError("search needs --budget or budget_per_iter in --config")
-    if "max_iters" not in search_kwargs:
-        raise ValueError("search needs --iters or max_iters in --config")
+    for key, value in (("budget_per_iter", args.budget), ("max_iters", args.iters),
+                       ("initial_sample", args.initial),
+                       ("pool_floor", args.pool_floor)):
+        if value is not None:
+            search_kwargs[key] = value
+    for key, flag in (("budget_per_iter", "--budget"), ("max_iters", "--iters")):
+        if key not in search_kwargs:
+            raise ValueError(f"search needs {flag} or {key} in --config")
     scfg = SearchConfig(**search_kwargs)
     tcfg = TrainConfig(**train_kwargs)
-    if args.surrogate == "oracle":
-        factory = oracle_factory
-    elif args.surrogate == "constant":
-        factory = constant_factory
-    else:
+    factory = {"oracle": oracle_factory, "constant": constant_factory}.get(args.surrogate)
+    if factory is None:
         provider = _supplemental_provider(args.supp, bench)
-        if provider is not None:
-            pred_kwargs.setdefault("supplemental_dims", provider.dims)
-        factory = predictor_factory(PredictorConfig(**pred_kwargs), tcfg, provider)
+        factory = predictor_factory(_predictor_config(pred_kwargs, provider),
+                                    tcfg, provider)
     state = search(bench, factory, scfg)
     write_trace_csv(state, args.out)
     best_id, best_acc = state.best_so_far

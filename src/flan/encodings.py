@@ -267,16 +267,13 @@ class UnifiedVocabulary:
         return self._size
 
     def has_space(self, space_id: int) -> bool:
-        return any(v.space_id == space_id for v in self.spaces)
+        return space_id in self._lookup
 
     def space(self, space_id: int) -> OpVocabulary:
         for vocab in self.spaces:
             if vocab.space_id == space_id:
                 return vocab
         raise EncodingError(f"space {space_id} is not registered")
-
-    def unified_id(self, space_id: int, local_op: int) -> int:
-        return int(self.map_ops(space_id, local_op))
 
     def map_ops(self, space_id: int, op_ids) -> np.ndarray:
         """The unified ids of an array of one space's local op ids, in its

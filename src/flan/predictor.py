@@ -200,12 +200,8 @@ def gat_layer(x: Tensor, routing: np.ndarray, op_emb: Tensor,
     scores the kink splits into both signs.  This is GAT's "static
     attention" (Brody et al., ICLR 2022).
     """
-    if variant == "shared_sigmoid":
-        names = ("w_p",)
-    elif variant == "kqv_softmax":
-        names = ("w_v", "w_k", "w_q")
-    else:
-        raise PredictorError(f"unknown attention variant {variant!r}")
+    # the projections follow the four shared names; reversed, v k q
+    names = GAT_PARAM_NAMES[variant][:3:-1]
     attn_a, w_o = params["attn_a"], params["w_o"]
     gamma, beta = params["ln_gamma"], params["ln_beta"]
     projs = [ad.fold_matmul(x.data, params[name].data) for name in names]

@@ -318,16 +318,6 @@ def transfer(model: PredictorModel, target_bench, target_train_ids,
     return out
 
 
-@dataclass
-class Checkpoint:
-    version: int
-    config: PredictorConfig
-    vocab: UnifiedVocabulary
-    cells_per_arch: int
-    tensors: dict[str, np.ndarray]
-    provenance: dict[str, str]
-
-
 def save_model(model: PredictorModel, path, provenance: dict | None = None) -> None:
     """Write the binary checkpoint; identical models produce identical bytes."""
     model.check_finite()
@@ -378,7 +368,10 @@ class _Reader:
         return self.pos == len(self.data)
 
 
-def load_checkpoint(path) -> Checkpoint:
+def load_model(path) -> tuple[PredictorModel, dict[str, str]]:
+    """The model and provenance that save_model wrote to path.  Any file
+    that does not hold exactly the finite tensors its config builds raises
+    CheckpointError; config keys in RETIRED_CONFIG_KEYS are dropped."""
     with open(path, "rb") as fh:
         reader = _Reader(fh.read())
     if reader.pull(8) != CKPT_MAGIC:
@@ -422,30 +415,22 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"tensor {name!r} has shape {shape}: {exc}") from None
         if not np.all(np.isfinite(tensors[name])):
             raise CheckpointError(f"tensor {name!r} holds non-finite values")
+    del reader  # the file's bytes: freed before the model copies the tensors
     if list(tensors) != promised:
         raise CheckpointError(
             "tensor records do not match the names promised in metadata"
         )
-    return Checkpoint(version, config, vocab, cells_per_arch, tensors, provenance)
-
-
-def model_from_checkpoint(ckpt: Checkpoint) -> PredictorModel:
-    expected = parameter_shapes(ckpt.config, ckpt.vocab.size, ckpt.cells_per_arch)
+    expected = parameter_shapes(config, vocab.size, cells_per_arch)
     for name, shape in expected.items():
-        if name not in ckpt.tensors:
+        if name not in tensors:
             raise CheckpointError(f"checkpoint is missing tensor {name!r}")
-        if ckpt.tensors[name].shape != shape:
+        if tensors[name].shape != shape:
             raise CheckpointError(
-                f"tensor {name!r} has shape {ckpt.tensors[name].shape}, "
+                f"tensor {name!r} has shape {tensors[name].shape}, "
                 f"config expects {shape}"
             )
-    extra = set(ckpt.tensors) - set(expected)
+    extra = set(tensors) - set(expected)
     if extra:
         raise CheckpointError(f"checkpoint carries unknown tensors {sorted(extra)}")
-    arrays = {name: ckpt.tensors[name] for name in expected}
-    return PredictorModel(ckpt.config, ckpt.vocab, ckpt.cells_per_arch, arrays)
-
-
-def load_model(path) -> tuple[PredictorModel, dict[str, str]]:
-    ckpt = load_checkpoint(path)
-    return model_from_checkpoint(ckpt), ckpt.provenance
+    arrays = {name: tensors[name] for name in expected}
+    return PredictorModel(config, vocab, cells_per_arch, arrays), provenance

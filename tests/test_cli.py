@@ -18,7 +18,7 @@ from flan.cli import _load_config, _split_config, build_parser, main, parse_conf
 from flan.encodings import SupplementalProvider, load_supplemental
 from flan.nas_search import SearchConfig, predictor_factory, search, write_trace_csv
 from flan.predictor import PredictorConfig
-from flan.training import TrainConfig
+from flan.training import TrainConfig, load_model, save_model
 
 from conftest import REFERENCE_DIMS
 
@@ -377,6 +377,24 @@ def test_eval_rejects_a_different_benchmark(ws, trained, capsys):
     assert "trained on" in err
 
 
+@pytest.mark.parametrize("provenance, key", [
+    (None, "bench_name"),
+    ({"bench_name": "synthetic-n4v6-s3"}, "train_count"),
+    ({"bench_name": "synthetic-n4v6-s3", "train_count": 16}, "split_seed"),
+])
+def test_eval_of_a_checkpoint_without_provenance_names_the_missing_key(
+        ws, trained, tmp_path, capsys, provenance, key):
+    # save_model takes any provenance; eval needs the split train wrote
+    model, _ = load_model(trained["ckpt"])
+    path = tmp_path / "library.ckpt"
+    save_model(model, path, provenance)
+    code, payload, err = run_cli(capsys, "eval", "--ckpt", str(path),
+                                 "--bench", str(ws["bench_a"]))
+    assert (code, payload) == (2, None)
+    assert err == (f"error: checkpoint provenance has no {key!r}: eval reads "
+                   "checkpoints written by flan train or flan transfer\n")
+
+
 def test_train_with_proxies(ws, tmp_path, capsys):
     code, payload, _ = run_cli(
         capsys, "train", "--bench", str(ws["bench_a"]), "--train-count", "16",
@@ -492,6 +510,29 @@ def test_eval_ranks_every_arch_of_a_zero_shot_transfer(ws, trained, tmp_path,
     assert payload == {"n": 12, "train_count": 0,
                        "kendall_tau": zero["kendall_tau"],
                        "spearman_rho": zero["spearman_rho"]}
+
+
+def test_eval_prints_the_report_of_supp_train_and_fine_tuned_transfer(
+        ws, trained, tmp_path, capsys):
+    # train and transfer write one provenance; eval ranks the same split
+    # with the same supplemental input, so it prints the report they printed
+    source, tuned = tmp_path / "source.ckpt", tmp_path / "tuned.ckpt"
+    runs = [
+        (source, ws["bench_a"], ("train", "--train-count", "16", "--seed", "5")),
+        (tuned, ws["bench_b"], ("transfer", "--ckpt", str(source),
+                                "--train-count", "6", "--seed", "2")),
+    ]
+    for out, bench, argv in runs:
+        code, report, _ = run_cli(capsys, *argv, "--bench", str(bench),
+                                  "--config", str(ws["cfg"]), "--supp", "zcp",
+                                  "--out", str(out))
+        assert code == 0 and report["checkpoint"] == str(out)
+        code, payload, err = run_cli(capsys, "eval", "--ckpt", str(out),
+                                     "--bench", str(bench))
+        assert (code, err) == (0, "")
+        del report["checkpoint"]
+        report.pop("final_loss", None)
+        assert payload == report
 
 
 def test_a_split_too_small_to_rank_leaves_no_checkpoint(ws, trained, tmp_path, capsys):

@@ -417,7 +417,7 @@ def test_unify_single_space_is_identity():
     vocab = OpVocabulary(0, ("input", "output", "none", "op_a", "op_b"))
     uni = unify([vocab])
     assert uni.size == 5
-    assert [uni.unified_id(0, i) for i in range(5)] == [0, 1, 2, 3, 4]
+    assert [uni.map_ops(0, i).item() for i in range(5)] == [0, 1, 2, 3, 4]
 
 
 def test_unify_two_spaces_share_reserved_ids():
@@ -426,9 +426,9 @@ def test_unify_two_spaces_share_reserved_ids():
     uni = unify([va, vb])
     assert uni.size == 3 + 2 + 2
     for local in range(3):
-        assert uni.unified_id(0, local) == uni.unified_id(1, local) == local
+        assert uni.map_ops(0, local).item() == uni.map_ops(1, local).item() == local
     interiors = {
-        uni.unified_id(s, o) for s in (0, 1) for o in (3, 4)
+        uni.map_ops(s, o).item() for s in (0, 1) for o in (3, 4)
     }
     assert len(interiors) == 4 and interiors.isdisjoint({0, 1, 2})
 
@@ -439,7 +439,7 @@ def test_unify_order_independent():
     ab = unify([va, vb])
     ba = unify([vb, va])
     for space, op in ((0, 3), (3, 3), (3, 4)):
-        assert ab.unified_id(space, op) == ba.unified_id(space, op)
+        assert ab.map_ops(space, op).item() == ba.map_ops(space, op).item()
 
 
 def test_unify_duplicate_space_rejected():
@@ -458,7 +458,7 @@ def test_unify_injective_over_many_spaces():
     seen = {}
     for s in range(5):
         for op in range(3, 10):
-            uid = uni.unified_id(s, op)
+            uid = uni.map_ops(s, op).item()
             assert uid not in seen, f"collision with {seen.get(uid)}"
             seen[uid] = (s, op)
     assert uni.size == 3 + 5 * 7
@@ -469,11 +469,11 @@ def test_extend_preserves_existing_ids():
     va = OpVocabulary(0, ("input", "output", "none", "a1", "a2"))
     vb = OpVocabulary(1, ("input", "output", "none", "b1"))
     base = unify([va])
-    before = {op: base.unified_id(0, op) for op in range(va.size)}
+    before = {op: base.map_ops(0, op).item() for op in range(va.size)}
     grown = base.extend(vb)
     for op, uid in before.items():
-        assert grown.unified_id(0, op) == uid
-    assert grown.unified_id(1, 3) == base.size
+        assert grown.map_ops(0, op).item() == uid
+    assert grown.map_ops(1, 3).item() == base.size
     with pytest.raises(EncodingError):
         grown.extend(vb)
 
@@ -483,14 +483,14 @@ def test_map_ops_and_errors():
     uni = unify([va])
     assert uni.map_ops(2, [0, 3, 1]).tolist() == [0, 3, 1]
     with pytest.raises(EncodingError):
-        uni.unified_id(9, 0)
+        uni.map_ops(9, 0)
     with pytest.raises(EncodingError):
-        uni.unified_id(2, 4)
+        uni.map_ops(2, 4)
 
 
 def test_map_ops_of_a_stack_gives_unified_ids_in_its_shape():
     # transfer registers a target space with extend; both spaces' lookups
-    # must give unified_id of every local op, for a stacked (B, n) array
+    # must give the unified id of every local op, for a stacked (B, n) array
     va = OpVocabulary(0, ("input", "output", "none", "a1", "a2"))
     vb = OpVocabulary(4, ("input", "output", "none", "b1", "b2", "b3"))
     uni = unify([va]).extend(vb)
@@ -499,7 +499,7 @@ def test_map_ops_of_a_stack_gives_unified_ids_in_its_shape():
         ops = np.array([range(vocab.size), range(vocab.size - 1, -1, -1)])
         got = uni.map_ops(vocab.space_id, ops)
         assert got.dtype == np.int64 and got.shape == ops.shape
-        assert got.tolist() == [[uni.unified_id(vocab.space_id, op) for op in row]
+        assert got.tolist() == [[uni.map_ops(vocab.space_id, op).item() for op in row]
                                 for row in ops.tolist()]
         assert got[0].tolist() == want[vocab.space_id]
 
@@ -521,7 +521,7 @@ def test_unified_vocab_dict_round_trip():
     uni = unify([va]).extend(vb)
     back = UnifiedVocabulary.from_dict(uni.to_dict())
     assert back.size == uni.size
-    assert back.unified_id(1, 3) == uni.unified_id(1, 3)
+    assert back.map_ops(1, 3).item() == uni.map_ops(1, 3).item()
     assert tuple(v.space_id for v in back.spaces) == (0, 1)
 
 

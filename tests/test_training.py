@@ -36,7 +36,6 @@ from flan.rng import Rng
 from flan.training import (
     ADAM_BLOCK,
     CKPT_MAGIC,
-    Checkpoint,
     CheckpointError,
     TrainConfig,
     TrainError,
@@ -44,9 +43,7 @@ from flan.training import (
     _AdamState,
     fit,
     hinge_rank_loss,
-    load_checkpoint,
     load_model,
-    model_from_checkpoint,
     ranking_pairs,
     save_model,
     transfer,
@@ -738,7 +735,7 @@ def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "x.ckpt"
     path.write_bytes(b"NOTAFILE" + b"\x00" * 16)
     with pytest.raises(CheckpointError, match="magic"):
-        load_checkpoint(path)
+        load_model(path)
 
 
 def test_checkpoint_bad_version(tmp_path):
@@ -749,7 +746,7 @@ def test_checkpoint_bad_version(tmp_path):
     raw[8] = 99
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="version"):
-        load_checkpoint(path)
+        load_model(path)
 
 
 def test_checkpoint_truncation(tmp_path):
@@ -759,31 +756,31 @@ def test_checkpoint_truncation(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) - 10])
     with pytest.raises(CheckpointError, match="truncated"):
-        load_checkpoint(path)
+        load_model(path)
 
 
 def test_checkpoint_shape_and_name_mismatches(tmp_path):
+    # each file holds the tensors it promises, but not the ones its config builds
     bench = small_bench()
     model = model_for(bench)
+    arrays = {name: p.data for name, p in model.params.items()}
     path = tmp_path / "x.ckpt"
-    save_model(model, path)
-    ckpt = load_checkpoint(path)
-
-    bad = Checkpoint(**{**ckpt.__dict__})
-    bad.tensors = dict(ckpt.tensors)
-    bad.tensors["op_table"] = np.zeros((1, 1))
-    with pytest.raises(CheckpointError, match="shape"):
-        model_from_checkpoint(bad)
-
-    bad.tensors = dict(ckpt.tensors)
-    del bad.tensors["op_table"]
-    with pytest.raises(CheckpointError, match="missing"):
-        model_from_checkpoint(bad)
-
-    bad.tensors = dict(ckpt.tensors)
-    bad.tensors["mystery"] = np.zeros(3)
-    with pytest.raises(CheckpointError, match="unknown"):
-        model_from_checkpoint(bad)
+    vocab_size = model.vocab.size
+    d_op = model.config.op_embedding_dim
+    cases = [
+        ({**arrays, "op_table": np.zeros((1, 1))},
+         rf"tensor 'op_table' has shape \(1, 1\), config expects "
+         rf"\({vocab_size}, {d_op}\)"),
+        ({name: a for name, a in arrays.items() if name != "op_table"},
+         "checkpoint is missing tensor 'op_table'"),
+        ({**arrays, "mystery": np.zeros(3)},
+         r"checkpoint carries unknown tensors \['mystery'\]"),
+    ]
+    for altered, match in cases:
+        save_model(PredictorModel(model.config, model.vocab, model.cells_per_arch,
+                                  altered), path)
+        with pytest.raises(CheckpointError, match=match):
+            load_model(path)
 
 
 def test_single_timestep_checkpoint_with_refinement_tensors_is_refused(tmp_path):
@@ -803,21 +800,19 @@ def test_single_timestep_checkpoint_with_refinement_tensors_is_refused(tmp_path)
 
 def test_checkpoint_tensor_names_must_match_promise(tmp_path):
     bench = small_bench()
+    model = model_for(bench)
     path = tmp_path / "x.ckpt"
-    save_model(model_for(bench), path)
+    save_model(model, path)
     raw = path.read_bytes()
-    # drop the final tensor record: find the last name length prefix is
-    # fragile, so instead truncate at the metadata promise and re-append
-    # nothing; simplest robust corruption is chopping the last record off
-    ckpt = load_checkpoint(path)
-    last = list(ckpt.tensors)[-1]
-    arr = ckpt.tensors[last]
+    # chop the last tensor record off: the metadata still promises it
+    last = list(model.params)[-1]
+    arr = model.params[last].data
     record = (
         8 + len(last.encode()) + 8 + 8 * arr.ndim + arr.size * 8
     )
     path.write_bytes(raw[: len(raw) - record])
     with pytest.raises(CheckpointError, match="promised"):
-        load_checkpoint(path)
+        load_model(path)
 
 
 @pytest.mark.parametrize("mutate, name, shape, match", [
@@ -852,7 +847,7 @@ def test_checkpoint_hostile_bytes_raise_checkpoint_error(
         + b"\x00" * 8
     )
     with pytest.raises(CheckpointError, match=match):
-        load_checkpoint(path)
+        load_model(path)
 
 
 def test_checkpoint_refuses_non_finite(tmp_path):
