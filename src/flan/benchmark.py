@@ -35,7 +35,6 @@ polar-method normals (``Rng.normal``) of each arch's own
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import cache, partial
@@ -56,7 +55,10 @@ from .encodings import (
     SupplementalTable,
     check_field,
     need_field,
+    need_vector,
+    read_jsonl,
     score_feature_matrix,
+    write_jsonl,
     zscore_columns,
 )
 from .rng import Rng, batch_normal, batch_u64
@@ -393,25 +395,21 @@ def export(bench: TabularBenchmark, path) -> None:
         "zcp_dim": zcp_dim,
         "metadata": dict(sorted(bench.metadata.items())),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
+    proxies = bench.proxies.vectors if bench.proxies is not None else {}
+
+    def records():
         for arch in sorted(bench.archs, key=lambda a: a.arch_id):
             record = {
                 "id": arch.arch_id,
-                "cells": [
-                    {
-                        "adj": c.adjacency.astype(int).tolist(),
-                        "ops": list(c.op_ids),
-                    }
-                    for c in arch.cells
-                ],
+                "cells": [{"adj": c.adjacency.astype(int).tolist(),
+                           "ops": list(c.op_ids)} for c in arch.cells],
                 "acc": bench.accuracy(arch.arch_id),
             }
-            if bench.proxies is not None and arch.arch_id in bench.proxies.vectors:
-                record["zcp"] = [
-                    float(v) for v in bench.proxies.vector(arch.arch_id)
-                ]
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            if arch.arch_id in proxies:
+                record["zcp"] = [float(v) for v in proxies[arch.arch_id]]
+            yield record
+
+    write_jsonl(path, header, records())
 
 
 _check = partial(check_field, BenchmarkError)
@@ -424,22 +422,8 @@ def ingest(path) -> TabularBenchmark:
     Every record is parsed first; the cells are then validated in one pass,
     and the first invalid cell is reported with its line.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise BenchmarkError(f"benchmark file is not UTF-8: {exc}") from None
-    if not lines:
-        raise BenchmarkError("empty benchmark file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise BenchmarkError(f"header is not valid JSON: {exc}", 1) from None
-    _check(header, "header", 1, "object")
-    if header.get("format") != BENCH_FORMAT:
-        raise BenchmarkError(
-            f"expected format {BENCH_FORMAT!r}, got {header.get('format')!r}", 1
-        )
+    rows = read_jsonl(path, BENCH_FORMAT, BenchmarkError, "benchmark")
+    header = next(rows)
     name = _need(header, "name", 1, "str")
     space_id = _need(header, "space_id", 1, "int")
     num_nodes = _need(header, "num_nodes", 1, "int")
@@ -455,27 +439,11 @@ def ingest(path) -> TabularBenchmark:
     if zcp_dim < 0:
         raise BenchmarkError(f"zcp_dim must be >= 0, got {zcp_dim}", 1)
     metadata = _check(header.get("metadata", {}), "metadata", 1, "object")
-    records = lines[1:]
-    count = _check(header.get("count", len(records)), "count", 1, "int")
-    if len(records) != count:
-        raise BenchmarkError(
-            f"header promises {count} records, file has {len(records)}"
-        )
 
     archs: list[CellArch] = []
     accuracies: dict[int, float] = {}
     proxy_vectors: dict[int, np.ndarray] = {}
-    seen_ids: set[int] = set()
-    for offset, raw in enumerate(records):
-        line = offset + 2
-        try:
-            rec = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise BenchmarkError(f"record is not valid JSON: {exc}", line) from None
-        arch_id = _need(rec, "id", line, "int")
-        if arch_id in seen_ids:
-            raise BenchmarkError(f"duplicate arch id {arch_id}", line)
-        seen_ids.add(arch_id)
+    for line, arch_id, rec in rows:
         cells_raw = _need(rec, "cells", line, "list")
         if len(cells_raw) != cells_per_arch:
             raise BenchmarkError(
@@ -514,16 +482,8 @@ def ingest(path) -> TabularBenchmark:
             # zcp is optional per record; lookups of archs without one fail
             # loudly at supplemental-provider time
             if "zcp" in rec:
-                zcp = np.asarray(_check(rec["zcp"], "zcp", line, "numbers"),
-                                 dtype=np.float64)
-                if zcp.shape != (zcp_dim,):
-                    raise BenchmarkError(
-                        f"zcp must hold {zcp_dim} values, got shape {zcp.shape}",
-                        line,
-                    )
-                if not np.all(np.isfinite(zcp)):
-                    raise BenchmarkError("zcp contains non-finite values", line)
-                proxy_vectors[arch_id] = zcp
+                proxy_vectors[arch_id] = need_vector(BenchmarkError, rec, "zcp", line,
+                                                     zcp_dim)
         elif "zcp" in rec:
             raise BenchmarkError("record carries zcp but header zcp_dim is 0", line)
         archs.append(arch)

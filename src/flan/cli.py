@@ -235,6 +235,12 @@ def _cmd_eval(args) -> int:
     except KeyError as exc:
         raise ValueError(f"checkpoint provenance has no {exc}: eval reads "
                          "checkpoints written by flan train or flan transfer") from None
+    for key in ("train_count", "split_seed"):
+        try:
+            int(provenance[key])
+        except ValueError:
+            raise ValueError(f"checkpoint provenance {key!r} is {provenance[key]!r}, "
+                             "not an integer") from None
     if name != bench.name:
         raise ValueError(
             f"checkpoint was trained on {name!r}, given benchmark is {bench.name!r}"

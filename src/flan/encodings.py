@@ -18,6 +18,7 @@ space while preserving all existing ids, which is what transfer needs.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import re
 import sys
@@ -353,6 +354,8 @@ class SupplementalTable:
 
     def z_normalized(self) -> "SupplementalTable":
         ids = sorted(self.vectors)
+        if not ids:
+            raise EncodingError(f"supplemental table {self.kind!r} has no vectors")
         mat = zscore_columns(np.stack([self.vectors[i] for i in ids]))
         return SupplementalTable(
             self.kind, self.dim, {i: mat[row] for row, i in enumerate(ids)}
@@ -410,14 +413,13 @@ _LIST_ITEMS = {"integers": "int", "numbers": "number", "strings": "str"}
 
 def check_field(error, value, what: str, line: int, kind: str):
     """`value` if it is of `kind` (a `number` as a float), else raise
-    ``error(message=..., line=line)``."""
+    ``error(message, line)``."""
     item = _LIST_ITEMS.get(kind)
     description, test = _FIELD_KINDS["list" if item else kind]
     if item:
         description = f"a list of {kind}"
     if not test(value):
-        raise error(message=f"{what} must be {description}, got "
-                    f"{type(value).__name__}", line=line)
+        raise error(f"{what} must be {description}, got {type(value).__name__}", line)
     if item and not all(map(_FIELD_KINDS[item][1], value)):
         for i, x in enumerate(value):
             check_field(error, x, f"{what}[{i}]", line, item)
@@ -427,82 +429,96 @@ def check_field(error, value, what: str, line: int, kind: str):
 def need_field(error, mapping, key: str, line: int, kind: str):
     """``mapping[key]``, checked by `check_field`."""
     if not isinstance(mapping, dict):
-        raise error(message=f"expected an object with key {key!r}, got "
-                    f"{type(mapping).__name__}", line=line)
+        raise error(f"expected an object with key {key!r}, got "
+                    f"{type(mapping).__name__}", line)
     if key not in mapping:
-        raise error(message=f"missing key {key!r}", line=line)
+        raise error(f"missing key {key!r}", line)
     return check_field(error, mapping[key], key, line, kind)
 
 
-def _supp_error(line: int, message: str) -> EncodingError:
-    return EncodingError(f"line {line}: {message}")
+def need_vector(error, mapping, key: str, line: int, dim: int) -> np.ndarray:
+    """``mapping[key]`` as a float64 vector of shape ``(dim,)``, finite and
+    at most `SUPP_MAX_ABS` in magnitude."""
+    vec = np.asarray(need_field(error, mapping, key, line, "numbers"), dtype=np.float64)
+    if vec.shape != (dim,):
+        raise error(f"{key} must hold {dim} values, got shape {vec.shape}", line)
+    if not (np.abs(vec) <= SUPP_MAX_ABS).all():  # NaN fails the bound too
+        if not np.isfinite(vec).all():
+            raise error(f"{key} contains non-finite values", line)
+        raise error(f"{key} values must be at most {SUPP_MAX_ABS:g} in magnitude", line)
+    return vec
 
 
-def load_supplemental(path) -> SupplementalTable:
-    """Read a flan-supp/1 JSONL file, validating as it goes."""
+def read_jsonl(path, fmt: str, error, what: str):
+    """Yield the header of a JSONL file of format `fmt`, then one
+    ``(line, arch_id, record)`` per record line, in file order.
+
+    The flan-bench/1 and flan-supp/1 formats share this container: a JSON
+    object header whose ``format`` is `fmt` and whose optional ``count``
+    is the number of records, then one JSON record per line, each with an
+    integer ``id`` no earlier record used.  ``count`` is checked when the
+    records are first asked for, after the caller's own header checks.
+    Faults raise ``error(message, line)``; `what` names the file in the
+    messages without a line.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except UnicodeDecodeError as exc:
-        raise EncodingError(f"supplemental file is not UTF-8: {exc}") from None
+        raise error(f"{what} file is not UTF-8: {exc}") from None
     if not lines:
-        raise EncodingError("empty supplemental file")
+        raise error(f"empty {what} file")
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
-        raise _supp_error(1, f"header is not valid JSON: {exc}") from None
-    check_field(_supp_error, header, "header", 1, "object")
-    if header.get("format") != SUPP_FORMAT:
-        raise _supp_error(1, f"expected format {SUPP_FORMAT!r}, got {header.get('format')!r}")
-    kind = need_field(_supp_error, header, "kind", 1, "str")
-    dim = need_field(_supp_error, header, "dim", 1, "int")
-    if dim <= 0:
-        raise _supp_error(1, f"dim must be positive, got {dim}")
+        raise error(f"header is not valid JSON: {exc}", 1) from None
+    check_field(error, header, "header", 1, "object")
+    if header.get("format") != fmt:
+        raise error(f"expected format {fmt!r}, got {header.get('format')!r}", 1)
+    yield header
     records = lines[1:]
-    count = check_field(_supp_error, header.get("count", len(records)),
-                        "count", 1, "int")
+    count = check_field(error, header.get("count", len(records)), "count", 1, "int")
     if len(records) != count:
-        raise EncodingError(
-            f"header promises {count} records, file has {len(records)}"
-        )
-    vectors: dict[int, np.ndarray] = {}
-    for offset, raw in enumerate(records):
-        line = offset + 2
+        raise error(f"header promises {count} records, file has {len(records)}")
+    seen: set[int] = set()
+    for line, raw in enumerate(records, 2):
         try:
             rec = json.loads(raw)
         except json.JSONDecodeError as exc:
-            raise _supp_error(line, f"record is not valid JSON: {exc}") from None
-        arch_id = need_field(_supp_error, rec, "id", line, "int")
-        if arch_id in vectors:
-            raise _supp_error(line, f"duplicate arch id {arch_id}")
-        vec = np.asarray(need_field(_supp_error, rec, "v", line, "numbers"),
-                         dtype=np.float64)
-        if vec.shape != (dim,):
-            raise _supp_error(
-                line, f"expected {dim} values, got shape {vec.shape}"
-            )
-        if not np.all(np.isfinite(vec)):
-            raise _supp_error(line, "values contain non-finite entries")
-        if np.any(np.abs(vec) > SUPP_MAX_ABS):
-            raise _supp_error(
-                line, f"values must be at most {SUPP_MAX_ABS:g} in magnitude"
-            )
-        vectors[arch_id] = vec
+            raise error(f"record is not valid JSON: {exc}", line) from None
+        arch_id = need_field(error, rec, "id", line, "int")
+        if arch_id in seen:
+            raise error(f"duplicate arch id {arch_id}", line)
+        seen.add(arch_id)
+        yield line, arch_id, rec
+
+
+def write_jsonl(path, header: dict, records) -> None:
+    """Write the header, then each record, as one sorted-key JSON line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for obj in itertools.chain((header,), records):
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+def _supp_error(message: str, line: int | None = None) -> EncodingError:
+    return EncodingError(message if line is None else f"line {line}: {message}")
+
+
+def load_supplemental(path) -> SupplementalTable:
+    """Read a flan-supp/1 JSONL file, validating as it goes."""
+    rows = read_jsonl(path, SUPP_FORMAT, _supp_error, "supplemental")
+    header = next(rows)
+    kind = need_field(_supp_error, header, "kind", 1, "str")
+    dim = need_field(_supp_error, header, "dim", 1, "int")
+    if dim <= 0:
+        raise _supp_error(f"dim must be positive, got {dim}", 1)
+    vectors = {arch_id: need_vector(_supp_error, rec, "v", line, dim)
+               for line, arch_id, rec in rows}
     return SupplementalTable(kind, dim, vectors)
 
 
 def save_supplemental(table: SupplementalTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {
-            "format": SUPP_FORMAT,
-            "kind": table.kind,
-            "dim": table.dim,
-            "count": len(table.vectors),
-        }
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for arch_id in sorted(table.vectors):
-            rec = {
-                "id": arch_id,
-                "v": [float(v) for v in table.vectors[arch_id]],
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    header = {"format": SUPP_FORMAT, "kind": table.kind, "dim": table.dim,
+              "count": len(table.vectors)}
+    write_jsonl(path, header, ({"id": i, "v": [float(v) for v in table.vectors[i]]}
+                               for i in sorted(table.vectors)))

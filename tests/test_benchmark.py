@@ -471,6 +471,9 @@ def set_zcp(zcp):
                  id="acc-null"),
     pytest.param(set_zcp(["a"]), "line 3: zcp[0] must be a number, got str",
                  id="zcp-str"),
+    pytest.param(set_zcp([-1e300]),
+                 "line 3: zcp values must be at most 1e+100 in magnitude",
+                 id="zcp-huge"),
     pytest.param(lambda header, records: [header],
                  "line 1: header must be an object, got list", id="header-list"),
     pytest.param(set_header(num_nodes=[2]),

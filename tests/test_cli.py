@@ -395,6 +395,18 @@ def test_eval_of_a_checkpoint_without_provenance_names_the_missing_key(
                    "checkpoints written by flan train or flan transfer\n")
 
 
+@pytest.mark.parametrize("key", ["train_count", "split_seed"])
+def test_eval_of_a_checkpoint_with_a_non_integer_provenance_names_the_key(
+        ws, trained, tmp_path, capsys, key):
+    model, provenance = load_model(trained["ckpt"])
+    path = tmp_path / "library.ckpt"
+    save_model(model, path, {**provenance, key: "x"})
+    code, payload, err = run_cli(capsys, "eval", "--ckpt", str(path),
+                                 "--bench", str(ws["bench_a"]))
+    assert (code, payload) == (2, None)
+    assert err == f"error: checkpoint provenance {key!r} is 'x', not an integer\n"
+
+
 def test_train_with_proxies(ws, tmp_path, capsys):
     code, payload, _ = run_cli(
         capsys, "train", "--bench", str(ws["bench_a"]), "--train-count", "16",
@@ -403,6 +415,38 @@ def test_train_with_proxies(ws, tmp_path, capsys):
     )
     assert code == 0
     assert payload["n"] == 8
+
+
+def test_train_refuses_zcp_values_too_large_to_normalise(tmp_path, capsys):
+    # z-normalising a column of +-1e300 overflows and leaves it all -0.0
+    bench = tmp_path / "big.bench"
+    code, _, _ = run_cli(capsys, "gen-bench", "--num-nodes", "4", "--vocab-size", "6",
+                         "--num-archs", "40", "--seed", "3", "--out", str(bench))
+    assert code == 0
+    lines = bench.read_text().splitlines()
+    for k in range(1, len(lines)):
+        record = json.loads(lines[k])
+        record["zcp"][0] = (-1.0) ** k * 1e300
+        lines[k] = json.dumps(record, sort_keys=True)
+    bench.write_text("\n".join(lines) + "\n")
+    code, payload, err = run_cli(
+        capsys, "train", "--bench", str(bench), "--train-count", "20",
+        "--supp", "zcp", "--out", str(tmp_path / "m.ckpt"))
+    assert (code, payload) == (2, None)
+    assert err == "error: line 2: zcp values must be at most 1e+100 in magnitude\n"
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_train_with_an_empty_supplemental_table_names_its_kind(ws, tmp_path, capsys):
+    supp = tmp_path / "empty.supp"
+    supp.write_text(json.dumps({"format": "flan-supp/1", "kind": "cate", "dim": 2,
+                                "count": 0}) + "\n")
+    code, payload, err = run_cli(
+        capsys, "train", "--bench", str(ws["bench_a"]), "--train-count", "16",
+        "--config", str(ws["cfg"]), "--supp", str(supp),
+        "--out", str(tmp_path / "m.ckpt"))
+    assert (code, payload) == (2, None)
+    assert err == "error: supplemental table 'cate' has no vectors\n"
 
 
 def _strict_json(text):

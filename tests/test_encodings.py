@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import arch_of, basic_vocab, cell, chain_cell, pad, permute, random_valid_cell
-from flan.benchmark import SyntheticSpec, export, generate_synthetic
+from flan.benchmark import BenchmarkError, SyntheticSpec, export, generate_synthetic, ingest
 from flan.cellgraph import OP_NONE, OpVocabulary
 from flan.cli import main
 from flan.encodings import (
@@ -620,7 +620,7 @@ def test_supplemental_load_errors_carry_line_numbers(tmp_path):
     ({"kind": 5}, None, "line 1: kind must be a string, got int"),
     ({"count": [2]}, None, "line 1: count must be an integer, got list"),
     (["flan-supp/1"], None, "line 1: header must be an object, got list"),
-    (None, {"v": [3.0, -1e300]}, "line 3: values must be at most 1e+100 in magnitude"),
+    (None, {"v": [3.0, -1e300]}, "line 3: v values must be at most 1e+100 in magnitude"),
 ])
 def test_supplemental_malformed_fields_name_line(
         tmp_path, capsys, header_patch, record_patch, message):
@@ -679,3 +679,78 @@ def test_supplemental_count_mismatch(tmp_path):
     )
     with pytest.raises(EncodingError, match="promises 2"):
         load_supplemental(path)
+
+
+# -- the JSONL container both file formats share ------------------------------------
+
+CONTAINERS = {
+    "benchmark": (ingest, BenchmarkError, {
+        "format": "flan-bench/1", "name": "t", "space_id": 0, "num_nodes": 2,
+        "cells_per_arch": 1, "ops": ["input", "output", "none"],
+    }, {"cells": [{"adj": [[0, 1], [0, 0]], "ops": [0, 1]}], "acc": 0.5}),
+    "supplemental": (load_supplemental, EncodingError, {
+        "format": "flan-supp/1", "kind": "zcp", "dim": 1,
+    }, {"v": [1.0]}),
+}
+
+
+def _decode_error(data: bytes) -> str:
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return str(exc)
+
+
+def _json_error(text: str) -> str:
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return str(exc)
+
+
+NOT_UTF8 = b'{"format": "caf\xe9"}\n'
+
+# each fault maps (what, header, two records) to the file's bytes and the
+# reader's message
+CONTAINER_FAULTS = {
+    "not-utf8": lambda what, head, recs: (
+        NOT_UTF8, f"{what} file is not UTF-8: {_decode_error(NOT_UTF8)}"),
+    "empty": lambda what, head, recs: (b"", f"empty {what} file"),
+    "header-not-json": lambda what, head, recs: (
+        ["{nope"] + recs, f"line 1: header is not valid JSON: {_json_error('{nope')}"),
+    "header-not-object": lambda what, head, recs: (
+        [[head]] + recs, "line 1: header must be an object, got list"),
+    "wrong-format": lambda what, head, recs: (
+        [{**head, "format": "flan/0"}] + recs,
+        f"line 1: expected format {head['format']!r}, got 'flan/0'"),
+    "count-mismatch": lambda what, head, recs: (
+        [{**head, "count": 3}] + recs, "header promises 3 records, file has 2"),
+    "record-not-json": lambda what, head, recs: (
+        [head, recs[0], "{nope"],
+        f"line 3: record is not valid JSON: {_json_error('{nope')}"),
+    "missing-id": lambda what, head, recs: (
+        [head, recs[0], {k: v for k, v in recs[1].items() if k != "id"}],
+        "line 3: missing key 'id'"),
+    "id-not-int": lambda what, head, recs: (
+        [head, recs[0], {**recs[1], "id": 1.0}],
+        "line 3: id must be an integer, got float"),
+    "duplicate-id": lambda what, head, recs: (
+        [head, recs[0], {**recs[1], "id": 0}], "line 3: duplicate arch id 0"),
+}
+
+
+@pytest.mark.parametrize("fault", CONTAINER_FAULTS)
+@pytest.mark.parametrize("what", CONTAINERS)
+def test_both_readers_refuse_container_faults_with_one_message(tmp_path, what, fault):
+    reader, error, head, body = CONTAINERS[what]
+    content, message = CONTAINER_FAULTS[fault](
+        what, head, [{"id": 0, **body}, {"id": 1, **body}])
+    if not isinstance(content, bytes):
+        content = "".join(
+            (x if isinstance(x, str) else json.dumps(x)) + "\n" for x in content
+        ).encode()
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(content)
+    with pytest.raises(error) as info:
+        reader(path)
+    assert str(info.value) == message
