@@ -29,7 +29,9 @@ interior node ends there with no cell.  Accuracy noise and proxies are
 polar-method normals (``Rng.normal``) of each arch's own
 ``child("noise", id)`` and ``child("proxy", id)`` streams.
 ``generate_synthetic`` draws all of these in batches (``batch_u64``,
-``batch_normal``) that give the bytes of these scalar draws.
+``batch_normal``) that give the bytes of these scalar draws, and derives
+the per-arch streams as arrays (``child_streams``), with the state of
+scalar ``child`` calls.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from .encodings import (
     write_jsonl,
     zscore_columns,
 )
-from .rng import Rng, batch_normal, batch_u64
+from .rng import Rng, batch_normal, batch_u64, child_streams
 
 BENCH_FORMAT = "flan-bench/1"
 
@@ -294,7 +296,8 @@ class TabularBenchmark:
 def _arch_normals(root: Rng, tag: str, archs, count: int, sigma: float) -> np.ndarray:
     """``count`` normal(0, sigma) draws per arch, each from the arch's own
     ``root.child(tag, arch_id)`` stream, as an (archs, count) array."""
-    return batch_normal([root.child(tag, a.arch_id) for a in archs], count, 0.0, sigma)
+    streams = child_streams(root, tag, [a.arch_id for a in archs])
+    return batch_normal(streams, count, 0.0, sigma)
 
 
 def generate_synthetic(

@@ -390,6 +390,11 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # a size no array of this machine can hold, such as a huge --num-nodes
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -31,6 +31,10 @@ from ._kernels import dag_path_stats
 from .cellgraph import CellArch, OpVocabulary, OP_NONE
 
 PATH_COUNT_CAP = 1 << 16
+# the most dimensions one cell's path block may have; a larger block (24
+# nodes and 5 interior ops index 3e15 sequences) is refused before any
+# allocation, and max_paths truncates the block to fit
+PATH_DIM_CAP = 1 << 20
 
 ENCODING_KINDS = ("adjacency", "path", "score")
 
@@ -137,13 +141,20 @@ def encode_path(
     """Binary presence vector over interior op sequences, one block per cell.
 
     With max_paths the block is truncated (or zero padded) to exactly that
-    many dimensions; indices past the limit are dropped.
+    many dimensions; indices past the limit are dropped.  A block may have
+    at most PATH_DIM_CAP (2**20) dimensions: a larger one, from the space or
+    from max_paths, raises an EncodingError before anything is allocated.
     """
     _check_cells(arch)
     full = path_index_size(arch.cells[0].num_nodes, vocab)
     dim = full if max_paths is None else int(max_paths)
     if dim <= 0:
         raise EncodingError(f"max_paths must be positive, got {max_paths}")
+    if dim > PATH_DIM_CAP:
+        raise EncodingError(
+            f"a path block of {dim} dimensions exceeds the cap of {PATH_DIM_CAP}; "
+            f"set max_paths to at most {PATH_DIM_CAP}"
+        )
     parts = []
     cells = cellgraph.stack_cells(arch.cells)
     ends = zip(*cells.ends())
@@ -348,7 +359,7 @@ class SupplementalTable:
         try:
             return self.vectors[arch_id]
         except KeyError:
-            raise KeyError(
+            raise EncodingError(
                 f"supplemental table {self.kind!r} has no vector for arch {arch_id}"
             ) from None
 

@@ -17,8 +17,15 @@ It works because xoshiro256** is linear over GF(2): one step is a 256x256 bit
 matrix T.  A stream's draws are cut into lanes of LANE_STEPS draws; lane k
 starts at T^(k*LANE_STEPS) applied to the stream's state (jump-ahead, as in
 Haramoto et al., INFORMS JoC 2008), and every lane of every stream then
-steps in lockstep as ``uint64`` arrays.  ``batch_normal(streams, count)``
-keeps the same contract for ``count`` calls of ``normal`` per stream.
+steps in lockstep as ``uint64`` arrays.  A jump is one float32 product of
+state bits and the bit matrix; each sum counts at most 256 ones, so it is
+exact, and its integer parity (``uint16`` cast, ``& 1``) is the jumped bit.
+``batch_normal(streams, count)`` keeps the same contract for ``count`` calls
+of ``normal`` per stream.
+
+``child_streams(parent, tag, ids)`` equals ``[parent.child(tag, i) for i in
+ids]`` in seed and state, with the id absorptions and the seeding splitmix64
+steps run on ``uint64`` arrays.
 """
 
 from __future__ import annotations
@@ -49,6 +56,17 @@ def _splitmix64(state: int) -> tuple[int, int]:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return state, z ^ (z >> 31)
+
+
+def _splitmix64_array(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_splitmix64`` of every element of a uint64 array."""
+    state = state + 0x9E3779B97F4A7C15
+    z = state ^ (state >> 30)
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return state, z
 
 
 def _rotl(x: int, k: int) -> int:
@@ -154,7 +172,9 @@ def _draw_flat(streams: list["Rng"], sizes: list[int]) -> np.ndarray:
         bits[starts[live]] = _to_bits(state)
         for k in range(1, int(lanes.max())):
             rows = starts[lanes > k] + k
-            bits[rows] = np.matmul(bits[rows - 1], _lane_jump()) % 2
+            # each sum counts at most 256 ones, exact in float32; its low
+            # bit, by integer parity, is the jumped state's bit
+            bits[rows] = np.matmul(bits[rows - 1], _lane_jump()).astype(np.uint16) & 1
         state = _from_bits(bits)
     state = np.ascontiguousarray(state.T)
     # a stream ends where its last lane stops, after its remaining draws
@@ -210,6 +230,28 @@ def batch_normal(streams: list["Rng"], count: int, mu: float = 0.0,
         filled[live] += taken
         live = live[filled[live] < count]
     return out
+
+
+def child_streams(parent: "Rng", tag: int | str, ids) -> list["Rng"]:
+    """``[parent.child(tag, i) for i in ids]``, with the id absorption and
+    each child's seeding run as uint64 array code: one splitmix64 of
+    ``seed ^ id`` per id, then ``Rng.__init__``'s four splitmix64 words and
+    its all-zero guard.  Ids are masked to 64 bits, as ``child`` masks them."""
+    # child(tag, i) is child(tag).child(i): absorption is sequential
+    prefix = parent.child(tag).seed
+    ids = np.array([operator.index(i) & _MASK for i in ids], dtype=np.uint64)
+    _, seeds = _splitmix64_array(ids ^ prefix)
+    words, state = np.empty((4, ids.size), dtype=np.uint64), seeds
+    for w in range(4):
+        state, words[w] = _splitmix64_array(state)
+    words[0, ~words.any(axis=0)] = 1
+    streams = []
+    for seed, s0, s1, s2, s3 in zip(seeds.tolist(), *words.tolist()):
+        stream = Rng.__new__(Rng)
+        stream._seed, stream._s0, stream._s1, stream._s2, stream._s3 = (
+            seed, s0, s1, s2, s3)
+        streams.append(stream)
+    return streams
 
 
 class Rng:

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -193,6 +194,29 @@ def test_noise_shifts_accuracies_per_arch():
     ]
     assert any(abs(d) > 1e-6 for d in diffs)
     assert len({round(d, 12) for d in diffs}) > 1
+
+
+@pytest.mark.parametrize("count, sigma", [(1, 0.2), (5, 0.5)])
+def test_arch_normals_equal_scalar_child_normals(count, sigma, monkeypatch):
+    ids = [3, 0, 1, 2**63, 2**64 - 1, 2**64 + 2] + list(range(10, 60))
+    archs = [types.SimpleNamespace(arch_id=i) for i in ids]
+    root = Rng(41)
+    want = []
+    for i in ids:
+        stream = root.child("proxy", i)
+        want.append([stream.normal(0.0, sigma) for _ in range(count)])
+    # the per-arch streams are derived as arrays: one child call, the tag's
+    calls = []
+    child = Rng.child
+
+    def counted_child(self, *tags):
+        calls.append(tags)
+        return child(self, *tags)
+
+    monkeypatch.setattr(Rng, "child", counted_child)
+    got = benchmark._arch_normals(root, "proxy", archs, count, sigma)
+    assert calls == [("proxy",)]
+    assert got.tolist() == want
 
 
 def test_proxy_regression_frozen():

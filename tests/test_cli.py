@@ -331,6 +331,48 @@ def test_encode_is_deterministic(ws, tmp_path, capsys):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+def test_encode_path_of_a_space_too_large_names_max_paths(tmp_path, capsys):
+    # 24 nodes and 5 interior ops index about 3e15 op sequences
+    bench = tmp_path / "n24.bench"
+    assert main(["gen-bench", "--num-nodes", "24", "--vocab-size", "8",
+                 "--num-archs", "4", "--out", str(bench)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "path.supp"
+    for extra in ([], ["--max-paths", str(1 << 50)]):
+        code, payload, err = run_cli(capsys, "encode", "--bench", str(bench),
+                                     "--kind", "path", "--out", str(out), *extra)
+        assert (code, payload) == (2, None)
+        assert err.startswith("error: a path block of ")
+        assert err.endswith("; set max_paths to at most 1048576\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
+    code, payload, err = run_cli(capsys, "encode", "--bench", str(bench), "--kind",
+                                 "path", "--max-paths", "64", "--out", str(out))
+    assert (code, payload["dim"], payload["count"], err) == (0, 64, 4, "")
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 37.3 GiB for an array with shape "
+                 "(200000, 200000) and data type bool"),
+     "error: out of memory: Unable to allocate 37.3 GiB for an array with shape "
+     "(200000, 200000) and data type bool\n"),
+    (MemoryError(), "error: out of memory: allocation failed\n"),
+])
+def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, error,
+                                             line):
+    # gen-bench --num-nodes 200000 fails so in np.triu_indices; a stand-in
+    # raises the error here, with no real allocation
+    def refuse(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(flan.benchmark, "generate_synthetic", refuse)
+    code, payload, err = run_cli(
+        capsys, "gen-bench", "--num-nodes", "200000", "--vocab-size", "8",
+        "--num-archs", "4", "--out", str(tmp_path / "huge.bench"))
+    assert (code, payload, err) == (2, None, line)
+    assert not (tmp_path / "huge.bench").exists()
+
+
 @pytest.mark.parametrize("kind", ["adjacency", "path", "score"])
 def test_encode_zero_record_bench_exits_2(ws, tmp_path, capsys, kind):
     header = json.loads(ws["bench_a"].read_text().splitlines()[0])
@@ -447,6 +489,24 @@ def test_train_with_an_empty_supplemental_table_names_its_kind(ws, tmp_path, cap
         "--out", str(tmp_path / "m.ckpt"))
     assert (code, payload) == (2, None)
     assert err == "error: supplemental table 'cate' has no vectors\n"
+
+
+def test_train_with_zcp_missing_for_an_arch_prints_one_unquoted_line(ws, tmp_path,
+                                                                     capsys):
+    bench = tmp_path / "holes.bench"
+    lines = ws["bench_a"].read_text().splitlines()
+    record = json.loads(lines[1])
+    assert record["id"] == 0
+    del record["zcp"]
+    lines[1] = json.dumps(record, sort_keys=True)
+    bench.write_text("\n".join(lines) + "\n")
+    code, payload, err = run_cli(
+        capsys, "train", "--bench", str(bench), "--train-count", "16",
+        "--config", str(ws["cfg"]), "--supp", "zcp",
+        "--out", str(tmp_path / "m.ckpt"))
+    assert (code, payload) == (2, None)
+    assert err == "error: supplemental table 'zcp' has no vector for arch 0\n"
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def _strict_json(text):

@@ -18,6 +18,7 @@ from flan.cellgraph import OP_NONE, OpVocabulary
 from flan.cli import main
 from flan.encodings import (
     PATH_COUNT_CAP,
+    PATH_DIM_CAP,
     EncodingError,
     SupplementalProvider,
     SupplementalTable,
@@ -183,6 +184,18 @@ def test_path_truncation_drops_high_indices():
     assert short.values.sum() == 0.0
     with pytest.raises(EncodingError):
         encode_path(arch_of(c), vocab, max_paths=0)
+
+
+def test_path_block_beyond_the_cap_is_refused_before_allocation():
+    vocab = basic_vocab()
+    big = arch_of(chain_cell(15, interior_op=4))
+    assert path_index_size(15, vocab) > PATH_DIM_CAP
+    # 1 << 62 dims would be 32 EiB: the check must come before np.zeros
+    for max_paths in (None, PATH_DIM_CAP + 1, 1 << 62):
+        with pytest.raises(EncodingError, match=f"max_paths to at most {PATH_DIM_CAP}$"):
+            encode_path(big, vocab, max_paths)
+    assert encode_path(big, vocab, max_paths=8).values.tolist() == [0.0] * 8
+    assert encode_path(arch_of(chain_cell(4)), vocab, PATH_DIM_CAP).dim == PATH_DIM_CAP
 
 
 def test_path_two_cell_blocks():
@@ -538,7 +551,8 @@ def make_table(kind="zcp", dim=3, ids=(0, 1, 2)):
 def test_table_lookup_and_missing():
     table = make_table(dim=32, ids=tuple(range(10)))
     assert table.vector(3).shape == (32,)
-    with pytest.raises(KeyError):
+    with pytest.raises(EncodingError,
+                       match="^supplemental table 'zcp' has no vector for arch 99$"):
         table.vector(99)
 
 
@@ -558,7 +572,7 @@ def test_provider_concatenates_in_registration_order():
     assert np.array_equal(row[:13], a.z_normalized().vector(2))
     mat = provider.matrix([0, 3])
     assert mat.shape == (2, 77)
-    with pytest.raises(KeyError):
+    with pytest.raises(EncodingError, match="'cate' has no vector for arch 7"):
         provider.row(7)
 
 

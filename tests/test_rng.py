@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flan.rng import LANE_STEPS, Rng, batch_normal, batch_u64
+from flan.rng import LANE_STEPS, Rng, batch_normal, batch_u64, child_streams
 
 
 # -- determinism -------------------------------------------------------------
@@ -194,12 +194,24 @@ def test_batch_matches_scalar_draws_for_any_sizes(sizes, seed):
         assert got.tolist() == [ref.next_u64() for _ in range(n)]
 
 
+@pytest.mark.parametrize("n", [64 * S, 64 * S + 1])
+def test_batch_matches_scalar_draws_at_a_power_of_two_lanes_and_one_more(n):
+    # 64 lanes jump in full rounds; one draw more opens a 65th lane
+    batched, scalar = Rng(11).child("pow2"), Rng(11).child("pow2")
+    got = batch_u64([batched, Rng(12)], [n, 3])[0]
+    assert got.tolist() == [scalar.next_u64() for _ in range(n)]
+    assert batched.next_u64() == scalar.next_u64()
+
+
 def test_batch_emits_no_warning():
-    # every multiply and shift overflows 64 bits; arrays must wrap silently
+    # every multiply and shift overflows 64 bits, in the lanes and in
+    # child_streams' splitmix64; arrays must wrap silently
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         draws = batch_u64([Rng(0), Rng(2**64 - 1)], [S + 1, 40_000])
+        streams = child_streams(Rng(2**64 - 1), "x", [0, 2**63, 2**64 - 1, 2**64])
     assert [d.size for d in draws] == [S + 1, 40_000]
+    assert len(streams) == 4
 
 
 def test_batch_rejects_bad_requests():
@@ -246,3 +258,42 @@ def test_batch_normal_of_no_streams_and_bad_sigma():
     with pytest.raises(ValueError, match="sigma"):
         batch_normal([stream], 2, 0.0, -1.0)
     assert stream.next_u64() == Rng(4).next_u64()
+
+
+# -- array-derived child streams -------------------------------------------------
+
+def _words(stream):
+    return stream._seed, stream._s0, stream._s1, stream._s2, stream._s3
+
+
+CHILD_IDS = [0, 1, 2, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**64 + 7, 2**70 + 3, -1]
+
+
+@pytest.mark.parametrize("tag", ["noise", "proxy", "", 0, 7, 2**64 - 1, 2**64 + 1])
+def test_child_streams_equal_scalar_children(tag):
+    root = Rng(29)
+    got = child_streams(root, tag, CHILD_IDS)
+    assert [_words(s) for s in got] == [_words(root.child(tag, i)) for i in CHILD_IDS]
+    # the derived streams draw as the scalar ones do, and the parent is untouched
+    assert [s.next_u64() for s in got] == [root.child(tag, i).next_u64() for i in CHILD_IDS]
+    assert root.next_u64() == Rng(29).next_u64()
+
+
+def test_child_streams_take_numpy_ids_and_no_ids():
+    root = Rng(3)
+    ids = np.array([5, 0, 5, 2**40], dtype=np.int64)
+    assert ([_words(s) for s in child_streams(root, "a", ids)]
+            == [_words(root.child("a", int(i))) for i in ids])
+    assert child_streams(root, "a", []) == []
+    with pytest.raises(TypeError):
+        child_streams(root, "a", [1.5])
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1),
+       st.one_of(st.text(max_size=6), st.integers(min_value=0, max_value=2**66)),
+       st.lists(st.integers(min_value=0, max_value=2**66), max_size=20))
+@settings(max_examples=50, deadline=None)
+def test_child_streams_equal_scalar_children_for_any_ids(seed, tag, ids):
+    root = Rng(seed)
+    got = child_streams(root, tag, ids)
+    assert [_words(s) for s in got] == [_words(root.child(tag, i)) for i in ids]
