@@ -66,6 +66,10 @@ from .encodings import (
 from .rng import Rng, batch_normal, batch_u64, child_streams
 
 BENCH_FORMAT = "flan-bench/1"
+# the most nodes a synthetic cell may have; sampling allocates n * n
+# entries per attempt, so a larger spec is refused before anything is
+# allocated (the largest space in the tests has 24 nodes)
+MAX_NUM_NODES = 64
 
 
 class BenchmarkError(ValueError):
@@ -93,6 +97,9 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.num_nodes < 2:
             raise BenchmarkError(f"num_nodes must be >= 2, got {self.num_nodes}")
+        if self.num_nodes > MAX_NUM_NODES:
+            raise BenchmarkError(
+                f"num_nodes must be at most {MAX_NUM_NODES}, got {self.num_nodes}")
         if self.vocab_size < 3:
             raise BenchmarkError(
                 f"vocab_size must cover the reserved ops, got {self.vocab_size}"

@@ -391,7 +391,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        # a size no array of this machine can hold, such as a huge --num-nodes
+        # a size no array of this machine can hold
         print(f"error: out of memory: {str(exc) or 'allocation failed'}",
               file=sys.stderr)
         return 2

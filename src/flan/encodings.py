@@ -8,6 +8,13 @@ the op sequence, never on node labels.  Score features are eight cheap graph
 statistics used both as a supplemental predictor input and to derive the
 synthetic proxy metrics.
 
+The one-arch encoders (`encode_adjacency`, `encode_path`, `score_features`)
+work on one cell at a time: path and score walk each cell's successor
+lists in plain Python, which for one small cell costs far less than a
+padded array pass, and they refuse a cell whose active nodes form a cycle.
+`score_feature_matrix` scores many archs in one array pass over a cell
+stack and expects validated, acyclic cells.
+
 Unified ids make vocabularies from several spaces share one embedding table:
 ids 0/1/2 (input/output/none) are common, every other (space, op) pair gets
 its own id.  ``unify`` builds the table sorted by space id so the assignment
@@ -23,12 +30,13 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import cellgraph
 from ._kernels import dag_path_stats
-from .cellgraph import CellArch, OpVocabulary, OP_NONE
+from .cellgraph import CellArch, CellError, CellGraph, OpVocabulary, OP_NONE
 
 PATH_COUNT_CAP = 1 << 16
 # the most dimensions one cell's path block may have; a larger block (24
@@ -70,25 +78,84 @@ def _check_cells(arch: CellArch) -> None:
         raise EncodingError(f"cells of one arch must share a node count, got {sizes}")
 
 
+class _CellWalk(NamedTuple):
+    """A cell's active subgraph as successor lists (ascending), its unique
+    source and sink, and its active nodes in topological order."""
+
+    succ: list[list[int]]
+    src: int
+    dst: int
+    order: list[int]
+
+
+def _cell_walk(cell: CellGraph) -> _CellWalk:
+    """The `_CellWalk` of one cell, with every edge that touches a none
+    node dropped, as a padded cell stack drops it.
+
+    Raises the CellError of ``CellStack.ends`` unless the active subgraph
+    has one source and one sink, and an EncodingError when it has a cycle:
+    then some active node never loses its last in-edge.
+    """
+    ops = cell.op_ids
+    succ: list[list[int]] = [[] for _ in ops]
+    indegree = [0] * len(ops)
+    rows, cols = cell.adjacency.nonzero()
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if ops[i] != OP_NONE and ops[j] != OP_NONE:
+            succ[i].append(j)
+            indegree[j] += 1
+    active = [i for i, op in enumerate(ops) if op != OP_NONE]
+    sources = [i for i in active if not indegree[i]]
+    sinks = [i for i in active if not succ[i]]
+    if len(sources) != 1 or len(sinks) != 1:
+        raise CellError("cell has no unique source/sink; validate first")
+    order = list(sources)
+    for node in order:  # grows as nodes lose their last in-edge
+        for nxt in succ[node]:
+            indegree[nxt] -= 1
+            if not indegree[nxt]:
+                order.append(nxt)
+    if len(order) != len(active):
+        raise EncodingError("cell has a cycle among its active nodes; validate first")
+    return _CellWalk(succ, sources[0], sinks[0], order)
+
+
+@functools.lru_cache(maxsize=64)
+def _upper_triangle(num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only indices of the strict upper triangle of an adjacency."""
+    rows, cols = np.triu_indices(num_nodes, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+@functools.lru_cache(maxsize=64)
+def _onehot_table(vocab_size: int) -> np.ndarray:
+    """Read-only identity whose row i is the one-hot of op i."""
+    table = np.eye(vocab_size)
+    table.flags.writeable = False
+    return table
+
+
 def encode_adjacency(arch: CellArch, vocab: OpVocabulary) -> EncodingVector:
     """Upper-triangle edge bits followed by per-node op one-hots, per cell."""
     _check_cells(arch)
+    upper = _upper_triangle(arch.cells[0].num_nodes)
+    onehots = _onehot_table(vocab.size)
     parts = []
     for cell in arch.cells:
-        if np.any(np.tril(cell.adjacency)):
+        bits = cell.adjacency[upper]
+        # the upper triangle holds every edge when it holds as many as the
+        # whole adjacency, diagonal included
+        if np.count_nonzero(bits) != np.count_nonzero(cell.adjacency):
             raise EncodingError(
                 "adjacency encoding needs a topologically relabelled cell "
                 "(upper triangular adjacency)"
             )
-        ops = np.asarray(cell.op_ids)
-        if (ops >= vocab.size).any():
-            raise EncodingError(
-                f"op {ops[ops >= vocab.size][0]} outside vocabulary of size "
-                f"{vocab.size}"
-            )
-        bits = cell.adjacency[np.triu_indices(cell.num_nodes, 1)]
-        onehots = np.eye(vocab.size)[ops]
-        parts.append(np.concatenate([bits, onehots.reshape(-1)]))
+        ops = list(cell.op_ids)
+        if max(ops) >= vocab.size:
+            bad = next(op for op in ops if op >= vocab.size)
+            raise EncodingError(f"op {bad} outside vocabulary of size {vocab.size}")
+        parts += (bits, onehots[ops].reshape(-1))
     return EncodingVector("adjacency", np.concatenate(parts))
 
 
@@ -101,38 +168,32 @@ def path_index_size(num_nodes: int, vocab: OpVocabulary) -> int:
     return sum(k**length for length in range(max_len + 1))
 
 
-def path_sequence_index(seq: tuple[int, ...], vocab: OpVocabulary) -> int:
-    """Position of an interior op sequence, ordered by (length, lexicographic)."""
-    k = vocab.size - 3
-    offset = sum(k**length for length in range(len(seq)))
-    rank = 0
-    for op in seq:
-        if not 3 <= op < vocab.size:
-            raise EncodingError(f"op {op} is not an interior op of the vocabulary")
-        rank = rank * k + (op - 3)
-    return offset + rank
+def _path_indices(walk: _CellWalk, ops: tuple[int, ...], k: int) -> list[int]:
+    """The sequence index of every source-to-sink path of a walked cell.
 
-
-def _cell_op_sequences(adj, ops, src: int, dst: int) -> set[tuple[int, ...]]:
-    sequences: set[tuple[int, ...]] = set()
-    stack: list[tuple[int, tuple[int, ...]]] = [(src, ())]
-    while stack:
-        node, seq = stack.pop()
-        if node == dst:
-            sequences.add(seq)
-            continue
-        for nxt in np.nonzero(adj[node])[0]:
-            nxt = int(nxt)
-            if nxt == dst:
-                stack.append((nxt, seq))
-            else:
-                op = ops[nxt]
-                if op < 3:
-                    raise EncodingError(
-                        f"interior node {nxt} carries reserved op {op}"
-                    )
-                stack.append((nxt, seq + (op,)))
-    return sequences
+    Sequences are ordered by (length, lexicographic), so the sequences of
+    length L fill [offset(L), offset(L) + k**L) with offset(L) the number
+    of shorter ones.  A frontier of distinct (node, index) pairs advances
+    one path length per step: a step to the sink yields index, a step to
+    an interior node with op o moves to offset(L+1) + (index - offset(L))·k
+    + (o - 3).  On an acyclic cell the frontier empties within n - 1 steps.
+    """
+    hits = [0] if walk.src == walk.dst else []
+    frontier = {(walk.src, 0)}
+    offset, width = 0, 1  # offset(L) and k**L
+    while frontier:
+        base = offset + width - 3
+        step = set()
+        for node, index in frontier:
+            head = base + (index - offset) * k
+            for nxt in walk.succ[node]:
+                if nxt == walk.dst:
+                    hits.append(index)
+                else:
+                    step.add((nxt, head + ops[nxt]))
+        frontier = step
+        offset, width = offset + width, width * k
+    return hits
 
 
 def encode_path(
@@ -144,6 +205,7 @@ def encode_path(
     many dimensions; indices past the limit are dropped.  A block may have
     at most PATH_DIM_CAP (2**20) dimensions: a larger one, from the space or
     from max_paths, raises an EncodingError before anything is allocated.
+    A cell whose active nodes form a cycle raises an EncodingError too.
     """
     _check_cells(arch)
     full = path_index_size(arch.cells[0].num_nodes, vocab)
@@ -155,17 +217,20 @@ def encode_path(
             f"a path block of {dim} dimensions exceeds the cap of {PATH_DIM_CAP}; "
             f"set max_paths to at most {PATH_DIM_CAP}"
         )
-    parts = []
-    cells = cellgraph.stack_cells(arch.cells)
-    ends = zip(*cells.ends())
-    for adj, ops, (src, dst) in zip(cells.adjacency, cells.ops.tolist(), ends):
-        vec = np.zeros(dim, dtype=np.float64)
-        for seq in _cell_op_sequences(adj, ops, int(src), int(dst)):
-            idx = path_sequence_index(seq, vocab)
-            if idx < dim:
-                vec[idx] = 1.0
-        parts.append(vec)
-    return EncodingVector("path", np.concatenate(parts))
+    walks = [_cell_walk(cell) for cell in arch.cells]
+    out = np.zeros((len(walks), dim))
+    for row, cell, walk in zip(out, arch.cells, walks):
+        ops = cell.op_ids
+        interior = [i for i in walk.order if i != walk.src and i != walk.dst]
+        for i in interior:
+            if ops[i] < 3:
+                raise EncodingError(f"interior node {i} carries reserved op {ops[i]}")
+        for i in interior:
+            if ops[i] >= vocab.size:
+                raise EncodingError(
+                    f"op {ops[i]} is not an interior op of the vocabulary")
+        row[[i for i in _path_indices(walk, ops, vocab.size - 3) if i < dim]] = 1.0
+    return EncodingVector("path", out.reshape(-1))
 
 
 _KERNEL_RE = re.compile(r"(\d+)\s*x\s*(\d+)")
@@ -204,14 +269,54 @@ def zscore_columns(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+def _finish_scores(sums: np.ndarray) -> np.ndarray:
+    """Score features, in place, from per-arch sums of the per-cell counts.
+
+    Columns 0-4 and 7 of `sums` hold the features' counts; columns 5 and 6
+    hold the conv and interior counts until the two ratios replace them.
+    """
+    sums[:, 4] = np.minimum(sums[:, 4], PATH_COUNT_CAP)
+    sums[:, 5] /= np.maximum(sums[:, 6], 1)
+    sums[:, 6] = sums[:, 1] / np.maximum(sums[:, 0], 1)
+    return sums
+
+
 def score_features(arch: CellArch, vocab: OpVocabulary) -> EncodingVector:
-    """Eight raw graph statistics; z-normalize per benchmark before use."""
-    return EncodingVector("score", score_feature_matrix([arch], vocab)[0])
+    """Eight raw graph statistics; z-normalize per benchmark before use.
+
+    Counts each cell by one walk in topological order, so a cell whose
+    active nodes form a cycle raises an EncodingError.
+    """
+    _check_cells(arch)
+    walks = [_cell_walk(cell) for cell in arch.cells]
+    top = max(max(cell.op_ids) for cell in arch.cells)
+    if top >= vocab.size:
+        raise EncodingError(f"op {top} outside vocabulary of size {vocab.size}")
+    conv, cost = (table.tolist() for table in _op_tables(vocab.op_names))
+    sums = [0] * 8
+    for cell, walk in zip(arch.cells, walks):
+        ops, src, dst, n = cell.op_ids, walk.src, walk.dst, cell.num_nodes
+        # edge counts of the longest and shortest src -> v paths, and their number
+        longest, shortest, paths = [0] * n, [n] * n, [0] * n
+        shortest[src], paths[src] = 0, 1
+        for node in walk.order:
+            for nxt in walk.succ[node]:
+                longest[nxt] = max(longest[nxt], longest[node] + 1)
+                shortest[nxt] = min(shortest[nxt], shortest[node] + 1)
+                paths[nxt] += paths[node]
+        interior = [ops[i] for i in walk.order if i != src and i != dst]
+        counts = (len(walk.order), sum(map(len, walk.succ)),
+                  longest[dst], shortest[dst], min(paths[dst], PATH_COUNT_CAP),
+                  sum(conv[op] for op in interior), len(interior),
+                  sum(cost[op] for op in interior))
+        sums = [a + b for a, b in zip(sums, counts)]
+    return EncodingVector("score", _finish_scores(np.array([sums], dtype=float))[0])
 
 
 def score_feature_matrix(archs, vocab: OpVocabulary) -> np.ndarray:
     """(num_archs, 8) raw score features, row order following archs; all
-    cells of all archs go through one pass over a padded stack."""
+    cells of all archs go through one pass over a padded stack.  The cells
+    must be validated and so acyclic, as `dag_path_stats` needs."""
     archs = list(archs)
     if not archs:
         return np.zeros((0, 8))
@@ -234,12 +339,7 @@ def score_feature_matrix(archs, vocab: OpVocabulary) -> np.ndarray:
     per_cell[:, 6] = interior.sum(axis=1)
     per_cell[:, 7] = (cost[ops] * interior).sum(axis=1)
     starts = np.cumsum([0] + [len(arch.cells) for arch in archs[:-1]])
-    out = np.add.reduceat(per_cell, starts, axis=0)
-    # columns 5 and 6 hold conv and interior counts until the ratios replace them
-    out[:, 4] = np.minimum(out[:, 4], PATH_COUNT_CAP)
-    out[:, 5] /= np.maximum(out[:, 6], 1)
-    out[:, 6] = out[:, 1] / np.maximum(out[:, 0], 1)
-    return out
+    return _finish_scores(np.add.reduceat(per_cell, starts, axis=0))
 
 
 _NO_IDS = np.empty(0, dtype=np.int64)  # an unregistered space's lookup

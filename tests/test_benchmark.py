@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from flan import benchmark, cellgraph
 from flan.benchmark import (
+    MAX_NUM_NODES,
     BenchmarkError,
     SyntheticSpec,
     TabularBenchmark,
@@ -48,6 +49,9 @@ def base_spec(**overrides):
 def test_spec_rejects_bad_fields():
     with pytest.raises(BenchmarkError):
         base_spec(num_nodes=1)
+    with pytest.raises(BenchmarkError, match=f"at most {MAX_NUM_NODES}, got"):
+        base_spec(num_nodes=MAX_NUM_NODES + 1)
+    assert base_spec(num_nodes=MAX_NUM_NODES).num_nodes == MAX_NUM_NODES
     with pytest.raises(BenchmarkError):
         base_spec(vocab_size=2)
     with pytest.raises(BenchmarkError):

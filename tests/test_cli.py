@@ -237,6 +237,14 @@ def test_gen_bench_invalid_spec_fails_cleanly(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in err
+    # one node past the bound is refused by the spec, before generation
+    code, payload, err = run_cli(
+        capsys, "gen-bench", "--num-nodes", "65", "--vocab-size", "6",
+        "--num-archs", "4", "--out", str(tmp_path / "x.bench"),
+    )
+    assert (code, payload) == (2, None)
+    assert err == "error: num_nodes must be at most 64, got 65\n"
+    assert not (tmp_path / "x.bench").exists()
 
 
 def test_gen_bench_non_finite_noise_fails_cleanly(tmp_path, capsys):
@@ -360,14 +368,14 @@ def test_encode_path_of_a_space_too_large_names_max_paths(tmp_path, capsys):
 ])
 def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, error,
                                              line):
-    # gen-bench --num-nodes 200000 fails so in np.triu_indices; a stand-in
-    # raises the error here, with no real allocation
+    # an allocation too large for the machine fails so; a stand-in raises
+    # the error here, with no real allocation
     def refuse(*args, **kwargs):
         raise error
 
     monkeypatch.setattr(flan.benchmark, "generate_synthetic", refuse)
     code, payload, err = run_cli(
-        capsys, "gen-bench", "--num-nodes", "200000", "--vocab-size", "8",
+        capsys, "gen-bench", "--num-nodes", "64", "--vocab-size", "8",
         "--num-archs", "4", "--out", str(tmp_path / "huge.bench"))
     assert (code, payload, err) == (2, None, line)
     assert not (tmp_path / "huge.bench").exists()

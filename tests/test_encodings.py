@@ -14,7 +14,8 @@ import pytest
 
 from conftest import arch_of, basic_vocab, cell, chain_cell, pad, permute, random_valid_cell
 from flan.benchmark import BenchmarkError, SyntheticSpec, export, generate_synthetic, ingest
-from flan.cellgraph import OP_NONE, OpVocabulary
+from flan import cellgraph
+from flan.cellgraph import OP_NONE, CellError, OpVocabulary
 from flan.cli import main
 from flan.encodings import (
     PATH_COUNT_CAP,
@@ -27,7 +28,6 @@ from flan.encodings import (
     encode_path,
     load_supplemental,
     path_index_size,
-    path_sequence_index,
     save_supplemental,
     score_feature_matrix,
     score_features,
@@ -61,6 +61,18 @@ def dfs_op_sequences(c):
     return out
 
 
+def path_sequence_index(seq, vocab):
+    """Position of an interior op sequence, ordered by (length, lexicographic)."""
+    k = vocab.size - 3
+    offset = sum(k**length for length in range(len(seq)))
+    rank = 0
+    for op in seq:
+        if not 3 <= op < vocab.size:
+            raise EncodingError(f"op {op} is not an interior op of the vocabulary")
+        rank = rank * k + (op - 3)
+    return offset + rank
+
+
 def path_bits_oracle(c, vocab, dim):
     vec = np.zeros(dim, dtype=np.float64)
     for seq in dfs_op_sequences(c):
@@ -68,6 +80,23 @@ def path_bits_oracle(c, vocab, dim):
         if idx < dim:
             vec[idx] = 1.0
     return vec
+
+
+def mixed_archs(rng, vocab_size, count=150):
+    """3..8 nodes; one- and two-cell archs; relabelled and none-padded cells."""
+    archs = []
+    for arch_id in range(count):
+        n = 3 + rng.randint(6)
+        cells = [random_valid_cell(rng, n, vocab_size)
+                 for _ in range(1 + rng.randint(2))]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cells[0] = permute(cells[0], perm)
+        if rng.randint(3) == 0:
+            cells = [pad(c, n + 2) for c in cells]
+        archs.append(arch_of(cells, arch_id))
+    assert {len(a.cells) for a in archs} == {1, 2}
+    return archs
 
 
 # -- adjacency encoding -----------------------------------------------------------
@@ -165,13 +194,15 @@ def test_path_direct_edge_sets_empty_sequence_bit():
 
 
 def test_path_matches_dfs_oracle_on_random_cells():
+    # max_paths below the block truncates it, above zero pads it
     vocab = basic_vocab()
     rng = Rng(404)
-    for _ in range(150):
-        c = random_valid_cell(rng, 5, vocab.size)
-        enc = encode_path(arch_of(c), vocab)
-        dim = path_index_size(5, vocab)
-        assert np.array_equal(enc.values, path_bits_oracle(c, vocab, dim))
+    for arch in mixed_archs(rng, vocab.size):
+        full = path_index_size(arch.cells[0].num_nodes, vocab)
+        for dim in (full, 1 + rng.randint(full + 8)):
+            want = np.concatenate([path_bits_oracle(c, vocab, dim) for c in arch.cells])
+            got = encode_path(arch, vocab, None if dim == full else dim)
+            assert got.values.tobytes() == want.tobytes()
 
 
 def test_path_truncation_drops_high_indices():
@@ -400,28 +431,105 @@ def test_score_feature_matrix_matches_brute_force_oracle():
     # 3..8 nodes mixed in one call; one- and two-cell archs; relabelled and
     # none-padded cells
     vocab = OpVocabulary(0, ORACLE_OPS)
-    rng = Rng(91)
-    archs = []
-    for arch_id in range(150):
-        n = 3 + rng.randint(6)
-        cells = [random_valid_cell(rng, n, vocab.size)
-                 for _ in range(1 + rng.randint(2))]
-        perm = list(range(n))
-        rng.shuffle(perm)
-        cells[0] = permute(cells[0], perm)
-        if rng.randint(3) == 0:
-            cells = [pad(c, n + 2) for c in cells]
-        archs.append(arch_of(cells, arch_id))
-    assert {len(a.cells) for a in archs} == {1, 2}
+    archs = mixed_archs(Rng(91), vocab.size)
     want = np.array([oracle_score_features(a, vocab.op_names) for a in archs],
                     dtype=np.float64)
     assert score_feature_matrix(archs, vocab).tobytes() == want.tobytes()
-    for a, row in zip(archs[:20], want):
+    for a, row in zip(archs, want):
         assert score_features(a, vocab).values.tobytes() == row.tobytes()
 
 
 def test_score_feature_matrix_of_no_archs():
     assert score_feature_matrix([], basic_vocab()).shape == (0, 8)
+
+
+# -- malformed archs ---------------------------------------------------------------------
+
+def edges_cell(n, edges, ops):
+    adj = np.zeros((n, n), dtype=np.uint8)
+    for i, j in edges:
+        adj[i, j] = 1
+    return cell(adj, ops)
+
+
+NOT_INTERIOR = "op 6 is not an interior op of the vocabulary"
+OUTSIDE = "op 6 outside vocabulary of size 6"
+LOWER = ("adjacency encoding needs a topologically relabelled cell "
+         "(upper triangular adjacency)")
+MIXED = "cells of one arch must share a node count, got {3, 4}"
+ENDS = "cell has no unique source/sink; validate first"
+TWO_SOURCES = [(0, 2), (1, 2), (2, 3)]
+
+# arch, then the (error type, message) of encode_path, encode_adjacency and
+# score_features, None where the encoder accepts the arch; with two faults
+# the first check each encoder makes names the error
+MALFORMED = {
+    "reserved-interior-op": (
+        arch_of(chain_cell(4, interior_op=0)),
+        (EncodingError, "interior node 1 carries reserved op 0"), None, None),
+    "op-outside-vocabulary": (
+        arch_of(chain_cell(4, interior_op=6)),
+        (EncodingError, NOT_INTERIOR), (EncodingError, OUTSIDE),
+        (EncodingError, OUTSIDE)),
+    "lower-triangle-edge": (
+        arch_of(edges_cell(3, [(0, 2), (2, 1)], [0, 1, 3])),
+        None, (EncodingError, LOWER), None),
+    "mixed-node-counts": (
+        arch_of((chain_cell(3), chain_cell(4))),
+        (EncodingError, MIXED), (EncodingError, MIXED), (EncodingError, MIXED)),
+    "two-sources": (
+        arch_of(edges_cell(4, TWO_SOURCES, [0, 3, 4, 1])),
+        (CellError, ENDS), None, (CellError, ENDS)),
+    "reserved-then-outside": (
+        arch_of(edges_cell(4, [(0, 1), (1, 2), (2, 3)], [0, 6, 0, 1])),
+        (EncodingError, "interior node 2 carries reserved op 0"),
+        (EncodingError, OUTSIDE), (EncodingError, OUTSIDE)),
+    "lower-triangle-and-outside": (
+        arch_of(edges_cell(3, [(0, 2), (2, 1)], [0, 1, 6])),
+        (EncodingError, NOT_INTERIOR), (EncodingError, LOWER),
+        (EncodingError, OUTSIDE)),
+    "two-sources-and-outside": (
+        arch_of(edges_cell(4, TWO_SOURCES, [0, 3, 6, 1])),
+        (CellError, ENDS), (EncodingError, OUTSIDE), (CellError, ENDS)),
+    "outside-then-two-sources": (
+        arch_of((chain_cell(4, interior_op=6),
+                 edges_cell(4, TWO_SOURCES, [0, 3, 4, 1]))),
+        (CellError, ENDS), (EncodingError, OUTSIDE), (CellError, ENDS)),
+    "mixed-node-counts-and-two-sources": (
+        arch_of((chain_cell(3), edges_cell(4, TWO_SOURCES, [0, 3, 4, 1]))),
+        (EncodingError, MIXED), (EncodingError, MIXED), (EncodingError, MIXED)),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_one_arch_encoders_raise_the_first_fault(case):
+    arch, *errors = MALFORMED[case]
+    for encode, error in zip((encode_path, encode_adjacency, score_features), errors):
+        if error is None:
+            encode(arch, basic_vocab())
+            continue
+        with pytest.raises(ValueError) as info:
+            encode(arch, basic_vocab())
+        assert (type(info.value), str(info.value)) == error, encode.__name__
+
+
+def test_one_arch_encoders_refuse_a_cyclic_cell():
+    # 1 -> 2 -> 1 leaves one source and one sink
+    arch = arch_of(edges_cell(4, [(0, 1), (1, 2), (2, 1), (2, 3)], [0, 3, 3, 1]))
+    for encode in (encode_path, score_features):
+        with pytest.raises(EncodingError, match="cycle"):
+            encode(arch, basic_vocab())
+
+
+def test_one_arch_encoders_stay_off_the_cell_stack(monkeypatch):
+    # one arch's cells are walked one by one, not padded into a stack
+    def refuse(cells):
+        raise AssertionError("a one-arch encoder stacked its cells")
+
+    monkeypatch.setattr(cellgraph, "stack_cells", refuse)
+    arch = arch_of((chain_cell(4), chain_cell(4, interior_op=5)))
+    for encode in (encode_adjacency, encode_path, score_features):
+        encode(arch, basic_vocab())
 
 
 # -- unified vocabulary --------------------------------------------------------------------
