@@ -17,7 +17,10 @@ def count_inversions(values) -> int:
     Follows a bottom-up mergesort without doing the merges: at width w,
     each element of a right half is paired with the left half of its block
     and counts the left elements strictly greater than it.  Keys
-    ``block * n + rank`` keep the blocks apart in one sorted array.
+    ``block * n + rank`` keep the blocks apart in one sorted array.  The
+    left halves up to a right half's block b are full, so (b + 1) * w left
+    keys lie in blocks up to b, and only the keys at most its own need a
+    search; the counts are summed, so the right keys are searched sorted.
     """
     _, rank = np.unique(values, return_inverse=True)
     n = rank.shape[0]
@@ -28,11 +31,10 @@ def count_inversions(values) -> int:
         half = position // width
         block = half >> 1
         right = (half & 1) == 1
-        left_keys = np.sort(block[~right] * n + rank[~right])
-        right_block = block[right]
-        above = np.searchsorted(left_keys, right_block * n + rank[right], "right")
-        block_end = np.searchsorted(left_keys, (right_block + 1) * n, "left")
-        inversions += int(np.sum(block_end - above))
+        keys = block * n + rank
+        left_keys = np.sort(keys[~right])
+        above = np.searchsorted(left_keys, np.sort(keys[right]), "right")
+        inversions += int((block[right] + 1).sum()) * width - int(above.sum())
         width *= 2
     return inversions
 

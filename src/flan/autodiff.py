@@ -4,7 +4,7 @@ Each stage of the predictor (graph layer, dense layer, readout pool) and
 the hinge loss records itself with ``emit``: a numpy forward plus a
 written-out backward built from the shared ``matmul_grads``,
 ``suffix_reduce`` and ``logistic`` helpers.  The generic ops that join the
-stages are few: add of two equal shapes, scale, reshape, concat and gather
+stages are few: add of two equal shapes, reshape, concat and gather
 (take).  Everything is float64, with no implicit dtype promotion and no
 broadcasting between tape inputs, so shape bugs fail loudly.
 
@@ -195,15 +195,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return g, g
 
     return emit("add", a.data + b.data, (a, b), backward)
-
-
-def scale(x: Tensor, factor: float) -> Tensor:
-    factor = float(factor)
-
-    def backward(g):
-        return (g * factor,)
-
-    return emit("scale", x.data * factor, (x,), backward)
 
 
 def matmul_grads(a: np.ndarray, b: np.ndarray,

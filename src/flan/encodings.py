@@ -13,7 +13,7 @@ work on one cell at a time: path and score walk each cell's successor
 lists in plain Python, which for one small cell costs far less than a
 padded array pass, and they refuse a cell whose active nodes form a cycle.
 `score_feature_matrix` scores many archs in one array pass over a cell
-stack and expects validated, acyclic cells.
+stack and refuses such a cell too.
 
 Unified ids make vocabularies from several spaces share one embedding table:
 ids 0/1/2 (input/output/none) are common, every other (space, op) pair gets
@@ -78,6 +78,9 @@ def _check_cells(arch: CellArch) -> None:
         raise EncodingError(f"cells of one arch must share a node count, got {sizes}")
 
 
+_CYCLE_ERROR = "cell has a cycle among its active nodes; validate first"
+
+
 class _CellWalk(NamedTuple):
     """A cell's active subgraph as successor lists (ascending), its unique
     source and sink, and its active nodes in topological order."""
@@ -116,7 +119,7 @@ def _cell_walk(cell: CellGraph) -> _CellWalk:
             if not indegree[nxt]:
                 order.append(nxt)
     if len(order) != len(active):
-        raise EncodingError("cell has a cycle among its active nodes; validate first")
+        raise EncodingError(_CYCLE_ERROR)
     return _CellWalk(succ, sources[0], sinks[0], order)
 
 
@@ -315,8 +318,13 @@ def score_features(arch: CellArch, vocab: OpVocabulary) -> EncodingVector:
 
 def score_feature_matrix(archs, vocab: OpVocabulary) -> np.ndarray:
     """(num_archs, 8) raw score features, row order following archs; all
-    cells of all archs go through one pass over a padded stack.  The cells
-    must be validated and so acyclic, as `dag_path_stats` needs."""
+    cells of all archs go through one pass over a padded stack.  Like
+    `score_features` it raises an EncodingError for a cell whose active
+    nodes form a cycle, since `dag_path_stats` needs acyclic cells.
+
+    A cell whose active adjacency is strictly upper triangular is acyclic as
+    it stands, so only the other cells go through the reachability closure.
+    """
     archs = list(archs)
     if not archs:
         return np.zeros((0, 8))
@@ -324,6 +332,11 @@ def score_feature_matrix(archs, vocab: OpVocabulary) -> np.ndarray:
         _check_cells(arch)
     cells = cellgraph.stack_cells([c for arch in archs for c in arch.cells])
     src, dst = cells.ends()
+    rows, cols = np.tril_indices(cells.adjacency.shape[-1])
+    unordered = cells.adjacency[cells.adjacency[:, rows, cols].any(axis=1)]
+    # an edge i -> j closes a cycle when j reaches i
+    if (unordered & cellgraph._closure(unordered).transpose(0, 2, 1)).any():
+        raise EncodingError(_CYCLE_ERROR)
     ops = cells.ops
     if ops.max() >= vocab.size:
         raise EncodingError(f"op {ops.max()} outside vocabulary of size {vocab.size}")

@@ -14,12 +14,16 @@ softmax with separate query/key/value projections (``kqv_softmax``), gates
 the summed messages the same way as above, and applies layer norm.  In
 ``ensemble`` mode each stack level averages the two layer outputs.
 
-Each graph layer, each MLP layer and the readout pool is one tape op: its
-forward is plain numpy, and it records itself through ``autodiff.emit`` with
-a written-out backward that the tests check against finite differences.
-Until the first refinement update the op embeddings are rows of the op
-table, so the layers of the timestep-0 stacks compute each sigmoid gate
-once per table row and gather it per node, with the same bytes.
+Each graph stack level, each MLP layer and the readout pool is one tape op:
+its forward is plain numpy, and it records itself through ``autodiff.emit``
+with a written-out backward that the tests check against finite
+differences.  An ``ensemble`` level records both layers and their mean as
+one op.  A record holds only what its backward reads; the attention
+messages, one small matmul, are recomputed in backward instead.  Until the
+first refinement update the op embeddings are rows of the op table, so the
+layers of the timestep-0 stacks compute each sigmoid gate once per table
+row and gather it per node, with the same bytes; their records hold the
+per-row gates and gather them again in backward.
 
 Both layer functions take a message-routing matrix M with M[i, j] = 1 when
 node i receives from node j.  Cells store adjacency[i][j] = 1 for the edge
@@ -141,34 +145,36 @@ class PredictorConfig:
         return sum(self.supplemental_dims)
 
 
-def _op_gate(op_emb: Tensor, w_o: Tensor,
-             rows: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
-    """sigmoid(op_emb W_o).  rows = (op_table, flat_ids) says op_emb is
-    op_table[flat_ids]: the gate is then computed once per table row and
-    gathered, with the same bytes, since a GEMM row's sums do not depend
-    on the other rows (checked for outputs at least 4 wide)."""
+def _gate_of(op_emb: Tensor, w_o: Tensor, rows):
+    """A function giving sigmoid(op_emb W_o).  rows = (op_table, flat_ids)
+    says op_emb is op_table[flat_ids]: the gate is then computed once per
+    table row, and the function holds only the per-row gates and gathers
+    them on each call, with the same bytes, since a GEMM row's sums do not
+    depend on the other rows (checked for outputs at least 4 wide)."""
     if rows is None:
-        return ad.logistic(ad.fold_matmul(op_emb.data, w_o.data))
+        gate = ad.logistic(ad.fold_matmul(op_emb.data, w_o.data))
+        return lambda: gate
     table, flat_ids = rows
     per_row = ad.logistic(ad.fold_matmul(table, w_o.data))
-    return per_row[flat_ids].reshape(op_emb.shape[:-1] + (w_o.shape[1],))
+    shape = op_emb.shape[:-1] + (w_o.shape[1],)
+    return lambda: per_row[flat_ids].reshape(shape)
 
 
-def dgf_layer(x: Tensor, routing: np.ndarray, routing_t: np.ndarray,
-              op_emb: Tensor, w_o: Tensor, w_f: Tensor, b_f: Tensor,
-              rows=None) -> Tensor:
-    """Gated dense flow: sigmoid(op_emb W_o) * (routing (x W_f)) + x W_f + b_f.
+def _op_gate(op_emb: Tensor, w_o: Tensor,
+             rows: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+    """sigmoid(op_emb W_o), per table row when rows is given (see _gate_of)."""
+    return _gate_of(op_emb, w_o, rows)()
 
-    routing[i, j] = 1 routes node j's features into node i; routing is
-    data and gets no gradient.  routing_t is routing with its last two axes
-    swapped, held contiguous for the backward's product.  rows, if given,
-    is (op_table, flat_ids) with op_emb = op_table[flat_ids] (see _op_gate).
-    """
-    gate = _op_gate(op_emb, w_o, rows)
+
+def _dgf(x, routing, routing_t, op_emb, w_o, w_f, b_f, rows):
+    """dgf_layer's output, tape inputs and backward, unrecorded."""
+    gate_of = _gate_of(op_emb, w_o, rows)
+    gate = gate_of()
     h = ad.fold_matmul(x.data, w_f.data)
     agg = np.matmul(routing, h)
 
     def backward(g):
+        gate = gate_of()
         g_h = g + np.matmul(routing_t, g * gate)
         g_x, g_wf = ad.matmul_grads(x.data, w_f.data, g_h)
         g_op, g_wo = ad.matmul_grads(op_emb.data, w_o.data,
@@ -181,25 +187,25 @@ def dgf_layer(x: Tensor, routing: np.ndarray, routing_t: np.ndarray,
     # the tape adds up a tensor's gradients in the order its uses are listed;
     # listing inputs in reverse order of use keeps that order fixed when x is
     # op_emb, as in each stack's first layer
-    return ad.emit("dgf_layer", out, (b_f, x, w_f, op_emb, w_o), backward)
+    return out, (b_f, x, w_f, op_emb, w_o), backward
 
 
-def gat_layer(x: Tensor, routing: np.ndarray, op_emb: Tensor,
-              params: dict[str, Tensor], variant: str, rows=None) -> Tensor:
-    """Attention flow over the routing matrix (row = receiver).
+def dgf_layer(x: Tensor, routing: np.ndarray, routing_t: np.ndarray,
+              op_emb: Tensor, w_o: Tensor, w_f: Tensor, b_f: Tensor,
+              rows=None) -> Tensor:
+    """Gated dense flow: sigmoid(op_emb W_o) * (routing (x W_f)) + x W_f + b_f.
 
-    shared_sigmoid: per-edge weight sigmoid(leaky_relu(a . [P_i, P_j])) with
-    one shared projection P = x W_p; kqv_softmax: query/key scores,
-    softmaxed over each receiver's senders, applied to value projections.
-    Receivers without senders get a zero message; the gated message sum
-    passes through layer norm.  rows is as in dgf_layer.
-
-    Under kqv_softmax the receiver term q_i . a_recv is the same for every
-    sender in row i, so the softmax cancels it wherever the LeakyReLU is
-    linear: w_q and the receiver half of attn_a learn only from rows whose
-    scores the kink splits into both signs.  This is GAT's "static
-    attention" (Brody et al., ICLR 2022).
+    routing[i, j] = 1 routes node j's features into node i; routing is
+    data and gets no gradient.  routing_t is routing with its last two axes
+    swapped, held contiguous for the backward's product.  rows, if given,
+    is (op_table, flat_ids) with op_emb = op_table[flat_ids] (see _gate_of).
     """
+    return ad.emit("dgf_layer",
+                   *_dgf(x, routing, routing_t, op_emb, w_o, w_f, b_f, rows))
+
+
+def _gat(x, routing, op_emb, params, variant, rows):
+    """gat_layer's output, tape inputs and backward, unrecorded."""
     # the projections follow the four shared names; reversed, v k q
     names = GAT_PARAM_NAMES[variant][:3:-1]
     attn_a, w_o = params["attn_a"], params["w_o"]
@@ -225,15 +231,17 @@ def gat_layer(x: Tensor, routing: np.ndarray, op_emb: Tensor,
         e = np.exp(biased - biased.max(axis=-1, keepdims=True))
         attn = e / e.sum(axis=-1, keepdims=True)
     weights = attn * routing
-    messages = np.matmul(weights, proj_v)
-    gate = _op_gate(op_emb, w_o, rows)
-    xhat = gate * messages  # centred and scaled in place: layer norm
+    gate_of = _gate_of(op_emb, w_o, rows)
+    # centred and scaled in place: layer norm
+    xhat = gate_of() * np.matmul(weights, proj_v)
     xhat -= xhat.sum(axis=-1, keepdims=True) / d_out
     var = np.square(xhat).sum(axis=-1, keepdims=True) / d_out
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv
 
     def backward(g):
+        # the messages are recomputed by the forward's own call, not held
+        gate, messages = gate_of(), np.matmul(weights, proj_v)
         g_xhat = g * gamma.data
         m1 = g_xhat.sum(axis=-1, keepdims=True) / d_out
         m2 = (g_xhat * xhat).sum(axis=-1, keepdims=True) / d_out
@@ -266,7 +274,51 @@ def gat_layer(x: Tensor, routing: np.ndarray, op_emb: Tensor,
         inputs += [x, params[name]]
     out = xhat * gamma.data
     out += beta.data
-    return ad.emit("gat_layer", out, tuple(inputs), backward)
+    return out, tuple(inputs), backward
+
+
+def gat_layer(x: Tensor, routing: np.ndarray, op_emb: Tensor,
+              params: dict[str, Tensor], variant: str, rows=None) -> Tensor:
+    """Attention flow over the routing matrix (row = receiver).
+
+    shared_sigmoid: per-edge weight sigmoid(leaky_relu(a . [P_i, P_j])) with
+    one shared projection P = x W_p; kqv_softmax: query/key scores,
+    softmaxed over each receiver's senders, applied to value projections.
+    Receivers without senders get a zero message; the gated message sum
+    passes through layer norm.  rows is as in dgf_layer.
+
+    Under kqv_softmax the receiver term q_i . a_recv is the same for every
+    sender in row i, so the softmax cancels it wherever the LeakyReLU is
+    linear: w_q and the receiver half of attn_a learn only from rows whose
+    scores the kink splits into both signs.  This is GAT's "static
+    attention" (Brody et al., ICLR 2022).
+    """
+    return ad.emit("gat_layer", *_gat(x, routing, op_emb, params, variant, rows))
+
+
+def ensemble_layer(x: Tensor, routing: np.ndarray, routing_t: np.ndarray,
+                   op_emb: Tensor, dgf_params: dict[str, Tensor],
+                   gat_params: dict[str, Tensor], variant: str,
+                   rows=None) -> Tensor:
+    """(dgf_layer + gat_layer) * 0.5 on the same inputs, as one tape op.
+
+    The inputs are listed attention branch first, each branch in its own
+    layer's order, and the backward runs the attention branch's backward
+    before the dense-flow branch's: the tape sums every gradient in the
+    order it would for the two layers recorded one after the other.
+    """
+    out, dgf_inputs, dgf_backward = _dgf(x, routing, routing_t, op_emb,
+                                         **dgf_params, rows=rows)
+    gat_out, gat_inputs, gat_backward = _gat(x, routing, op_emb, gat_params,
+                                             variant, rows)
+
+    def backward(g):
+        g = g * 0.5
+        return (*gat_backward(g), *dgf_backward(g))
+
+    out += gat_out
+    out *= 0.5
+    return ad.emit("ensemble_layer", out, gat_inputs + dgf_inputs, backward)
 
 
 def dense_layer(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
@@ -494,22 +546,21 @@ def _run_stack(model: PredictorModel, cell: int, tag: str, mode: str,
     """routing_t is routing with its last two axes swapped."""
     variant = model.config.attention_variant
     for l in range(len(dims)):
-        outs = []
+        dgf = gat = None
         if mode in ("dgf", "ensemble"):
             key = f"c{cell}.{tag}{l}.dgf."
-            outs.append(dgf_layer(
-                x, routing, routing_t, op_emb,
-                model.params[key + "w_o"],
-                model.params[key + "w_f"],
-                model.params[key + "b_f"],
-                rows,
-            ))
+            dgf = {name: model.params[key + name] for name in ("w_o", "w_f", "b_f")}
         if mode in ("gat", "ensemble"):
             key = f"c{cell}.{tag}{l}.gat."
-            gat_params = {name: model.params[key + name]
-                          for name in GAT_PARAM_NAMES[variant]}
-            outs.append(gat_layer(x, routing, op_emb, gat_params, variant, rows))
-        x = outs[0] if len(outs) == 1 else ad.scale(ad.add(outs[0], outs[1]), 0.5)
+            gat = {name: model.params[key + name]
+                   for name in GAT_PARAM_NAMES[variant]}
+        if gat is None:
+            x = dgf_layer(x, routing, routing_t, op_emb, **dgf, rows=rows)
+        elif dgf is None:
+            x = gat_layer(x, routing, op_emb, gat, variant, rows)
+        else:
+            x = ensemble_layer(x, routing, routing_t, op_emb, dgf, gat,
+                               variant, rows)
     return x
 
 

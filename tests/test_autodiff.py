@@ -85,6 +85,11 @@ def mul(a, b):
     return op(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
+def scale(x, factor):
+    """x * factor, recorded under the name "scale"."""
+    return ad.emit("scale", x.data * factor, (x,), lambda g: (g * factor,))
+
+
 def total(x):
     return op(np.asarray(np.sum(x.data)), (x,),
               lambda g: (np.full(x.shape, float(g)),))
@@ -263,7 +268,7 @@ def test_backward_into_writes_leaf_gradients_in_place():
             t.grad = None
         with Tape() as tape:
             h = matmul(x, w)
-            y = ad.add(ad.add(h, x), ad.scale(ad.take(x, [1, 0, 3, 2]), -1.0))
+            y = ad.add(ad.add(h, x), scale(ad.take(x, [1, 0, 3, 2]), -1.0))
             tape.backward(total(mul(mul(y, b), h)), into=into)
         assert h.grad is None and y.grad is None
         return x.grad, w.grad, b.grad
@@ -333,7 +338,7 @@ def test_backward_is_bit_deterministic():
         w.grad = None
         with Tape() as tape:
             h = matmul(x, w)
-            centred = ad.add(h, ad.scale(ad.take(h, [1, 0, 3, 2]), -1.0))
+            centred = ad.add(h, scale(ad.take(h, [1, 0, 3, 2]), -1.0))
             tape.backward(total(mul(centred, h)))
         return x.grad.tobytes(), w.grad.tobytes()
 
@@ -368,7 +373,7 @@ def test_grad_add_sub_equal_shapes():
     a, b = randt(rng, (3, 4)), randt(rng, (3, 4))
     w = randt(rng, (3, 4), grad=False)
     check_grads(lambda: weighted_sum(ad.add(a, b), w), {"a": a, "b": b})
-    check_grads(lambda: weighted_sum(ad.add(a, ad.scale(b, -1.0)), w), {"a": a, "b": b})
+    check_grads(lambda: weighted_sum(ad.add(a, scale(b, -1.0)), w), {"a": a, "b": b})
 
 
 def test_grad_add_mul_suffix_bias():
@@ -387,7 +392,7 @@ def test_grad_scale_shift():
     x = randt(rng, (5,))
     w = randt(rng, (5,), grad=False)
     offset = Tensor(np.full(5, 0.7))
-    check_grads(lambda: weighted_sum(ad.add(ad.scale(x, -2.5), offset), w), {"x": x})
+    check_grads(lambda: weighted_sum(ad.add(scale(x, -2.5), offset), w), {"x": x})
 
 
 def test_grad_matmul_2d():
@@ -465,7 +470,7 @@ def test_grad_composite_chain():
         h = add_bias(matmul(x, w1), b1)
         h = add_bias(mul_gain(h, gamma), beta)
         e = ad.take(table, [1, 1, 0, 3])
-        h = ad.add(mul(h, e), ad.scale(h, -0.5))
+        h = ad.add(mul(h, e), scale(h, -0.5))
         h = ad.concat([h, ad.reshape(e, (4, 6))], axis=-1)
         return total(mul(h, h))
 
@@ -535,10 +540,10 @@ def test_first_nonfinite_names_the_earliest_overflowing_record():
     x = Tensor([1e308, 1.0], requires_grad=True)
     with Tape() as tape:
         assert tape.first_nonfinite() is None
-        y = ad.scale(x, 0.5)
+        y = scale(x, 0.5)
         assert tape.first_nonfinite() is None
         with np.errstate(over="ignore"):
-            z = ad.add(ad.scale(y, 4.0), y)
+            z = ad.add(scale(y, 4.0), y)
         ad.reshape(z, (2, 1))
         assert np.isinf(z.data[0])
         assert tape.first_nonfinite() == "scale"

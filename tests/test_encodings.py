@@ -521,6 +521,23 @@ def test_one_arch_encoders_refuse_a_cyclic_cell():
             encode(arch, basic_vocab())
 
 
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (1, 2), (2, 1), (2, 3)],  # on the source-to-sink path
+    [(0, 3), (1, 2), (2, 1)],          # out of the source's reach
+    [(0, 1), (1, 1), (1, 2), (2, 3)],  # a self loop
+], ids=["reached", "unreached", "self_loop"])
+def test_score_feature_matrix_refuses_a_cyclic_cell(edges):
+    # each cycle leaves one source and one sink; an acyclic arch in the same
+    # call, before it, does not hide it
+    cyclic = arch_of(edges_cell(4, edges, [0, 3, 3, 1]))
+    archs = [arch_of(chain_cell(4)), cyclic]
+    with pytest.raises(EncodingError, match="cycle") as matrix:
+        score_feature_matrix(archs, basic_vocab())
+    with pytest.raises(EncodingError) as one:
+        score_features(cyclic, basic_vocab())
+    assert str(matrix.value) == str(one.value)
+
+
 def test_one_arch_encoders_stay_off_the_cell_stack(monkeypatch):
     # one arch's cells are walked one by one, not padded into a stack
     def refuse(cells):

@@ -28,6 +28,7 @@ from flan.predictor import (
     clone_model,
     dense_layer,
     dgf_layer,
+    ensemble_layer,
     forward_batch,
     gat_layer,
     init,
@@ -361,6 +362,74 @@ def test_layer_gradients_match_finite_differences(layer, lead, shared):
     assert report.ok(rel_tol=1e-5), [
         (b.name, b.max_rel_err, b.worst_index) for b in report.blocks]
     assert all(b.checked_entries for b in report.blocks)
+
+
+def ensemble_level(variant, table_rows, seed=9):
+    """A loss over one ensemble level and the leaves it reads.  With
+    table_rows, op_emb is gathered from an op table and is also x, as at
+    the first level of a timestep-0 stack; otherwise both are free, as
+    after the first refinement update."""
+    rng = Rng(seed)
+    b, n, d, dout = 2, 4, 3, 5
+    flat_ids = np.array([0, 2, 1, 2, 2, 0, 1, 1])
+    table = Tensor(randa(rng, (3, d)), requires_grad=True)
+    x = Tensor(randa(rng, (b, n, d)), requires_grad=True)
+    free_op_emb = Tensor(randa(rng, (b, n, d)), requires_grad=True)
+    routing = np.ones((b, n, n))
+    routing[..., 0, :] = 0.0
+    dgf = {k: Tensor(randa(rng, shape), requires_grad=True) for k, shape in
+           (("w_o", (d, dout)), ("w_f", (d, dout)), ("b_f", (dout,)))}
+    gat = {k: Tensor(v, requires_grad=True)
+           for k, v in gat_params(rng, d, dout, variant).items()}
+    weights = Tensor(randa(rng, (b, n, dout)))
+
+    def loss(layer=ensemble_layer):
+        if table_rows:
+            op_emb = ad.reshape(ad.take(table, flat_ids), (b, n, d))
+            inp, rows = op_emb, (table.data, flat_ids)
+        else:
+            op_emb, inp, rows = free_op_emb, x, None
+        out = layer(inp, routing, transposed(routing), op_emb, dgf, gat,
+                    variant, rows)
+        return weighted_sum(out, weights)
+
+    leaves = {"table": table} if table_rows else {"x": x, "op_emb": free_op_emb}
+    leaves.update({f"dgf.{k}": v for k, v in dgf.items()})
+    leaves.update({f"gat.{k}": v for k, v in gat.items()})
+    return loss, leaves
+
+
+@pytest.mark.parametrize("variant", ["shared_sigmoid", "kqv_softmax"])
+@pytest.mark.parametrize("table_rows", [True, False], ids=["table_rows", "free_op_emb"])
+def test_ensemble_level_gradients_match_finite_differences(variant, table_rows):
+    loss, leaves = ensemble_level(variant, table_rows)
+    report = grad_check(loss, leaves)
+    assert report.ok(rel_tol=1e-5), [
+        (b.name, b.max_rel_err, b.worst_index) for b in report.blocks]
+    assert all(b.checked_entries for b in report.blocks)
+
+
+@pytest.mark.parametrize("variant", ["shared_sigmoid", "kqv_softmax"])
+@pytest.mark.parametrize("table_rows", [True, False], ids=["table_rows", "free_op_emb"])
+def test_ensemble_level_gives_the_bytes_of_two_recorded_layers(variant, table_rows):
+    # one record for the level, with the output and leaf gradients of the
+    # two layers recorded one after the other, added and halved
+    def two_layers(x, routing, routing_t, op_emb, dgf, gat, variant, rows):
+        mean = ad.add(dgf_layer(x, routing, routing_t, op_emb, **dgf, rows=rows),
+                      gat_layer(x, routing, op_emb, gat, variant, rows))
+        return ad.emit("scale", mean.data * 0.5, (mean,), lambda g: (g * 0.5,))
+
+    loss, leaves = ensemble_level(variant, table_rows)
+    results = []
+    for layer in (ensemble_layer, two_layers):
+        with ad.Tape() as tape:
+            out = loss(layer)
+            tape.backward(out)
+        results.append([out.data.tobytes()]
+                       + [leaf.grad.tobytes() for leaf in leaves.values()])
+        for leaf in leaves.values():
+            leaf.grad = None
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("relu", [False, True], ids=["linear", "relu"])
