@@ -43,8 +43,10 @@ hidden layers, linear output).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -158,12 +160,6 @@ def _gate_of(op_emb: Tensor, w_o: Tensor, rows):
     per_row = ad.logistic(ad.fold_matmul(table, w_o.data))
     shape = op_emb.shape[:-1] + (w_o.shape[1],)
     return lambda: per_row[flat_ids].reshape(shape)
-
-
-def _op_gate(op_emb: Tensor, w_o: Tensor,
-             rows: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
-    """sigmoid(op_emb W_o), per table row when rows is given (see _gate_of)."""
-    return _gate_of(op_emb, w_o, rows)()
 
 
 def _dgf(x, routing, routing_t, op_emb, w_o, w_f, b_f, rows):
@@ -540,11 +536,21 @@ def prepare_batch(model: PredictorModel, archs,
     return PreparedBatch(batch, n, ids, routing_fwd, routing_bwd, mask, supplemental)
 
 
+# a helper thread's layers: it must not call the module's public layer
+# names, which a tracer may wrap with a span stack that belongs to one thread
+_HELPER_LAYERS = (
+    lambda *args, **kwargs: ad.emit("dgf_layer", *_dgf(*args, **kwargs)),
+    lambda *args: ad.emit("gat_layer", *_gat(*args)),
+)
+
+
 def _run_stack(model: PredictorModel, cell: int, tag: str, mode: str,
                dims: tuple[int, ...], x: Tensor, routing: np.ndarray,
-               routing_t: np.ndarray, op_emb: Tensor, rows) -> Tensor:
-    """routing_t is routing with its last two axes swapped."""
+               routing_t: np.ndarray, op_emb: Tensor, rows, layers) -> Tensor:
+    """routing_t is routing with its last two axes swapped; layers is None
+    or _HELPER_LAYERS."""
     variant = model.config.attention_variant
+    dgf_fn, gat_fn = layers or (dgf_layer, gat_layer)
     for l in range(len(dims)):
         dgf = gat = None
         if mode in ("dgf", "ensemble"):
@@ -555,9 +561,9 @@ def _run_stack(model: PredictorModel, cell: int, tag: str, mode: str,
             gat = {name: model.params[key + name]
                    for name in GAT_PARAM_NAMES[variant]}
         if gat is None:
-            x = dgf_layer(x, routing, routing_t, op_emb, **dgf, rows=rows)
+            x = dgf_fn(x, routing, routing_t, op_emb, **dgf, rows=rows)
         elif dgf is None:
-            x = gat_layer(x, routing, op_emb, gat, variant, rows)
+            x = gat_fn(x, routing, op_emb, gat, variant, rows)
         else:
             x = ensemble_layer(x, routing, routing_t, op_emb, dgf, gat,
                                variant, rows)
@@ -574,7 +580,7 @@ def _apply_mlp(model: PredictorModel, prefix: str, layers: int,
 
 
 def _cell_embedding(model: PredictorModel, batch: PreparedBatch,
-                    cell: int) -> Tensor:
+                    cell: int, layers=None) -> Tensor:
     cfg = model.config
     b, n = batch.size, batch.num_nodes
     d_op = cfg.op_embedding_dim
@@ -588,11 +594,11 @@ def _cell_embedding(model: PredictorModel, batch: PreparedBatch,
     for t in range(cfg.timesteps):
         x = _run_stack(model, cell, "f", cfg.forward_mode, cfg.gcn_dims,
                        op_emb, batch.routing_fwd[cell], batch.routing_bwd[cell],
-                       op_emb, rows)
+                       op_emb, rows, layers)
         if t < cfg.timesteps - 1:
             back = _run_stack(model, cell, "b", cfg.backward_mode,
                               cfg.backward_gcn_dims, x, batch.routing_bwd[cell],
-                              batch.routing_fwd[cell], op_emb, rows)
+                              batch.routing_fwd[cell], op_emb, rows, layers)
             update = _apply_mlp(model, f"c{cell}.up", up_layers,
                                 ad.concat([back, op_emb], axis=-1))
             op_emb = ad.add(op_emb, update)
@@ -600,12 +606,42 @@ def _cell_embedding(model: PredictorModel, batch: PreparedBatch,
     return masked_mean_pool(x, batch.mask[cell])
 
 
-def forward_batch(model: PredictorModel, batch: PreparedBatch) -> Tensor:
-    """(B,) predicted scores; records on the active tape if any."""
-    cfg = model.config
-    nn_emb = _cell_embedding(model, batch, 0)
+def _graph_embedding(model: PredictorModel, batch: PreparedBatch,
+                     layers=None) -> Tensor:
+    """(B, nn_emb_dim): the pooled embeddings of the arch's cells, added."""
+    nn_emb = _cell_embedding(model, batch, 0, layers)
     for cell in range(1, model.cells_per_arch):
-        nn_emb = ad.add(nn_emb, _cell_embedding(model, batch, cell))
+        nn_emb = ad.add(nn_emb, _cell_embedding(model, batch, cell, layers))
+    return nn_emb
+
+
+def _helper_embedding(model: PredictorModel, batch: PreparedBatch) -> Tensor:
+    """_graph_embedding on a helper thread.  numpy's error state is per
+    thread, so the thread enters score_archs' own."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _graph_embedding(model, batch, _HELPER_LAYERS)
+
+
+def forward_batch(model: PredictorModel, batch: PreparedBatch, *,
+                  helper=None) -> Tensor:
+    """(B,) predicted scores; records on the active tape if any.
+
+    helper, an executor, embeds the second half of the batch on its thread
+    while this thread embeds the first; the supplemental MLP and the head
+    run on the whole batch.  The bytes are the serial pass's, since every
+    product in the graph stacks is a GEMM over batch x node rows.  A tape
+    records one thread only, so a helper is refused while one is active.
+    """
+    cfg = model.config
+    if helper is not None and ad.active_tape() is not None:
+        raise PredictorError("forward_batch takes no helper while a tape is active")
+    if helper is None:
+        nn_emb = _graph_embedding(model, batch)
+    else:
+        mid = (batch.size + 1) // 2
+        later = helper.submit(_helper_embedding, model, batch.take(slice(mid, None)))
+        first = _graph_embedding(model, batch.take(slice(None, mid)))
+        nn_emb = ad.concat([first, later.result()], axis=0)
     if cfg.supplemental_dims:
         supp = _apply_mlp(model, "supp", len(cfg.supp_embedder_dims),
                           Tensor(batch.supplemental))
@@ -616,22 +652,72 @@ def forward_batch(model: PredictorModel, batch: PreparedBatch) -> Tensor:
     return ad.reshape(out, (batch.size,))
 
 
+# the half chunk's node-feature elements (rows x nodes x widest gcn dim)
+# from which score_archs embeds half of each chunk on a helper thread.
+# Narrower passes are bound by the interpreter lock, so the handoff costs
+# more than it saves: scoring 1,024 7-node archs in chunks of 64 on a
+# 2-vCPU host with one BLAS thread gained about 20% at 112- and 128-wide
+# layers (25,088 and 28,672), broke even at 96 (21,504) and lost at 80
+# and below
+HELPER_MIN_ELEMENTS = 24_000
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has affinity
+        return os.cpu_count() or 1
+
+
 def score_archs(model: PredictorModel, archs,
                 supplemental: np.ndarray | None = None,
                 chunk: int = 64) -> np.ndarray:
     """Score many architectures without building any tape, chunk archs
     per forward pass.  The chunks do not overlap, so each arch is prepared
-    once per call, and at most chunk prepared archs are held at a time.
+    once per call.
+
+    With no active tape and more than one CPU, a chunk whose second half
+    holds at least HELPER_MIN_ELEMENTS node features (rows x nodes x widest
+    gcn dim) is embedded on two threads: one helper thread, started for
+    the call and joined before it returns, embeds the second half while
+    this thread embeds the first (see forward_batch).  The scores keep the
+    serial pass's bytes, and the halves are views of the one chunk held.
     Finite parameters can still overflow the forward pass (a corrupted or
     hand-edited checkpoint does); that raises PredictorError."""
     archs = list(archs)
+    try:
+        chunk = operator.index(chunk)
+    except TypeError:
+        raise PredictorError(f"chunk must be an integer, got {chunk!r}") from None
+    if chunk < 1:
+        raise PredictorError(f"chunk must be at least 1, got {chunk}")
+    if supplemental is not None:
+        supplemental = np.asarray(supplemental, dtype=np.float64)
+        if supplemental.ndim == 0 or len(supplemental) != len(archs):
+            raise PredictorError(
+                f"supplemental must have one row per arch ({len(archs)}), "
+                f"got shape {supplemental.shape}"
+            )
     out = np.empty(len(archs), dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
+    width = max(model.config.gcn_dims)
+    can_help = ad.active_tape() is None and _cpu_count() > 1
+    pool = None
+    with contextlib.ExitStack() as stack, \
+            np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(archs), chunk):
             hi = min(lo + chunk, len(archs))
             supp = None if supplemental is None else supplemental[lo:hi]
             batch = prepare_batch(model, archs[lo:hi], supp)
-            out[lo:hi] = forward_batch(model, batch).data
+            helper = None
+            if (can_help and (batch.size // 2) * batch.num_nodes * width
+                    >= HELPER_MIN_ELEMENTS):
+                if pool is None:
+                    # imported on first use: the thread machinery adds
+                    # about 0.5 MB of resident memory to serial callers
+                    from concurrent.futures import ThreadPoolExecutor
+                    pool = stack.enter_context(ThreadPoolExecutor(1))
+                helper = pool
+            out[lo:hi] = forward_batch(model, batch, helper=helper).data
     if not np.isfinite(out).all():
         raise PredictorError("scores are non-finite: the parameters overflow "
                              "the forward pass")

@@ -24,7 +24,7 @@ from flan.predictor import (
     PredictorError,
     PreparedBatch,
     _cell_embedding,
-    _op_gate,
+    _gate_of,
     clone_model,
     dense_layer,
     dgf_layer,
@@ -312,7 +312,7 @@ def test_table_row_gates_give_the_bytes_of_per_node_gates(variant, batch):
         for dout in (4, 5, 8, 16, 128):
             w_o = Tensor(rng.standard_normal((d_op, dout)))
             want = ad.logistic(ad.fold_matmul(op_emb.data, w_o.data))
-            assert _op_gate(op_emb, w_o, rows).tobytes() == want.tobytes()
+            assert _gate_of(op_emb, w_o, rows)().tobytes() == want.tobytes()
             dgf = {"w_o": w_o, "w_f": Tensor(rng.standard_normal((din, dout))),
                    "b_f": Tensor(rng.standard_normal(dout))}
             routing_t = transposed(routing)
