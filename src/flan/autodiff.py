@@ -10,10 +10,11 @@ broadcasting between tape inputs, so shape bugs fail loudly.
 
 Recording: ops push onto the innermost active ``Tape`` (a thread-local
 stack) whenever some input requires grad.  Without an active tape the same
-functions run as plain numpy, which is the scoring fast path.  Backward
-replays records in reverse creation order with no other ordering rule, so
-gradient accumulation is deterministic; only leaves (tensors no record
-produced) get ``.grad``.  Each tensor comes from one record, which replays
+functions run as plain numpy, which is the scoring fast path; ``no_tape``
+suspends a caller's tape for such a pass.  Backward replays records in
+reverse creation order with no other ordering rule, so gradient
+accumulation is deterministic; only leaves (tensors no record produced)
+get ``.grad``.  Each tensor comes from one record, which replays
 after every use of the tensor, so an intermediate gradient is complete
 when its record runs and is dropped right after.  A caller may hand
 ``backward`` preallocated arrays for some leaves (training passes views of
@@ -27,6 +28,7 @@ nothing is checked until then.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 
 import numpy as np
@@ -50,6 +52,18 @@ def _tape_stack() -> list:
 def active_tape() -> "Tape | None":
     stack = _tape_stack()
     return stack[-1] if stack else None
+
+
+@contextlib.contextmanager
+def no_tape():
+    """A context in which this thread has no active tape, even inside a
+    caller's Tape: ops run as plain numpy and record nothing."""
+    stack = _tape_stack()
+    stack.append(None)
+    try:
+        yield
+    finally:
+        stack.pop()
 
 
 class Tensor:

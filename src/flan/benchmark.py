@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -522,10 +523,13 @@ def ingest(path) -> TabularBenchmark:
 def split(bench: TabularBenchmark, train_count: int, seed: int):
     """Deterministic shuffled train/test split; both sides returned sorted."""
     n = len(bench)
-    if not 1 <= train_count <= n - 1:
-        raise BenchmarkError(
-            f"train_count must be in [1, {n - 1}] for {n} archs, got {train_count}"
-        )
+    try:
+        count = operator.index(train_count)
+    except TypeError:
+        count = 0
+    if isinstance(train_count, bool) or not 1 <= count <= n - 1:
+        raise BenchmarkError(f"train_count must be an integer in [1, {n - 1}] "
+                             f"for {n} archs, got {train_count!r}")
     ids = list(bench.arch_ids)
     Rng(seed).child("split").shuffle(ids)
-    return tuple(sorted(ids[:train_count])), tuple(sorted(ids[train_count:]))
+    return tuple(sorted(ids[:count])), tuple(sorted(ids[count:]))

@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -212,9 +213,12 @@ def encode_path(
     """
     _check_cells(arch)
     full = path_index_size(arch.cells[0].num_nodes, vocab)
-    dim = full if max_paths is None else int(max_paths)
-    if dim <= 0:
-        raise EncodingError(f"max_paths must be positive, got {max_paths}")
+    try:
+        dim = full if max_paths is None else operator.index(max_paths)
+    except TypeError:
+        dim = 0
+    if dim <= 0 or isinstance(max_paths, bool):
+        raise EncodingError(f"max_paths must be a positive integer, got {max_paths!r}")
     if dim > PATH_DIM_CAP:
         raise EncodingError(
             f"a path block of {dim} dimensions exceeds the cap of {PATH_DIM_CAP}; "

@@ -292,17 +292,9 @@ def gat_layer(x: Tensor, routing: np.ndarray, op_emb: Tensor,
     return ad.emit("gat_layer", *_gat(x, routing, op_emb, params, variant, rows))
 
 
-def ensemble_layer(x: Tensor, routing: np.ndarray, routing_t: np.ndarray,
-                   op_emb: Tensor, dgf_params: dict[str, Tensor],
-                   gat_params: dict[str, Tensor], variant: str,
-                   rows=None) -> Tensor:
-    """(dgf_layer + gat_layer) * 0.5 on the same inputs, as one tape op.
-
-    The inputs are listed attention branch first, each branch in its own
-    layer's order, and the backward runs the attention branch's backward
-    before the dense-flow branch's: the tape sums every gradient in the
-    order it would for the two layers recorded one after the other.
-    """
+def _ensemble(x, routing, routing_t, op_emb, dgf_params, gat_params, variant,
+              rows):
+    """ensemble_layer's output, tape inputs and backward, unrecorded."""
     out, dgf_inputs, dgf_backward = _dgf(x, routing, routing_t, op_emb,
                                          **dgf_params, rows=rows)
     gat_out, gat_inputs, gat_backward = _gat(x, routing, op_emb, gat_params,
@@ -314,7 +306,22 @@ def ensemble_layer(x: Tensor, routing: np.ndarray, routing_t: np.ndarray,
 
     out += gat_out
     out *= 0.5
-    return ad.emit("ensemble_layer", out, gat_inputs + dgf_inputs, backward)
+    return out, gat_inputs + dgf_inputs, backward
+
+
+def ensemble_layer(x: Tensor, routing: np.ndarray, routing_t: np.ndarray,
+                   op_emb: Tensor, dgf_params: dict[str, Tensor],
+                   gat_params: dict[str, Tensor], variant: str,
+                   rows=None) -> Tensor:
+    """(dgf_layer + gat_layer) * 0.5 on the same inputs, as one tape op.
+
+    The inputs are listed attention branch first, each branch in its own
+    layer's order, and the backward runs the attention branch's backward
+    before the dense-flow branch's: the tape sums every gradient in the
+    order it would for the two layers recorded one after the other.
+    """
+    return ad.emit("ensemble_layer", *_ensemble(
+        x, routing, routing_t, op_emb, dgf_params, gat_params, variant, rows))
 
 
 def dense_layer(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
@@ -536,21 +543,14 @@ def prepare_batch(model: PredictorModel, archs,
     return PreparedBatch(batch, n, ids, routing_fwd, routing_bwd, mask, supplemental)
 
 
-# a helper thread's layers: it must not call the module's public layer
-# names, which a tracer may wrap with a span stack that belongs to one thread
-_HELPER_LAYERS = (
-    lambda *args, **kwargs: ad.emit("dgf_layer", *_dgf(*args, **kwargs)),
-    lambda *args: ad.emit("gat_layer", *_gat(*args)),
-)
-
-
 def _run_stack(model: PredictorModel, cell: int, tag: str, mode: str,
                dims: tuple[int, ...], x: Tensor, routing: np.ndarray,
-               routing_t: np.ndarray, op_emb: Tensor, rows, layers) -> Tensor:
-    """routing_t is routing with its last two axes swapped; layers is None
-    or _HELPER_LAYERS."""
+               routing_t: np.ndarray, op_emb: Tensor, rows) -> Tensor:
+    """routing_t is routing with its last two axes swapped.  Each level
+    records itself from here, not through dgf_layer, gat_layer or
+    ensemble_layer: a tracer may wrap those public names with a span stack
+    that belongs to one thread, and score_archs runs this on two threads."""
     variant = model.config.attention_variant
-    dgf_fn, gat_fn = layers or (dgf_layer, gat_layer)
     for l in range(len(dims)):
         dgf = gat = None
         if mode in ("dgf", "ensemble"):
@@ -561,12 +561,13 @@ def _run_stack(model: PredictorModel, cell: int, tag: str, mode: str,
             gat = {name: model.params[key + name]
                    for name in GAT_PARAM_NAMES[variant]}
         if gat is None:
-            x = dgf_fn(x, routing, routing_t, op_emb, **dgf, rows=rows)
+            x = ad.emit("dgf_layer",
+                        *_dgf(x, routing, routing_t, op_emb, **dgf, rows=rows))
         elif dgf is None:
-            x = gat_fn(x, routing, op_emb, gat, variant, rows)
+            x = ad.emit("gat_layer", *_gat(x, routing, op_emb, gat, variant, rows))
         else:
-            x = ensemble_layer(x, routing, routing_t, op_emb, dgf, gat,
-                               variant, rows)
+            x = ad.emit("ensemble_layer", *_ensemble(x, routing, routing_t, op_emb,
+                                                     dgf, gat, variant, rows))
     return x
 
 
@@ -580,7 +581,7 @@ def _apply_mlp(model: PredictorModel, prefix: str, layers: int,
 
 
 def _cell_embedding(model: PredictorModel, batch: PreparedBatch,
-                    cell: int, layers=None) -> Tensor:
+                    cell: int) -> Tensor:
     cfg = model.config
     b, n = batch.size, batch.num_nodes
     d_op = cfg.op_embedding_dim
@@ -594,11 +595,11 @@ def _cell_embedding(model: PredictorModel, batch: PreparedBatch,
     for t in range(cfg.timesteps):
         x = _run_stack(model, cell, "f", cfg.forward_mode, cfg.gcn_dims,
                        op_emb, batch.routing_fwd[cell], batch.routing_bwd[cell],
-                       op_emb, rows, layers)
+                       op_emb, rows)
         if t < cfg.timesteps - 1:
             back = _run_stack(model, cell, "b", cfg.backward_mode,
                               cfg.backward_gcn_dims, x, batch.routing_bwd[cell],
-                              batch.routing_fwd[cell], op_emb, rows, layers)
+                              batch.routing_fwd[cell], op_emb, rows)
             update = _apply_mlp(model, f"c{cell}.up", up_layers,
                                 ad.concat([back, op_emb], axis=-1))
             op_emb = ad.add(op_emb, update)
@@ -606,12 +607,11 @@ def _cell_embedding(model: PredictorModel, batch: PreparedBatch,
     return masked_mean_pool(x, batch.mask[cell])
 
 
-def _graph_embedding(model: PredictorModel, batch: PreparedBatch,
-                     layers=None) -> Tensor:
+def _graph_embedding(model: PredictorModel, batch: PreparedBatch) -> Tensor:
     """(B, nn_emb_dim): the pooled embeddings of the arch's cells, added."""
-    nn_emb = _cell_embedding(model, batch, 0, layers)
+    nn_emb = _cell_embedding(model, batch, 0)
     for cell in range(1, model.cells_per_arch):
-        nn_emb = ad.add(nn_emb, _cell_embedding(model, batch, cell, layers))
+        nn_emb = ad.add(nn_emb, _cell_embedding(model, batch, cell))
     return nn_emb
 
 
@@ -619,7 +619,7 @@ def _helper_embedding(model: PredictorModel, batch: PreparedBatch) -> Tensor:
     """_graph_embedding on a helper thread.  numpy's error state is per
     thread, so the thread enters score_archs' own."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _graph_embedding(model, batch, _HELPER_LAYERS)
+        return _graph_embedding(model, batch)
 
 
 def forward_batch(model: PredictorModel, batch: PreparedBatch, *,
@@ -660,6 +660,9 @@ def forward_batch(model: PredictorModel, batch: PreparedBatch, *,
 # layers (25,088 and 28,672), broke even at 96 (21,504) and lost at 80
 # and below
 HELPER_MIN_ELEMENTS = 24_000
+# archs per score_archs forward pass; each chunk is prepared on its own, so
+# a call holds one chunk's routing at a time
+SCORE_CHUNK = 64
 
 
 def _cpu_count() -> int:
@@ -670,27 +673,21 @@ def _cpu_count() -> int:
 
 
 def score_archs(model: PredictorModel, archs,
-                supplemental: np.ndarray | None = None,
-                chunk: int = 64) -> np.ndarray:
-    """Score many architectures without building any tape, chunk archs
-    per forward pass.  The chunks do not overlap, so each arch is prepared
-    once per call.
+                supplemental: np.ndarray | None = None) -> np.ndarray:
+    """Score many architectures, SCORE_CHUNK archs per forward pass, on no
+    tape: a caller's active tape is suspended for the call and records
+    nothing.  The chunks do not overlap, so each arch is prepared once per
+    call.
 
-    With no active tape and more than one CPU, a chunk whose second half
-    holds at least HELPER_MIN_ELEMENTS node features (rows x nodes x widest
-    gcn dim) is embedded on two threads: one helper thread, started for
-    the call and joined before it returns, embeds the second half while
-    this thread embeds the first (see forward_batch).  The scores keep the
-    serial pass's bytes, and the halves are views of the one chunk held.
-    Finite parameters can still overflow the forward pass (a corrupted or
+    With more than one CPU, a chunk whose second half holds at least
+    HELPER_MIN_ELEMENTS node features (rows x nodes x widest gcn dim) is
+    embedded on two threads: one helper thread, started for the call and
+    joined before it returns, embeds the second half while this thread
+    embeds the first (see forward_batch).  The scores keep the serial
+    pass's bytes, and the halves are views of the one chunk held.  Finite
+    parameters can still overflow the forward pass (a corrupted or
     hand-edited checkpoint does); that raises PredictorError."""
     archs = list(archs)
-    try:
-        chunk = operator.index(chunk)
-    except TypeError:
-        raise PredictorError(f"chunk must be an integer, got {chunk!r}") from None
-    if chunk < 1:
-        raise PredictorError(f"chunk must be at least 1, got {chunk}")
     if supplemental is not None:
         supplemental = np.asarray(supplemental, dtype=np.float64)
         if supplemental.ndim == 0 or len(supplemental) != len(archs):
@@ -700,12 +697,12 @@ def score_archs(model: PredictorModel, archs,
             )
     out = np.empty(len(archs), dtype=np.float64)
     width = max(model.config.gcn_dims)
-    can_help = ad.active_tape() is None and _cpu_count() > 1
+    can_help = _cpu_count() > 1
     pool = None
-    with contextlib.ExitStack() as stack, \
+    with contextlib.ExitStack() as stack, ad.no_tape(), \
             np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, len(archs), chunk):
-            hi = min(lo + chunk, len(archs))
+        for lo in range(0, len(archs), SCORE_CHUNK):
+            hi = min(lo + SCORE_CHUNK, len(archs))
             supp = None if supplemental is None else supplemental[lo:hi]
             batch = prepare_batch(model, archs[lo:hi], supp)
             helper = None

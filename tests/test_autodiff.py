@@ -328,6 +328,19 @@ def test_nested_tapes_are_isolated():
     np.testing.assert_allclose(inner_grad, [6.0])
 
 
+def test_no_tape_suspends_the_active_tape():
+    x = Tensor([3.0], requires_grad=True)
+    with Tape() as outer:
+        with ad.no_tape():
+            assert ad.active_tape() is None
+            assert not mul(x, x).requires_grad
+            with Tape() as inner:
+                mul(x, x)
+            assert ad.active_tape() is None
+        assert ad.active_tape() is outer
+        assert len(outer) == 0 and len(inner) == 1
+
+
 def test_backward_is_bit_deterministic():
     rng = Rng(77)
     x = randt(rng, (4, 3))

@@ -734,6 +734,10 @@ def test_split_boundaries():
         split(bench, 0, seed=0)
     with pytest.raises(BenchmarkError):
         split(bench, 12, seed=0)
+    for count in (2.5, "3", True):
+        with pytest.raises(BenchmarkError, match="must be an integer"):
+            split(bench, count, seed=0)
+    assert split(bench, np.int64(3), seed=0) == split(bench, 3, seed=0)
 
 
 def test_tabular_invariants():

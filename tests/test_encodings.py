@@ -215,6 +215,10 @@ def test_path_truncation_drops_high_indices():
     assert short.values.sum() == 0.0
     with pytest.raises(EncodingError):
         encode_path(arch_of(c), vocab, max_paths=0)
+    for max_paths in (2.5, "8", True):
+        with pytest.raises(EncodingError, match="must be a positive integer"):
+            encode_path(arch_of(c), vocab, max_paths)
+    assert encode_path(arch_of(c), vocab, np.int64(4)).dim == 4
 
 
 def test_path_block_beyond_the_cap_is_refused_before_allocation():

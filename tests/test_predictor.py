@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import flan.autodiff as ad
+from flan import predictor
 from flan.autodiff import Tensor
 from flan.benchmark import make_vocab
 from flan.cellgraph import CellArch, CellGraph, validate
@@ -699,13 +700,15 @@ def test_two_cell_embeddings_add():
     assert scores[0] == pytest.approx(ab, abs=1e-12)
 
 
-def test_score_archs_matches_forward_chunked():
+def test_score_archs_matches_forward_chunked(monkeypatch):
     model = make_model(seed=11)
     jitter_params(model, seed=3)
     rng = Rng(55)
     archs = [arch_of(random_valid_cell(rng, 4, 5), i) for i in range(7)]
-    scores = score_archs(model, archs, chunk=3)
-    singles = score_archs(model, archs, chunk=1)
+    monkeypatch.setattr(predictor, "SCORE_CHUNK", 3)
+    scores = score_archs(model, archs)
+    monkeypatch.setattr(predictor, "SCORE_CHUNK", 1)
+    singles = score_archs(model, archs)
     np.testing.assert_allclose(scores, singles, atol=1e-9)
 
 
@@ -816,7 +819,7 @@ def test_padded_nodes_masked_out():
     assert batch.mask[0][0, :, 0].tolist() == [1.0, 1.0, 1.0, 0.0, 0.0]
 
 
-def test_edges_touching_none_nodes_carry_no_message():
+def test_edges_touching_none_nodes_carry_no_message(monkeypatch):
     ops = [0, 3, 2, 2, 1]
     adj = np.zeros((5, 5), dtype=np.uint8)
     adj[0, 1] = adj[1, 4] = 1
@@ -830,6 +833,6 @@ def test_edges_touching_none_nodes_carry_no_message():
     batch = prepare_batch(model, [arch_of(stray)])
     assert not batch.routing_fwd[0].any(axis=(0, 1))[2]
     assert not batch.routing_bwd[0][0, 2].any()
-    stray_score, plain_score = score_archs(model, [arch_of(stray), arch_of(plain)],
-                                           chunk=1)
+    monkeypatch.setattr(predictor, "SCORE_CHUNK", 1)
+    stray_score, plain_score = score_archs(model, [arch_of(stray), arch_of(plain)])
     assert stray_score == plain_score

@@ -109,30 +109,31 @@ def test_helper_scores_equal_a_serial_chunk_loop(case, helper_calls):
 def test_helper_splits_small_and_odd_chunks_with_the_same_bytes(
         chunk, helper_calls, monkeypatch):
     monkeypatch.setattr(predictor, "HELPER_MIN_ELEMENTS", 1)
+    monkeypatch.setattr(predictor, "SCORE_CHUNK", chunk)
     model = make_model()
     archs = make_archs(7)
-    got = score_archs(model, archs, chunk=chunk)
+    got = score_archs(model, archs)
     assert got.tobytes() == serial_scores(model, archs, chunk=chunk).tobytes()
     # a one-arch chunk has no second half to hand over
     sizes = [min(chunk, 7 - lo) for lo in range(0, 7, chunk)]
     assert helper_calls == [size // 2 for size in sizes if size > 1]
 
 
-def test_helper_never_calls_the_public_layer_names(helper_calls, monkeypatch):
-    # a tracer wraps dgf_layer and gat_layer with a span stack of one thread
-    main = threading.get_ident()
-    threads = []
-    for name in ("dgf_layer", "gat_layer"):
-        def watched(*args, _fn=getattr(predictor, name), **kwargs):
-            threads.append(threading.get_ident())
+@pytest.mark.parametrize("mode", predictor.FORWARD_MODES)
+def test_no_thread_enters_the_public_layer_names(mode, helper_calls, monkeypatch):
+    # a tracer may wrap these names with a span stack of one thread
+    entered = []
+    for name in ("dgf_layer", "gat_layer", "ensemble_layer"):
+        def watched(*args, _fn=getattr(predictor, name), _name=name, **kwargs):
+            entered.append(_name)
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(predictor, name, watched)
-    model = make_model(PredictorConfig(forward_mode="dgf", backward_mode="gat"))
+    model = make_model(PredictorConfig(forward_mode=mode, backward_mode=mode))
     archs = make_archs(64)
     got = score_archs(model, archs)
     assert helper_calls == [32]
-    assert threads and set(threads) == {main}
+    assert entered == []
     assert got.tobytes() == serial_scores(model, archs).tobytes()
 
 
@@ -165,7 +166,7 @@ def test_reference_dims_never_start_a_thread(monkeypatch):
     assert score_archs(model, archs).tobytes() == serial_scores(model, archs).tobytes()
 
 
-def test_one_cpu_or_an_active_tape_never_starts_a_thread(monkeypatch):
+def test_one_cpu_never_starts_a_thread(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("score_archs started a helper thread")
 
@@ -173,10 +174,22 @@ def test_one_cpu_or_an_active_tape_never_starts_a_thread(monkeypatch):
     archs = make_archs(64)
     want = serial_scores(model, archs)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
-    with ad.Tape():
-        assert score_archs(model, archs).tobytes() == want.tobytes()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert score_archs(model, archs).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("count, dims", [(130, "reference"), (64, "paper-default")])
+def test_score_archs_records_nothing_on_an_active_tape(count, dims, helper_calls):
+    # the tape is suspended for the call, so a wide chunk takes the helper
+    model = make_model(ref_config() if dims == "reference" else None)
+    archs = make_archs(count)
+    want = serial_scores(model, archs)
+    with ad.Tape() as tape:
+        got = score_archs(model, archs)
+        assert ad.active_tape() is tape
+    assert len(tape) == 0
+    assert got.tobytes() == want.tobytes()
+    assert helper_calls == ([] if dims == "reference" else [32])
 
 
 def test_cpu_count_falls_back_without_affinity(monkeypatch):
@@ -221,19 +234,13 @@ def test_score_archs_leaves_no_thread_behind(helper_calls):
 
 # -- input checks -------------------------------------------------------------------
 
-@pytest.mark.parametrize("chunk", [0, -3, 2.5, "4"])
-def test_score_archs_refuses_a_bad_chunk(chunk):
-    model = make_model(ref_config())
-    with pytest.raises(PredictorError, match="chunk must be"):
-        score_archs(model, make_archs(5), chunk=chunk)
-
-
 @pytest.mark.parametrize("rows", [4, 9])
-def test_score_archs_refuses_supplemental_rows_that_miss_the_archs(rows):
+def test_score_archs_refuses_supplemental_rows_that_miss_the_archs(rows, monkeypatch):
+    monkeypatch.setattr(predictor, "SCORE_CHUNK", 2)
     model = make_model(ref_config(supplemental_dims=(2,)))
     supp = np.zeros((rows, 2))
     with pytest.raises(PredictorError, match="one row per arch"):
-        score_archs(model, make_archs(5), supp, chunk=2)
+        score_archs(model, make_archs(5), supp)
     with pytest.raises(PredictorError, match="one row per arch"):
         score_archs(model, make_archs(5), 0.5)
 

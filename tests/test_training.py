@@ -499,8 +499,8 @@ def test_fit_and_score_archs_prepare_each_arch_once_per_call(monkeypatch):
     assert counts == [len(ids)]
     # score_archs prepares chunk by chunk: the chunks cover each arch once
     counts.clear()
-    scores = score_archs(model, [bench.arch(i) for i in ids],
-                         provider.matrix(ids), chunk=5)
+    monkeypatch.setattr(predictor, "SCORE_CHUNK", 5)
+    scores = score_archs(model, [bench.arch(i) for i in ids], provider.matrix(ids))
     assert counts == [min(5, len(ids) - lo) for lo in range(0, len(ids), 5)]
     assert np.isfinite(scores).all()
 
