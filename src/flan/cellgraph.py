@@ -117,6 +117,9 @@ class CellArch:
         space_ids = {c.space_id for c in self.cells}
         if len(space_ids) != 1:
             raise CellError(f"cells of one arch must share a space, got {space_ids}")
+        sizes = {c.num_nodes for c in self.cells}
+        if len(sizes) != 1:
+            raise CellError(f"cells of one arch must share a node count, got {sizes}")
         if self.arch_id < 0:
             raise CellError(f"arch_id must be non-negative, got {self.arch_id}")
 
@@ -141,9 +144,17 @@ def _closure(adj: np.ndarray) -> np.ndarray:
 
 
 def validate_cells(cells, vocab_size: int) -> list[str | None]:
-    """validate() for every cell, from one array pass over the whole stack;
-    messages are formatted only for the cells that fail.  Padding nodes
-    carry the none op, which every vocabulary (size >= 3) covers."""
+    """Per cell, None when it is well formed, else a short diagnostic.
+
+    Checks, in order: acyclicity (self loops first, then any cycle, none
+    nodes included), op ids inside the vocabulary, and one source and one
+    sink in the active subgraph.  One reachability closure of the raw
+    adjacency stack finds cycles: an edge i -> j closes one when j reaches
+    i.  Every node of a DAG descends from a source and reaches a sink, so a
+    unique source and sink put every active node on a path between them.
+    Messages are formatted only for the cells that fail.  Padding nodes
+    carry the none op, which every vocabulary (size >= 3) covers.
+    """
     _, ops, sources, sinks, raw = stack_cells(cells)
     loops = np.diagonal(raw, axis1=1, axis2=2) != 0
     cyclic = ((raw != 0) & _closure(raw).transpose(0, 2, 1)).any(axis=(1, 2))
@@ -169,19 +180,6 @@ def validate_cells(cells, vocab_size: int) -> list[str | None]:
                 f"sinks {np.flatnonzero(sinks[k]).tolist()}"
             )
     return out
-
-
-def validate(cell: CellGraph, vocab_size: int) -> str | None:
-    """None when the cell is well formed, else a short diagnostic.
-
-    Checks, in order: acyclicity (self loops first, then any cycle, none
-    nodes included), op ids inside the vocabulary, and one source and one
-    sink in the active subgraph.  One reachability closure of the raw
-    adjacency finds cycles: an edge i -> j closes one when j reaches i.
-    Every node of a DAG descends from a source and reaches a sink, so a
-    unique source and sink put every active node on a path between them.
-    """
-    return validate_cells([cell], vocab_size)[0]
 
 
 class CellStack(NamedTuple):

@@ -19,7 +19,7 @@ from dataclasses import fields
 from . import benchmark as bench_mod
 from . import encodings as enc_mod
 from .benchmark import SyntheticSpec, TabularBenchmark
-from .metrics import rank_report
+from .metrics import kendall_tau, spearman_rho
 from .nas_search import (
     SearchConfig,
     constant_factory,
@@ -146,6 +146,9 @@ def _cmd_gen_bench(args) -> int:
 
 
 def _cmd_encode(args) -> int:
+    if args.max_paths is not None and args.kind != "path":
+        raise ValueError(
+            f"--max-paths applies only to --kind path, not --kind {args.kind}")
     bench = bench_mod.ingest(args.bench)
     if not bench.archs:
         raise ValueError(f"{args.bench} holds no architectures to encode")
@@ -178,11 +181,10 @@ def _score_report(model, bench, train_ids, test_ids, provider) -> dict:
     supp = provider.matrix(test_ids) if provider is not None else None
     scores = score_archs(model, [bench.arch(i) for i in test_ids], supp)
     accs = bench.accuracy_vector(test_ids)
-    report = rank_report(accs, scores)
     return {
-        "n": report.n,
-        "kendall_tau": report.kendall,
-        "spearman_rho": report.spearman,
+        "n": len(test_ids),
+        "kendall_tau": kendall_tau(accs, scores),
+        "spearman_rho": spearman_rho(accs, scores),
         "train_count": len(train_ids),
     }
 

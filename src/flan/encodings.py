@@ -73,12 +73,6 @@ class EncodingVector:
         return self.values.shape[0]
 
 
-def _check_cells(arch: CellArch) -> None:
-    sizes = {c.num_nodes for c in arch.cells}
-    if len(sizes) != 1:
-        raise EncodingError(f"cells of one arch must share a node count, got {sizes}")
-
-
 _CYCLE_ERROR = "cell has a cycle among its active nodes; validate first"
 
 
@@ -142,7 +136,6 @@ def _onehot_table(vocab_size: int) -> np.ndarray:
 
 def encode_adjacency(arch: CellArch, vocab: OpVocabulary) -> EncodingVector:
     """Upper-triangle edge bits followed by per-node op one-hots, per cell."""
-    _check_cells(arch)
     upper = _upper_triangle(arch.cells[0].num_nodes)
     onehots = _onehot_table(vocab.size)
     parts = []
@@ -211,7 +204,6 @@ def encode_path(
     from max_paths, raises an EncodingError before anything is allocated.
     A cell whose active nodes form a cycle raises an EncodingError too.
     """
-    _check_cells(arch)
     full = path_index_size(arch.cells[0].num_nodes, vocab)
     try:
         dim = full if max_paths is None else operator.index(max_paths)
@@ -294,7 +286,6 @@ def score_features(arch: CellArch, vocab: OpVocabulary) -> EncodingVector:
     Counts each cell by one walk in topological order, so a cell whose
     active nodes form a cycle raises an EncodingError.
     """
-    _check_cells(arch)
     walks = [_cell_walk(cell) for cell in arch.cells]
     top = max(max(cell.op_ids) for cell in arch.cells)
     if top >= vocab.size:
@@ -332,8 +323,6 @@ def score_feature_matrix(archs, vocab: OpVocabulary) -> np.ndarray:
     archs = list(archs)
     if not archs:
         return np.zeros((0, 8))
-    for arch in archs:
-        _check_cells(arch)
     cells = cellgraph.stack_cells([c for arch in archs for c in arch.cells])
     src, dst = cells.ends()
     rows, cols = np.tril_indices(cells.adjacency.shape[-1])

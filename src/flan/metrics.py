@@ -9,8 +9,6 @@ correlation is undefined there; callers treat NaN as "no signal".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._kernels import count_inversions
@@ -85,21 +83,3 @@ def spearman_rho(x, y) -> float:
         return float("nan")
     rho = float(np.sum(dx * dy)) / (sx * sy)
     return float(min(1.0, max(-1.0, rho)))
-
-
-@dataclass(frozen=True)
-class RankReport:
-    """Correlation summary for one prediction run."""
-
-    n: int
-    kendall: float
-    spearman: float
-
-
-def rank_report(x, y) -> RankReport:
-    xv, yv = _check_pair(x, y)
-    return RankReport(
-        n=xv.shape[0],
-        kendall=kendall_tau(xv, yv),
-        spearman=spearman_rho(xv, yv),
-    )

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .benchmark import TabularBenchmark
+from .predictor import _check_fields
 from .rng import Rng
 from .training import TrainConfig
 
@@ -37,6 +38,7 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_fields(self, SearchError)
         n = self.budget_per_iter
         if n < 2 or n % 2 != 0:
             raise SearchError(f"budget_per_iter must be even and >= 2, got {n}")

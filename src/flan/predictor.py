@@ -1,37 +1,23 @@
 """The accuracy predictor: gated graph flows over cell DAGs.
 
 Node features start as operation embeddings and pass through a stack of
-graph layers of two kinds.  The dense-flow layer gates aggregated neighbor
-features with a sigmoid transform of the operation embeddings and keeps a
-residual path:
+graph levels: a dense-flow layer (``_dgf``), an attention layer (``_gat``)
+or, in ``ensemble`` mode, the mean of the two (``_ensemble``).  Both layers
+gate their messages with a sigmoid transform of the operation embeddings,
+and the dense-flow layer keeps a residual path:
 
     out = sigmoid(O W_o) * (M (X W_f)) + X W_f + b_f
-
-The attention layer projects nodes, scores each (receiver, sender) pair
-with a shared attention vector through a LeakyReLU, weighs messages either
-by sigmoid scores masked to edges (``shared_sigmoid``) or by a masked
-softmax with separate query/key/value projections (``kqv_softmax``), gates
-the summed messages the same way as above, and applies layer norm.  In
-``ensemble`` mode each stack level averages the two layer outputs.
 
 Each graph stack level, each MLP layer and the readout pool is one tape op:
 its forward is plain numpy, and it records itself through ``autodiff.emit``
 with a written-out backward that the tests check against finite
-differences.  An ``ensemble`` level records both layers and their mean as
-one op.  A record holds only what its backward reads; the attention
-messages, one small matmul, are recomputed in backward instead.  Until the
-first refinement update the op embeddings are rows of the op table, so the
-layers of the timestep-0 stacks compute each sigmoid gate once per table
-row and gather it per node, with the same bytes; their records hold the
-per-row gates and gather them again in backward.
+differences.  A record holds only what its backward reads.
 
-Both layer functions take a message-routing matrix M with M[i, j] = 1 when
+Both layer bodies take a message-routing matrix M with M[i, j] = 1 when
 node i receives from node j.  Cells store adjacency[i][j] = 1 for the edge
-i -> j, so the forward pass routes over the transpose of the stored matrix
-and the backward refinement flow routes over the stored matrix itself.
-
-Refinement: per timestep the forward stack runs from the current op
-embeddings, a backward stack runs over reversed edges from the final node
+i -> j, so per timestep the forward stack runs from the current op
+embeddings over the transpose of the stored matrix, a backward stack runs
+over the stored matrix itself (the reversed edges) from the final node
 features, and a small MLP on [backward feature, current embedding] produces
 an additive embedding update.  The update is local to one forward call; the
 persistent table only changes by gradient descent.  With one timestep no
@@ -45,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import operator
 import os
 from dataclasses import dataclass, fields
@@ -76,6 +63,35 @@ class PredictorError(ValueError):
     """Raised for configuration and input contract violations."""
 
 
+def _check_fields(config, error: type[Exception]) -> None:
+    """Normalise a config dataclass in place by its field annotations: int
+    and tuple[int, ...] fields go through operator.index, and a float field
+    must hold a real number.  No bool passes, and an `| None` field may be
+    None.  The first field that fails raises error, naming it."""
+    def integer(value):
+        if isinstance(value, bool):  # True is not a count
+            raise TypeError
+        return operator.index(value)
+
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind = f.type.removesuffix(" | None")
+        if value is None and kind != f.type:
+            continue
+        try:
+            if kind == "int":
+                value = integer(value)
+            elif kind == "tuple[int, ...]":
+                value = tuple(map(integer, value))
+            elif kind == "float" and (isinstance(value, bool)
+                                      or not isinstance(value, numbers.Real)):
+                raise TypeError
+        except TypeError:
+            noun = "a real number" if kind == "float" else "integer-valued"
+            raise error(f"{f.name} must be {noun}, got {value!r}") from None
+        object.__setattr__(config, f.name, value)
+
+
 @dataclass(frozen=True)
 class PredictorConfig:
     op_embedding_dim: int = 48
@@ -94,18 +110,7 @@ class PredictorConfig:
     supplemental_dims: tuple[int, ...] = ()
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            try:
-                if f.type == "int":
-                    value = operator.index(value)
-                elif f.type == "tuple[int, ...]":
-                    value = tuple(operator.index(d) for d in value)
-            except TypeError:
-                raise PredictorError(
-                    f"{f.name} must be integer-valued, got {value!r}"
-                ) from None
-            object.__setattr__(self, f.name, value)
+        _check_fields(self, PredictorError)
         dims = (
             (self.op_embedding_dim, self.node_embedding_dim, self.hidden_dim,
              self.nn_emb_dim)
@@ -118,14 +123,11 @@ class PredictorConfig:
         if not 1 <= self.timesteps <= MAX_TIMESTEPS:
             raise PredictorError(f"timesteps must be between 1 and "
                                  f"{MAX_TIMESTEPS}, got {self.timesteps}")
-        if self.forward_mode not in FORWARD_MODES:
-            raise PredictorError(f"forward_mode must be one of {FORWARD_MODES}")
-        if self.backward_mode not in FORWARD_MODES:
-            raise PredictorError(f"backward_mode must be one of {FORWARD_MODES}")
-        if self.attention_variant not in ATTENTION_VARIANTS:
-            raise PredictorError(
-                f"attention_variant must be one of {ATTENTION_VARIANTS}"
-            )
+        for name, allowed in (("forward_mode", FORWARD_MODES),
+                              ("backward_mode", FORWARD_MODES),
+                              ("attention_variant", ATTENTION_VARIANTS)):
+            if getattr(self, name) not in allowed:
+                raise PredictorError(f"{name} must be one of {allowed}")
         if self.op_embedding_dim != self.node_embedding_dim:
             # node features are initialized from op embeddings, so the dims
             # are tied; both fields exist to keep the config explicit
@@ -163,7 +165,15 @@ def _gate_of(op_emb: Tensor, w_o: Tensor, rows):
 
 
 def _dgf(x, routing, routing_t, op_emb, w_o, w_f, b_f, rows):
-    """dgf_layer's output, tape inputs and backward, unrecorded."""
+    """Gated dense flow: sigmoid(op_emb W_o) * (routing (x W_f)) + x W_f + b_f.
+
+    routing[i, j] = 1 routes node j's features into node i; routing is
+    data and gets no gradient.  routing_t is routing with its last two axes
+    swapped, held contiguous for the backward's product.  rows, if not
+    None, is (op_table, flat_ids) with op_emb = op_table[flat_ids] (see
+    _gate_of).  Returns the output, tape inputs and backward, unrecorded:
+    _run_stack records them as "dgf_layer".
+    """
     gate_of = _gate_of(op_emb, w_o, rows)
     gate = gate_of()
     h = ad.fold_matmul(x.data, w_f.data)
@@ -186,22 +196,22 @@ def _dgf(x, routing, routing_t, op_emb, w_o, w_f, b_f, rows):
     return out, (b_f, x, w_f, op_emb, w_o), backward
 
 
-def dgf_layer(x: Tensor, routing: np.ndarray, routing_t: np.ndarray,
-              op_emb: Tensor, w_o: Tensor, w_f: Tensor, b_f: Tensor,
-              rows=None) -> Tensor:
-    """Gated dense flow: sigmoid(op_emb W_o) * (routing (x W_f)) + x W_f + b_f.
-
-    routing[i, j] = 1 routes node j's features into node i; routing is
-    data and gets no gradient.  routing_t is routing with its last two axes
-    swapped, held contiguous for the backward's product.  rows, if given,
-    is (op_table, flat_ids) with op_emb = op_table[flat_ids] (see _gate_of).
-    """
-    return ad.emit("dgf_layer",
-                   *_dgf(x, routing, routing_t, op_emb, w_o, w_f, b_f, rows))
-
-
 def _gat(x, routing, op_emb, params, variant, rows):
-    """gat_layer's output, tape inputs and backward, unrecorded."""
+    """Attention flow over the routing matrix (row = receiver).
+
+    shared_sigmoid: per-edge weight sigmoid(leaky_relu(a . [P_i, P_j])) with
+    one shared projection P = x W_p; kqv_softmax: query/key scores,
+    softmaxed over each receiver's senders, applied to value projections.
+    Receivers without senders get a zero message; the gated message sum
+    passes through layer norm.  rows is as in _dgf, and so is what it
+    returns, which _run_stack records as "gat_layer".
+
+    Under kqv_softmax the receiver term q_i . a_recv is the same for every
+    sender in row i, so the softmax cancels it wherever the LeakyReLU is
+    linear: w_q and the receiver half of attn_a learn only from rows whose
+    scores the kink splits into both signs.  This is GAT's "static
+    attention" (Brody et al., ICLR 2022).
+    """
     # the projections follow the four shared names; reversed, v k q
     names = GAT_PARAM_NAMES[variant][:3:-1]
     attn_a, w_o = params["attn_a"], params["w_o"]
@@ -264,7 +274,7 @@ def _gat(x, routing, op_emb, params, variant, rows):
             grads.extend(ad.matmul_grads(x.data, params[name].data, g_proj))
         return grads
 
-    # reverse order of use, as in dgf_layer: x once per projection
+    # reverse order of use, as in _dgf: x once per projection
     inputs = [gamma, beta, op_emb, w_o, attn_a]
     for name in names:
         inputs += [x, params[name]]
@@ -273,28 +283,16 @@ def _gat(x, routing, op_emb, params, variant, rows):
     return out, tuple(inputs), backward
 
 
-def gat_layer(x: Tensor, routing: np.ndarray, op_emb: Tensor,
-              params: dict[str, Tensor], variant: str, rows=None) -> Tensor:
-    """Attention flow over the routing matrix (row = receiver).
-
-    shared_sigmoid: per-edge weight sigmoid(leaky_relu(a . [P_i, P_j])) with
-    one shared projection P = x W_p; kqv_softmax: query/key scores,
-    softmaxed over each receiver's senders, applied to value projections.
-    Receivers without senders get a zero message; the gated message sum
-    passes through layer norm.  rows is as in dgf_layer.
-
-    Under kqv_softmax the receiver term q_i . a_recv is the same for every
-    sender in row i, so the softmax cancels it wherever the LeakyReLU is
-    linear: w_q and the receiver half of attn_a learn only from rows whose
-    scores the kink splits into both signs.  This is GAT's "static
-    attention" (Brody et al., ICLR 2022).
-    """
-    return ad.emit("gat_layer", *_gat(x, routing, op_emb, params, variant, rows))
-
-
 def _ensemble(x, routing, routing_t, op_emb, dgf_params, gat_params, variant,
               rows):
-    """ensemble_layer's output, tape inputs and backward, unrecorded."""
+    """(_dgf + _gat) * 0.5 on the same inputs, as one tape op, unrecorded:
+    _run_stack records it as "ensemble_layer".
+
+    The inputs are listed attention branch first, each branch in its own
+    layer's order, and the backward runs the attention branch's backward
+    before the dense-flow branch's: the tape sums every gradient in the
+    order it would for the two layers recorded one after the other.
+    """
     out, dgf_inputs, dgf_backward = _dgf(x, routing, routing_t, op_emb,
                                          **dgf_params, rows=rows)
     gat_out, gat_inputs, gat_backward = _gat(x, routing, op_emb, gat_params,
@@ -307,21 +305,6 @@ def _ensemble(x, routing, routing_t, op_emb, dgf_params, gat_params, variant,
     out += gat_out
     out *= 0.5
     return out, gat_inputs + dgf_inputs, backward
-
-
-def ensemble_layer(x: Tensor, routing: np.ndarray, routing_t: np.ndarray,
-                   op_emb: Tensor, dgf_params: dict[str, Tensor],
-                   gat_params: dict[str, Tensor], variant: str,
-                   rows=None) -> Tensor:
-    """(dgf_layer + gat_layer) * 0.5 on the same inputs, as one tape op.
-
-    The inputs are listed attention branch first, each branch in its own
-    layer's order, and the backward runs the attention branch's backward
-    before the dense-flow branch's: the tape sums every gradient in the
-    order it would for the two layers recorded one after the other.
-    """
-    return ad.emit("ensemble_layer", *_ensemble(
-        x, routing, routing_t, op_emb, dgf_params, gat_params, variant, rows))
 
 
 def dense_layer(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
@@ -483,14 +466,10 @@ class PreparedBatch:
     def take(self, rows) -> "PreparedBatch":
         """The batch of the given rows (an index sequence): the bytes
         prepare_batch gives for those archs and supplemental rows."""
-        def pick(arrays):
-            return [a[rows] for a in arrays]
-
-        ids = pick(self.ids)
+        ids, fwd, bwd, mask = ([a[rows] for a in arrays] for arrays in
+                               (self.ids, self.routing_fwd, self.routing_bwd, self.mask))
         supp = None if self.supplemental is None else self.supplemental[rows]
-        return PreparedBatch(len(ids[0]), self.num_nodes, ids,
-                             pick(self.routing_fwd), pick(self.routing_bwd),
-                             pick(self.mask), supp)
+        return PreparedBatch(len(ids[0]), self.num_nodes, ids, fwd, bwd, mask, supp)
 
 
 def prepare_batch(model: PredictorModel, archs,
@@ -547,9 +526,7 @@ def _run_stack(model: PredictorModel, cell: int, tag: str, mode: str,
                dims: tuple[int, ...], x: Tensor, routing: np.ndarray,
                routing_t: np.ndarray, op_emb: Tensor, rows) -> Tensor:
     """routing_t is routing with its last two axes swapped.  Each level
-    records itself from here, not through dgf_layer, gat_layer or
-    ensemble_layer: a tracer may wrap those public names with a span stack
-    that belongs to one thread, and score_archs runs this on two threads."""
+    records its body here, on whichever thread runs the stack."""
     variant = model.config.attention_variant
     for l in range(len(dims)):
         dgf = gat = None
@@ -674,18 +651,18 @@ def _cpu_count() -> int:
 
 def score_archs(model: PredictorModel, archs,
                 supplemental: np.ndarray | None = None) -> np.ndarray:
-    """Score many architectures, SCORE_CHUNK archs per forward pass, on no
-    tape: a caller's active tape is suspended for the call and records
-    nothing.  The chunks do not overlap, so each arch is prepared once per
-    call.
+    """Score many architectures on no tape: a caller's active tape is
+    suspended for the call and records nothing.  Archs are grouped by node
+    count, in order of first appearance, and each group runs in chunks of
+    SCORE_CHUNK archs, one forward pass each, so each arch is prepared once
+    per call; the scores come back in input order.
 
     With more than one CPU, a chunk whose second half holds at least
     HELPER_MIN_ELEMENTS node features (rows x nodes x widest gcn dim) is
-    embedded on two threads: one helper thread, started for the call and
+    embedded on two threads: a helper thread, started for the call and
     joined before it returns, embeds the second half while this thread
-    embeds the first (see forward_batch).  The scores keep the serial
-    pass's bytes, and the halves are views of the one chunk held.  Finite
-    parameters can still overflow the forward pass (a corrupted or
+    embeds the first (see forward_batch), with the serial pass's bytes.
+    Finite parameters can still overflow the forward pass (a corrupted or
     hand-edited checkpoint does); that raises PredictorError."""
     archs = list(archs)
     if supplemental is not None:
@@ -695,26 +672,28 @@ def score_archs(model: PredictorModel, archs,
                 f"supplemental must have one row per arch ({len(archs)}), "
                 f"got shape {supplemental.shape}"
             )
+    groups: dict[int, list[int]] = {}
+    for k, arch in enumerate(archs):
+        groups.setdefault(arch.cells[0].num_nodes, []).append(k)
+    chunks = [index[lo:lo + SCORE_CHUNK] for index in groups.values()
+              for lo in range(0, len(index), SCORE_CHUNK)]
     out = np.empty(len(archs), dtype=np.float64)
     width = max(model.config.gcn_dims)
     can_help = _cpu_count() > 1
     pool = None
     with contextlib.ExitStack() as stack, ad.no_tape(), \
             np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, len(archs), SCORE_CHUNK):
-            hi = min(lo + SCORE_CHUNK, len(archs))
-            supp = None if supplemental is None else supplemental[lo:hi]
-            batch = prepare_batch(model, archs[lo:hi], supp)
-            helper = None
-            if (can_help and (batch.size // 2) * batch.num_nodes * width
-                    >= HELPER_MIN_ELEMENTS):
-                if pool is None:
-                    # imported on first use: the thread machinery adds
-                    # about 0.5 MB of resident memory to serial callers
-                    from concurrent.futures import ThreadPoolExecutor
-                    pool = stack.enter_context(ThreadPoolExecutor(1))
-                helper = pool
-            out[lo:hi] = forward_batch(model, batch, helper=helper).data
+        for rows in chunks:
+            supp = None if supplemental is None else supplemental[rows]
+            batch = prepare_batch(model, [archs[k] for k in rows], supp)
+            wide = (can_help and (batch.size // 2) * batch.num_nodes * width
+                    >= HELPER_MIN_ELEMENTS)
+            if wide and pool is None:
+                # imported on first use: the thread machinery adds about
+                # 0.5 MB of resident memory to serial callers
+                from concurrent.futures import ThreadPoolExecutor
+                pool = stack.enter_context(ThreadPoolExecutor(1))
+            out[rows] = forward_batch(model, batch, helper=pool if wide else None).data
     if not np.isfinite(out).all():
         raise PredictorError("scores are non-finite: the parameters overflow "
                              "the forward pass")

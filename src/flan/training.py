@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
 from dataclasses import asdict, dataclass, replace
 
@@ -40,6 +41,7 @@ from .predictor import (
     PredictorConfig,
     PredictorError,
     PredictorModel,
+    _check_fields,
     forward_batch,
     parameter_shapes,
     prepare_batch,
@@ -77,6 +79,7 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
+        _check_fields(self, TrainError)
         for name in ("lr", "transfer_lr", "adam_eps"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
@@ -391,7 +394,7 @@ def load_model(path) -> tuple[PredictorModel, dict[str, str]]:
             key: value for key, value in metadata["config"].items()
             if key not in RETIRED_CONFIG_KEYS})
         vocab = UnifiedVocabulary.from_dict(metadata["vocab"])
-        cells_per_arch = int(metadata["cells_per_arch"])
+        cells_per_arch = operator.index(metadata["cells_per_arch"])
         promised = list(metadata["tensors"])
         provenance = {str(k): str(v) for k, v in metadata["provenance"].items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

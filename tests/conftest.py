@@ -181,7 +181,7 @@ def reference_bench(space="a"):
 
 def random_valid_cell(rng, num_nodes, vocab_size, space_id=0):
     """Rejection-sample one valid cell; mirrors no library internals."""
-    from flan.cellgraph import prune_to_paths, validate
+    from flan.cellgraph import prune_to_paths, validate_cells
 
     while True:
         adj = np.zeros((num_nodes, num_nodes), dtype=np.uint8)
@@ -199,7 +199,7 @@ def random_valid_cell(rng, num_nodes, vocab_size, space_id=0):
             if not keep[i]:
                 ops[i] = 2
         cand = CellGraph(padj, ops, space_id)
-        if validate(cand, vocab_size) is None:
+        if validate_cells([cand], vocab_size)[0] is None:
             return cand
 
 

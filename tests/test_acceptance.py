@@ -37,7 +37,7 @@ from flan.benchmark import (
     make_vocab,
     split,
 )
-from flan.cellgraph import CellArch, CellGraph, validate
+from flan.cellgraph import CellArch, CellGraph, validate_cells
 from flan.cli import main as cli_main
 from flan.encodings import SupplementalProvider, encode_path, unify
 from flan.metrics import kendall_tau, spearman_rho
@@ -273,7 +273,7 @@ def test_criterion_3_path_encoding_exhaustive():
                     adj[i, j] = 1
             for mid in itertools.product((3, 4, 5), repeat=max(0, n - 2)):
                 cell = CellGraph(adj, [0, *mid, 1], 0)
-                if validate(cell, 6) is not None:
+                if validate_cells([cell], 6)[0] is not None:
                     continue
                 cells += 1
                 got = encode_path(CellArch((cell,), 0), uni).values

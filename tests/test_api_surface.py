@@ -6,11 +6,16 @@ backticked README span.  perfbench may name it any way, a dotted-name
 string such as a trace target included.  src/ may name a top-level
 definition or access it as an attribute, but a method only counts when
 accessed as an attribute: a local variable of the same name calls
-nothing.  A helper that only tests call belongs in tests/.  No module
+nothing.  A helper that only tests call belongs in tests/.  The README's
+list of the public surface names only what the code defines.  No module
 reads the environment.
 """
 
 import ast
+import builtins
+import importlib
+import inspect
+import keyword
 import re
 from pathlib import Path
 
@@ -74,6 +79,55 @@ def test_every_public_name_is_used_or_documented():
     unused = [qual for qual, bare, method in _public_names()
               if bare not in named and (method or bare not in src_names)]
     assert not unused, f"only tests call {unused}"
+
+
+def _surface_names():
+    """The leading dotted name of each backticked span in the README's
+    bullets under "The public surface, by module": `score_archs(model,
+    [arch])[0]` names score_archs."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("The public surface, by module", 1)[1].split("\n## ", 1)[0]
+    for span in re.findall(r"`([^`]+)`", section):
+        found = re.match(rf"{IDENT}(\.{IDENT})*", span)
+        if found and not (keyword.iskeyword(found[0]) or hasattr(builtins, found[0])):
+            yield found[0]
+
+
+def _owners() -> list:
+    """Every flan module, and every class one of them defines."""
+    modules = [importlib.import_module(f"flan.{path.stem}")
+               for path in sorted(SRC.glob("*.py"))]
+    return modules + [cls for module in modules
+                      for _, cls in inspect.getmembers(module, inspect.isclass)
+                      if cls.__module__ == module.__name__]
+
+
+def _resolves(dotted: str, owners: list) -> bool:
+    """Whether each part of a dotted name is an attribute of the one before:
+    the first of the flan package if it is `flan`, else of one of owners."""
+    first, *rest = dotted.split(".")
+    if first == "flan":
+        starts = [importlib.import_module("flan")]
+    else:
+        starts = [getattr(owner, first) for owner in owners if hasattr(owner, first)]
+    for obj in starts:
+        for part in rest:
+            if not hasattr(obj, part):
+                break
+            obj = getattr(obj, part)
+        else:
+            return True
+    return False
+
+
+def test_the_readme_surface_names_only_what_the_code_defines():
+    # the list is prose: a name deleted from the code lingers there unless
+    # this checks it
+    names = list(_surface_names())
+    assert "PreparedBatch.take" in names and "flan.metrics" in names
+    owners = _owners()
+    missing = [name for name in names if not _resolves(name, owners)]
+    assert not missing, f"the README's public surface names {missing}"
 
 
 ENV_READERS = {"environ", "environb", "getenv", "getenvb"}

@@ -28,7 +28,7 @@ from flan.benchmark import (
     make_vocab,
     split,
 )
-from flan.cellgraph import validate
+from flan.cellgraph import validate_cells
 from flan.cli import main
 from flan.metrics import spearman_rho
 from flan.rng import Rng, batch_u64
@@ -158,7 +158,7 @@ def test_generated_archs_are_valid_and_distinct():
     seen = set()
     for arch in bench.archs:
         c = arch.cells[0]
-        assert validate(c, bench.vocab.size) is None
+        assert validate_cells([c], bench.vocab.size)[0] is None
         key = (c.adjacency.tobytes(), c.op_ids)
         assert key not in seen
         seen.add(key)
@@ -694,7 +694,7 @@ def test_ingest_mutation_fuzz(fuzz_bench, mutate, kind):
     else:
         for arch in bench.archs:
             for c in arch.cells:
-                assert validate(c, bench.vocab.size) is None
+                assert validate_cells([c], bench.vocab.size)[0] is None
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["encode", "--bench", str(path), "--kind", kind,

@@ -15,7 +15,6 @@ from flan.cellgraph import (
     prune_stack,
     prune_to_paths,
     stack_cells,
-    validate,
     validate_cells,
 )
 from flan.rng import Rng
@@ -86,31 +85,31 @@ def test_active_adjacency_drops_none_edges():
 # -- validate --------------------------------------------------------------------
 
 def test_validate_minimal_chain_ok():
-    assert validate(chain_cell(3), vocab_size=4) is None
+    assert validate_cells([chain_cell(3)], vocab_size=4)[0] is None
 
 
 def test_validate_back_edge_is_cycle():
     c = cell([[0, 1, 0], [0, 0, 1], [1, 0, 0]], [0, 3, 1])
-    msg = validate(c, 4)
+    msg = validate_cells([c], 4)[0]
     assert msg is not None and msg.startswith("cycle")
 
 
 def test_validate_self_loop_is_cycle():
     c = cell([[0, 1], [0, 1]], [0, 1])
-    msg = validate(c, 3)
+    msg = validate_cells([c], 3)[0]
     assert msg is not None and msg.startswith("cycle")
 
 
 def test_validate_op_at_vocab_size_is_out_of_range():
     c = chain_cell(3, interior_op=4)
-    msg = validate(c, vocab_size=4)
+    msg = validate_cells([c], vocab_size=4)[0]
     assert msg is not None and msg.startswith("op out of range")
-    assert validate(c, vocab_size=5) is None
+    assert validate_cells([c], vocab_size=5)[0] is None
 
 
 def test_validate_two_sources_is_disconnected():
     c = cell([[0, 0, 1], [0, 0, 1], [0, 0, 0]], [0, 3, 1])
-    msg = validate(c, 4)
+    msg = validate_cells([c], 4)[0]
     assert msg is not None and msg.startswith("disconnected")
 
 
@@ -119,14 +118,14 @@ def test_validate_off_path_node_is_disconnected():
     adj = np.zeros((4, 4), dtype=np.uint8)
     adj[0, 3] = 1
     adj[1, 2] = 1
-    msg = validate(cell(adj, [0, 3, 3, 1]), 4)
+    msg = validate_cells([cell(adj, [0, 3, 3, 1])], 4)[0]
     assert msg is not None and msg.startswith("disconnected")
 
 
 def test_validate_pruned_nodes_are_allowed():
     adj = np.zeros((4, 4), dtype=np.uint8)
     adj[0, 3] = 1
-    assert validate(cell(adj, [0, OP_NONE, OP_NONE, 1]), 4) is None
+    assert validate_cells([cell(adj, [0, OP_NONE, OP_NONE, 1])], 4)[0] is None
 
 
 # -- pad --------------------------------------------------------------------------
@@ -154,9 +153,9 @@ def test_pad_preserves_validity():
     rng = Rng(31)
     for _ in range(40):
         c = random_valid_cell(rng, 2 + rng.randint(5), 5)
-        assert validate(c, 5) is None
+        assert validate_cells([c], 5)[0] is None
         grown = pad(c, c.num_nodes + 1 + rng.randint(3))
-        assert validate(grown, 5) is None
+        assert validate_cells([grown], 5)[0] is None
 
 
 # -- permute ------------------------------------------------------------------------
@@ -243,7 +242,8 @@ def _walk(succ, start):
 
 
 def _oracle_validate(adj, ops, vocab_size):
-    """validate() spelled out with Kahn's sort and two depth-first walks."""
+    """validate_cells() of one cell, spelled out with Kahn's sort and two
+    depth-first walks."""
     n = len(ops)
     for i in range(n):
         if adj[i][i]:
@@ -299,9 +299,9 @@ VOCAB = 6
 
 
 def _random_cell(rng):
-    """A seeded graph that reaches every validate() outcome: pruned valid
-    DAGs, long chains, self loops, back edges, cycles through none nodes
-    only, out-of-range ops, no active node, extra ends and islands."""
+    """A seeded graph that reaches every validate_cells() outcome: pruned
+    valid DAGs, long chains, self loops, back edges, cycles through none
+    nodes only, out-of-range ops, no active node, extra ends and islands."""
     n = int(rng.integers(2, 9))
     if rng.random() < 0.15:
         adj = np.eye(n, k=1, dtype=np.uint8)
@@ -340,7 +340,7 @@ def test_validate_cells_matches_graph_walk_oracle():
     cells = [_random_cell(rng) for _ in range(6000)]
     expected = [_oracle_validate(c.adjacency.tolist(), c.op_ids, VOCAB) for c in cells]
     assert validate_cells(cells, VOCAB) == expected
-    assert [validate(c, VOCAB) for c in cells] == expected
+    assert [validate_cells([c], VOCAB)[0] for c in cells] == expected
     # the oracle's last check never fires: in a DAG every node descends
     # from a source and reaches a sink, so a unique pair is on every path
     kinds = [m or "valid" for m in expected]

@@ -339,6 +339,16 @@ def test_encode_is_deterministic(ws, tmp_path, capsys):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+@pytest.mark.parametrize("kind", ["adjacency", "score"])
+def test_encode_refuses_max_paths_outside_the_path_kind(ws, tmp_path, capsys, kind):
+    out = tmp_path / f"{kind}.supp"
+    code, payload, err = run_cli(capsys, "encode", "--bench", str(ws["bench_a"]),
+                                 "--kind", kind, "--max-paths", "3", "--out", str(out))
+    assert (code, payload) == (2, None)
+    assert err == f"error: --max-paths applies only to --kind path, not --kind {kind}\n"
+    assert not out.exists()
+
+
 def test_encode_path_of_a_space_too_large_names_max_paths(tmp_path, capsys):
     # 24 nodes and 5 interior ops index about 3e15 op sequences
     bench = tmp_path / "n24.bench"

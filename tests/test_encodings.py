@@ -151,8 +151,9 @@ def test_adjacency_not_permutation_invariant():
 
 
 def test_adjacency_mixed_cell_sizes_rejected():
-    with pytest.raises(EncodingError):
-        encode_adjacency(arch_of((chain_cell(3), chain_cell(4))), basic_vocab())
+    # such an arch is refused when it is built, before any encoder sees it
+    with pytest.raises(CellError, match="share a node count"):
+        arch_of((chain_cell(3), chain_cell(4)))
 
 
 # -- path encoding -------------------------------------------------------------------
@@ -464,50 +465,54 @@ MIXED = "cells of one arch must share a node count, got {3, 4}"
 ENDS = "cell has no unique source/sink; validate first"
 TWO_SOURCES = [(0, 2), (1, 2), (2, 3)]
 
-# arch, then the (error type, message) of encode_path, encode_adjacency and
-# score_features, None where the encoder accepts the arch; with two faults
-# the first check each encoder makes names the error
+# an arch's cells, then the (error type, message) of encode_path,
+# encode_adjacency and score_features, None where the encoder accepts the
+# arch; with two faults the first check each encoder makes names the error.
+# A row with one error names the CellError of building the arch
 MALFORMED = {
     "reserved-interior-op": (
-        arch_of(chain_cell(4, interior_op=0)),
+        chain_cell(4, interior_op=0),
         (EncodingError, "interior node 1 carries reserved op 0"), None, None),
     "op-outside-vocabulary": (
-        arch_of(chain_cell(4, interior_op=6)),
+        chain_cell(4, interior_op=6),
         (EncodingError, NOT_INTERIOR), (EncodingError, OUTSIDE),
         (EncodingError, OUTSIDE)),
     "lower-triangle-edge": (
-        arch_of(edges_cell(3, [(0, 2), (2, 1)], [0, 1, 3])),
+        edges_cell(3, [(0, 2), (2, 1)], [0, 1, 3]),
         None, (EncodingError, LOWER), None),
-    "mixed-node-counts": (
-        arch_of((chain_cell(3), chain_cell(4))),
-        (EncodingError, MIXED), (EncodingError, MIXED), (EncodingError, MIXED)),
+    "mixed-node-counts": ((chain_cell(3), chain_cell(4)), (CellError, MIXED)),
     "two-sources": (
-        arch_of(edges_cell(4, TWO_SOURCES, [0, 3, 4, 1])),
+        edges_cell(4, TWO_SOURCES, [0, 3, 4, 1]),
         (CellError, ENDS), None, (CellError, ENDS)),
     "reserved-then-outside": (
-        arch_of(edges_cell(4, [(0, 1), (1, 2), (2, 3)], [0, 6, 0, 1])),
+        edges_cell(4, [(0, 1), (1, 2), (2, 3)], [0, 6, 0, 1]),
         (EncodingError, "interior node 2 carries reserved op 0"),
         (EncodingError, OUTSIDE), (EncodingError, OUTSIDE)),
     "lower-triangle-and-outside": (
-        arch_of(edges_cell(3, [(0, 2), (2, 1)], [0, 1, 6])),
+        edges_cell(3, [(0, 2), (2, 1)], [0, 1, 6]),
         (EncodingError, NOT_INTERIOR), (EncodingError, LOWER),
         (EncodingError, OUTSIDE)),
     "two-sources-and-outside": (
-        arch_of(edges_cell(4, TWO_SOURCES, [0, 3, 6, 1])),
+        edges_cell(4, TWO_SOURCES, [0, 3, 6, 1]),
         (CellError, ENDS), (EncodingError, OUTSIDE), (CellError, ENDS)),
     "outside-then-two-sources": (
-        arch_of((chain_cell(4, interior_op=6),
-                 edges_cell(4, TWO_SOURCES, [0, 3, 4, 1]))),
+        (chain_cell(4, interior_op=6), edges_cell(4, TWO_SOURCES, [0, 3, 4, 1])),
         (CellError, ENDS), (EncodingError, OUTSIDE), (CellError, ENDS)),
     "mixed-node-counts-and-two-sources": (
-        arch_of((chain_cell(3), edges_cell(4, TWO_SOURCES, [0, 3, 4, 1]))),
-        (EncodingError, MIXED), (EncodingError, MIXED), (EncodingError, MIXED)),
+        (chain_cell(3), edges_cell(4, TWO_SOURCES, [0, 3, 4, 1])),
+        (CellError, MIXED)),
 }
 
 
 @pytest.mark.parametrize("case", MALFORMED)
 def test_one_arch_encoders_raise_the_first_fault(case):
-    arch, *errors = MALFORMED[case]
+    cells, *errors = MALFORMED[case]
+    if len(errors) == 1:
+        with pytest.raises(CellError) as info:
+            arch_of(cells)
+        assert (type(info.value), str(info.value)) == errors[0]
+        return
+    arch = arch_of(cells)
     for encode, error in zip((encode_path, encode_adjacency, score_features), errors):
         if error is None:
             encode(arch, basic_vocab())

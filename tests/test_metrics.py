@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flan.metrics import kendall_tau, midranks, rank_report, spearman_rho
+from flan.metrics import kendall_tau, midranks, spearman_rho
 from flan.rng import Rng
 
 
@@ -184,19 +184,19 @@ def test_midranks_examples():
     assert midranks(np.array([5.0])).tolist() == [1.0]
 
 
-# -- rank report --------------------------------------------------------------------
+# -- both measures on one scored split -------------------------------------------
 
-def test_rank_report_fields():
+def test_tau_and_rho_of_a_tied_split_match_the_oracles():
+    # the pair the CLI report gives for a split; its n is the split's size
     x = [1, 2, 2, 3]
     y = [1, 3, 2, 4]
-    rep = rank_report(x, y)
-    assert rep.n == 4
-    assert rep.kendall == pytest.approx(tau_b_oracle(x, y), abs=1e-12)
-    assert rep.spearman == pytest.approx(
+    assert kendall_tau(x, y) == pytest.approx(tau_b_oracle(x, y), abs=1e-12)
+    assert spearman_rho(x, y) == pytest.approx(
         pearson(midrank_oracle(x), midrank_oracle(y)), abs=1e-12
     )
 
 
-def test_rank_report_requires_two_points():
-    with pytest.raises(ValueError):
-        rank_report([1.0], [1.0])
+def test_tau_and_rho_require_two_points():
+    for measure in (kendall_tau, spearman_rho):
+        with pytest.raises(ValueError):
+            measure([1.0], [1.0])

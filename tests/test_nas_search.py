@@ -86,6 +86,16 @@ def test_search_config_rejections():
             SearchConfig(**bad)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("budget_per_iter", 4.0), ("max_iters", True), ("pool_floor", 2.5),
+    ("seed", 1.5), ("initial_sample", 8.0),
+])
+def test_search_config_names_a_non_integer_field(name, value):
+    with pytest.raises(SearchError) as info:
+        SearchConfig(**{"budget_per_iter": 4, "max_iters": 1, name: value})
+    assert str(info.value) == f"{name} must be integer-valued, got {value!r}"
+
+
 def test_initial_defaults_to_budget():
     assert SearchConfig(budget_per_iter=6, max_iters=1).initial == 6
     assert SearchConfig(budget_per_iter=4, max_iters=1, initial_sample=10).initial == 10

@@ -16,7 +16,7 @@ import flan.autodiff as ad
 from flan import predictor
 from flan.autodiff import Tensor
 from flan.benchmark import make_vocab
-from flan.cellgraph import CellArch, CellGraph, validate
+from flan.cellgraph import CellArch, CellGraph, validate_cells
 from flan.encodings import EncodingError, unify
 from flan.predictor import (
     LAYER_NORM_EPS,
@@ -25,13 +25,13 @@ from flan.predictor import (
     PredictorError,
     PreparedBatch,
     _cell_embedding,
+    _dgf,
+    _ensemble,
+    _gat,
     _gate_of,
     clone_model,
     dense_layer,
-    dgf_layer,
-    ensemble_layer,
     forward_batch,
-    gat_layer,
     init,
     masked_mean_pool,
     parameter_shapes,
@@ -108,6 +108,12 @@ def test_config_rejections():
         tiny_config(supplemental_dims=(4,), supp_embedder_dims=())
 
 
+@pytest.mark.parametrize("name, value", [("timesteps", True), ("gcn_dims", (8, False))])
+def test_config_counts_no_bool_as_an_integer(name, value):
+    with pytest.raises(PredictorError, match=f"{name} must be integer-valued"):
+        tiny_config(**{name: value})
+
+
 def test_config_dict_round_trip():
     cfg = tiny_config(attention_variant="kqv_softmax", supplemental_dims=(3, 5))
     assert PredictorConfig(**json.loads(json.dumps(asdict(cfg)))) == cfg
@@ -116,8 +122,25 @@ def test_config_dict_round_trip():
 
 # -- dgf layer ----------------------------------------------------------------------
 
+# each graph-stack level is one layer body recorded under its tape record
+# name, as predictor._run_stack records it
+
+def emit_dgf(x, routing, routing_t, op_emb, w_o, w_f, b_f, rows=None):
+    return ad.emit("dgf_layer",
+                   *_dgf(x, routing, routing_t, op_emb, w_o, w_f, b_f, rows))
+
+
+def emit_gat(x, routing, op_emb, params, variant, rows=None):
+    return ad.emit("gat_layer", *_gat(x, routing, op_emb, params, variant, rows))
+
+
+def emit_ensemble(x, routing, routing_t, op_emb, dgf, gat, variant, rows):
+    return ad.emit("ensemble_layer", *_ensemble(x, routing, routing_t, op_emb,
+                                                dgf, gat, variant, rows))
+
+
 def transposed(routing):
-    """The contiguous routing_t that prepared batches hand dgf_layer."""
+    """The contiguous routing_t that prepared batches hand _dgf."""
     return np.ascontiguousarray(np.swapaxes(routing, -1, -2))
 
 
@@ -126,7 +149,7 @@ def test_dgf_zero_weights_annihilate():
     x = Tensor(randa(rng, (3, 4)))
     routing = randa(rng, (3, 3))
     op_emb = Tensor(randa(rng, (3, 4)))
-    out = dgf_layer(
+    out = emit_dgf(
         x, routing, transposed(routing), op_emb,
         w_o=Tensor(randa(rng, (4, 2))),
         w_f=Tensor(np.zeros((4, 2))),
@@ -138,7 +161,7 @@ def test_dgf_zero_weights_annihilate():
 def test_dgf_no_edges_is_residual_only():
     rng = Rng(1)
     x = Tensor(randa(rng, (3, 4)))
-    out = dgf_layer(
+    out = emit_dgf(
         x, np.zeros((3, 3)), np.zeros((3, 3)), Tensor(randa(rng, (3, 4))),
         w_o=Tensor(randa(rng, (4, 4))),
         w_f=Tensor(np.eye(4)),
@@ -151,7 +174,7 @@ def test_dgf_two_node_chain_half_gate():
     # gate = sigmoid(0) = 0.5 everywhere; receiver row mixes half the sender
     x = Tensor(np.eye(2))
     routing = np.array([[0.0, 0.0], [1.0, 0.0]])
-    out = dgf_layer(
+    out = emit_dgf(
         x, routing, transposed(routing), Tensor(np.ones((2, 3))),
         w_o=Tensor(np.zeros((3, 2))),
         w_f=Tensor(np.eye(2)),
@@ -171,7 +194,7 @@ def test_dgf_oracle_random():
         w_o = randa(rng, (din, dout))
         w_f = randa(rng, (din, dout))
         b_f = randa(rng, (dout,))
-        got = dgf_layer(
+        got = emit_dgf(
             Tensor(x), routing, transposed(routing), Tensor(op_emb),
             Tensor(w_o), Tensor(w_f), Tensor(b_f),
         ).data
@@ -252,7 +275,7 @@ def test_gat_matches_straight_line_oracle(variant):
         routing = (randa(rng, (n, n)) > 0).astype(np.float64)
         op_emb = randa(rng, (n, din))
         params = gat_params(rng, din, dout, variant)
-        got = gat_layer(
+        got = emit_gat(
             Tensor(x), routing, Tensor(op_emb),
             {k: Tensor(v) for k, v in params.items()}, variant,
         ).data
@@ -265,7 +288,7 @@ def test_gat_no_edges_gives_bias_rows(variant):
     rng = Rng(4)
     n, din, dout = 3, 4, 5
     params = gat_params(rng, din, dout, variant)
-    out = gat_layer(
+    out = emit_gat(
         Tensor(randa(rng, (n, din))),
         np.zeros((n, n)),
         Tensor(randa(rng, (n, din))),
@@ -283,7 +306,7 @@ def test_gat_singleton_softmax_weight_is_exactly_one():
     op_emb = randa(rng, (n, din))
     routing = np.array([[0.0, 0.0], [1.0, 0.0]])
     params = gat_params(rng, din, dout, "kqv_softmax")
-    got = gat_layer(
+    got = emit_gat(
         Tensor(x), routing, Tensor(op_emb),
         {k: Tensor(v) for k, v in params.items()}, "kqv_softmax",
     ).data
@@ -317,14 +340,14 @@ def test_table_row_gates_give_the_bytes_of_per_node_gates(variant, batch):
             dgf = {"w_o": w_o, "w_f": Tensor(rng.standard_normal((din, dout))),
                    "b_f": Tensor(rng.standard_normal(dout))}
             routing_t = transposed(routing)
-            assert (dgf_layer(x, routing, routing_t, op_emb, **dgf,
-                              rows=rows).data.tobytes()
-                    == dgf_layer(x, routing, routing_t, op_emb, **dgf).data.tobytes())
+            assert (emit_dgf(x, routing, routing_t, op_emb, **dgf,
+                             rows=rows).data.tobytes()
+                    == emit_dgf(x, routing, routing_t, op_emb, **dgf).data.tobytes())
             gat = {k: Tensor(v) for k, v in
                    gat_params(Rng(dout), din, dout, variant).items()}
             gat["w_o"] = w_o
-            assert (gat_layer(x, routing, op_emb, gat, variant, rows).data.tobytes()
-                    == gat_layer(x, routing, op_emb, gat, variant).data.tobytes())
+            assert (emit_gat(x, routing, op_emb, gat, variant, rows).data.tobytes()
+                    == emit_gat(x, routing, op_emb, gat, variant).data.tobytes())
 
 
 # -- layer gradients -----------------------------------------------------------------
@@ -353,9 +376,9 @@ def test_layer_gradients_match_finite_differences(layer, lead, shared):
 
     def loss():
         if layer == "dgf":
-            out = dgf_layer(x, routing, transposed(routing), op_emb, **params)
+            out = emit_dgf(x, routing, transposed(routing), op_emb, **params)
         else:
-            out = gat_layer(x, routing, op_emb, params, layer)
+            out = emit_gat(x, routing, op_emb, params, layer)
         return weighted_sum(out, weights)
 
     checked = {"x": x, **params} if shared else {"x": x, "op_emb": op_emb, **params}
@@ -384,7 +407,7 @@ def ensemble_level(variant, table_rows, seed=9):
            for k, v in gat_params(rng, d, dout, variant).items()}
     weights = Tensor(randa(rng, (b, n, dout)))
 
-    def loss(layer=ensemble_layer):
+    def loss(layer=emit_ensemble):
         if table_rows:
             op_emb = ad.reshape(ad.take(table, flat_ids), (b, n, d))
             inp, rows = op_emb, (table.data, flat_ids)
@@ -416,13 +439,13 @@ def test_ensemble_level_gives_the_bytes_of_two_recorded_layers(variant, table_ro
     # one record for the level, with the output and leaf gradients of the
     # two layers recorded one after the other, added and halved
     def two_layers(x, routing, routing_t, op_emb, dgf, gat, variant, rows):
-        mean = ad.add(dgf_layer(x, routing, routing_t, op_emb, **dgf, rows=rows),
-                      gat_layer(x, routing, op_emb, gat, variant, rows))
+        mean = ad.add(emit_dgf(x, routing, routing_t, op_emb, **dgf, rows=rows),
+                      emit_gat(x, routing, op_emb, gat, variant, rows))
         return ad.emit("scale", mean.data * 0.5, (mean,), lambda g: (g * 0.5,))
 
     loss, leaves = ensemble_level(variant, table_rows)
     results = []
-    for layer in (ensemble_layer, two_layers):
+    for layer in (emit_ensemble, two_layers):
         with ad.Tape() as tape:
             out = loss(layer)
             tape.backward(out)
@@ -827,7 +850,7 @@ def test_edges_touching_none_nodes_carry_no_message(monkeypatch):
     adj = adj.copy()
     adj[2, 1] = 1
     stray = CellGraph(adj, ops, 0)
-    assert validate(stray, 5) is None
+    assert validate_cells([stray], 5)[0] is None
     model = make_model()
     jitter_params(model, seed=6)
     batch = prepare_batch(model, [arch_of(stray)])

@@ -120,29 +120,32 @@ def test_helper_splits_small_and_odd_chunks_with_the_same_bytes(
 
 
 @pytest.mark.parametrize("mode", predictor.FORWARD_MODES)
-def test_no_thread_enters_the_public_layer_names(mode, helper_calls, monkeypatch):
-    # a tracer may wrap these names with a span stack of one thread
-    entered = []
+def test_no_thread_enters_the_public_layer_names(mode, helper_calls):
+    # a tracer may wrap public names with a span stack of one thread; the
+    # levels have none to wrap, and each records itself from _run_stack on
+    # whichever thread runs it
     for name in ("dgf_layer", "gat_layer", "ensemble_layer"):
-        def watched(*args, _fn=getattr(predictor, name), _name=name, **kwargs):
-            entered.append(_name)
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(predictor, name, watched)
+        assert not hasattr(predictor, name)
     model = make_model(PredictorConfig(forward_mode=mode, backward_mode=mode))
     archs = make_archs(64)
     got = score_archs(model, archs)
     assert helper_calls == [32]
-    assert entered == []
     assert got.tobytes() == serial_scores(model, archs).tobytes()
 
 
-def test_a_later_chunk_mixing_node_counts_is_refused(helper_calls):
+def test_a_later_chunk_mixing_node_counts_scores_group_by_group(helper_calls):
+    # 60 seven-node archs, 3 six-node ones, then 7 seven-node ones: a
+    # chunk of 64 seven-node archs, one of 3 and one of the six-node archs,
+    # each scored with the bytes of its group scored alone
     model = make_model()
-    archs = make_archs(64) + make_archs(3) + make_archs(3, nodes=6)
-    with pytest.raises(PredictorError, match="mixes node counts"):
-        score_archs(model, archs)
+    seven, six = make_archs(67), make_archs(3, nodes=6)
+    archs = seven[:60] + six + seven[60:]
+    got = score_archs(model, archs)
     assert helper_calls == [32]
+    assert (np.concatenate([got[:60], got[63:]]).tobytes()
+            == score_archs(model, seven).tobytes()
+            == serial_scores(model, seven).tobytes())
+    assert got[60:63].tobytes() == serial_scores(model, six).tobytes()
 
 
 def test_overflow_on_the_helper_path_is_a_predictor_error(helper_calls):

@@ -80,6 +80,26 @@ def quick_cfg(**kw):
 
 # -- config -------------------------------------------------------------------------
 
+@pytest.mark.parametrize("name, value, kind", [
+    ("epochs", 2.5, "integer-valued"),
+    ("batch_size", 2.5, "integer-valued"),
+    ("transfer_epochs", True, "integer-valued"),
+    ("seed", 1.5, "integer-valued"),
+    ("lr", "0.1", "a real number"),
+    ("hinge_margin", True, "a real number"),
+])
+def test_train_config_names_a_field_of_the_wrong_type(name, value, kind):
+    with pytest.raises(TrainError) as info:
+        TrainConfig(**{name: value})
+    assert str(info.value) == f"{name} must be {kind}, got {value!r}"
+
+
+def test_train_config_takes_any_integer_type():
+    config = TrainConfig(epochs=np.int64(3), lr=1)
+    assert type(config.epochs) is int and config.epochs == 3
+    assert config.lr == 1
+
+
 def test_train_config_rejections():
     for bad in (
         dict(lr=0.0),
@@ -849,6 +869,8 @@ def test_checkpoint_tensor_names_must_match_promise(tmp_path):
      "cells_per_arch must be 1 or 2"),
     (lambda m: m["config"].update(timesteps=2**62), b"op_table", (1,),
      "timesteps must be between 1 and 64"),
+    (lambda m: m.update(cells_per_arch=1.5), b"op_table", (1,),
+     "invalid metadata: 'float' object cannot be interpreted as an integer"),
 ])
 def test_checkpoint_hostile_bytes_raise_checkpoint_error(
         tmp_path, mutate, name, shape, match):
