@@ -1,12 +1,13 @@
-"""Minimal reverse-mode differentiation over dense float64 arrays.
+"""Minimal reverse-mode differentiation over dense float32 or float64 arrays.
 
 Each stage of the predictor (graph layer, dense layer, readout pool) and
 the hinge loss records itself with ``emit``: a numpy forward plus a
 written-out backward built from the shared ``matmul_grads``,
 ``suffix_reduce`` and ``logistic`` helpers.  The generic ops that join the
 stages are few: add of two equal shapes, reshape, concat and gather
-(take).  Everything is float64, with no implicit dtype promotion and no
-broadcasting between tape inputs, so shape bugs fail loudly.
+(take).  A tensor holds a float32 or a float64 array, and an op computes in
+the dtype of its inputs: nothing here converts one to the other, and there
+is no broadcasting between tape inputs, so shape bugs fail loudly.
 
 Recording: ops push onto the innermost active ``Tape`` (a thread-local
 stack) whenever some input requires grad.  Without an active tape the same
@@ -20,6 +21,12 @@ when its record runs and is dropped right after.  A caller may hand
 ``backward`` preallocated arrays for some leaves (training passes views of
 one vector aligned with the model's parameters); their gradients then
 accumulate in place there instead of in fresh arrays.
+
+A pass may run in another dtype than the tensors it learns: ``cast``
+links each working copy to the tensor it was cast from, and backward hands
+a copy's complete gradient to that tensor once every record has replayed,
+as one more contribution in the tensor's own dtype.  The link is not a
+record: the tape's length counts ops only.
 
 Each record keeps its op's name, so a caller whose loss came out
 non-finite can ask the tape which op first produced a non-finite value;
@@ -66,13 +73,19 @@ def no_tape():
         stack.pop()
 
 
+DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
 class Tensor:
-    """A float64 array plus grad bookkeeping."""
+    """A float32 or float64 array plus grad bookkeeping.  The array keeps
+    its dtype; one of any other dtype is refused."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False, copy: bool = True):
-        arr = np.array(data, dtype=np.float64, copy=copy)
+        arr = np.array(data, copy=copy or None)
+        if arr.dtype not in DTYPES:
+            raise TypeError(f"a tensor holds float32 or float64, not {arr.dtype}")
         if not copy and arr.base is not None and not arr.flags.writeable:
             arr = arr.copy()
         self.data = arr
@@ -95,7 +108,7 @@ class Tensor:
 
 
 def _wrap(arr: np.ndarray) -> Tensor:
-    if (type(arr) is not np.ndarray or arr.dtype != np.float64
+    if (type(arr) is not np.ndarray or arr.dtype not in DTYPES
             or not arr.flags.writeable):
         return Tensor(arr, requires_grad=False, copy=False)
     # what Tensor(arr, copy=False) makes of such an array, without its checks
@@ -109,6 +122,7 @@ class Tape:
 
     def __init__(self):
         self._records: list[tuple[Tensor, tuple[Tensor, ...], object, str]] = []
+        self._casts: list[tuple[Tensor, Tensor]] = []  # (copy, source)
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -136,8 +150,9 @@ class Tape:
 
         loss must be scalar-sized.  A leaf is a tensor that no record on this
         tape produced; every leaf with requires_grad on a path to the loss
-        gets its gradient, and every other tensor keeps grad None.  into may
-        map leaves to float64 arrays of their shape: such a leaf's gradient
+        gets its gradient, in its own dtype, and every other tensor keeps
+        grad None.  A cast copy hands its gradient on to its source instead.
+        into may map leaves to arrays of their shape: such a leaf's gradient
         is written in place into its array, which becomes its .grad.
         """
         if loss.data.size != 1:
@@ -146,6 +161,27 @@ class Tape:
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         tensors: dict[int, Tensor] = {id(loss): loss}
         written: set[int] = set()
+
+        def deliver(t: Tensor, c: np.ndarray) -> None:
+            if c.shape != t.data.shape:  # pragma: no cover - op bug guard
+                raise ShapeError(
+                    f"backward produced shape {c.shape} for tensor {t.data.shape}"
+                )
+            key = id(t)
+            buf = into.get(t)
+            if buf is not None:
+                if key in written:
+                    buf += c
+                else:
+                    buf[...] = c
+                    t.grad = buf
+                    written.add(key)
+            elif key in grads:
+                grads[key] = grads[key] + c
+            else:
+                grads[key] = c
+                tensors[key] = t
+
         for out, inputs, backward_fn, _ in reversed(self._records):
             # every use of out has replayed, so its gradient is complete;
             # popped here, it is freed once this record has used it
@@ -153,30 +189,19 @@ class Tape:
             if g is None:  # off the path to the loss
                 continue
             for t, c in zip(inputs, backward_fn(g)):
-                if c is None or not t.requires_grad:
-                    continue
-                if c.shape != t.data.shape:  # pragma: no cover - op bug guard
-                    raise ShapeError(
-                        f"backward produced shape {c.shape} for tensor {t.data.shape}"
-                    )
-                key = id(t)
-                buf = into.get(t)
-                if buf is not None:
-                    if key in written:
-                        buf += c
-                    else:
-                        buf[...] = c
-                        t.grad = buf
-                        written.add(key)
-                elif key in grads:
-                    grads[key] = grads[key] + c
-                else:
-                    grads[key] = c
-                    tensors[key] = t
+                if c is not None and t.requires_grad:
+                    deliver(t, c)
+        # a copy is cast before its pass records anything, so every record
+        # that used it has replayed
+        for copy, source in reversed(self._casts):
+            g = grads.pop(id(copy), None)
+            if g is not None:
+                deliver(source, g)
         # every record popped its output's gradient: what is left is leaves'
         for key, g in grads.items():
-            if tensors[key].requires_grad:
-                tensors[key].grad = np.array(g, dtype=np.float64, copy=True)
+            t = tensors[key]
+            if t.requires_grad:
+                t.grad = np.array(g, dtype=t.data.dtype, copy=True)
 
 
 def emit(op: str, arr: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tensor:
@@ -188,6 +213,19 @@ def emit(op: str, arr: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tens
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         tape._records.append((out, inputs, backward, op))
+    return out
+
+
+def cast(x: Tensor, arr: np.ndarray) -> Tensor:
+    """arr, x's values in another dtype, as a tensor for a pass in that
+    dtype.  It requires grad when x does, and the active tape's backward
+    hands its gradient to x, converted to x's dtype.  Cast before the pass
+    that uses it records anything."""
+    out = _wrap(arr)
+    out.requires_grad = x.requires_grad
+    tape = active_tape()
+    if tape is not None and x.requires_grad:
+        tape._casts.append((out, x))
     return out
 
 

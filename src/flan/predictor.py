@@ -30,6 +30,7 @@ hidden layers, linear output).
 from __future__ import annotations
 
 import contextlib
+import copy
 import math
 import numbers
 import operator
@@ -226,7 +227,7 @@ def _gat(x, routing, op_emb, params, variant, rows):
     scores = recv + np.swapaxes(send, -1, -2)
     # the LeakyReLU's local slope: x * 1.0 and x * LEAKY_SLOPE have the
     # bytes of np.where(x > 0, x, LEAKY_SLOPE * x), NaN and -0.0 included
-    slope = np.where(scores > 0.0, 1.0, LEAKY_SLOPE)
+    slope = np.where(scores > 0.0, 1.0, LEAKY_SLOPE).astype(scores.dtype, copy=False)
     scores *= slope
     if variant == "shared_sigmoid":
         attn = ad.logistic(scores)
@@ -336,7 +337,8 @@ def masked_mean_pool(x: Tensor, mask: np.ndarray) -> Tensor:
 
 class PredictorModel:
     """Parameters bound to a unified vocabulary.  ``flat`` is their only
-    storage; each ``params[name]`` is a reshaped view of one slice of it."""
+    storage, float64 except in a working copy for one pass (see ``cast``);
+    each ``params[name]`` is a reshaped view of one slice of it."""
 
     def __init__(self, config: PredictorConfig, vocab: UnifiedVocabulary,
                  cells_per_arch: int, arrays: dict[str, np.ndarray]):
@@ -347,21 +349,49 @@ class PredictorModel:
         self.cells_per_arch = cells_per_arch
         self.flat = np.concatenate(
             [np.ravel(a) for a in arrays.values()], dtype=np.float64)
-        self.params: dict[str, Tensor] = {}
-        offset = 0
-        for name, arr in arrays.items():
-            view = self.flat[offset:offset + np.size(arr)].reshape(np.shape(arr))
-            self.params[name] = Tensor(view, requires_grad=True, copy=False)
-            offset += view.size
+        views = _slices(self.flat, {name: np.shape(a) for name, a in arrays.items()})
+        self.params: dict[str, Tensor] = {
+            name: Tensor(view, requires_grad=True, copy=False)
+            for name, view in views.items()}
+
+    def cast(self, dtype) -> "PredictorModel":
+        """This model's parameters in dtype: the model itself if they are
+        dtype already, else a working copy of their current values whose
+        tensors are ad.cast from this model's, so a pass on the copy under
+        a tape hands its gradients to this model's tensors."""
+        if self.flat.dtype == dtype:
+            return self
+        work = copy.copy(self)
+        work.flat = self.flat.astype(dtype)
+        views = _slices(work.flat, {name: p.shape for name, p in self.params.items()})
+        work.params = {name: ad.cast(self.params[name], view)
+                       for name, view in views.items()}
+        return work
 
     def num_params(self) -> int:
         return self.flat.size
 
-    def check_finite(self) -> None:
-        if not np.isfinite(self.flat).all():
-            name = next(n for n, p in self.params.items()
-                        if not np.isfinite(p.data).all())
-            raise PredictorError(f"parameter {name} is non-finite")
+    def check_finite(self, dtype=np.float64) -> None:
+        """Raise PredictorError naming the first parameter that is
+        non-finite, or that overflows dtype, a narrower float than flat's."""
+        with np.errstate(over="ignore"):  # the cast past dtype's range
+            if np.isfinite(self.flat.astype(dtype, copy=False)).all():
+                return
+            name, p = next((n, p) for n, p in self.params.items()
+                           if not np.isfinite(p.data.astype(dtype, copy=False)).all())
+        how = ("is non-finite" if not np.isfinite(p.data).all()
+               else f"overflows {np.dtype(dtype).name}")
+        raise PredictorError(f"parameter {name} {how}")
+
+
+def _slices(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """Each name's view of flat: consecutive slices reshaped to shapes."""
+    views, offset = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = flat[offset:offset + size].reshape(shape)
+        offset += size
+    return views
 
 
 def _layer_shapes(config: PredictorConfig, din: int, dout: int,
@@ -453,6 +483,8 @@ class PreparedBatch:
     Routing uses the active adjacency: edges touching none nodes are dropped.
     Preparing is pure data: fit prepares its training split once per call
     and gathers each batch with ``take``; score_archs prepares each chunk.
+    Routing, mask and supplemental rows share one dtype, the dtype of the
+    forward pass over the batch.
     """
 
     size: int
@@ -471,9 +503,16 @@ class PreparedBatch:
         supp = None if self.supplemental is None else self.supplemental[rows]
         return PreparedBatch(len(ids[0]), self.num_nodes, ids, fwd, bwd, mask, supp)
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.mask[0].dtype
+
 
 def prepare_batch(model: PredictorModel, archs,
-                  supplemental: np.ndarray | None = None) -> PreparedBatch:
+                  supplemental: np.ndarray | None = None,
+                  dtype=np.float64) -> PreparedBatch:
+    """The batch of archs, whose forward pass runs in dtype (float64 or
+    float32).  supplemental rows that dtype cannot hold are refused."""
     archs = list(archs)
     if not archs:
         raise PredictorError("empty batch")
@@ -493,14 +532,16 @@ def prepare_batch(model: PredictorModel, archs,
             raise PredictorError(
                 f"model expects a supplemental vector of dim {expected}"
             )
-        supplemental = np.asarray(supplemental, dtype=np.float64)
+        with np.errstate(over="ignore"):  # overflow is refused below
+            supplemental = np.asarray(supplemental, dtype=dtype)
         if supplemental.shape != (batch, expected):
             raise PredictorError(
                 f"supplemental must have shape ({batch}, {expected}), "
                 f"got {supplemental.shape}"
             )
         if not np.all(np.isfinite(supplemental)):
-            raise PredictorError("supplemental contains non-finite values")
+            raise PredictorError("supplemental contains non-finite values in "
+                                 f"{supplemental.dtype.name}")
     elif supplemental is not None:
         raise PredictorError("model takes no supplemental input")
 
@@ -508,7 +549,7 @@ def prepare_batch(model: PredictorModel, archs,
     for c in range(model.cells_per_arch):
         cells = [arch.cells[c] for arch in archs]
         stack = stack_cells(cells)
-        adj = stack.adjacency.astype(np.float64)
+        adj = stack.adjacency.astype(dtype)
         # one vocabulary lookup per space the batch draws from
         space_of = np.array([cell.space_id for cell in cells])
         cell_ids = np.empty_like(stack.ops)
@@ -518,7 +559,7 @@ def prepare_batch(model: PredictorModel, archs,
         ids.append(cell_ids)
         routing_fwd.append(np.ascontiguousarray(adj.transpose(0, 2, 1)))
         routing_bwd.append(adj)
-        mask.append((stack.ops != OP_NONE)[:, :, None].astype(np.float64))
+        mask.append((stack.ops != OP_NONE)[:, :, None].astype(dtype))
     return PreparedBatch(batch, n, ids, routing_fwd, routing_bwd, mask, supplemental)
 
 
@@ -603,6 +644,11 @@ def forward_batch(model: PredictorModel, batch: PreparedBatch, *,
                   helper=None) -> Tensor:
     """(B,) predicted scores; records on the active tape if any.
 
+    The pass runs in the batch's dtype: if the model's parameters are
+    another, it runs on a working copy of them in the batch's dtype (see
+    PredictorModel.cast), and a tape hands the copy's gradients to the
+    model's tensors.
+
     helper, an executor, embeds the second half of the batch on its thread
     while this thread embeds the first; the supplemental MLP and the head
     run on the whole batch.  The bytes are the serial pass's, since every
@@ -612,6 +658,7 @@ def forward_batch(model: PredictorModel, batch: PreparedBatch, *,
     cfg = model.config
     if helper is not None and ad.active_tape() is not None:
         raise PredictorError("forward_batch takes no helper while a tape is active")
+    model = model.cast(batch.dtype)
     if helper is None:
         nn_emb = _graph_embedding(model, batch)
     else:

@@ -5,13 +5,16 @@ ordered pair inside a batch whose first accuracy is strictly higher
 contributes max(0, margin - (score_i - score_j)).  Accuracies are
 z-normalized over the training split first; the loss only sees orderings,
 so this changes nothing but keeps logged magnitudes comparable across
-benchmarks.  The optimizer is Adam with decoupled weight decay, applied as
-one update of the model's flat parameter vector from one gradient vector
-aligned with it, which the tape's backward writes in place.  A loss that
-comes out inf or NaN stops training with a TrainError that names where the
-failure is: the first non-finite parameter if an update has blown the
-parameters up, otherwise the first op on the step's tape whose output
-overflowed.
+benchmarks.  Training is mixed precision: each step's forward, loss and
+backward run in float32 (TRAIN_DTYPE) on a working copy of the parameters
+cast from the float64 master vector model.flat, and the tape writes the
+float32 gradients into a float64 gradient vector aligned with model.flat.
+The optimizer is Adam with decoupled weight decay, applied in float64 as
+one update of model.flat from that vector.  A loss that comes out inf or
+NaN stops training with a TrainError that names where the failure is: the
+first non-finite parameter if an update has blown the parameters up,
+otherwise the first op on the step's tape whose output overflowed and,
+if one is, the first parameter beyond float32's range.
 
 Transfer clones a model, registers the target space in its unified
 vocabulary (appending freshly initialized op-table rows for its interior
@@ -48,6 +51,9 @@ from .predictor import (
 )
 from .rng import Rng
 
+# the dtype of fit's taped passes; Adam, its moments and model.flat stay
+# float64, and so do checkpoints and score_archs
+TRAIN_DTYPE = np.float32
 CKPT_MAGIC = b"FLANCKPT"
 CKPT_VERSION = 1
 ADAM_BLOCK = 16384  # elements per Adam update block: temporaries stay in cache
@@ -123,20 +129,36 @@ def hinge_rank_loss(scores: Tensor, accuracies, margin: float) -> Tensor:
         return Tensor(0.0)
     violation = (scores.data[idx_i] - scores.data[idx_j]) * -1.0 + float(margin)
     active = violation > 0.0
+    n = scores.shape[0]
 
     def backward(g):
-        g_mean = float(g.reshape(())) * (1.0 / violation.size)
-        g_diff = np.full(violation.shape, g_mean) * active * -1.0
-        # each index set scatters into its own zeros and the two are added
-        # after: one shared scatter would round the sums in another order
-        g_j = np.zeros_like(scores.data)
-        np.add.at(g_j, idx_j, -g_diff)
-        g_i = np.zeros_like(scores.data)
-        np.add.at(g_i, idx_i, g_diff)
-        return (g_j + g_i,)
+        # per arch, the active pairs it should rank higher in minus those
+        # it should rank lower in, an exact integer, times one pair weight
+        counts = (np.bincount(idx_j[active], minlength=n)
+                  - np.bincount(idx_i[active], minlength=n))
+        weight = _pair_weight(float(g.reshape(())) / violation.size, n,
+                              scores.data.dtype)
+        return ((counts * weight).astype(scores.data.dtype),)
 
     return ad.emit("hinge_rank_loss", np.asarray(np.mean(violation * active)),
                    (scores,), backward)
+
+
+def _pair_weight(weight: float, n: int, dtype) -> float:
+    """weight rounded so that, over a batch of n archs, each arch's gradient
+    (an integer count times weight) and every partial sum of them are exact
+    in dtype: the counts of any subset sum to at most n * n // 4 in
+    magnitude.  So the gradient sums to exactly zero, as a loss blind to a
+    shift of every score demands; float32 rounding would otherwise leave
+    about 1e-8 on the output bias, near Adam's eps, and Adam's normalised
+    step makes that a move of up to lr.  At least half of dtype's bits are
+    kept: in float32 the sum is exact for batches up to 127 archs."""
+    if not math.isfinite(weight):
+        return weight
+    precision = np.finfo(dtype).nmant + 1
+    bits = max(precision - (n * n // 4).bit_length(), precision // 2)
+    mantissa, exponent = math.frexp(weight)
+    return math.ldexp(round(mantissa * (1 << bits)), exponent - bits)
 
 
 class _AdamState:
@@ -186,17 +208,23 @@ def _adam_step(model: PredictorModel, state: _AdamState,
 
 def _divergence(model: PredictorModel, tape: Tape) -> str:
     """Where a non-finite loss came from: the first non-finite parameter,
-    else the first op on the tape whose output is non-finite."""
+    else the first op on the tape whose output is non-finite, followed by
+    the first parameter that overflows TRAIN_DTYPE if one does."""
     try:
         model.check_finite()
     except PredictorError as exc:
         return str(exc)
-    return f"{tape.first_nonfinite()} overflowed with finite parameters"
+    where = f"{tape.first_nonfinite()} overflowed with finite parameters"
+    try:
+        model.check_finite(TRAIN_DTYPE)
+    except PredictorError as exc:
+        return f"{where}: {exc}"
+    return where
 
 
-# a diverging run overflows in Adam's update or the forward pass before its
-# loss is non-finite: that loss raises one TrainError naming the failure,
-# with no numpy warnings on the way
+# a diverging run overflows in Adam's update, the cast of the parameters to
+# TRAIN_DTYPE or the forward pass before its loss is non-finite: that loss
+# raises one TrainError naming the failure, with no numpy warnings on the way
 @np.errstate(over="ignore", invalid="ignore")
 def fit(model: PredictorModel, bench, train_ids, config: TrainConfig,
         supplemental: SupplementalProvider | None = None) -> dict:
@@ -204,7 +232,10 @@ def fit(model: PredictorModel, bench, train_ids, config: TrainConfig,
 
     Deterministic given config.seed: batch order, and therefore every
     parameter byte, reproduces exactly.  Each training arch is prepared
-    once per call; every batch gathers its rows from that one stack.
+    once per call, in TRAIN_DTYPE; every batch gathers its rows from that
+    one stack, and its pass runs in float32 on a copy of the parameters
+    cast afresh from model.flat (see forward_batch).  The gradients, Adam's
+    moments and the update stay float64.
     """
     train_ids = list(train_ids)
     if not train_ids:
@@ -225,7 +256,8 @@ def fit(model: PredictorModel, bench, train_ids, config: TrainConfig,
             f"total {expected}"
         )
     supp = None if supplemental is None else supplemental.matrix(train_ids)
-    prepared = prepare_batch(model, [bench.arch(i) for i in train_ids], supp)
+    prepared = prepare_batch(model, [bench.arch(i) for i in train_ids], supp,
+                             TRAIN_DTYPE)
     accs = bench.accuracy_vector(train_ids)
     z_all = zscore_columns(accs[:, None])[:, 0]
 

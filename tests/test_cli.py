@@ -275,7 +275,7 @@ ENCODE_DIGESTS = {
     "path": "1049196a488ff195dbc447aa25e88f437b0493a0c7a7e36469dc370f0157e3ff",
 }
 # checkpoint of a reference-dims `flan train` (two epochs, 32 archs) on 1.bench
-TRAIN_DIGEST = "c47e8f68efb1246994b558c3da50978c9f2a0ea454273f70a5d3be05030756db"
+TRAIN_DIGEST = "a1ae79c3bb47c2107ce8f72e57b4750c48e206f0dd295b5c2b913fa69e98b094"
 
 
 def test_same_seed_gives_pinned_bytes(tmp_path, capsys):

@@ -272,16 +272,16 @@ def test_fit_reduces_loss_at_reference_scale():
 
 
 # sha256 of model.flat after a short reference-dims fit, one per graph-layer
-# variant; the gradient bytes are those of the layers' backward with each
-# weight product folded into one GEMM (autodiff.matmul_grads), so a change
-# to the order in which a gradient's terms are summed moves these pins
+# variant; the gradient bytes are those of the layers' float32 backward with
+# each weight product folded into one GEMM (autodiff.matmul_grads), so a
+# change to the order in which a gradient's terms are summed moves these pins
 VARIANT_DIGESTS = {
     ("ensemble", "ensemble", "shared_sigmoid", 2):
-        "34df1c050b0be41efc4d810832b9b31da2f45c3ef40403d7fca5d8fc44fffb01",
+        "5e6ec29ad235ca65934c7e147d1ef4905b1b003a06876c2af9427c7c6b04f26e",
     ("ensemble", "ensemble", "kqv_softmax", 2):
-        "71100f477497e703f9a3c24a30c1ec931e67e8775485b1d64989e2b4ab14e074",
+        "31f90b615699b0d1efe64d0546c469640a88443e20307b293baa0b8532a3606a",
     ("gat", "dgf", "shared_sigmoid", 3):
-        "91d24fb3318b084023e7a83ba6622dc64219b91c069b88e62867557df71523e5",
+        "0df9280d96ffad7ddf655ab9b8980bebcaa788704205d54008d5fb88ac4a5af3",
 }
 
 
@@ -302,8 +302,8 @@ def test_fit_gives_pinned_bytes_for_each_layer_variant(variant):
 # and of its score_archs output on them: the only pins at the paper's
 # 128-wide layers, where the timestep-0 gates come from op-table rows
 PAPER_DEFAULT_DIGESTS = {
-    "model": "989b0dc070b2b50b42312f0b6a778e19860db395b8619b815e813346ecc49662",
-    "scores": "1052472336556609c34fdb96bedf61b3473e5984f29d5e659c2c9765e55a304c",
+    "model": "0d156e6d46e569acd1a9910d015cfd6b4219f25031b20c4f230487d9f200ea98",
+    "scores": "fe6283493a41173970785509034003b9b795800f1c81848d4276b190ec58f996",
 }
 
 
