@@ -309,8 +309,13 @@ def _ensemble(x, routing, routing_t, op_emb, dgf_params, gat_params, variant,
 
 
 def dense_layer(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
-    """x @ w + b over the last axis of a 2-d or 3-d x, then ReLU if relu."""
-    h = ad.fold_matmul(x.data, w.data)
+    """x @ w + b over the last axis of a 2-d or 3-d x, then ReLU if relu.
+    A one-column w runs as a broadcast multiply and a last-axis sum: each
+    row's sum then does not depend on the other rows, as GEMV's does."""
+    if w.shape[1] == 1:
+        h = (x.data * w.data[:, 0]).sum(axis=-1, keepdims=True)
+    else:
+        h = ad.fold_matmul(x.data, w.data)
     h += b.data
     positive = h > 0.0 if relu else None
 
@@ -482,13 +487,13 @@ class PreparedBatch:
 
     Routing uses the active adjacency: edges touching none nodes are dropped.
     Preparing is pure data: fit prepares its training split once per call
-    and gathers each batch with ``take``; score_archs prepares each chunk.
-    Routing, mask and supplemental rows share one dtype, the dtype of the
-    forward pass over the batch.
+    and gathers each batch with ``take``; score_archs prepares each chunk
+    and drops its none nodes with ``active_nodes``.  Routing, mask and
+    supplemental rows share one dtype, the dtype of the forward pass over
+    the batch.  Each cell position has its own node count, ids[cell].shape[1].
     """
 
     size: int
-    num_nodes: int
     ids: list[np.ndarray]          # per cell: (B, n) int64 unified ids
     routing_fwd: list[np.ndarray]  # per cell: (B, n, n) transposed adjacency
     routing_bwd: list[np.ndarray]  # per cell: (B, n, n) adjacency
@@ -501,7 +506,21 @@ class PreparedBatch:
         ids, fwd, bwd, mask = ([a[rows] for a in arrays] for arrays in
                                (self.ids, self.routing_fwd, self.routing_bwd, self.mask))
         supp = None if self.supplemental is None else self.supplemental[rows]
-        return PreparedBatch(len(ids[0]), self.num_nodes, ids, fwd, bwd, mask, supp)
+        return PreparedBatch(len(ids[0]), ids, fwd, bwd, mask, supp)
+
+    def active_nodes(self) -> "PreparedBatch":
+        """The batch without its none nodes, so every mask entry is 1.0.
+        The archs' cells at one position must hold one number of active
+        nodes; the kept nodes keep their order."""
+        ids, fwd, bwd, mask = [], [], [], []
+        for c, keep in enumerate(m[:, :, 0] != 0.0 for m in self.mask):
+            n = int(keep[0].sum())
+            pairs = keep[:, :, None] & keep[:, None, :]
+            ids.append(self.ids[c][keep].reshape(self.size, n))
+            fwd.append(self.routing_fwd[c][pairs].reshape(self.size, n, n))
+            bwd.append(self.routing_bwd[c][pairs].reshape(self.size, n, n))
+            mask.append(self.mask[c][keep].reshape(self.size, n, 1))
+        return PreparedBatch(self.size, ids, fwd, bwd, mask, self.supplemental)
 
     @property
     def dtype(self) -> np.dtype:
@@ -512,7 +531,8 @@ def prepare_batch(model: PredictorModel, archs,
                   supplemental: np.ndarray | None = None,
                   dtype=np.float64) -> PreparedBatch:
     """The batch of archs, whose forward pass runs in dtype (float64 or
-    float32).  supplemental rows that dtype cannot hold are refused."""
+    float32).  An arch with a cell of no active node is refused, and so are
+    supplemental rows that dtype cannot hold."""
     archs = list(archs)
     if not archs:
         raise PredictorError("empty batch")
@@ -521,10 +541,12 @@ def prepare_batch(model: PredictorModel, archs,
         raise PredictorError(
             f"model expects {model.cells_per_arch} cells per arch, got {counts}"
         )
+    for arch in archs:
+        if any(c.op_ids.count(OP_NONE) == c.num_nodes for c in arch.cells):
+            raise PredictorError(f"arch {arch.arch_id} has a cell with no active node")
     sizes = {c.num_nodes for a in archs for c in a.cells}
     if len(sizes) != 1:
         raise PredictorError(f"batch mixes node counts {sizes}; pad cells first")
-    n = sizes.pop()
     batch = len(archs)
     expected = model.config.supplemental_total
     if expected:
@@ -560,7 +582,7 @@ def prepare_batch(model: PredictorModel, archs,
         routing_fwd.append(np.ascontiguousarray(adj.transpose(0, 2, 1)))
         routing_bwd.append(adj)
         mask.append((stack.ops != OP_NONE)[:, :, None].astype(dtype))
-    return PreparedBatch(batch, n, ids, routing_fwd, routing_bwd, mask, supplemental)
+    return PreparedBatch(batch, ids, routing_fwd, routing_bwd, mask, supplemental)
 
 
 def _run_stack(model: PredictorModel, cell: int, tag: str, mode: str,
@@ -601,7 +623,7 @@ def _apply_mlp(model: PredictorModel, prefix: str, layers: int,
 def _cell_embedding(model: PredictorModel, batch: PreparedBatch,
                     cell: int) -> Tensor:
     cfg = model.config
-    b, n = batch.size, batch.num_nodes
+    b, n = batch.ids[cell].shape
     d_op = cfg.op_embedding_dim
     flat_ids = batch.ids[cell].reshape(-1)
     op_emb = ad.reshape(ad.take(model.params["op_table"], flat_ids), (b, n, d_op))
@@ -676,17 +698,21 @@ def forward_batch(model: PredictorModel, batch: PreparedBatch, *,
     return ad.reshape(out, (batch.size,))
 
 
-# the half chunk's node-feature elements (rows x nodes x widest gcn dim)
-# from which score_archs embeds half of each chunk on a helper thread.
+# the half chunk's node-feature elements (archs x node rows x widest gcn
+# dim) from which score_archs embeds half of each chunk on a helper thread.
 # Narrower passes are bound by the interpreter lock, so the handoff costs
-# more than it saves: scoring 1,024 7-node archs in chunks of 64 on a
-# 2-vCPU host with one BLAS thread gained about 20% at 112- and 128-wide
-# layers (25,088 and 28,672), broke even at 96 (21,504) and lost at 80
-# and below
+# more than it saves.  Scoring the 1,024 archs of a 7-node space without
+# their none nodes on a 2-vCPU host with one BLAS thread, helper on against
+# off (medians of 11): 128-wide halves of 224 node rows (28,672) gained 16%,
+# of 168 rows (21,504) broke even and of 112 rows (14,336) lost 19%; halves
+# of 448 rows gained 11% at 64 wide (28,672) and about broke even at 48
 HELPER_MIN_ELEMENTS = 24_000
-# archs per score_archs forward pass; each chunk is prepared on its own, so
-# a call holds one chunk's routing at a time
-SCORE_CHUNK = 64
+# node rows (archs x active nodes summed over an arch's cells) per
+# score_archs forward pass; each chunk is prepared on its own, so a call
+# holds one chunk's routing at a time.  Scoring 1,024 paper-default archs
+# took about 0.34 s at 448 rows and 0.28 s at 896, whose larger chunks hold
+# about 3 MB more
+SCORE_ROWS = 896
 
 
 def _cpu_count() -> int:
@@ -699,14 +725,21 @@ def _cpu_count() -> int:
 def score_archs(model: PredictorModel, archs,
                 supplemental: np.ndarray | None = None) -> np.ndarray:
     """Score many architectures on no tape: a caller's active tape is
-    suspended for the call and records nothing.  Archs are grouped by node
-    count, in order of first appearance, and each group runs in chunks of
-    SCORE_CHUNK archs, one forward pass each, so each arch is prepared once
-    per call; the scores come back in input order.
+    suspended for the call and records nothing.  An arch's score depends
+    on the arch alone, not on the archs scored with it.
+
+    Archs are grouped by node count and by each cell's active (non-none)
+    node count, in order of first appearance.  Each group runs in chunks of
+    at most SCORE_ROWS node rows (at least one arch), one forward pass each
+    over the chunk's active nodes, so each arch is prepared once per call;
+    the scores come back in input order.  A one-arch chunk runs as two
+    copies of the arch, since one row would run the head's GEMMs as GEMV,
+    whose sums differ.  Every input check runs on the archs as given, and
+    an input error is the one the first failing arch in input order raises.
 
     With more than one CPU, a chunk whose second half holds at least
-    HELPER_MIN_ELEMENTS node features (rows x nodes x widest gcn dim) is
-    embedded on two threads: a helper thread, started for the call and
+    HELPER_MIN_ELEMENTS node features (archs x node rows x widest gcn dim)
+    is embedded on two threads: a helper thread, started for the call and
     joined before it returns, embeds the second half while this thread
     embeds the first (see forward_batch), with the serial pass's bytes.
     Finite parameters can still overflow the forward pass (a corrupted or
@@ -719,28 +752,42 @@ def score_archs(model: PredictorModel, archs,
                 f"supplemental must have one row per arch ({len(archs)}), "
                 f"got shape {supplemental.shape}"
             )
-    groups: dict[int, list[int]] = {}
+    groups: dict[tuple, list[int]] = {}
     for k, arch in enumerate(archs):
-        groups.setdefault(arch.cells[0].num_nodes, []).append(k)
-    chunks = [index[lo:lo + SCORE_CHUNK] for index in groups.values()
-              for lo in range(0, len(index), SCORE_CHUNK)]
+        active = tuple(c.num_nodes - c.op_ids.count(OP_NONE) for c in arch.cells)
+        groups.setdefault((arch.cells[0].num_nodes, active), []).append(k)
+    chunks = []
+    for (_, active), index in groups.items():
+        node_rows = sum(active)
+        step = max(1, SCORE_ROWS // max(node_rows, 1))  # 0: refused below
+        chunks += [(index[lo:lo + step], node_rows) for lo in range(0, len(index), step)]
     out = np.empty(len(archs), dtype=np.float64)
     width = max(model.config.gcn_dims)
     can_help = _cpu_count() > 1
     pool = None
     with contextlib.ExitStack() as stack, ad.no_tape(), \
             np.errstate(over="ignore", invalid="ignore"):
-        for rows in chunks:
-            supp = None if supplemental is None else supplemental[rows]
-            batch = prepare_batch(model, [archs[k] for k in rows], supp)
-            wide = (can_help and (batch.size // 2) * batch.num_nodes * width
+        for rows, node_rows in chunks:
+            take = rows if len(rows) > 1 else rows * 2  # one arch runs as two rows
+            supp = None if supplemental is None else supplemental[take]
+            try:
+                batch = prepare_batch(model, [archs[k] for k in take], supp)
+            except ValueError:
+                # the chunks run group by group: re-check arch by arch
+                for k in range(len(archs)):
+                    prepare_batch(model, archs[k:k + 1], None if supplemental is None
+                                  else supplemental[k:k + 1])
+                raise
+            wide = (can_help and (batch.size // 2) * node_rows * width
                     >= HELPER_MIN_ELEMENTS)
             if wide and pool is None:
                 # imported on first use: the thread machinery adds about
                 # 0.5 MB of resident memory to serial callers
                 from concurrent.futures import ThreadPoolExecutor
                 pool = stack.enter_context(ThreadPoolExecutor(1))
-            out[rows] = forward_batch(model, batch, helper=pool if wide else None).data
+            scores = forward_batch(model, batch.active_nodes(),
+                                   helper=pool if wide else None)
+            out[rows] = scores.data[:len(rows)]
     if not np.isfinite(out).all():
         raise PredictorError("scores are non-finite: the parameters overflow "
                              "the forward pass")

@@ -51,7 +51,7 @@ def as_float64(batch):
         return [a.astype(np.float64) for a in arrays]
 
     supp = None if batch.supplemental is None else batch.supplemental.astype(np.float64)
-    return PreparedBatch(batch.size, batch.num_nodes, batch.ids, wide(batch.routing_fwd),
+    return PreparedBatch(batch.size, batch.ids, wide(batch.routing_fwd),
                          wide(batch.routing_bwd), wide(batch.mask), supp)
 
 

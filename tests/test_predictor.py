@@ -16,7 +16,7 @@ import flan.autodiff as ad
 from flan import predictor
 from flan.autodiff import Tensor
 from flan.benchmark import make_vocab
-from flan.cellgraph import CellArch, CellGraph, validate_cells
+from flan.cellgraph import OP_NONE, CellArch, CellGraph, validate_cells
 from flan.encodings import EncodingError, unify
 from flan.predictor import (
     LAYER_NORM_EPS,
@@ -728,11 +728,83 @@ def test_score_archs_matches_forward_chunked(monkeypatch):
     jitter_params(model, seed=3)
     rng = Rng(55)
     archs = [arch_of(random_valid_cell(rng, 4, 5), i) for i in range(7)]
-    monkeypatch.setattr(predictor, "SCORE_CHUNK", 3)
+    monkeypatch.setattr(predictor, "SCORE_ROWS", 3 * 4)
     scores = score_archs(model, archs)
-    monkeypatch.setattr(predictor, "SCORE_CHUNK", 1)
+    monkeypatch.setattr(predictor, "SCORE_ROWS", 1)
     singles = score_archs(model, archs)
-    np.testing.assert_allclose(scores, singles, atol=1e-9)
+    assert scores.tobytes() == singles.tobytes()
+
+
+# config and cells per arch
+CHUNK_CASES = {
+    "reference": (ref_config(), 1),
+    "reference-kqv": (ref_config(attention_variant="kqv_softmax"), 1),
+    "reference-supplemental": (ref_config(supplemental_dims=(3,)), 1),
+    "reference-two-cells": (ref_config(), 2),
+    "paper-default": (PredictorConfig(), 1),
+}
+
+
+def chunk_case(label, count):
+    """A jittered model and count random 7-node archs of mixed active node
+    counts (the two cells of an arch may differ), with supplemental rows
+    if the model takes them."""
+    config, cells = CHUNK_CASES[label]
+    model = make_model(config, cells=cells, seed=3)
+    jitter_params(model, seed=4)
+    rng = Rng(8)
+    archs = [CellArch(tuple(random_valid_cell(rng, 7, 5) for _ in range(cells)), i)
+             for i in range(count)]
+    supp = None
+    if config.supplemental_dims:
+        supp = np.random.default_rng(5).standard_normal((count, config.supplemental_total))
+    return model, archs, supp
+
+
+@pytest.mark.parametrize("label", sorted(CHUNK_CASES))
+def test_scores_give_the_same_bytes_for_every_chunk(label, monkeypatch):
+    # SCORE_ROWS of chunk x 7 node rows per cell holds at least chunk archs;
+    # a chunk of one arch runs as two copies, and the head's output layer
+    # sums each row on its own, so no score depends on the archs chunked
+    # with it
+    model, archs, supp = chunk_case(label, 24 if label == "paper-default" else 70)
+    digests = set()
+    for chunk in (1, 2, 3, 5, 16, 64):
+        monkeypatch.setattr(predictor, "SCORE_ROWS", chunk * 7 * model.cells_per_arch)
+        digests.add(score_archs(model, archs, supp).tobytes())
+    assert len(digests) == 1
+
+
+@pytest.mark.parametrize("label", sorted(CHUNK_CASES))
+def test_an_arch_scores_alone_as_inside_any_batch(label):
+    model, archs, supp = chunk_case(label, 40)
+    rows = {"given": list(range(40)), "reversed": list(range(39, -1, -1)),
+            "shuffled": np.random.default_rng(6).permutation(40).tolist()}
+    batched = {}
+    for order, index in rows.items():
+        got = score_archs(model, [archs[k] for k in index],
+                          None if supp is None else supp[index])
+        batched[order] = got[np.argsort(index)]
+    for k, arch in enumerate(archs):
+        alone = score_archs(model, [arch], None if supp is None else supp[k:k + 1])
+        for order, scores in batched.items():
+            assert scores[k:k + 1].tobytes() == alone.tobytes(), (k, order)
+
+
+@pytest.mark.parametrize("config", [ref_config(), PredictorConfig()],
+                         ids=["reference", "paper-default"])
+def test_a_none_padded_cell_scores_as_its_unpadded_form(config):
+    # score_archs drops none nodes, so padding a cell moves no byte of its
+    # score, whichever archs share its chunk
+    model = make_model(config, seed=5)
+    jitter_params(model, seed=6)
+    rng = Rng(101)
+    cells = [random_valid_cell(rng, 3 + k % 4, 5) for k in range(24)]
+    plain = score_archs(model, [arch_of(c, k) for k, c in enumerate(cells)])
+    padded = score_archs(model, [arch_of(pad(c, 8), k) for k, c in enumerate(cells)])
+    assert padded.tobytes() == plain.tobytes()
+    mixed = score_archs(model, [arch_of(pad(c, 6 + k % 3), k) for k, c in enumerate(cells)])
+    assert mixed.tobytes() == plain.tobytes()
 
 
 @pytest.mark.parametrize("config, count", [
@@ -742,9 +814,8 @@ def test_score_archs_matches_forward_chunked(monkeypatch):
 ], ids=["reference", "reference-kqv", "paper-default"])
 def test_graph_stacks_give_the_same_bytes_for_every_chunk(config, count):
     # every weight product in the stacks is one GEMM over batch x node rows,
-    # and each row's sums do not depend on the other rows; the head's
-    # one-column output layer runs through GEMV, whose sums do depend on a
-    # row's place in the batch, so score_archs is compared with a tolerance
+    # and each row's sums do not depend on the other rows; a chunk of one
+    # 6-node arch still runs GEMMs of six rows, never GEMV
     model = make_model(config, seed=3)
     jitter_params(model, seed=4)
     rng = Rng(8)
@@ -770,6 +841,33 @@ def test_prepare_batch_errors():
         prepare_batch(model, [two_cell])
     with pytest.raises(PredictorError):
         prepare_batch(model, [arch_of(chain_cell(3))], np.zeros((1, 4)))
+
+
+def test_a_cell_with_no_active_node_is_refused():
+    # such a cell would pool over no node; warnings are errors in this
+    # suite, so a division by zero on the way would fail here too
+    model = make_model(cells=2)
+    empty = CellGraph(np.zeros((4, 4), dtype=np.uint8), [OP_NONE] * 4, 0)
+    good = CellArch((chain_cell(4), chain_cell(4)), 3)
+    bad = CellArch((chain_cell(4), empty), 7)
+    for call in (prepare_batch, score_archs):
+        with pytest.raises(PredictorError, match="^arch 7 has a cell with no active node$"):
+            call(model, [good, bad, good])
+
+
+def test_score_archs_reports_the_first_failing_arch_in_input_order():
+    # the chunks run group by group: here the 4-active-node group of arch 0
+    # fails first, on arch 2, but arch 1 comes first in the input
+    model = make_model()
+    cells = [chain_cell(4), chain_cell(3, interior_op=8), chain_cell(4, interior_op=9)]
+    archs = [arch_of(c, k) for k, c in enumerate(cells)]
+    with pytest.raises(EncodingError, match="no unified id for op 8 of"):
+        score_archs(model, archs)
+    archs[1] = arch_of(CellGraph(np.zeros((3, 3), dtype=np.uint8), [OP_NONE] * 3, 0), 1)
+    with pytest.raises(PredictorError, match="^arch 1 has a cell with no active node$"):
+        score_archs(model, archs)
+    with pytest.raises(EncodingError, match="no unified id for op 9 of"):
+        score_archs(model, archs[::2])
 
 
 def test_supplemental_batch_validation():
@@ -800,7 +898,7 @@ def test_prepared_take_gives_the_bytes_of_preparing_those_rows():
         got = whole.take(rows)
         for field in fields(PreparedBatch):
             a, b = getattr(got, field.name), getattr(want, field.name)
-            if field.name in ("size", "num_nodes"):
+            if field.name == "size":
                 assert a == b
                 continue
             for x, y in zip(*((a, b) if isinstance(a, list) else ([a], [b])),
@@ -856,6 +954,6 @@ def test_edges_touching_none_nodes_carry_no_message(monkeypatch):
     batch = prepare_batch(model, [arch_of(stray)])
     assert not batch.routing_fwd[0].any(axis=(0, 1))[2]
     assert not batch.routing_bwd[0][0, 2].any()
-    monkeypatch.setattr(predictor, "SCORE_CHUNK", 1)
+    monkeypatch.setattr(predictor, "SCORE_ROWS", 1)
     stray_score, plain_score = score_archs(model, [arch_of(stray), arch_of(plain)])
     assert stray_score == plain_score

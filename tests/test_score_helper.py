@@ -1,9 +1,12 @@
 """score_archs on two threads: a helper thread embeds the second half of
 each wide chunk, and the scores keep the bytes of the serial pass.
 
-The serial reference is a loop of one prepare_batch and one forward_batch
-per chunk, with no helper.  Tests that need the helper report two CPUs, so
-they run the helper path on a one-CPU host too.
+The serial reference scores each arch on its own, with no helper: one
+prepare_batch and one forward_batch over two copies of the arch without
+its none nodes.  Most tests use archs whose every node is active, so a
+call is one group of 7-node archs, chunked by SCORE_ROWS node rows.  Tests
+that need the helper report two CPUs, so they run the helper path on a
+one-CPU host too.
 """
 
 import hashlib
@@ -20,7 +23,7 @@ import pytest
 import flan.autodiff as ad
 from flan import predictor
 from flan.benchmark import make_vocab
-from flan.cellgraph import CellArch
+from flan.cellgraph import CellArch, CellGraph
 from flan.encodings import unify
 from flan.predictor import (
     HELPER_MIN_ELEMENTS,
@@ -44,19 +47,30 @@ def make_model(config=None, cells=1, seed=0):
                 cells, seed)
 
 
+def full_cell(rng, nodes):
+    """A random cell whose every node is active: the chain 0 -> 1 -> ...
+    plus random forward edges, with random interior ops."""
+    adj = np.eye(nodes, k=1, dtype=np.uint8)
+    for i in range(nodes):
+        for j in range(i + 2, nodes):
+            adj[i, j] = rng.randint(2)
+    ops = [0] + [3 + rng.randint(VOCAB - 3) for _ in range(nodes - 2)] + [1]
+    return CellGraph(adj, ops, 0)
+
+
 def make_archs(count, cells=1, nodes=NODES, seed=8):
     rng = Rng(seed)
-    return [CellArch(tuple(random_valid_cell(rng, nodes, VOCAB)
-                           for _ in range(cells)), i) for i in range(count)]
+    return [CellArch(tuple(full_cell(rng, nodes) for _ in range(cells)), i)
+            for i in range(count)]
 
 
-def serial_scores(model, archs, supplemental=None, chunk=64):
-    parts = []
-    for lo in range(0, len(archs), chunk):
-        supp = None if supplemental is None else supplemental[lo:lo + chunk]
-        batch = prepare_batch(model, archs[lo:lo + chunk], supp)
-        parts.append(forward_batch(model, batch).data)
-    return np.concatenate(parts)
+def serial_scores(model, archs, supplemental=None):
+    out = np.empty(len(archs))
+    for k, arch in enumerate(archs):
+        supp = None if supplemental is None else supplemental[[k, k]]
+        batch = prepare_batch(model, [arch, arch], supp).active_nodes()
+        out[k] = forward_batch(model, batch).data[0]
+    return out
 
 
 @pytest.fixture
@@ -74,49 +88,62 @@ def helper_calls(monkeypatch):
 
 
 def test_paper_default_chunks_are_wide_enough_for_the_helper():
-    # the rank-paper workload's chunk: 32 rows of 7 nodes at 128 wide
-    assert 32 * NODES * max(PredictorConfig().gcn_dims) >= HELPER_MIN_ELEMENTS
+    # a full chunk of any 1-cell group of the rank-paper workload, whose
+    # cells hold 2 to 7 active nodes, at 128 wide
+    width = max(PredictorConfig().gcn_dims)
+    for active in range(2, NODES + 1):
+        half = predictor.SCORE_ROWS // active // 2
+        assert half * active * width >= HELPER_MIN_ELEMENTS, active
 
 
-# count, config overrides, cells per arch; chunks of 64
+# count, config overrides, cells per arch; chunks of 896 // 7 = 128 archs,
+# or 896 // 14 = 64 two-cell archs
 CASES = {
-    "ragged": (119, {}, 1),        # chunks 64 and 55, both helped
-    "one-arch-chunk": (65, {}, 1),  # the last chunk of one arch runs serial
-    "kqv_softmax": (64, {"attention_variant": "kqv_softmax"}, 1),
-    "supplemental": (70, {"supplemental_dims": (3, 2)}, 1),
+    "ragged": (239, {}, 1),         # chunks 128 and 111, both helped
+    "one-arch-chunk": (129, {}, 1),  # the last chunk of one arch runs serial
+    "kqv_softmax": (128, {"attention_variant": "kqv_softmax"}, 1),
+    "supplemental": (134, {"supplemental_dims": (3, 2)}, 1),
     "two-cells": (64, {}, 2),
+    "active-counts": (600, {}, 1),   # random cells: one group per active count
 }
+HELPER_SIZES = {"ragged": [64, 55], "one-arch-chunk": [64], "kqv_softmax": [64],
+                "supplemental": [64], "two-cells": [32],
+                # active counts 6, 4, 7, 3, 5, 2 hold 119, 136, 62, 97, 147
+                # and 39 archs, each group one chunk: those of 4 to 7 nodes
+                # are helped
+                "active-counts": [59, 68, 31, 73]}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_helper_scores_equal_a_serial_chunk_loop(case, helper_calls):
     count, overrides, cells = CASES[case]
     model = make_model(PredictorConfig(**overrides), cells=cells)
-    archs = make_archs(count, cells)
+    if case == "active-counts":
+        rng = Rng(8)
+        archs = [CellArch((random_valid_cell(rng, NODES, VOCAB),), i)
+                 for i in range(count)]
+    else:
+        archs = make_archs(count, cells)
     supp = None
     if overrides.get("supplemental_dims"):
         supp = np.random.default_rng(3).standard_normal((count, 5))
     got = score_archs(model, archs, supp)
-    assert helper_calls, "the helper path did not run"
+    assert helper_calls == HELPER_SIZES[case]
     assert got.tobytes() == serial_scores(model, archs, supp).tobytes()
-    if case == "ragged":
-        assert helper_calls == [32, 27]
-    if case == "one-arch-chunk":
-        assert helper_calls == [32]
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 5])
 def test_helper_splits_small_and_odd_chunks_with_the_same_bytes(
         chunk, helper_calls, monkeypatch):
     monkeypatch.setattr(predictor, "HELPER_MIN_ELEMENTS", 1)
-    monkeypatch.setattr(predictor, "SCORE_CHUNK", chunk)
+    monkeypatch.setattr(predictor, "SCORE_ROWS", chunk * NODES)
     model = make_model()
     archs = make_archs(7)
     got = score_archs(model, archs)
-    assert got.tobytes() == serial_scores(model, archs, chunk=chunk).tobytes()
-    # a one-arch chunk has no second half to hand over
+    assert got.tobytes() == serial_scores(model, archs).tobytes()
+    # a one-arch chunk runs as two copies, whose second goes to the helper
     sizes = [min(chunk, 7 - lo) for lo in range(0, 7, chunk)]
-    assert helper_calls == [size // 2 for size in sizes if size > 1]
+    assert helper_calls == [max(size, 2) // 2 for size in sizes]
 
 
 @pytest.mark.parametrize("mode", predictor.FORWARD_MODES)
@@ -135,13 +162,13 @@ def test_no_thread_enters_the_public_layer_names(mode, helper_calls):
 
 def test_a_later_chunk_mixing_node_counts_scores_group_by_group(helper_calls):
     # 60 seven-node archs, 3 six-node ones, then 7 seven-node ones: a
-    # chunk of 64 seven-node archs, one of 3 and one of the six-node archs,
-    # each scored with the bytes of its group scored alone
+    # chunk of the 67 seven-node archs and one of the six-node archs, each
+    # scored with the bytes of its group scored alone
     model = make_model()
     seven, six = make_archs(67), make_archs(3, nodes=6)
     archs = seven[:60] + six + seven[60:]
     got = score_archs(model, archs)
-    assert helper_calls == [32]
+    assert helper_calls == [33]
     assert (np.concatenate([got[:60], got[63:]]).tobytes()
             == score_archs(model, seven).tobytes()
             == serial_scores(model, seven).tobytes())
@@ -239,7 +266,7 @@ def test_score_archs_leaves_no_thread_behind(helper_calls):
 
 @pytest.mark.parametrize("rows", [4, 9])
 def test_score_archs_refuses_supplemental_rows_that_miss_the_archs(rows, monkeypatch):
-    monkeypatch.setattr(predictor, "SCORE_CHUNK", 2)
+    monkeypatch.setattr(predictor, "SCORE_ROWS", 2 * NODES)
     model = make_model(ref_config(supplemental_dims=(2,)))
     supp = np.zeros((rows, 2))
     with pytest.raises(PredictorError, match="one row per arch"):
@@ -258,7 +285,7 @@ calls = []
 embed = predictor._helper_embedding
 predictor._helper_embedding = lambda m, b: calls.append(b.size) or embed(m, b)
 predictor._cpu_count = lambda: 2
-scores = predictor.score_archs(make_model(), make_archs(119))
+scores = predictor.score_archs(make_model(), make_archs(239))
 print(hashlib.sha256(scores.tobytes()).hexdigest(), calls)
 """
 
@@ -267,10 +294,10 @@ print(hashlib.sha256(scores.tobytes()).hexdigest(), calls)
 def test_blas_thread_count_keeps_the_helper_bytes(threads):
     # the helper thread and the main thread call BLAS at once; with two BLAS
     # threads each GEMM may also be split, and neither may move a byte
-    want = hashlib.sha256(serial_scores(make_model(), make_archs(119)).tobytes())
+    want = hashlib.sha256(serial_scores(make_model(), make_archs(239)).tobytes())
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
     proc = subprocess.run([sys.executable, "-c", CHILD],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().split(" ", 1) == [want.hexdigest(), "[32, 27]"]
+    assert proc.stdout.strip().split(" ", 1) == [want.hexdigest(), "[64, 55]"]

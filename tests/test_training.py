@@ -303,7 +303,7 @@ def test_fit_gives_pinned_bytes_for_each_layer_variant(variant):
 # 128-wide layers, where the timestep-0 gates come from op-table rows
 PAPER_DEFAULT_DIGESTS = {
     "model": "0d156e6d46e569acd1a9910d015cfd6b4219f25031b20c4f230487d9f200ea98",
-    "scores": "fe6283493a41173970785509034003b9b795800f1c81848d4276b190ec58f996",
+    "scores": "1d8823a915f37fc3836b307e5785d7261490419d90a8edfa4f37715d9ef17de9",
 }
 
 
@@ -501,11 +501,11 @@ def test_every_parameter_receives_a_gradient(monkeypatch, modes, variant):
 
 
 def test_fit_and_score_archs_prepare_each_arch_once_per_call(monkeypatch):
-    # counted as a tracer does: the length of the second positional argument
+    # counted as a tracer does: the archs of the second positional argument
     counts = []
     for module in (training, predictor):
         def wrapper(*args, _fn=module.prepare_batch):
-            counts.append(len(args[1]))
+            counts.append([a.arch_id for a in args[1]])
             return _fn(*args)
 
         monkeypatch.setattr(module, "prepare_batch", wrapper)
@@ -516,12 +516,14 @@ def test_fit_and_score_archs_prepare_each_arch_once_per_call(monkeypatch):
     history = fit(model, bench, ids, quick_cfg(epochs=3, batch_size=4),
                   supplemental=provider)
     assert history["steps"] > 3
-    assert counts == [len(ids)]
-    # score_archs prepares chunk by chunk: the chunks cover each arch once
+    assert counts == [list(ids)]
+    # score_archs prepares chunk by chunk: the chunks cover each arch once,
+    # and a one-arch chunk holds two copies of its arch
     counts.clear()
-    monkeypatch.setattr(predictor, "SCORE_CHUNK", 5)
+    monkeypatch.setattr(predictor, "SCORE_ROWS", 5 * 4)
     scores = score_archs(model, [bench.arch(i) for i in ids], provider.matrix(ids))
-    assert counts == [min(5, len(ids) - lo) for lo in range(0, len(ids), 5)]
+    assert sorted(k for chunk in counts for k in dict.fromkeys(chunk)) == sorted(ids)
+    assert all(len(set(chunk)) == len(chunk) or chunk == chunk[:1] * 2 for chunk in counts)
     assert np.isfinite(scores).all()
 
 
