@@ -22,11 +22,10 @@ when its record runs and is dropped right after.  A caller may hand
 one vector aligned with the model's parameters); their gradients then
 accumulate in place there instead of in fresh arrays.
 
-A pass may run in another dtype than the tensors it learns: ``cast``
-links each working copy to the tensor it was cast from, and backward hands
-a copy's complete gradient to that tensor once every record has replayed,
-as one more contribution in the tensor's own dtype.  The link is not a
-record: the tape's length counts ops only.
+A pass runs in the one dtype of its tensors, and its leaves get their
+gradients in that dtype.  To learn float64 parameters from float32 passes,
+training runs on a float32 working copy and refreshes it after each update
+(see ``training``); nothing on the tape links the two.
 
 Each record keeps its op's name, so a caller whose loss came out
 non-finite can ask the tape which op first produced a non-finite value;
@@ -122,7 +121,6 @@ class Tape:
 
     def __init__(self):
         self._records: list[tuple[Tensor, tuple[Tensor, ...], object, str]] = []
-        self._casts: list[tuple[Tensor, Tensor]] = []  # (copy, source)
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -151,9 +149,9 @@ class Tape:
         loss must be scalar-sized.  A leaf is a tensor that no record on this
         tape produced; every leaf with requires_grad on a path to the loss
         gets its gradient, in its own dtype, and every other tensor keeps
-        grad None.  A cast copy hands its gradient on to its source instead.
-        into may map leaves to arrays of their shape: such a leaf's gradient
-        is written in place into its array, which becomes its .grad.
+        grad None.  into may map leaves to arrays of their shape: such a
+        leaf's gradient is written in place into its array, which becomes
+        its .grad.
         """
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -161,27 +159,6 @@ class Tape:
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         tensors: dict[int, Tensor] = {id(loss): loss}
         written: set[int] = set()
-
-        def deliver(t: Tensor, c: np.ndarray) -> None:
-            if c.shape != t.data.shape:  # pragma: no cover - op bug guard
-                raise ShapeError(
-                    f"backward produced shape {c.shape} for tensor {t.data.shape}"
-                )
-            key = id(t)
-            buf = into.get(t)
-            if buf is not None:
-                if key in written:
-                    buf += c
-                else:
-                    buf[...] = c
-                    t.grad = buf
-                    written.add(key)
-            elif key in grads:
-                grads[key] = grads[key] + c
-            else:
-                grads[key] = c
-                tensors[key] = t
-
         for out, inputs, backward_fn, _ in reversed(self._records):
             # every use of out has replayed, so its gradient is complete;
             # popped here, it is freed once this record has used it
@@ -189,14 +166,26 @@ class Tape:
             if g is None:  # off the path to the loss
                 continue
             for t, c in zip(inputs, backward_fn(g)):
-                if c is not None and t.requires_grad:
-                    deliver(t, c)
-        # a copy is cast before its pass records anything, so every record
-        # that used it has replayed
-        for copy, source in reversed(self._casts):
-            g = grads.pop(id(copy), None)
-            if g is not None:
-                deliver(source, g)
+                if c is None or not t.requires_grad:
+                    continue
+                if c.shape != t.data.shape:  # pragma: no cover - op bug guard
+                    raise ShapeError(
+                        f"backward produced shape {c.shape} for tensor {t.data.shape}"
+                    )
+                key = id(t)
+                buf = into.get(t)
+                if buf is not None:
+                    if key in written:
+                        buf += c
+                    else:
+                        buf[...] = c
+                        t.grad = buf
+                        written.add(key)
+                elif key in grads:
+                    grads[key] = grads[key] + c
+                else:
+                    grads[key] = c
+                    tensors[key] = t
         # every record popped its output's gradient: what is left is leaves'
         for key, g in grads.items():
             t = tensors[key]
@@ -213,19 +202,6 @@ def emit(op: str, arr: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tens
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         tape._records.append((out, inputs, backward, op))
-    return out
-
-
-def cast(x: Tensor, arr: np.ndarray) -> Tensor:
-    """arr, x's values in another dtype, as a tensor for a pass in that
-    dtype.  It requires grad when x does, and the active tape's backward
-    hands its gradient to x, converted to x's dtype.  Cast before the pass
-    that uses it records anything."""
-    out = _wrap(arr)
-    out.requires_grad = x.requires_grad
-    tape = active_tape()
-    if tape is not None and x.requires_grad:
-        tape._casts.append((out, x))
     return out
 
 

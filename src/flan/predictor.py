@@ -155,7 +155,9 @@ def _gate_of(op_emb: Tensor, w_o: Tensor, rows):
     says op_emb is op_table[flat_ids]: the gate is then computed once per
     table row, and the function holds only the per-row gates and gathers
     them on each call, with the same bytes, since a GEMM row's sums do not
-    depend on the other rows (checked for outputs at least 4 wide)."""
+    depend on the other rows.  That holds for every width of the
+    paper-default and reference configs; with OpenBLAS 0.3.31, outputs 2,
+    3 or 9 to 11 columns wide are not row-invariant."""
     if rows is None:
         gate = ad.logistic(ad.fold_matmul(op_emb.data, w_o.data))
         return lambda: gate
@@ -342,8 +344,8 @@ def masked_mean_pool(x: Tensor, mask: np.ndarray) -> Tensor:
 
 class PredictorModel:
     """Parameters bound to a unified vocabulary.  ``flat`` is their only
-    storage, float64 except in a working copy for one pass (see ``cast``);
-    each ``params[name]`` is a reshaped view of one slice of it."""
+    storage, float64 except in a working copy (see ``cast``); each
+    ``params[name]`` is a reshaped view of one slice of it."""
 
     def __init__(self, config: PredictorConfig, vocab: UnifiedVocabulary,
                  cells_per_arch: int, arrays: dict[str, np.ndarray]):
@@ -361,15 +363,16 @@ class PredictorModel:
 
     def cast(self, dtype) -> "PredictorModel":
         """This model's parameters in dtype: the model itself if they are
-        dtype already, else a working copy of their current values whose
-        tensors are ad.cast from this model's, so a pass on the copy under
-        a tape hands its gradients to this model's tensors."""
+        dtype already, else a working copy of their current values, with
+        leaves of its own that a tape gives gradients in dtype.  Nothing
+        links the copy to this model: fit makes one per call and writes
+        each Adam update into it (see training)."""
         if self.flat.dtype == dtype:
             return self
         work = copy.copy(self)
         work.flat = self.flat.astype(dtype)
         views = _slices(work.flat, {name: p.shape for name, p in self.params.items()})
-        work.params = {name: ad.cast(self.params[name], view)
+        work.params = {name: Tensor(view, requires_grad=True, copy=False)
                        for name, view in views.items()}
         return work
 
@@ -666,10 +669,8 @@ def forward_batch(model: PredictorModel, batch: PreparedBatch, *,
                   helper=None) -> Tensor:
     """(B,) predicted scores; records on the active tape if any.
 
-    The pass runs in the batch's dtype: if the model's parameters are
-    another, it runs on a working copy of them in the batch's dtype (see
-    PredictorModel.cast), and a tape hands the copy's gradients to the
-    model's tensors.
+    The pass runs in the batch's dtype, which must be the parameters'
+    (see PredictorModel.cast for a working copy in another dtype).
 
     helper, an executor, embeds the second half of the batch on its thread
     while this thread embeds the first; the supplemental MLP and the head
@@ -680,7 +681,9 @@ def forward_batch(model: PredictorModel, batch: PreparedBatch, *,
     cfg = model.config
     if helper is not None and ad.active_tape() is not None:
         raise PredictorError("forward_batch takes no helper while a tape is active")
-    model = model.cast(batch.dtype)
+    if model.flat.dtype != batch.dtype:
+        raise PredictorError(f"batch is {batch.dtype} but the parameters are "
+                             f"{model.flat.dtype}: cast the model first")
     if helper is None:
         nn_emb = _graph_embedding(model, batch)
     else:

@@ -5,12 +5,14 @@ ordered pair inside a batch whose first accuracy is strictly higher
 contributes max(0, margin - (score_i - score_j)).  Accuracies are
 z-normalized over the training split first; the loss only sees orderings,
 so this changes nothing but keeps logged magnitudes comparable across
-benchmarks.  Training is mixed precision: each step's forward, loss and
-backward run in float32 (TRAIN_DTYPE) on a working copy of the parameters
-cast from the float64 master vector model.flat, and the tape writes the
-float32 gradients into a float64 gradient vector aligned with model.flat.
-The optimizer is Adam with decoupled weight decay, applied in float64 as
-one update of model.flat from that vector.  A loss that comes out inf or
+benchmarks.  Training is mixed precision: fit makes one float32
+(TRAIN_DTYPE) working copy of the float64 master vector model.flat per
+call, each step's forward, loss and backward run on it, and the tape
+writes its gradients into one float32 vector aligned with model.flat.
+The optimizer is Adam with decoupled weight decay.  Block by block it
+widens the gradient to float64, updates the float64 moments and
+model.flat, and writes the block's new values, rounded to float32, into
+the working copy while the block is in cache.  A loss that comes out inf or
 NaN stops training with a TrainError that names where the failure is: the
 first non-finite parameter if an update has blown the parameters up,
 otherwise the first op on the step's tape whose output overflowed and,
@@ -162,19 +164,21 @@ def _pair_weight(weight: float, n: int, dtype) -> float:
 
 
 class _AdamState:
-    """Adam's moments and the gradient vector g, aligned with model.flat;
-    views maps each parameter tensor to its slice of g, for Tape.backward
-    to write that parameter's gradient into."""
+    """Adam's moments, aligned with model.flat, and fit's working copy of
+    the model in TRAIN_DTYPE with its gradient vector g; views maps each
+    working tensor to its slice of g, for Tape.backward to write that
+    tensor's gradient into."""
 
     def __init__(self, model: PredictorModel):
+        self.work = model.cast(TRAIN_DTYPE)
         size = model.num_params()
         self.step = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        self.g = np.empty(size)
+        self.g = np.empty(size, dtype=TRAIN_DTYPE)
         self.views: dict[Tensor, np.ndarray] = {}
         offset = 0
-        for p in model.params.values():
+        for p in self.work.params.values():
             self.views[p] = self.g[offset:offset + p.data.size].reshape(p.shape)
             offset += p.data.size
 
@@ -182,9 +186,10 @@ class _AdamState:
 def _adam_step(model: PredictorModel, state: _AdamState,
                config: TrainConfig) -> None:
     """One Adam update of model.flat from state.g, which the last
-    Tape.backward(loss, into=state.views) wrote; a parameter whose .grad it
-    left None received no gradient."""
-    for name, p in model.params.items():
+    Tape.backward(loss, into=state.views) wrote; a working tensor whose
+    .grad it left None received no gradient.  Each block's new values are
+    copied into the working vector state.work.flat while in cache."""
+    for name, p in state.work.params.items():
         if p.grad is None:
             raise TrainError(f"parameter {name} received no gradient")
         p.grad = None
@@ -196,7 +201,9 @@ def _adam_step(model: PredictorModel, state: _AdamState,
     bias2 = 1.0 - b2**t
     for lo in range(0, grad.size, ADAM_BLOCK):
         block = slice(lo, lo + ADAM_BLOCK)
-        g, m, v, w = grad[block], state.m[block], state.v[block], model.flat[block]
+        # widened first: (1.0 - b1) * g on a float32 g would stay float32
+        g = grad[block].astype(np.float64)
+        m, v, w = state.m[block], state.v[block], model.flat[block]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
@@ -204,6 +211,7 @@ def _adam_step(model: PredictorModel, state: _AdamState,
         w -= lr * ((m / bias1) / (np.sqrt(v / bias2) + eps))
         if config.weight_decay:
             w -= lr * config.weight_decay * w
+        state.work.flat[block] = w
 
 
 def _divergence(model: PredictorModel, tape: Tape) -> str:
@@ -222,8 +230,8 @@ def _divergence(model: PredictorModel, tape: Tape) -> str:
     return where
 
 
-# a diverging run overflows in Adam's update, the cast of the parameters to
-# TRAIN_DTYPE or the forward pass before its loss is non-finite: that loss
+# a diverging run overflows in Adam's update, the rounding of the parameters
+# to TRAIN_DTYPE or the forward pass before its loss is non-finite: that loss
 # raises one TrainError naming the failure, with no numpy warnings on the way
 @np.errstate(over="ignore", invalid="ignore")
 def fit(model: PredictorModel, bench, train_ids, config: TrainConfig,
@@ -233,9 +241,9 @@ def fit(model: PredictorModel, bench, train_ids, config: TrainConfig,
     Deterministic given config.seed: batch order, and therefore every
     parameter byte, reproduces exactly.  Each training arch is prepared
     once per call, in TRAIN_DTYPE; every batch gathers its rows from that
-    one stack, and its pass runs in float32 on a copy of the parameters
-    cast afresh from model.flat (see forward_batch).  The gradients, Adam's
-    moments and the update stay float64.
+    one stack, and its pass runs on one working copy of the parameters in
+    TRAIN_DTYPE, made once per call and refreshed by each Adam step.
+    Adam's moments and model.flat stay float64.
     """
     train_ids = list(train_ids)
     if not train_ids:
@@ -281,7 +289,7 @@ def fit(model: PredictorModel, bench, train_ids, config: TrainConfig,
                 history["skipped_batches"] += 1
                 continue
             with Tape() as tape:
-                scores = forward_batch(model, prepared.take(rows))
+                scores = forward_batch(state.work, prepared.take(rows))
                 loss = hinge_rank_loss(scores, z, config.hinge_margin)
                 value = loss.item()
                 if not math.isfinite(value):

@@ -1,6 +1,6 @@
-"""Mixed-precision training: fit's taped passes run in float32 on a copy of
-the parameters cast from the float64 master vector, while Adam, scoring and
-the gradient checks stay float64.
+"""Mixed-precision training: fit's taped passes run in float32 on one
+working copy of the float64 master vector per call, which each Adam step
+refreshes, while Adam, scoring and the gradient checks stay float64.
 
 The float64 reference for a training step is the same batch with its 0/1
 routing and mask widened to float64 (exactly), run on the master
@@ -13,6 +13,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from flan.autodiff import Tape
 from flan.encodings import unify
 from flan.predictor import (
     PredictorConfig,
+    PredictorModel,
     PreparedBatch,
     clone_model,
     forward_batch,
@@ -114,7 +116,7 @@ def test_float32_step_gradient_matches_the_float64_tape(monkeypatch, dims, varia
     with Tape() as tape:
         tape.backward(hinge_rank_loss(forward_batch(before, as_float64(batch)), z, margin))
     want = np.concatenate([p.grad.ravel() for p in before.params.values()])
-    assert want.dtype == got.dtype == np.float64
+    assert want.dtype == np.float64 and got.dtype == np.float32
     error = np.linalg.norm(got - want) / np.linalg.norm(want)
     assert error <= 1e-4, error
 
@@ -151,19 +153,24 @@ def test_gradcheck_and_score_archs_stay_float64(monkeypatch):
     assert {dtype for _, dtype in seen["out"]} == {np.dtype(np.float64)}
 
 
-def test_a_float32_pass_hands_float64_gradients_to_the_master_tensors():
+def test_a_float32_pass_on_a_cast_copy_gives_the_copy_float32_gradients():
     bench = small_bench(num_archs=6, seed=11)
     model = init(tiny_config(), unify([bench.vocab]), 1, seed=7)
     batch = prepare_batch(model, list(bench.archs), dtype=np.float32)
     z = bench.accuracy_vector(bench.arch_ids)
+    work = model.cast(np.float32)
+    assert model.cast(np.float64) is model
+    assert work.flat.tobytes() == model.flat.astype(np.float32).tobytes()
     with Tape() as tape:
-        loss = hinge_rank_loss(forward_batch(model, batch), z, 0.1)
+        loss = hinge_rank_loss(forward_batch(work, batch), z, 0.1)
         assert loss.data.dtype == np.float32
         tape.backward(loss)
-    assert all(p.grad is not None and p.grad.dtype == np.float64
-               for p in model.params.values())
-    # no tape: the copy links to nothing and scoring gets float32 scores
-    assert forward_batch(model, batch).data.dtype == np.float32
+    assert all(p.grad is not None and p.grad.dtype == np.float32
+               for p in work.params.values())
+    # nothing links the copy to the model it was cast from
+    assert all(p.grad is None for p in model.params.values())
+    # no tape: the copy scores in float32
+    assert forward_batch(work, batch).data.dtype == np.float32
 
 
 def test_tensor_keeps_float32_and_float64_and_refuses_other_dtypes():
@@ -182,11 +189,82 @@ def test_the_output_bias_gradient_is_exactly_zero_in_float32():
         bench = small_bench(num_archs=n, seed=n)
         model = init(tiny_config(), unify([bench.vocab]), 1, seed=1)
         batch = prepare_batch(model, list(bench.archs), dtype=np.float32)
+        work = model.cast(np.float32)
         with Tape() as tape:
-            tape.backward(hinge_rank_loss(forward_batch(model, batch),
+            tape.backward(hinge_rank_loss(forward_batch(work, batch),
                                           bench.accuracy_vector(bench.arch_ids), 0.5))
         out_bias = f"head{len(model.config.mlp_dims)}.b"
-        assert model.params[out_bias].grad[0] == 0.0, n
+        assert work.params[out_bias].grad[0] == 0.0, n
+
+
+# -- the working copy ---------------------------------------------------------------
+
+@pytest.mark.parametrize("dims", sorted(DIMS))
+def test_each_adam_step_leaves_the_working_copy_at_the_rounded_master_values(
+        monkeypatch, dims):
+    matches = []
+    adam_step = training._adam_step
+
+    def checked(model, state, config):
+        adam_step(model, state, config)
+        matches.append(state.work.flat.tobytes()
+                       == model.flat.astype(np.float32).tobytes())
+
+    monkeypatch.setattr(training, "_adam_step", checked)
+    bench = paper_bench()
+    model = init(PredictorConfig(**DIMS[dims]), unify([bench.vocab]), 1, seed=0)
+    history = fit(model, bench, bench.arch_ids,
+                  TrainConfig(epochs=2, batch_size=4, lr=0.01, seed=3))
+    assert len(matches) == history["steps"] > 1
+    assert all(matches)
+
+
+def test_fit_casts_the_model_once_per_call(monkeypatch):
+    dtypes = []
+    cast = PredictorModel.cast
+
+    def counted(self, dtype):
+        dtypes.append(np.dtype(dtype))
+        return cast(self, dtype)
+
+    monkeypatch.setattr(PredictorModel, "cast", counted)
+    bench = small_bench()
+    model = init(tiny_config(), unify([bench.vocab]), 1, seed=0)
+    for calls in (1, 2):
+        history = fit(model, bench, bench.arch_ids,
+                      TrainConfig(epochs=3, batch_size=4, lr=0.01))
+        assert history["steps"] > 3
+        assert dtypes == [np.dtype(np.float32)] * calls
+
+
+def test_forward_batch_refuses_a_batch_of_another_dtype():
+    bench = small_bench(num_archs=6, seed=11)
+    model = init(tiny_config(), unify([bench.vocab]), 1, seed=7)
+    for params, dtype in ((model, np.float32), (model.cast(np.float32), np.float64)):
+        batch = prepare_batch(model, list(bench.archs), dtype=dtype)
+        with pytest.raises(predictor.PredictorError, match="cast the model first"):
+            forward_batch(params, batch)
+
+
+# float32 working copy and gradient plus float64 moments make 24 bytes per
+# parameter; the rest covers the step's tape and Adam's block temporaries.
+# One paper-default step on 16 archs peaked at 19.2 MB (572,113 parameters);
+# a fresh float32 copy per step and a float64 gradient vector made 23.8 MB
+BYTES_PER_PARAMETER = 28
+TAPE_ALLOWANCE = 5_000_000
+
+
+def test_a_paper_default_fit_step_peaks_under_a_per_parameter_bound():
+    bench = small_bench(num_archs=16, seed=5, num_nodes=7, vocab_size=8)
+    model = init(PredictorConfig(), unify([bench.vocab]), 1, seed=0)
+    tracemalloc.start()
+    try:
+        fit(model, bench, bench.arch_ids,
+            TrainConfig(epochs=1, batch_size=16, lr=0.01, seed=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= BYTES_PER_PARAMETER * model.num_params() + TAPE_ALLOWANCE, peak
 
 
 # -- divergence ---------------------------------------------------------------------

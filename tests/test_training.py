@@ -451,7 +451,8 @@ def two_cell_bench(bench):
 def test_every_parameter_receives_a_gradient(monkeypatch, modes, variant):
     # one fit step on the whole split; fit's backward writes every gradient
     # in place into the vector Adam reads, which must hold the bytes a plain
-    # backward on fit's batch leaves in .grad, in parameter order
+    # backward of fit's batch on a float32 copy leaves in .grad, in
+    # parameter order
     calls = {}
 
     def spy(name):
@@ -487,15 +488,16 @@ def test_every_parameter_receives_a_gradient(monkeypatch, modes, variant):
         assert history["steps"] == 1
         _, batch = calls["forward_batch"]
         _, z, margin = calls["hinge_rank_loss"]
+        work = plain.cast(np.float32)
         with Tape() as tape:
-            tape.backward(hinge_rank_loss(forward_batch(plain, batch), z, margin))
-        assert all(p.grad is not None for p in plain.params.values())
-        want = b"".join(p.grad.tobytes() for p in plain.params.values())
+            tape.backward(hinge_rank_loss(forward_batch(work, batch), z, margin))
+        assert all(p.grad is not None for p in work.params.values())
+        want = b"".join(p.grad.tobytes() for p in work.params.values())
         assert calls["_adam_step"][1].g.tobytes() == want
         # the loss sees only score differences, so the output bias gets a
         # zero gradient up to rounding and may stay at its initial zero
         out_bias = f"head{len(model.config.mlp_dims)}.b"
-        assert abs(plain.params[out_bias].grad[0]) < 1e-12
+        assert abs(work.params[out_bias].grad[0]) < 1e-12
         after = params_bytes(model)
         assert {n for n in before if before[n] == after[n]} <= {out_bias}
 
@@ -550,19 +552,23 @@ def test_adam_step_matches_per_tensor_adam_bitwise():
     assert model.num_params() > ADAM_BLOCK
     config = quick_cfg(weight_decay=0.01)
     rng = np.random.default_rng(4)
-    grads = [{n: rng.normal(size=p.shape) for n, p in model.params.items()}
-             for _ in range(5)]
+    # float32 values, as fit's gradients are, held in float64 for the
+    # reference
+    grads = [{n: rng.normal(size=p.shape).astype(np.float32).astype(np.float64)
+              for n, p in model.params.items()} for _ in range(5)]
     want = reference_adam({n: p.data.copy() for n, p in model.params.items()},
                           grads, 0.01, config, 5)
-    # each gradient is written into its parameter's view of the state's
-    # gradient vector, as Tape.backward(loss, into=state.views) does in fit
+    # each gradient is written into its working tensor's view of the
+    # state's gradient vector, as Tape.backward(loss, into=state.views)
+    # does in fit
     state = _AdamState(model)
+    work = state.work.params
     for step_grads in grads:
-        for n, p in model.params.items():
+        for n, p in work.items():
             state.views[p][...] = step_grads[n]
             p.grad = state.views[p]
         _adam_step(model, state, config)
-        assert all(p.grad is None for p in model.params.values())
+        assert all(p.grad is None for p in work.values())
     assert params_bytes(model) == {n: a.tobytes() for n, a in want.items()}
 
 
@@ -601,9 +607,9 @@ def test_adam_step_names_a_parameter_without_gradient():
     model = model_for(small_bench())
     state = _AdamState(model)
     state.g[:] = 0.0
-    for p in model.params.values():
+    for p in state.work.params.values():
         p.grad = state.views[p]
-    model.params["head0.b"].grad = None
+    state.work.params["head0.b"].grad = None
     with pytest.raises(TrainError, match="head0.b"):
         _adam_step(model, state, quick_cfg())
 
