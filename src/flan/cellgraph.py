@@ -65,7 +65,11 @@ class CellGraph:
     __slots__ = ("num_nodes", "adjacency", "op_ids", "space_id")
 
     def __init__(self, adjacency, op_ids, space_id: int):
-        adj = np.asarray(adjacency, dtype=np.uint8).copy()
+        raw = np.asarray(adjacency)
+        if raw.dtype.kind not in "biuf":
+            raise CellError(f"adjacency must hold numbers, got {raw.dtype}")
+        # binarized before any narrowing: every nonzero entry is an edge
+        adj = (raw != 0).astype(np.uint8)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise CellError(f"adjacency must be square, got shape {adj.shape}")
         ops = tuple(int(o) for o in op_ids)
@@ -77,7 +81,6 @@ class CellGraph:
             raise CellError("a cell needs at least two nodes")
         if any(o < 0 for o in ops):
             raise CellError("op ids must be non-negative")
-        adj[adj != 0] = 1
         adj.flags.writeable = False
         self.num_nodes = adj.shape[0]
         self.adjacency = adj

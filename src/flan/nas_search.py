@@ -100,8 +100,8 @@ class SearchState:
 def search(bench: TabularBenchmark, scorer_factory,
            search_config: SearchConfig) -> SearchState:
     """Run the loop; scorer_factory(bench, evaluated_ids, seed) must return a
-    callable mapping a list of arch ids to a float score array.  Training
-    settings, if any, belong to the factory (see predictor_factory)."""
+    callable mapping a list of arch ids to a finite float score array.
+    Training settings, if any, belong to the factory (see predictor_factory)."""
     m = len(bench)
     cfg = search_config
     if cfg.initial > m:
@@ -127,6 +127,9 @@ def search(bench: TabularBenchmark, scorer_factory,
             raise SearchError(
                 f"scorer returned shape {scores.shape} for {len(remaining)} archs"
             )
+        if not np.isfinite(scores).all():
+            # a NaN would rank first under the (-score, id) key below
+            raise SearchError(f"scorer returned non-finite scores at iteration {i}")
         ranked = sorted(zip(remaining, scores), key=lambda t: (-t[1], t[0]))
         pool = pool_size(m, i, cfg.pool_floor)
 

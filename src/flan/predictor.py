@@ -713,8 +713,10 @@ HELPER_MIN_ELEMENTS = 24_000
 # node rows (archs x active nodes summed over an arch's cells) per
 # score_archs forward pass; each chunk is prepared on its own, so a call
 # holds one chunk's routing at a time.  Scoring 1,024 paper-default archs
-# took about 0.34 s at 448 rows and 0.28 s at 896, whose larger chunks hold
-# about 3 MB more
+# with the helper thread on took about 0.34 s at 448 rows and 0.28 s at
+# 896, whose larger chunks hold about 3 MB more; in a loop of back-to-back
+# calls on one thread, both took 0.28-0.31 s (2-vCPU host, one BLAS
+# thread, medians of 7)
 SCORE_ROWS = 896
 
 

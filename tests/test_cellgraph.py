@@ -23,10 +23,17 @@ from flan.rng import Rng
 # -- construction ---------------------------------------------------------------
 
 def test_adjacency_is_binarized_and_frozen():
-    c = cell([[0, 7], [0, 0]], [0, 1])
-    assert c.adjacency[0, 1] == 1
+    # every nonzero entry is an edge, also one that uint8 cannot hold
+    for adj in (np.array([[0, 7], [0, 0]], dtype=np.uint8),
+                np.array([[0, 256], [0, 0]], dtype=np.int64),
+                [[0, 256], [0, 0]], [[0, 0.5], [0, 0]], [[0, -1], [0, 0]]):
+        c = CellGraph(adj, [0, 1], 0)
+        assert c.adjacency.dtype == np.uint8
+        assert c.adjacency.tolist() == [[0, 1], [0, 0]], adj
     with pytest.raises(ValueError):
         c.adjacency[0, 1] = 0
+    with pytest.raises(CellError, match="numbers"):
+        CellGraph([["0", "1"], ["0", "0"]], [0, 1], 0)
 
 
 def test_constructor_rejects_bad_shapes():

@@ -195,6 +195,12 @@ def test_scorer_shape_is_validated():
     with pytest.raises(SearchError, match="shape"):
         run(bench, bad_factory, budget=4, iters=1)
 
+    def nan_factory(b, evaluated_ids, seed):
+        return lambda ids: np.where(np.asarray(ids) % 3 == 0, np.nan, 0.5)
+
+    with pytest.raises(SearchError, match="non-finite scores at iteration 1"):
+        run(bench, nan_factory, budget=4, iters=2)
+
 
 def test_factory_receives_sorted_evaluated_ids_and_iteration_seeds():
     bench = small_bench(num_archs=24, seed=4)

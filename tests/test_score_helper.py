@@ -301,3 +301,35 @@ def test_blas_thread_count_keeps_the_helper_bytes(threads):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().split(" ", 1) == [want.hexdigest(), "[64, 55]"]
+
+
+# -- serial callers -----------------------------------------------------------------
+
+NARROW_CHILD = """
+import sys
+import threading
+
+from conftest import random_valid_cell, ref_config
+from flan.benchmark import make_vocab
+from flan.cellgraph import CellArch
+from flan.encodings import unify
+from flan.predictor import init, score_archs
+from flan.rng import Rng
+
+rng = Rng(8)
+archs = [CellArch((random_valid_cell(rng, 7, 5),), i) for i in range(130)]
+score_archs(init(ref_config(), unify([make_vocab(0, 5)]), 1, 0), archs)
+assert threading.active_count() == 1, threading.enumerate()
+assert "concurrent.futures" not in sys.modules
+"""
+
+
+def test_narrow_scoring_stays_on_one_thread():
+    # a child process, so no module this suite imports counts against it:
+    # chunks too narrow for the helper neither start a thread nor import
+    # the thread machinery, on any number of CPUs
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+    proc = subprocess.run([sys.executable, "-c", NARROW_CHILD],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
