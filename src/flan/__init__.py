@@ -7,7 +7,7 @@ The package is organized bottom-up:
 - ``cellgraph``  cell DAG containers and invariants
 - ``benchmark``  synthetic space generation plus tabular benchmark ingest/export
 - ``encodings``  structural, score, and unified architecture encodings
-- ``autodiff``   minimal reverse-mode differentiation over float64 arrays
+- ``autodiff``   minimal reverse-mode differentiation over float32 or float64 arrays
 - ``predictor``  dense graph flow / graph attention ensemble predictor
 - ``training``   hinge ranking loss, fitting, transfer, checkpoints
 - ``metrics``    rank correlation measures

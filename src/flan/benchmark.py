@@ -64,6 +64,7 @@ from .encodings import (
     write_jsonl,
     zscore_columns,
 )
+from .predictor import _check_fields
 from .rng import Rng, batch_normal, batch_u64, child_streams
 
 BENCH_FORMAT = "flan-bench/1"
@@ -96,6 +97,7 @@ class SyntheticSpec:
     interaction_scale: float = 0.0
 
     def __post_init__(self):
+        _check_fields(self, BenchmarkError)
         if self.num_nodes < 2:
             raise BenchmarkError(f"num_nodes must be >= 2, got {self.num_nodes}")
         if self.num_nodes > MAX_NUM_NODES:

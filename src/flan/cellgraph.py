@@ -15,6 +15,7 @@ pruning many cells is one array pass rather than a graph walk per cell.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,7 +73,12 @@ class CellGraph:
         adj = (raw != 0).astype(np.uint8)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise CellError(f"adjacency must be square, got shape {adj.shape}")
-        ops = tuple(int(o) for o in op_ids)
+        try:
+            ops = tuple(map(operator.index, op_ids))
+            space_id = operator.index(space_id)
+        except TypeError:
+            raise CellError(f"op ids and space_id must be integers, got "
+                            f"{op_ids!r} and {space_id!r}") from None
         if len(ops) != adj.shape[0]:
             raise CellError(
                 f"op_ids length {len(ops)} does not match {adj.shape[0]} nodes"
@@ -85,7 +91,7 @@ class CellGraph:
         self.num_nodes = adj.shape[0]
         self.adjacency = adj
         self.op_ids = ops
-        self.space_id = int(space_id)
+        self.space_id = space_id
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CellGraph):
@@ -196,13 +202,6 @@ class CellStack(NamedTuple):
     sources: np.ndarray
     sinks: np.ndarray
     raw: np.ndarray
-
-    def ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """Index arrays of each cell's unique source and sink."""
-        if ((self.sources.sum(axis=1) != 1).any()
-                or (self.sinks.sum(axis=1) != 1).any()):
-            raise CellError("cell has no unique source/sink; validate first")
-        return self.sources.argmax(axis=1), self.sinks.argmax(axis=1)
 
 
 def stack_cells(cells) -> CellStack:

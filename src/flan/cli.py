@@ -333,8 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", help="write structural or score encodings")
     p.add_argument("--bench", required=True)
-    p.add_argument("--kind", choices=("adjacency", "path", "score"),
-                   required=True)
+    p.add_argument("--kind", choices=enc_mod.ENCODING_KINDS, required=True)
     p.add_argument("--max-paths", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_encode)

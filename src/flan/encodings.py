@@ -9,11 +9,11 @@ statistics used both as a supplemental predictor input and to derive the
 synthetic proxy metrics.
 
 The one-arch encoders (`encode_adjacency`, `encode_path`, `score_features`)
-work on one cell at a time: path and score walk each cell's successor
-lists in plain Python, which for one small cell costs far less than a
-padded array pass, and they refuse a cell whose active nodes form a cycle.
+work on one cell at a time: each walks every cell's successor lists in
+plain Python, which for one small cell costs far less than a padded array
+pass, and that walk is the one input check all encoders share.
 `score_feature_matrix` scores many archs in one array pass over a cell
-stack and refuses such a cell too.
+stack and refuses the same cells with the same errors.
 
 Unified ids make vocabularies from several spaces share one embedding table:
 ids 0/1/2 (input/output/none) are common, every other (space, op) pair gets
@@ -54,23 +54,16 @@ class EncodingError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class EncodingVector:
+    """One arch's encoding: a read-only float64 vector of `dim` values."""
+
     kind: str
     values: np.ndarray
+    dim: int
 
-    def __post_init__(self):
-        if self.kind not in ENCODING_KINDS:
-            raise EncodingError(f"unknown encoding kind {self.kind!r}")
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 1:
-            raise EncodingError(f"encoding must be 1-d, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise EncodingError("encoding contains non-finite values")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
+def _vector(kind: str, values: np.ndarray) -> EncodingVector:
+    values.flags.writeable = False
+    return EncodingVector(kind, values, values.shape[0])
 
 
 _CYCLE_ERROR = "cell has a cycle among its active nodes; validate first"
@@ -86,15 +79,19 @@ class _CellWalk(NamedTuple):
     order: list[int]
 
 
-def _cell_walk(cell: CellGraph) -> _CellWalk:
+def _cell_walk(cell: CellGraph, vocab: OpVocabulary) -> _CellWalk:
     """The `_CellWalk` of one cell, with every edge that touches a none
     node dropped, as a padded cell stack drops it.
 
-    Raises the CellError of ``CellStack.ends`` unless the active subgraph
-    has one source and one sink, and an EncodingError when it has a cycle:
-    then some active node never loses its last in-edge.
+    The one input check of every encoder; the first fault raises: an op
+    outside the vocabulary (first in node order), no unique source and sink
+    (a CellError), a cycle (some active node keeps an in-edge), or an
+    interior node with a reserved op (first in topological order).
     """
     ops = cell.op_ids
+    if max(ops) >= vocab.size:
+        bad = next(op for op in ops if op >= vocab.size)
+        raise EncodingError(f"op {bad} outside vocabulary of size {vocab.size}")
     succ: list[list[int]] = [[] for _ in ops]
     indegree = [0] * len(ops)
     rows, cols = cell.adjacency.nonzero()
@@ -115,6 +112,9 @@ def _cell_walk(cell: CellGraph) -> _CellWalk:
                 order.append(nxt)
     if len(order) != len(active):
         raise EncodingError(_CYCLE_ERROR)
+    for i in order[1:-1]:  # the interior: a unique source comes first, the sink last
+        if ops[i] < 3:
+            raise EncodingError(f"interior node {i} carries reserved op {ops[i]}")
     return _CellWalk(succ, sources[0], sinks[0], order)
 
 
@@ -136,6 +136,8 @@ def _onehot_table(vocab_size: int) -> np.ndarray:
 
 def encode_adjacency(arch: CellArch, vocab: OpVocabulary) -> EncodingVector:
     """Upper-triangle edge bits followed by per-node op one-hots, per cell."""
+    for cell in arch.cells:  # the shared check comes before any triangle's
+        _cell_walk(cell, vocab)
     upper = _upper_triangle(arch.cells[0].num_nodes)
     onehots = _onehot_table(vocab.size)
     parts = []
@@ -148,12 +150,8 @@ def encode_adjacency(arch: CellArch, vocab: OpVocabulary) -> EncodingVector:
                 "adjacency encoding needs a topologically relabelled cell "
                 "(upper triangular adjacency)"
             )
-        ops = list(cell.op_ids)
-        if max(ops) >= vocab.size:
-            bad = next(op for op in ops if op >= vocab.size)
-            raise EncodingError(f"op {bad} outside vocabulary of size {vocab.size}")
-        parts += (bits, onehots[ops].reshape(-1))
-    return EncodingVector("adjacency", np.concatenate(parts))
+        parts += (bits, onehots[list(cell.op_ids)].reshape(-1))
+    return _vector("adjacency", np.concatenate(parts))
 
 
 def path_index_size(num_nodes: int, vocab: OpVocabulary) -> int:
@@ -202,7 +200,6 @@ def encode_path(
     many dimensions; indices past the limit are dropped.  A block may have
     at most PATH_DIM_CAP (2**20) dimensions: a larger one, from the space or
     from max_paths, raises an EncodingError before anything is allocated.
-    A cell whose active nodes form a cycle raises an EncodingError too.
     """
     full = path_index_size(arch.cells[0].num_nodes, vocab)
     try:
@@ -216,20 +213,12 @@ def encode_path(
             f"a path block of {dim} dimensions exceeds the cap of {PATH_DIM_CAP}; "
             f"set max_paths to at most {PATH_DIM_CAP}"
         )
-    walks = [_cell_walk(cell) for cell in arch.cells]
+    walks = [_cell_walk(cell, vocab) for cell in arch.cells]
     out = np.zeros((len(walks), dim))
     for row, cell, walk in zip(out, arch.cells, walks):
-        ops = cell.op_ids
-        interior = [i for i in walk.order if i != walk.src and i != walk.dst]
-        for i in interior:
-            if ops[i] < 3:
-                raise EncodingError(f"interior node {i} carries reserved op {ops[i]}")
-        for i in interior:
-            if ops[i] >= vocab.size:
-                raise EncodingError(
-                    f"op {ops[i]} is not an interior op of the vocabulary")
-        row[[i for i in _path_indices(walk, ops, vocab.size - 3) if i < dim]] = 1.0
-    return EncodingVector("path", out.reshape(-1))
+        indices = _path_indices(walk, cell.op_ids, vocab.size - 3)
+        row[[i for i in indices if i < dim]] = 1.0
+    return _vector("path", out.reshape(-1))
 
 
 _KERNEL_RE = re.compile(r"(\d+)\s*x\s*(\d+)")
@@ -281,15 +270,9 @@ def _finish_scores(sums: np.ndarray) -> np.ndarray:
 
 
 def score_features(arch: CellArch, vocab: OpVocabulary) -> EncodingVector:
-    """Eight raw graph statistics; z-normalize per benchmark before use.
-
-    Counts each cell by one walk in topological order, so a cell whose
-    active nodes form a cycle raises an EncodingError.
-    """
-    walks = [_cell_walk(cell) for cell in arch.cells]
-    top = max(max(cell.op_ids) for cell in arch.cells)
-    if top >= vocab.size:
-        raise EncodingError(f"op {top} outside vocabulary of size {vocab.size}")
+    """Eight raw graph statistics, counted by one walk per cell in topological
+    order; z-normalize per benchmark before use."""
+    walks = [_cell_walk(cell, vocab) for cell in arch.cells]
     conv, cost = (table.tolist() for table in _op_tables(vocab.op_names))
     sums = [0] * 8
     for cell, walk in zip(arch.cells, walks):
@@ -302,45 +285,48 @@ def score_features(arch: CellArch, vocab: OpVocabulary) -> EncodingVector:
                 longest[nxt] = max(longest[nxt], longest[node] + 1)
                 shortest[nxt] = min(shortest[nxt], shortest[node] + 1)
                 paths[nxt] += paths[node]
-        interior = [ops[i] for i in walk.order if i != src and i != dst]
+        interior = [ops[i] for i in walk.order[1:-1]]
         counts = (len(walk.order), sum(map(len, walk.succ)),
                   longest[dst], shortest[dst], min(paths[dst], PATH_COUNT_CAP),
                   sum(conv[op] for op in interior), len(interior),
                   sum(cost[op] for op in interior))
         sums = [a + b for a, b in zip(sums, counts)]
-    return EncodingVector("score", _finish_scores(np.array([sums], dtype=float))[0])
+    return _vector("score", _finish_scores(np.array([sums], dtype=float))[0])
 
 
 def score_feature_matrix(archs, vocab: OpVocabulary) -> np.ndarray:
     """(num_archs, 8) raw score features, row order following archs; all
-    cells of all archs go through one pass over a padded stack.  Like
-    `score_features` it raises an EncodingError for a cell whose active
-    nodes form a cycle, since `dag_path_stats` needs acyclic cells.
+    cells of all archs go through one pass over a padded stack.
 
-    A cell whose active adjacency is strictly upper triangular is acyclic as
-    it stands, so only the other cells go through the reachability closure.
+    Array masks find the cells `_cell_walk` refuses, and the first of them
+    is walked, so this raises what `score_features` raises for the first
+    failing arch.  A cell whose active adjacency is strictly upper
+    triangular is acyclic, so only the others go through the closure.
     """
     archs = list(archs)
     if not archs:
         return np.zeros((0, 8))
-    cells = cellgraph.stack_cells([c for arch in archs for c in arch.cells])
-    src, dst = cells.ends()
-    rows, cols = np.tril_indices(cells.adjacency.shape[-1])
-    unordered = cells.adjacency[cells.adjacency[:, rows, cols].any(axis=1)]
-    # an edge i -> j closes a cycle when j reaches i
-    if (unordered & cellgraph._closure(unordered).transpose(0, 2, 1)).any():
-        raise EncodingError(_CYCLE_ERROR)
+    flat = [c for arch in archs for c in arch.cells]
+    cells = cellgraph.stack_cells(flat)
     ops = cells.ops
-    if ops.max() >= vocab.size:
-        raise EncodingError(f"op {ops.max()} outside vocabulary of size {vocab.size}")
-    conv, cost = _op_tables(vocab.op_names)
     active = ops != OP_NONE
     interior = active & ~cells.sources & ~cells.sinks
+    bad = ((ops >= vocab.size) | (interior & (ops < 3))).any(axis=1)
+    bad |= (cells.sources.sum(axis=1) != 1) | (cells.sinks.sum(axis=1) != 1)
+    rows, cols = np.tril_indices(ops.shape[1])
+    unordered = np.flatnonzero(cells.adjacency[:, rows, cols].any(axis=1))
+    adj = cells.adjacency[unordered]
+    # an edge i -> j closes a cycle when j reaches i
+    bad[unordered] |= (adj & cellgraph._closure(adj).transpose(0, 2, 1)).any(axis=(1, 2))
+    if bad.any():
+        _cell_walk(flat[bad.argmax()], vocab)
+    conv, cost = _op_tables(vocab.op_names)
     per_cell = np.empty((ops.shape[0], 8))
     per_cell[:, 0] = active.sum(axis=1)
     per_cell[:, 1] = cells.adjacency.sum(axis=(1, 2))
     per_cell[:, 2], per_cell[:, 3], per_cell[:, 4] = dag_path_stats(
-        cells.adjacency, src, dst, PATH_COUNT_CAP)
+        cells.adjacency, cells.sources.argmax(axis=1), cells.sinks.argmax(axis=1),
+        PATH_COUNT_CAP)
     per_cell[:, 5] = (conv[ops] & interior).sum(axis=1)
     per_cell[:, 6] = interior.sum(axis=1)
     per_cell[:, 7] = (cost[ops] * interior).sum(axis=1)

@@ -69,6 +69,11 @@ def test_spec_rejects_bad_fields():
             base_spec(op_utilities=(0.0,) * 5 + (bad,))
         with pytest.raises(BenchmarkError, match="interaction_scale"):
             base_spec(interaction_scale=-bad)
+    # a field of the wrong type is refused before any sampling
+    for field, bad in (("num_archs", 2.5), ("seed", 1.0), ("vocab_size", 4.5),
+                       ("num_nodes", True), ("noise_sigma", "0.1")):
+        with pytest.raises(BenchmarkError, match=f"^{field} must be"):
+            base_spec(**{field: bad})
 
 
 def test_default_utilities_ramp():

@@ -47,6 +47,17 @@ def test_constructor_rejects_bad_shapes():
         CellGraph(np.zeros((2, 2), dtype=np.uint8), [0, -1], 0)
 
 
+def test_constructor_refuses_non_integer_ids():
+    adj = [[0, 1], [0, 0]]
+    for ops, space_id in (([0, 1.7], 0), ([0, 1.0], 0), ([0, "1"], 0),
+                          ([0, 1], 1.9), ([0, 1], 1.0)):
+        with pytest.raises(CellError, match="must be integers"):
+            CellGraph(adj, ops, space_id)
+    c = CellGraph(adj, np.array([0, 1]), np.int64(3))
+    assert (c.op_ids, c.space_id) == ((0, 1), 3)
+    assert all(type(v) is int for v in (*c.op_ids, c.space_id))
+
+
 def test_equality_and_hash_track_content():
     a = chain_cell(3)
     b = chain_cell(3)
@@ -225,14 +236,6 @@ def test_prune_unreachable_returns_none():
     adj = np.zeros((3, 3), dtype=np.uint8)
     adj[1, 2] = 1
     assert prune_to_paths(adj, 0, 2) is None
-
-
-def test_source_and_sink():
-    src, dst = stack_cells([chain_cell(4)]).ends()
-    assert (src.tolist(), dst.tolist()) == ([0], [3])
-    two_sources = cell([[0, 0, 1], [0, 0, 1], [0, 0, 0]], [0, 3, 1])
-    with pytest.raises(CellError):
-        stack_cells([two_sources]).ends()
 
 
 # -- closure equivalence against graph-walk oracles ----------------------------------------

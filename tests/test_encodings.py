@@ -114,12 +114,11 @@ def test_adjacency_chain_example():
     assert enc.dim == 3 + 3 * 4
 
 
-def test_adjacency_no_edges_all_zero_bits():
-    vocab = basic_vocab()
+def test_adjacency_refuses_an_edgeless_cell():
+    # without edges both nodes are sources and sinks, which every encoder refuses
     c = cell(np.zeros((2, 2), dtype=np.uint8), [0, 1])
-    enc = encode_adjacency(arch_of(c), vocab)
-    assert enc.values[0] == 0.0
-    assert enc.dim == 1 + 2 * vocab.size
+    with pytest.raises(CellError, match="no unique source/sink"):
+        encode_adjacency(arch_of(c), basic_vocab())
 
 
 def test_adjacency_two_cells_doubles_dim():
@@ -457,87 +456,85 @@ def edges_cell(n, edges, ops):
     return cell(adj, ops)
 
 
-NOT_INTERIOR = "op 6 is not an interior op of the vocabulary"
 OUTSIDE = "op 6 outside vocabulary of size 6"
 LOWER = ("adjacency encoding needs a topologically relabelled cell "
          "(upper triangular adjacency)")
 MIXED = "cells of one arch must share a node count, got {3, 4}"
 ENDS = "cell has no unique source/sink; validate first"
+CYCLE = "cell has a cycle among its active nodes; validate first"
 TWO_SOURCES = [(0, 2), (1, 2), (2, 3)]
 
-# an arch's cells, then the (error type, message) of encode_path,
-# encode_adjacency and score_features, None where the encoder accepts the
-# arch; with two faults the first check each encoder makes names the error.
-# A row with one error names the CellError of building the arch
+# an arch's cells, then the (error type, message) every encoder raises for
+# it, None where they accept it; encode_adjacency alone refuses the
+# lower-triangle edge.  With several faults the first check of `_cell_walk`
+# that fails names the error.  A row whose cells cannot form an arch names
+# the CellError of building it
 MALFORMED = {
     "reserved-interior-op": (
         chain_cell(4, interior_op=0),
-        (EncodingError, "interior node 1 carries reserved op 0"), None, None),
-    "op-outside-vocabulary": (
-        chain_cell(4, interior_op=6),
-        (EncodingError, NOT_INTERIOR), (EncodingError, OUTSIDE),
-        (EncodingError, OUTSIDE)),
-    "lower-triangle-edge": (
-        edges_cell(3, [(0, 2), (2, 1)], [0, 1, 3]),
-        None, (EncodingError, LOWER), None),
+        (EncodingError, "interior node 1 carries reserved op 0")),
+    "op-outside-vocabulary": (chain_cell(4, interior_op=6), (EncodingError, OUTSIDE)),
+    "lower-triangle-edge": (edges_cell(3, [(0, 2), (2, 1)], [0, 1, 3]), None),
     "mixed-node-counts": ((chain_cell(3), chain_cell(4)), (CellError, MIXED)),
-    "two-sources": (
-        edges_cell(4, TWO_SOURCES, [0, 3, 4, 1]),
-        (CellError, ENDS), None, (CellError, ENDS)),
+    "two-sources": (edges_cell(4, TWO_SOURCES, [0, 3, 4, 1]), (CellError, ENDS)),
     "reserved-then-outside": (
-        edges_cell(4, [(0, 1), (1, 2), (2, 3)], [0, 6, 0, 1]),
-        (EncodingError, "interior node 2 carries reserved op 0"),
-        (EncodingError, OUTSIDE), (EncodingError, OUTSIDE)),
+        edges_cell(4, [(0, 1), (1, 2), (2, 3)], [0, 6, 0, 1]), (EncodingError, OUTSIDE)),
     "lower-triangle-and-outside": (
-        edges_cell(3, [(0, 2), (2, 1)], [0, 1, 6]),
-        (EncodingError, NOT_INTERIOR), (EncodingError, LOWER),
-        (EncodingError, OUTSIDE)),
+        edges_cell(3, [(0, 2), (2, 1)], [0, 1, 6]), (EncodingError, OUTSIDE)),
     "two-sources-and-outside": (
-        edges_cell(4, TWO_SOURCES, [0, 3, 6, 1]),
-        (CellError, ENDS), (EncodingError, OUTSIDE), (CellError, ENDS)),
+        edges_cell(4, TWO_SOURCES, [0, 3, 6, 1]), (EncodingError, OUTSIDE)),
     "outside-then-two-sources": (
         (chain_cell(4, interior_op=6), edges_cell(4, TWO_SOURCES, [0, 3, 4, 1])),
-        (CellError, ENDS), (EncodingError, OUTSIDE), (CellError, ENDS)),
+        (EncodingError, OUTSIDE)),
     "mixed-node-counts-and-two-sources": (
-        (chain_cell(3), edges_cell(4, TWO_SOURCES, [0, 3, 4, 1])),
-        (CellError, MIXED)),
+        (chain_cell(3), edges_cell(4, TWO_SOURCES, [0, 3, 4, 1])), (CellError, MIXED)),
 }
+# what encode_adjacency raises where the others accept
+ADJACENCY_ONLY = {"lower-triangle-edge": (EncodingError, LOWER)}
+BUILDS = [case for case, (_, error) in MALFORMED.items() if error != (CellError, MIXED)]
+
+# cells whose active nodes form a cycle but keep one source and one sink
+CYCLIC = {
+    "reached": [(0, 1), (1, 2), (2, 1), (2, 3)],    # on the source-to-sink path
+    "unreached": [(0, 3), (1, 2), (2, 1)],          # out of the source's reach
+    "self_loop": [(0, 1), (1, 1), (1, 2), (2, 3)],  # a self loop
+}
+
+
+def _outcome(encode, arch):
+    """What encoding `arch` raises, as (type, message), or None."""
+    try:
+        encode(arch, basic_vocab())
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
 
 
 @pytest.mark.parametrize("case", MALFORMED)
 def test_one_arch_encoders_raise_the_first_fault(case):
-    cells, *errors = MALFORMED[case]
-    if len(errors) == 1:
+    cells, error = MALFORMED[case]
+    if case not in BUILDS:
         with pytest.raises(CellError) as info:
             arch_of(cells)
-        assert (type(info.value), str(info.value)) == errors[0]
+        assert (type(info.value), str(info.value)) == error
         return
     arch = arch_of(cells)
-    for encode, error in zip((encode_path, encode_adjacency, score_features), errors):
-        if error is None:
-            encode(arch, basic_vocab())
-            continue
-        with pytest.raises(ValueError) as info:
-            encode(arch, basic_vocab())
-        assert (type(info.value), str(info.value)) == error, encode.__name__
+    for encode in (encode_path, encode_adjacency, score_features):
+        want = ADJACENCY_ONLY.get(case, error) if encode is encode_adjacency else error
+        assert _outcome(encode, arch) == want, encode.__name__
 
 
 def test_one_arch_encoders_refuse_a_cyclic_cell():
     # 1 -> 2 -> 1 leaves one source and one sink
-    arch = arch_of(edges_cell(4, [(0, 1), (1, 2), (2, 1), (2, 3)], [0, 3, 3, 1]))
+    arch = arch_of(edges_cell(4, CYCLIC["reached"], [0, 3, 3, 1]))
     for encode in (encode_path, score_features):
         with pytest.raises(EncodingError, match="cycle"):
             encode(arch, basic_vocab())
 
 
-@pytest.mark.parametrize("edges", [
-    [(0, 1), (1, 2), (2, 1), (2, 3)],  # on the source-to-sink path
-    [(0, 3), (1, 2), (2, 1)],          # out of the source's reach
-    [(0, 1), (1, 1), (1, 2), (2, 3)],  # a self loop
-], ids=["reached", "unreached", "self_loop"])
+@pytest.mark.parametrize("edges", CYCLIC.values(), ids=CYCLIC)
 def test_score_feature_matrix_refuses_a_cyclic_cell(edges):
-    # each cycle leaves one source and one sink; an acyclic arch in the same
-    # call, before it, does not hide it
+    # an acyclic arch in the same call, before it, does not hide it
     cyclic = arch_of(edges_cell(4, edges, [0, 3, 3, 1]))
     archs = [arch_of(chain_cell(4)), cyclic]
     with pytest.raises(EncodingError, match="cycle") as matrix:
@@ -545,6 +542,28 @@ def test_score_feature_matrix_refuses_a_cyclic_cell(edges):
     with pytest.raises(EncodingError) as one:
         score_features(cyclic, basic_vocab())
     assert str(matrix.value) == str(one.value)
+
+
+@pytest.mark.parametrize("case", BUILDS + [f"cycle-{name}" for name in CYCLIC])
+def test_every_encoder_refuses_the_same_archs_alike(case):
+    # the one-arch encoders and the matrix, alone or after a valid arch,
+    # raise one type and one message, or all accept
+    if case in MALFORMED:
+        cells, error = MALFORMED[case]
+    else:
+        cells = edges_cell(4, CYCLIC[case.removeprefix("cycle-")], [0, 3, 3, 1])
+        error = (EncodingError, CYCLE)
+    arch, valid = arch_of(cells, 1), arch_of(chain_cell(4), 0)
+    encoders = {
+        "encode_path": encode_path,
+        "encode_adjacency": encode_adjacency,
+        "score_features": score_features,
+        "score_feature_matrix": lambda a, v: score_feature_matrix([a], v),
+        "after a valid arch": lambda a, v: score_feature_matrix([valid, a], v),
+    }
+    want = {name: error for name in encoders}
+    want["encode_adjacency"] = ADJACENCY_ONLY.get(case, error)
+    assert {name: _outcome(f, arch) for name, f in encoders.items()} == want
 
 
 def test_one_arch_encoders_stay_off_the_cell_stack(monkeypatch):
