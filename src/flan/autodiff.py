@@ -249,15 +249,28 @@ def matmul_grads(a: np.ndarray, b: np.ndarray,
     return ga, np.matmul(np.swapaxes(a, -1, -2), g)
 
 
+# forward GEMMs run on weights zero-padded to a multiple of this many columns
+GEMM_COLUMNS = 16
+
+
 def fold_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """x @ w for a 2-d w, with x's leading axes folded into the rows of one
-    GEMM instead of one product per batch entry: the same bytes, since each
-    row's sums do not depend on the other rows.  A one-column w is left
-    unfolded: folded, it would run as GEMV, whose sums differ."""
+    GEMM instead of one product per batch entry.  A w whose width is not a
+    multiple of GEMM_COLUMNS runs zero-padded to one, and the result is the
+    leading columns of the padded product: at such widths each row's sums
+    then do not depend on the other rows, so a row's bytes are the same in
+    any batch and the folded product equals the per-batch one.  Unpadded,
+    OpenBLAS 0.3.31 is not row-invariant at some widths (float32 200 among
+    them).  A one-column w is left unfolded: folded, it would run as GEMV,
+    whose sums differ."""
     k, m = w.shape
     if m == 1:
         return np.matmul(x, w)
-    return np.matmul(x.reshape(-1, k), w).reshape(x.shape[:-1] + (m,))
+    pad = -m % GEMM_COLUMNS
+    if pad:
+        w = np.concatenate([w, np.zeros((k, pad), dtype=w.dtype)], axis=1)
+    out = np.matmul(x.reshape(-1, k), w)
+    return out[:, :m].reshape(x.shape[:-1] + (m,))
 
 
 def logistic(d: np.ndarray) -> np.ndarray:

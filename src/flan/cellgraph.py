@@ -11,6 +11,8 @@ Every connectivity question (acyclicity, source-to-sink reachability,
 pruning to the source-to-sink paths) is answered by one boolean
 reachability closure over a padded stack of cells, so validating or
 pruning many cells is one array pass rather than a graph walk per cell.
+So is canonical_order, which sorts each cell's nodes by Weisfeiler-Lehman
+colour, so that a relabeled cell gives the same arrays.
 """
 
 from __future__ import annotations
@@ -216,6 +218,45 @@ def stack_cells(cells) -> CellStack:
     active = ops != OP_NONE
     adj = raw & active[:, :, None] & active[:, None, :]
     return CellStack(adj, ops, active & ~adj.any(1), active & ~adj.any(2), raw)
+
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_PRED_SALT, _SUCC_SALT = np.uint64(0x632BE59BD9B4E019), np.uint64(0x85157AF5D2C1F6B3)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64's finaliser over a uint64 array (wrapping arithmetic)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def canonical_order(adjacency: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """(M, n) node orders for an (M, n, n) stack of active adjacencies and
+    its (M, n) op ids: order[m] lists graph m's active nodes, sorted by
+    Weisfeiler-Lehman colour, then its none nodes.
+
+    A node's colour starts as a hash of its op.  Each round hashes it with
+    the wrapping sums of its predecessors' and its successors' salted
+    colours, which are multiset hashes, so colours depend on the graph and
+    not on its labeling.  A graph runs one round per active node, whatever
+    the stack holds besides it.  Nodes of one colour keep their given
+    order; 1-WL does not tell them apart, and neither does a
+    message-passing network (Xu et al., ICLR 2019).
+    """
+    adj = np.asarray(adjacency).astype(np.uint64)
+    ops = np.asarray(ops)
+    active = ops != OP_NONE
+    rounds = active.sum(axis=1)[:, None]
+    colour = _mix(ops.astype(np.uint64) + _GOLDEN)
+    # adj[m, i, j] is the edge i -> j: a node's column holds its
+    # predecessors, its row its successors
+    adj_t = adj.transpose(0, 2, 1)
+    for r in range(int(rounds.max(initial=0))):
+        pred = np.matmul(adj_t, _mix(colour ^ _PRED_SALT)[:, :, None])[:, :, 0]
+        succ = np.matmul(adj, _mix(colour ^ _SUCC_SALT)[:, :, None])[:, :, 0]
+        colour = np.where(r < rounds, _mix(_mix(colour + pred) + succ), colour)
+    return np.lexsort((colour, ~active), axis=-1)
 
 
 def prune_stack(adjacency: np.ndarray, src: int, dst: int):

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .cellgraph import OP_NONE, stack_cells
+from .cellgraph import OP_NONE, canonical_order, stack_cells
 from .encodings import UnifiedVocabulary
 from .rng import Rng, batch_u64
 
@@ -154,10 +154,9 @@ def _gate_of(op_emb: Tensor, w_o: Tensor, rows):
     """A function giving sigmoid(op_emb W_o).  rows = (op_table, flat_ids)
     says op_emb is op_table[flat_ids]: the gate is then computed once per
     table row, and the function holds only the per-row gates and gathers
-    them on each call, with the same bytes, since a GEMM row's sums do not
-    depend on the other rows.  That holds for every width of the
-    paper-default and reference configs; with OpenBLAS 0.3.31, outputs 2,
-    3 or 9 to 11 columns wide are not row-invariant."""
+    them on each call, with the same bytes, since ad.fold_matmul pads W_o
+    to a width at which a GEMM row's sums do not depend on the other
+    rows."""
     if rows is None:
         gate = ad.logistic(ad.fold_matmul(op_emb.data, w_o.data))
         return lambda: gate
@@ -489,11 +488,13 @@ class PreparedBatch:
     """Numeric views of a batch of architectures, ready for the graph stacks.
 
     Routing uses the active adjacency: edges touching none nodes are dropped.
-    Preparing is pure data: fit prepares its training split once per call
-    and gathers each batch with ``take``; score_archs prepares each chunk
-    and drops its none nodes with ``active_nodes``.  Routing, mask and
-    supplemental rows share one dtype, the dtype of the forward pass over
-    the batch.  Each cell position has its own node count, ids[cell].shape[1].
+    Each cell's nodes are in canonical order (see prepare_batch), so its
+    active nodes lead and its none nodes trail.  Preparing is pure data:
+    fit prepares its training split once per call and gathers each batch
+    with ``take``; score_archs prepares each chunk and drops its none nodes
+    with ``active_nodes``.  Routing, mask and supplemental rows share one
+    dtype, the dtype of the forward pass over the batch.  Each cell
+    position has its own node count, ids[cell].shape[1].
     """
 
     size: int
@@ -512,17 +513,16 @@ class PreparedBatch:
         return PreparedBatch(len(ids[0]), ids, fwd, bwd, mask, supp)
 
     def active_nodes(self) -> "PreparedBatch":
-        """The batch without its none nodes, so every mask entry is 1.0.
-        The archs' cells at one position must hold one number of active
-        nodes; the kept nodes keep their order."""
+        """The batch without its none nodes, so every mask entry is 1.0:
+        views of each cell's leading nodes.  The archs' cells at one
+        position must hold one number of active nodes."""
         ids, fwd, bwd, mask = [], [], [], []
-        for c, keep in enumerate(m[:, :, 0] != 0.0 for m in self.mask):
-            n = int(keep[0].sum())
-            pairs = keep[:, :, None] & keep[:, None, :]
-            ids.append(self.ids[c][keep].reshape(self.size, n))
-            fwd.append(self.routing_fwd[c][pairs].reshape(self.size, n, n))
-            bwd.append(self.routing_bwd[c][pairs].reshape(self.size, n, n))
-            mask.append(self.mask[c][keep].reshape(self.size, n, 1))
+        for c, m in enumerate(self.mask):
+            n = int(np.count_nonzero(m[0]))
+            ids.append(self.ids[c][:, :n])
+            fwd.append(self.routing_fwd[c][:, :n, :n])
+            bwd.append(self.routing_bwd[c][:, :n, :n])
+            mask.append(m[:, :n])
         return PreparedBatch(self.size, ids, fwd, bwd, mask, self.supplemental)
 
     @property
@@ -535,7 +535,14 @@ def prepare_batch(model: PredictorModel, archs,
                   dtype=np.float64) -> PreparedBatch:
     """The batch of archs, whose forward pass runs in dtype (float64 or
     float32).  An arch with a cell of no active node is refused, and so are
-    supplemental rows that dtype cannot hold."""
+    supplemental rows that dtype cannot hold.
+
+    Each cell's nodes are reordered by cellgraph.canonical_order: active
+    nodes first, sorted by Weisfeiler-Lehman colour, then none nodes.  A
+    relabeled cell then gives the same arrays, up to the order of nodes of
+    one colour, whose features the layers cannot tell apart, so the sums
+    over nodes run in one order and a score does not depend on the
+    labeling."""
     archs = list(archs)
     if not archs:
         raise PredictorError("empty batch")
@@ -574,17 +581,20 @@ def prepare_batch(model: PredictorModel, archs,
     for c in range(model.cells_per_arch):
         cells = [arch.cells[c] for arch in archs]
         stack = stack_cells(cells)
-        adj = stack.adjacency.astype(dtype)
+        order = canonical_order(stack.adjacency, stack.ops)
+        ops = np.take_along_axis(stack.ops, order, axis=1)
+        adj = np.take_along_axis(stack.adjacency, order[:, :, None], axis=1)
+        adj = np.take_along_axis(adj, order[:, None, :], axis=2).astype(dtype)
         # one vocabulary lookup per space the batch draws from
         space_of = np.array([cell.space_id for cell in cells])
-        cell_ids = np.empty_like(stack.ops)
+        cell_ids = np.empty_like(ops)
         for space in dict.fromkeys(space_of.tolist()):
             same = space_of == space
-            cell_ids[same] = model.vocab.map_ops(space, stack.ops[same])
+            cell_ids[same] = model.vocab.map_ops(space, ops[same])
         ids.append(cell_ids)
         routing_fwd.append(np.ascontiguousarray(adj.transpose(0, 2, 1)))
         routing_bwd.append(adj)
-        mask.append((stack.ops != OP_NONE)[:, :, None].astype(dtype))
+        mask.append((ops != OP_NONE)[:, :, None].astype(dtype))
     return PreparedBatch(batch, ids, routing_fwd, routing_bwd, mask, supplemental)
 
 
@@ -704,19 +714,20 @@ def forward_batch(model: PredictorModel, batch: PreparedBatch, *,
 # the half chunk's node-feature elements (archs x node rows x widest gcn
 # dim) from which score_archs embeds half of each chunk on a helper thread.
 # Narrower passes are bound by the interpreter lock, so the handoff costs
-# more than it saves.  Scoring the 1,024 archs of a 7-node space without
-# their none nodes on a 2-vCPU host with one BLAS thread, helper on against
-# off (medians of 11): 128-wide halves of 224 node rows (28,672) gained 16%,
-# of 168 rows (21,504) broke even and of 112 rows (14,336) lost 19%; halves
-# of 448 rows gained 11% at 64 wide (28,672) and about broke even at 48
+# more than it saves.  Measured on float64 passes, scoring the 1,024 archs
+# of a 7-node space without their none nodes on a 2-vCPU host with one BLAS
+# thread, helper on against off (medians of 11): 128-wide halves of 224
+# node rows (28,672) gained 16%, of 168 rows (21,504) broke even and of 112
+# rows (14,336) lost 19%; halves of 448 rows gained 11% at 64 wide (28,672)
+# and about broke even at 48
 HELPER_MIN_ELEMENTS = 24_000
 # node rows (archs x active nodes summed over an arch's cells) per
 # score_archs forward pass; each chunk is prepared on its own, so a call
 # holds one chunk's routing at a time.  Scoring 1,024 paper-default archs
-# with the helper thread on took about 0.34 s at 448 rows and 0.28 s at
-# 896, whose larger chunks hold about 3 MB more; in a loop of back-to-back
-# calls on one thread, both took 0.28-0.31 s (2-vCPU host, one BLAS
-# thread, medians of 7)
+# in float64 with the helper thread on took about 0.34 s at 448 rows and
+# 0.28 s at 896, whose larger chunks hold about 3 MB more; in a loop of
+# back-to-back calls on one thread, both took 0.28-0.31 s (2-vCPU host,
+# one BLAS thread, medians of 7)
 SCORE_ROWS = 896
 
 
@@ -730,8 +741,10 @@ def _cpu_count() -> int:
 def score_archs(model: PredictorModel, archs,
                 supplemental: np.ndarray | None = None) -> np.ndarray:
     """Score many architectures on no tape: a caller's active tape is
-    suspended for the call and records nothing.  An arch's score depends
-    on the arch alone, not on the archs scored with it.
+    suspended for the call and records nothing.  The pass runs in float32
+    on a working copy of the model made once per call, and the scores come
+    back as float64.  An arch's score depends on the arch alone, not on the
+    archs scored with it nor on the labeling of its cells' nodes.
 
     Archs are grouped by node count and by each cell's active (non-none)
     node count, in order of first appearance.  Each group runs in chunks of
@@ -747,8 +760,9 @@ def score_archs(model: PredictorModel, archs,
     is embedded on two threads: a helper thread, started for the call and
     joined before it returns, embeds the second half while this thread
     embeds the first (see forward_batch), with the serial pass's bytes.
-    Finite parameters can still overflow the forward pass (a corrupted or
-    hand-edited checkpoint does); that raises PredictorError."""
+    A finite parameter that float32 cannot hold, or finite parameters that
+    overflow the forward pass (a corrupted or hand-edited checkpoint has
+    them), raise PredictorError."""
     archs = list(archs)
     if supplemental is not None:
         supplemental = np.asarray(supplemental, dtype=np.float64)
@@ -757,6 +771,11 @@ def score_archs(model: PredictorModel, archs,
                 f"supplemental must have one row per arch ({len(archs)}), "
                 f"got shape {supplemental.shape}"
             )
+    try:
+        model.check_finite(np.float32)
+    except PredictorError as exc:
+        raise PredictorError(f"scores are non-finite: {exc}") from None
+    work = model.cast(np.float32)
     groups: dict[tuple, list[int]] = {}
     for k, arch in enumerate(archs):
         active = tuple(c.num_nodes - c.op_ids.count(OP_NONE) for c in arch.cells)
@@ -776,12 +795,12 @@ def score_archs(model: PredictorModel, archs,
             take = rows if len(rows) > 1 else rows * 2  # one arch runs as two rows
             supp = None if supplemental is None else supplemental[take]
             try:
-                batch = prepare_batch(model, [archs[k] for k in take], supp)
+                batch = prepare_batch(work, [archs[k] for k in take], supp, np.float32)
             except ValueError:
                 # the chunks run group by group: re-check arch by arch
                 for k in range(len(archs)):
-                    prepare_batch(model, archs[k:k + 1], None if supplemental is None
-                                  else supplemental[k:k + 1])
+                    prepare_batch(work, archs[k:k + 1], None if supplemental is None
+                                  else supplemental[k:k + 1], np.float32)
                 raise
             wide = (can_help and (batch.size // 2) * node_rows * width
                     >= HELPER_MIN_ELEMENTS)
@@ -790,7 +809,7 @@ def score_archs(model: PredictorModel, archs,
                 # 0.5 MB of resident memory to serial callers
                 from concurrent.futures import ThreadPoolExecutor
                 pool = stack.enter_context(ThreadPoolExecutor(1))
-            scores = forward_batch(model, batch.active_nodes(),
+            scores = forward_batch(work, batch.active_nodes(),
                                    helper=pool if wide else None)
             out[rows] = scores.data[:len(rows)]
     if not np.isfinite(out).all():

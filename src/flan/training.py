@@ -9,8 +9,9 @@ benchmarks.  Training is mixed precision: fit makes one float32
 (TRAIN_DTYPE) working copy of the float64 master vector model.flat per
 call, each step's forward, loss and backward run on it, and the tape
 writes its gradients into one float32 vector aligned with model.flat.
-The optimizer is Adam with decoupled weight decay.  Block by block it
-widens the gradient to float64, updates the float64 moments and
+Scoring (predictor.score_archs) also runs in float32, on a working copy
+of its own.  The optimizer is Adam with decoupled weight decay.  Block by
+block it widens the gradient to float64, updates the float64 moments and
 model.flat, and writes the block's new values, rounded to float32, into
 the working copy while the block is in cache.  A loss that comes out inf or
 NaN stops training with a TrainError that names where the failure is: the
@@ -54,7 +55,8 @@ from .predictor import (
 from .rng import Rng
 
 # the dtype of fit's taped passes; Adam, its moments and model.flat stay
-# float64, and so do checkpoints and score_archs
+# float64, and so do checkpoints and score_archs' output, though its pass
+# runs in float32 too
 TRAIN_DTYPE = np.float32
 CKPT_MAGIC = b"FLANCKPT"
 CKPT_VERSION = 1

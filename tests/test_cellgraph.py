@@ -12,6 +12,7 @@ from flan.cellgraph import (
     CellError,
     CellGraph,
     OpVocabulary,
+    canonical_order,
     prune_stack,
     prune_to_paths,
     stack_cells,
@@ -390,3 +391,30 @@ def test_prune_matches_graph_walk_oracle():
             assert got is not None
             assert got[0].tolist() == expected[0] == s_adj.tolist()
             assert got[1].tolist() == expected[1] == s_keep.tolist()
+
+
+def canonical(cells):
+    """Each cell's (ops, adjacency) in canonical order, as lists."""
+    stack = stack_cells(cells)
+    order = canonical_order(stack.adjacency, stack.ops)
+    out = []
+    for ops, adj, o in zip(stack.ops, stack.adjacency, order):
+        out.append((ops[o].tolist(), adj[np.ix_(o, o)].tolist()))
+    return out
+
+
+def test_canonical_order_depends_on_each_graph_alone_not_on_its_labeling():
+    rng = Rng(3)
+    cells = [pad(random_valid_cell(rng, 3 + k % 5, 6), 8) for k in range(80)]
+    stacked = canonical(cells)
+    shuffle = np.random.default_rng(4)
+    moved = canonical([permute(c, shuffle.permutation(8)) for c in cells])
+    for c, got, again in zip(cells, stacked, moved):
+        # a graph runs its own number of rounds, whatever shares its stack
+        assert got == canonical([c])[0]
+        ops, _ = got
+        active = [o != OP_NONE for o in ops]
+        assert active == sorted(active, reverse=True)  # none nodes trail
+        assert sorted(ops) == sorted(c.op_ids)
+        assert again == got
+

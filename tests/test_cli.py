@@ -275,7 +275,7 @@ ENCODE_DIGESTS = {
     "path": "1049196a488ff195dbc447aa25e88f437b0493a0c7a7e36469dc370f0157e3ff",
 }
 # checkpoint of a reference-dims `flan train` (two epochs, 32 archs) on 1.bench
-TRAIN_DIGEST = "a1ae79c3bb47c2107ce8f72e57b4750c48e206f0dd295b5c2b913fa69e98b094"
+TRAIN_DIGEST = "481ba60b8105d1d6a32eb55304633ec9718d9fe9c2d084e7881b2abee524aa1e"
 
 
 def test_same_seed_gives_pinned_bytes(tmp_path, capsys):
@@ -465,6 +465,20 @@ def test_eval_of_a_checkpoint_with_a_non_integer_provenance_names_the_key(
                                  "--bench", str(ws["bench_a"]))
     assert (code, payload) == (2, None)
     assert err == f"error: checkpoint provenance {key!r} is 'x', not an integer\n"
+
+
+def test_eval_of_a_checkpoint_beyond_float32_range_exits_2_naming_the_parameter(
+        ws, trained, tmp_path, capsys):
+    # finite in float64, so the checkpoint loads; scoring runs in float32
+    model, provenance = load_model(trained["ckpt"])
+    model.params["head0.w"].data[0, 0] = 1e39
+    path = tmp_path / "wide.ckpt"
+    save_model(model, path, provenance)
+    code, payload, err = run_cli(capsys, "eval", "--ckpt", str(path),
+                                 "--bench", str(ws["bench_a"]))
+    assert (code, payload) == (2, None)
+    assert err == ("error: scores are non-finite: parameter head0.w "
+                   "overflows float32\n")
 
 
 def test_train_with_proxies(ws, tmp_path, capsys):

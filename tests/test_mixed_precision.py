@@ -1,6 +1,7 @@
-"""Mixed-precision training: fit's taped passes run in float32 on one
-working copy of the float64 master vector per call, which each Adam step
-refreshes, while Adam, scoring and the gradient checks stay float64.
+"""Mixed precision: fit's taped passes run in float32 on one working copy
+of the float64 master vector per call, which each Adam step refreshes,
+while Adam and the gradient checks stay float64.  score_archs computes in
+float32 on a working copy of its own and returns float64 scores.
 
 The float64 reference for a training step is the same batch with its 0/1
 routing and mask widened to float64 (exactly), run on the master
@@ -136,7 +137,7 @@ def test_float32_step_records_and_gradients_stay_float32(monkeypatch, dims):
     assert model.flat.dtype == np.float64
 
 
-def test_gradcheck_and_score_archs_stay_float64(monkeypatch):
+def test_gradcheck_stays_float64(monkeypatch):
     seen = spy_emit(monkeypatch)
     bench = small_bench(num_archs=6, seed=11)
     model = init(tiny_config(), unify([bench.vocab]), 1, seed=7)
@@ -147,10 +148,18 @@ def test_gradcheck_and_score_archs_stay_float64(monkeypatch):
     assert report.blocks
     assert seen["grad"]
     assert {dtype for _, dtype in seen["out"] + seen["grad"]} == {np.dtype(np.float64)}
-    seen["out"].clear()
+
+
+def test_score_archs_computes_in_float32_and_returns_float64(monkeypatch):
+    seen = spy_emit(monkeypatch)
+    bench = small_bench(num_archs=6, seed=11)
+    model = init(tiny_config(), unify([bench.vocab]), 1, seed=7)
+    before = model.flat.copy()
     scores = score_archs(model, list(bench.archs))
     assert seen["out"] and scores.dtype == np.float64
-    assert {dtype for _, dtype in seen["out"]} == {np.dtype(np.float64)}
+    assert {dtype for _, dtype in seen["out"]} == {np.dtype(np.float32)}
+    assert model.flat.dtype == np.float64
+    assert model.flat.tobytes() == before.tobytes()
 
 
 def test_a_float32_pass_on_a_cast_copy_gives_the_copy_float32_gradients():
@@ -281,6 +290,21 @@ def test_a_parameter_beyond_float32_range_is_named():
         with pytest.raises(TrainError, match=r"overflowed with finite parameters: "
                                              r"parameter c0\.f0\.dgf\.w_f overflows float32"):
             fit(model, bench, bench.arch_ids, TrainConfig(epochs=1, batch_size=6))
+
+
+def test_score_archs_names_the_first_parameter_beyond_float32_range():
+    # finite in float64, so a checkpoint holding it loads; the float32
+    # working copy of score_archs cannot hold it, and no cast warns
+    bench = small_bench()
+    model = init(tiny_config(), unify([bench.vocab]), 1, seed=0)
+    model.params["head0.w"].data[0, 0] = -1e39
+    model.params["c0.f0.dgf.w_f"].data[0, 0] = 1e39
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(predictor.PredictorError,
+                           match=r"^scores are non-finite: parameter c0\.f0\.dgf\.w_f "
+                                 r"overflows float32$"):
+            score_archs(model, list(bench.archs))
 
 
 def test_check_finite_names_the_first_parameter_a_dtype_cannot_hold():

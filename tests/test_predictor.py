@@ -6,6 +6,7 @@ machinery.
 """
 
 import hashlib
+import itertools
 import json
 from dataclasses import asdict, fields
 
@@ -321,11 +322,10 @@ def test_gat_singleton_softmax_weight_is_exactly_one():
 @pytest.mark.parametrize("batch", [1, 2, 16, 64])
 def test_table_row_gates_give_the_bytes_of_per_node_gates(variant, batch):
     # until the refinement update op_emb is op_table[ids], and the layers
-    # compute its gate once per table row; a GEMM row's bytes do not depend
-    # on the row count for these widths (not for every width: 2, 3 and 9-11
-    # columns are not row-invariant under OpenBLAS 0.3.31), so the gathered
-    # gates and the layer outputs must equal the per-node computation byte
-    # for byte
+    # compute its gate once per table row; fold_matmul pads every weight to
+    # a width at which a GEMM row's bytes do not depend on the row count, so
+    # the gathered gates and the layer outputs must equal the per-node
+    # computation byte for byte
     rng = np.random.default_rng(batch)
     n, d_op, din = 7, 48, 16
     routing = (rng.random((batch, n, n)) < 0.4).astype(np.float64)
@@ -719,10 +719,12 @@ def test_two_cell_embeddings_add():
     ab = score_archs(model, [CellArch((a, b), 0)])[0]
     # adding per-cell embeddings is symmetric up to the head MLP only when
     # the per-cell encoders share weights, which they do not; just pin the
-    # batch path against the single path
-    batch = prepare_batch(model, [CellArch((a, b), 0), CellArch((b, a), 1)])
-    scores = forward_batch(model, batch).data
-    assert scores[0] == pytest.approx(ab, abs=1e-12)
+    # batch path against the single path; score_archs runs in float32
+    work = model.cast(np.float32)
+    batch = prepare_batch(work, [CellArch((a, b), 0), CellArch((b, a), 1)],
+                          dtype=np.float32)
+    scores = forward_batch(work, batch).data
+    assert scores[0] == pytest.approx(ab, abs=1e-6)
 
 
 def test_score_archs_matches_forward_chunked(monkeypatch):
@@ -744,6 +746,11 @@ CHUNK_CASES = {
     "reference-supplemental": (ref_config(supplemental_dims=(3,)), 1),
     "reference-two-cells": (ref_config(), 2),
     "paper-default": (PredictorConfig(), 1),
+    # head widths that OpenBLAS 0.3.31 does not compute row-invariantly
+    # unpadded: 10 and 3 over k = 16 in float64, 3 over k = 32 in float32
+    "reference-head-10": (ref_config(mlp_dims=(10,)), 1),
+    "reference-head-3": (ref_config(mlp_dims=(3,)), 1),
+    "reference-head-32-3": (ref_config(mlp_dims=(32, 3)), 1),
 }
 
 
@@ -807,6 +814,41 @@ def test_a_none_padded_cell_scores_as_its_unpadded_form(config):
     assert padded.tobytes() == plain.tobytes()
     mixed = score_archs(model, [arch_of(pad(c, 6 + k % 3), k) for k, c in enumerate(cells)])
     assert mixed.tobytes() == plain.tobytes()
+
+
+def exhaustive_small_cells():
+    """Every valid cell of acceptance criterion 3's space: 2 to 5 nodes,
+    any upper-triangular edge set, interior ops 3 to 5 of a 6-op
+    vocabulary."""
+    cells = []
+    for n in range(2, 6):
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for mask in range(1 << len(edges)):
+            adj = np.zeros((n, n), dtype=np.uint8)
+            for b, (i, j) in enumerate(edges):
+                adj[i, j] = mask >> b & 1
+            for mid in itertools.product((3, 4, 5), repeat=max(0, n - 2)):
+                cells.append(CellGraph(adj, [0, *mid, 1], 0))
+    return [c for c, err in zip(cells, validate_cells(cells, 6)) if err is None]
+
+
+@pytest.mark.parametrize("config", [tiny_config(), ref_config()],
+                         ids=["tiny", "reference"])
+def test_every_relabeling_of_the_exhaustive_small_space_scores_the_same_bytes(config):
+    # prepare_batch puts each cell's nodes in canonical order, so a
+    # relabeled cell runs every float32 sum in the same order
+    cells = exhaustive_small_cells()
+    assert len(cells) >= 3000
+    model = make_model(config, vocab_size=6, seed=5)
+    jitter_params(model, seed=6)
+    rng = np.random.default_rng(7)
+    want = score_archs(model, [arch_of(c, k) for k, c in enumerate(cells)])
+    for relabel in ("reversed", "shuffled"):
+        moved = [permute(c, range(c.num_nodes - 1, -1, -1) if relabel == "reversed"
+                         else rng.permutation(c.num_nodes))
+                 for c in cells]
+        got = score_archs(model, [arch_of(c, k) for k, c in enumerate(moved)])
+        assert got.tobytes() == want.tobytes(), relabel
 
 
 @pytest.mark.parametrize("config, count", [
@@ -915,7 +957,8 @@ def test_prepare_batch_maps_each_cell_through_its_own_space():
     cells = [random_valid_cell(rng, 5, 5 + k % 2, space_id=k % 2) for k in range(7)]
     batch = prepare_batch(model, [arch_of(c, k) for k, c in enumerate(cells)])
     want = np.stack([model.vocab.map_ops(c.space_id, c.op_ids) for c in cells])
-    assert batch.ids[0].tobytes() == want.tobytes()
+    # prepare_batch reorders each cell's nodes, so compare each row's ids
+    assert np.sort(batch.ids[0]).tobytes() == np.sort(want).tobytes()
 
 
 def test_vocabulary_miss_is_an_error():
@@ -929,9 +972,13 @@ def test_routing_orientation_in_batch():
     model = make_model()
     cell = chain_cell(3)
     batch = prepare_batch(model, [arch_of(cell)])
+    # nodes are in canonical order: find the input and its successor by op
+    ids = batch.ids[0][0].tolist()
+    src, dst = (ids.index(i) for i in model.vocab.map_ops(0, np.array([0, 3])))
     # forward routing is the transpose: receivers index senders
-    assert batch.routing_fwd[0][0][1, 0] == 1.0
-    assert batch.routing_bwd[0][0][0, 1] == 1.0
+    assert batch.routing_fwd[0][0][dst, src] == 1.0
+    assert batch.routing_bwd[0][0][src, dst] == 1.0
+    assert batch.routing_fwd[0].sum() == batch.routing_bwd[0].sum() == 2.0
     assert batch.mask[0][0, :, 0].tolist() == [1.0, 1.0, 1.0]
 
 
@@ -954,8 +1001,10 @@ def test_edges_touching_none_nodes_carry_no_message(monkeypatch):
     model = make_model()
     jitter_params(model, seed=6)
     batch = prepare_batch(model, [arch_of(stray)])
-    assert not batch.routing_fwd[0].any(axis=(0, 1))[2]
-    assert not batch.routing_bwd[0][0, 2].any()
+    none = batch.mask[0][0, :, 0] == 0.0
+    assert none.sum() == 2
+    assert not batch.routing_fwd[0][0][:, none].any()
+    assert not batch.routing_bwd[0][0][none].any()
     monkeypatch.setattr(predictor, "SCORE_ROWS", 1)
     stray_score, plain_score = score_archs(model, [arch_of(stray), arch_of(plain)])
     assert stray_score == plain_score

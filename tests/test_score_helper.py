@@ -2,8 +2,8 @@
 each wide chunk, and the scores keep the bytes of the serial pass.
 
 The serial reference scores each arch on its own, with no helper: one
-prepare_batch and one forward_batch over two copies of the arch without
-its none nodes.  Most tests use archs whose every node is active, so a
+float32 prepare_batch and one forward_batch over two copies of the arch
+without its none nodes, on the model cast to float32 as score_archs does.  Most tests use archs whose every node is active, so a
 call is one group of 7-node archs, chunked by SCORE_ROWS node rows.  Tests
 that need the helper report two CPUs, so they run the helper path on a
 one-CPU host too.
@@ -65,11 +65,12 @@ def make_archs(count, cells=1, nodes=NODES, seed=8):
 
 
 def serial_scores(model, archs, supplemental=None):
+    work = model.cast(np.float32)
     out = np.empty(len(archs))
     for k, arch in enumerate(archs):
         supp = None if supplemental is None else supplemental[[k, k]]
-        batch = prepare_batch(model, [arch, arch], supp).active_nodes()
-        out[k] = forward_batch(model, batch).data[0]
+        batch = prepare_batch(work, [arch, arch], supp, np.float32).active_nodes()
+        out[k] = forward_batch(work, batch).data[0]
     return out
 
 
@@ -177,9 +178,10 @@ def test_a_later_chunk_mixing_node_counts_scores_group_by_group(helper_calls):
 
 def test_overflow_on_the_helper_path_is_a_predictor_error(helper_calls):
     # warnings are errors in this suite, so an overflow the helper thread
-    # did not silence would surface as a RuntimeWarning
+    # did not silence would surface as a RuntimeWarning; the parameters fit
+    # float32, which scores, but their products overflow it
     model = make_model()
-    model.flat[:] = 1e200
+    model.flat[:] = 1e30
     with pytest.raises(PredictorError, match="scores are non-finite"):
         score_archs(model, make_archs(64))
     assert helper_calls == [32]

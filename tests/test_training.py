@@ -50,7 +50,14 @@ from flan.training import (
     transfer,
 )
 
-from conftest import REFERENCE_DIMS, ref_config, reference_bench, small_bench, tiny_config
+from conftest import (
+    REFERENCE_DIMS,
+    permute,
+    ref_config,
+    reference_bench,
+    small_bench,
+    tiny_config,
+)
 from gradcheck import grad_check
 
 
@@ -274,14 +281,15 @@ def test_fit_reduces_loss_at_reference_scale():
 # sha256 of model.flat after a short reference-dims fit, one per graph-layer
 # variant; the gradient bytes are those of the layers' float32 backward with
 # each weight product folded into one GEMM (autodiff.matmul_grads), so a
-# change to the order in which a gradient's terms are summed moves these pins
+# change to the order in which a gradient's terms are summed moves these
+# pins, and so does a change to prepare_batch's canonical node order
 VARIANT_DIGESTS = {
     ("ensemble", "ensemble", "shared_sigmoid", 2):
-        "5e6ec29ad235ca65934c7e147d1ef4905b1b003a06876c2af9427c7c6b04f26e",
+        "9e88d034af98b2ef711085538645514edde032659be73b044af9fad400ab91cd",
     ("ensemble", "ensemble", "kqv_softmax", 2):
-        "31f90b615699b0d1efe64d0546c469640a88443e20307b293baa0b8532a3606a",
+        "7b212e44742a1cd9ab1dae0ba63e6f53673ac8ef6bdf2bafd8ab51f842e525e8",
     ("gat", "dgf", "shared_sigmoid", 3):
-        "0df9280d96ffad7ddf655ab9b8980bebcaa788704205d54008d5fb88ac4a5af3",
+        "cfc18137eaf24e4f638ac5f793fb3ef8e24e59f35146cbddd23692553f8f466f",
 }
 
 
@@ -299,11 +307,11 @@ def test_fit_gives_pinned_bytes_for_each_layer_variant(variant):
 
 
 # sha256 of a paper-default model after one fit step on twelve 7-node archs,
-# and of its score_archs output on them: the only pins at the paper's
-# 128-wide layers, where the timestep-0 gates come from op-table rows
+# and of its float32 score_archs output on them: the only pins at the
+# paper's 128-wide layers, where the timestep-0 gates come from op-table rows
 PAPER_DEFAULT_DIGESTS = {
-    "model": "0d156e6d46e569acd1a9910d015cfd6b4219f25031b20c4f230487d9f200ea98",
-    "scores": "1d8823a915f37fc3836b307e5785d7261490419d90a8edfa4f37715d9ef17de9",
+    "model": "887c60e06069d0829a1e954cdb6798bb15202d620c790940d0897ec2182095f0",
+    "scores": "ceaf5e6054c9c5cd613dc043a127fea629514dd5f0f905a8f7fa1db80cc2013b",
 }
 
 
@@ -317,6 +325,27 @@ def test_paper_default_fit_and_score_give_pinned_bytes():
     digests = {"model": hashlib.sha256(model.flat.tobytes()).hexdigest(),
                "scores": hashlib.sha256(scores.tobytes()).hexdigest()}
     assert digests == PAPER_DEFAULT_DIGESTS
+
+
+@pytest.mark.parametrize("config", [ref_config(), PredictorConfig()],
+                         ids=["reference", "paper-default"])
+def test_fit_on_a_relabeled_split_writes_the_same_checkpoint(config, tmp_path):
+    # prepare_batch puts each cell's nodes in canonical order, so relabeling
+    # the training cells moves no byte of the forward, backward or update
+    bench = small_bench(num_archs=24, seed=5, num_nodes=7, vocab_size=8)
+    rng = np.random.default_rng(9)
+    moved = replace(bench, archs=[
+        CellArch(tuple(permute(c, rng.permutation(c.num_nodes)) for c in a.cells),
+                 a.arch_id) for a in bench.archs])
+    assert moved.archs != bench.archs
+    ckpts = []
+    for k, space in enumerate((bench, moved)):
+        model = init(config, unify([space.vocab]), 1, seed=0)
+        fit(model, space, space.arch_ids,
+            TrainConfig(epochs=2, batch_size=8, lr=0.01, seed=3))
+        save_model(model, tmp_path / f"{k}.ckpt")
+        ckpts.append((tmp_path / f"{k}.ckpt").read_bytes())
+    assert ckpts[0] == ckpts[1]
 
 
 # tape records of one forward_batch plus hinge_rank_loss: each graph stack
