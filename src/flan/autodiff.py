@@ -255,22 +255,23 @@ GEMM_COLUMNS = 16
 
 def fold_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """x @ w for a 2-d w, with x's leading axes folded into the rows of one
-    GEMM instead of one product per batch entry.  A w whose width is not a
-    multiple of GEMM_COLUMNS runs zero-padded to one, and the result is the
-    leading columns of the padded product: at such widths each row's sums
-    then do not depend on the other rows, so a row's bytes are the same in
-    any batch and the folded product equals the per-batch one.  Unpadded,
-    OpenBLAS 0.3.31 is not row-invariant at some widths (float32 200 among
-    them).  A one-column w is left unfolded: folded, it would run as GEMV,
-    whose sums differ."""
+    GEMM instead of one product per batch entry.
+
+    Each row of the result has the same bytes whatever rows it is computed
+    with, so it equals the per-batch product and a row's bytes do not depend
+    on its batch.  To keep that, a w whose width is not a multiple of
+    GEMM_COLUMNS runs zero-padded to one and the result is the leading
+    columns of the padded product, and a single row runs as two copies of
+    itself, so that no product runs as GEMV."""
     k, m = w.shape
-    if m == 1:
-        return np.matmul(x, w)
     pad = -m % GEMM_COLUMNS
     if pad:
         w = np.concatenate([w, np.zeros((k, pad), dtype=w.dtype)], axis=1)
-    out = np.matmul(x.reshape(-1, k), w)
-    return out[:, :m].reshape(x.shape[:-1] + (m,))
+    rows = x.reshape(-1, k)
+    n = len(rows)
+    if n == 1:
+        rows = np.concatenate([rows, rows])
+    return np.matmul(rows, w)[:n, :m].reshape(x.shape[:-1] + (m,))
 
 
 def logistic(d: np.ndarray) -> np.ndarray:

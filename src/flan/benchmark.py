@@ -268,7 +268,17 @@ class TabularBenchmark:
 
     def __post_init__(self):
         object.__setattr__(self, "archs", tuple(self.archs))
-        ids = [a.arch_id for a in self.archs]
+        cells = self.cells_per_arch
+        if isinstance(cells, bool) or cells not in (1, 2):
+            raise BenchmarkError(f"cells_per_arch must be 1 or 2, got {cells!r}")
+        ids = []
+        for a in self.archs:  # a CellArch's cells share one node count
+            if len(a.cells) != cells or a.cells[0].num_nodes != self.num_nodes:
+                raise BenchmarkError(
+                    f"arch {a.arch_id} holds {len(a.cells)} cell(s) of "
+                    f"{a.cells[0].num_nodes} nodes, expected {cells} of "
+                    f"{self.num_nodes}")
+            ids.append(a.arch_id)
         if len(set(ids)) != len(ids):
             raise BenchmarkError("duplicate arch ids")
         if set(ids) != set(self.accuracies):

@@ -158,11 +158,13 @@ def validate_cells(cells, vocab_size: int) -> list[str | None]:
     """Per cell, None when it is well formed, else a short diagnostic.
 
     Checks, in order: acyclicity (self loops first, then any cycle, none
-    nodes included), op ids inside the vocabulary, and one source and one
-    sink in the active subgraph.  One reachability closure of the raw
-    adjacency stack finds cycles: an edge i -> j closes one when j reaches
-    i.  Every node of a DAG descends from a source and reaches a sink, so a
-    unique source and sink put every active node on a path between them.
+    nodes included), op ids inside the vocabulary, one source and one sink
+    in the active subgraph, and no input or output op on an interior
+    active node (the lowest is named), which every encoder refuses too.
+    One reachability closure of the raw adjacency stack finds cycles: an
+    edge i -> j closes one when j reaches i.  Every node of a DAG descends
+    from a source and reaches a sink, so a unique source and sink put every
+    active node on a path between them.
     Messages are formatted only for the cells that fail.  Padding nodes
     carry the none op, which every vocabulary (size >= 3) covers.
     """
@@ -171,7 +173,9 @@ def validate_cells(cells, vocab_size: int) -> list[str | None]:
     cyclic = ((raw != 0) & _closure(raw).transpose(0, 2, 1)).any(axis=(1, 2))
     bad_op = ops >= vocab_size
     one_end = (sources.sum(axis=1) == 1) & (sinks.sum(axis=1) == 1)
-    failing = loops.any(axis=1) | cyclic | bad_op.any(axis=1) | ~one_end
+    reserved = (ops < OP_NONE) & ~sources & ~sinks  # none nodes are neither
+    failing = (loops.any(axis=1) | cyclic | bad_op.any(axis=1) | ~one_end
+               | reserved.any(axis=1))
     out: list[str | None] = [None] * len(cells)
     for k in np.flatnonzero(failing).tolist():
         if loops[k].any():
@@ -184,12 +188,15 @@ def validate_cells(cells, vocab_size: int) -> list[str | None]:
                       f"vocabulary size {vocab_size}")
         elif not (ops[k] != OP_NONE).any():
             out[k] = "disconnected: no active nodes"
-        else:
+        elif not one_end[k]:
             out[k] = (
                 f"disconnected: expected one source and one sink, found "
                 f"sources {np.flatnonzero(sources[k]).tolist()} and "
                 f"sinks {np.flatnonzero(sinks[k]).tolist()}"
             )
+        else:
+            i = reserved[k].argmax()
+            out[k] = f"interior node {i} carries reserved op {ops[k, i]}"
     return out
 
 

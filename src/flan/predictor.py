@@ -222,7 +222,9 @@ def _gat(x, routing, op_emb, params, variant, rows):
     proj_v, proj_k, proj_q = projs if len(projs) == 3 else projs * 3
     d_out = w_o.shape[1]
     a_recv, a_send = attn_a.data[:d_out], attn_a.data[d_out:]
-    # one-column products: folded they would run as GEMV and change bytes
+    # one-column products per batch entry, each row summed on its own;
+    # fold_matmul would sum them in another order, moving every score and
+    # trained parameter
     recv = np.matmul(proj_q, a_recv)
     send = np.matmul(proj_k, a_send)
     scores = recv + np.swapaxes(send, -1, -2)
@@ -311,8 +313,10 @@ def _ensemble(x, routing, routing_t, op_emb, dgf_params, gat_params, variant,
 
 def dense_layer(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
     """x @ w + b over the last axis of a 2-d or 3-d x, then ReLU if relu.
-    A one-column w runs as a broadcast multiply and a last-axis sum: each
-    row's sum then does not depend on the other rows, as GEMV's does."""
+    A one-column w, as the head's output layer has, runs as a broadcast
+    multiply and a last-axis sum, each row summed on its own; fold_matmul
+    would sum it in another order, moving every score and trained
+    parameter."""
     if w.shape[1] == 1:
         h = (x.data * w.data[:, 0]).sum(axis=-1, keepdims=True)
     else:
@@ -680,13 +684,15 @@ def forward_batch(model: PredictorModel, batch: PreparedBatch, *,
     """(B,) predicted scores; records on the active tape if any.
 
     The pass runs in the batch's dtype, which must be the parameters'
-    (see PredictorModel.cast for a working copy in another dtype).
+    (see PredictorModel.cast for a working copy in another dtype).  An
+    arch's score has the same bytes in any batch, one arch alone included:
+    every weight product sums each row on its own, in ad.fold_matmul's
+    GEMMs and in the one-column products alike.
 
     helper, an executor, embeds the second half of the batch on its thread
     while this thread embeds the first; the supplemental MLP and the head
-    run on the whole batch.  The bytes are the serial pass's, since every
-    product in the graph stacks is a GEMM over batch x node rows.  A tape
-    records one thread only, so a helper is refused while one is active.
+    run on the whole batch, with the serial pass's bytes.  A tape records
+    one thread only, so a helper is refused while one is active.
     """
     cfg = model.config
     if helper is not None and ad.active_tape() is not None:
@@ -712,22 +718,13 @@ def forward_batch(model: PredictorModel, batch: PreparedBatch, *,
 
 
 # the half chunk's node-feature elements (archs x node rows x widest gcn
-# dim) from which score_archs embeds half of each chunk on a helper thread.
-# Narrower passes are bound by the interpreter lock, so the handoff costs
-# more than it saves.  Measured on float64 passes, scoring the 1,024 archs
-# of a 7-node space without their none nodes on a 2-vCPU host with one BLAS
-# thread, helper on against off (medians of 11): 128-wide halves of 224
-# node rows (28,672) gained 16%, of 168 rows (21,504) broke even and of 112
-# rows (14,336) lost 19%; halves of 448 rows gained 11% at 64 wide (28,672)
-# and about broke even at 48
+# dim) from which score_archs embeds half of each chunk on a helper thread:
+# narrower passes are bound by the interpreter lock, and the handoff costs
+# more than it saves
 HELPER_MIN_ELEMENTS = 24_000
 # node rows (archs x active nodes summed over an arch's cells) per
-# score_archs forward pass; each chunk is prepared on its own, so a call
-# holds one chunk's routing at a time.  Scoring 1,024 paper-default archs
-# in float64 with the helper thread on took about 0.34 s at 448 rows and
-# 0.28 s at 896, whose larger chunks hold about 3 MB more; in a loop of
-# back-to-back calls on one thread, both took 0.28-0.31 s (2-vCPU host,
-# one BLAS thread, medians of 7)
+# score_archs forward pass: larger chunks pay for fewer Python calls with
+# larger activations, and a call holds one chunk's routing at a time
 SCORE_ROWS = 896
 
 
@@ -750,10 +747,9 @@ def score_archs(model: PredictorModel, archs,
     node count, in order of first appearance.  Each group runs in chunks of
     at most SCORE_ROWS node rows (at least one arch), one forward pass each
     over the chunk's active nodes, so each arch is prepared once per call;
-    the scores come back in input order.  A one-arch chunk runs as two
-    copies of the arch, since one row would run the head's GEMMs as GEMV,
-    whose sums differ.  Every input check runs on the archs as given, and
-    an input error is the one the first failing arch in input order raises.
+    the scores come back in input order.  Every input check runs on the
+    archs as given, and an input error is the one the first failing arch in
+    input order raises.
 
     With more than one CPU, a chunk whose second half holds at least
     HELPER_MIN_ELEMENTS node features (archs x node rows x widest gcn dim)
@@ -792,10 +788,9 @@ def score_archs(model: PredictorModel, archs,
     with contextlib.ExitStack() as stack, ad.no_tape(), \
             np.errstate(over="ignore", invalid="ignore"):
         for rows, node_rows in chunks:
-            take = rows if len(rows) > 1 else rows * 2  # one arch runs as two rows
-            supp = None if supplemental is None else supplemental[take]
+            supp = None if supplemental is None else supplemental[rows]
             try:
-                batch = prepare_batch(work, [archs[k] for k in take], supp, np.float32)
+                batch = prepare_batch(work, [archs[k] for k in rows], supp, np.float32)
             except ValueError:
                 # the chunks run group by group: re-check arch by arch
                 for k in range(len(archs)):
@@ -811,7 +806,7 @@ def score_archs(model: PredictorModel, archs,
                 pool = stack.enter_context(ThreadPoolExecutor(1))
             scores = forward_batch(work, batch.active_nodes(),
                                    helper=pool if wide else None)
-            out[rows] = scores.data[:len(rows)]
+            out[rows] = scores.data
     if not np.isfinite(out).all():
         raise PredictorError("scores are non-finite: the parameters overflow "
                              "the forward pass")

@@ -436,13 +436,14 @@ def load_model(path) -> tuple[PredictorModel, dict[str, str]]:
             key: value for key, value in metadata["config"].items()
             if key not in RETIRED_CONFIG_KEYS})
         vocab = UnifiedVocabulary.from_dict(metadata["vocab"])
-        cells_per_arch = operator.index(metadata["cells_per_arch"])
+        raw_cells = metadata["cells_per_arch"]
+        cells_per_arch = operator.index(raw_cells)
         promised = list(metadata["tensors"])
         provenance = {str(k): str(v) for k, v in metadata["provenance"].items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"invalid metadata: {exc}") from None
-    if cells_per_arch not in (1, 2):
-        raise CheckpointError(f"cells_per_arch must be 1 or 2, got {cells_per_arch}")
+    if isinstance(raw_cells, bool) or cells_per_arch not in (1, 2):
+        raise CheckpointError(f"cells_per_arch must be 1 or 2, got {raw_cells!r}")
     tensors: dict[str, np.ndarray] = {}
     while not reader.done():
         try:

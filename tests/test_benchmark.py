@@ -459,6 +459,16 @@ def set_cell(**fields):
     return lambda header, records: records[1]["cells"][0].update(fields)
 
 
+def set_interior_op(op):
+    """Three-node chains whose second record's middle node carries op."""
+    def mutate(header, records):
+        header.update(num_nodes=3, ops=["input", "output", "none", "conv"])
+        for k, rec in enumerate(records):
+            rec["cells"][0] = {"adj": [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+                               "ops": [0, op if k else 3, 1]}
+    return mutate
+
+
 def set_zcp(zcp):
     def mutate(header, records):
         header["zcp_dim"] = 1
@@ -528,6 +538,13 @@ def set_zcp(zcp):
                  id="metadata-int"),
     pytest.param(set_header(ops=["input", "output", "none", 5]),
                  "line 1: ops[3] must be a string, got int", id="op-names-int"),
+    # every encoder refuses an interior input or output op, so ingest does
+    pytest.param(set_interior_op(0),
+                 "line 3: invalid cell: interior node 1 carries reserved op 0",
+                 id="interior-input-op"),
+    pytest.param(set_interior_op(1),
+                 "line 3: invalid cell: interior node 1 carries reserved op 1",
+                 id="interior-output-op"),
 ])
 def test_ingest_malformed_cells_names_line(tmp_path, capsys, mutate, message):
     path = write_two_records(tmp_path, mutate)
@@ -755,3 +772,23 @@ def test_tabular_invariants():
         )
     with pytest.raises(BenchmarkError):
         bench.accuracy(10_000)
+
+
+@pytest.mark.parametrize("cells, nodes, match", [
+    (2, 4, "arch 0 holds 1 cell"),
+    (1, 9, "arch 0 holds 1 cell.* of 4 nodes, expected 1 of 9"),
+    (2, 9, "expected 2 of 9"),
+    (3, 4, "cells_per_arch must be 1 or 2, got 3"),
+    (True, 4, "cells_per_arch must be 1 or 2, got True"),
+])
+def test_tabular_benchmark_checks_its_shape_fields(tmp_path, cells, nodes, match):
+    # export writes these fields as the header, so a benchmark that
+    # disagrees with them would export a file ingest refuses
+    bench = generate_synthetic(base_spec(num_archs=5))
+    fields = dict(name="x", vocab=bench.vocab, archs=bench.archs,
+                  accuracies=bench.accuracies, proxies=None, metadata={})
+    with pytest.raises(BenchmarkError, match=match):
+        TabularBenchmark(**fields, cells_per_arch=cells, num_nodes=nodes)
+    ok = TabularBenchmark(**fields, cells_per_arch=1, num_nodes=4)
+    export(ok, tmp_path / "ok.jsonl")
+    assert ingest(tmp_path / "ok.jsonl").arch_ids == ok.arch_ids

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import arch_of, cell, chain_cell, pad, permute, random_valid_cell
 from flan.cellgraph import (
+    OP_INPUT,
     OP_NONE,
+    OP_OUTPUT,
     CellArch,
     CellError,
     CellGraph,
@@ -290,6 +292,9 @@ def _oracle_validate(adj, ops, vocab_size):
     for i in active:
         if i not in from_src or i not in to_dst:
             return f"disconnected: node {i} is on no path from {src} to {dst}"
+    for i in active:
+        if i not in (src, dst) and ops[i] in (OP_INPUT, OP_OUTPUT):
+            return f"interior node {i} carries reserved op {ops[i]}"
     return None
 
 
@@ -352,12 +357,15 @@ def test_validate_cells_matches_graph_walk_oracle():
     expected = [_oracle_validate(c.adjacency.tolist(), c.op_ids, VOCAB) for c in cells]
     assert validate_cells(cells, VOCAB) == expected
     assert [validate_cells([c], VOCAB)[0] for c in cells] == expected
-    # the oracle's last check never fires: in a DAG every node descends
-    # from a source and reaches a sink, so a unique pair is on every path
+    # the oracle's path check never fires: in a DAG every node descends
+    # from a source and reaches a sink, so a unique pair is on every path;
+    # an interior input or output op is rare, as only the source and sink
+    # start with one
     kinds = [m or "valid" for m in expected]
     for kind in ("valid", "cycle: node", "cycle: adjacency", "op out of range",
                  "disconnected: no active", "disconnected: expected"):
         assert sum(k.startswith(kind) for k in kinds) >= 20, kind
+    assert sum(k.startswith("interior node") for k in kinds) >= 5
     assert not any(k.startswith("disconnected: node") for k in kinds)
 
 

@@ -773,9 +773,8 @@ def chunk_case(label, count):
 @pytest.mark.parametrize("label", sorted(CHUNK_CASES))
 def test_scores_give_the_same_bytes_for_every_chunk(label, monkeypatch):
     # SCORE_ROWS of chunk x 7 node rows per cell holds at least chunk archs;
-    # a chunk of one arch runs as two copies, and the head's output layer
-    # sums each row on its own, so no score depends on the archs chunked
-    # with it
+    # every product sums each row on its own, one-arch chunks included, so
+    # no score depends on the archs chunked with it
     model, archs, supp = chunk_case(label, 24 if label == "paper-default" else 70)
     digests = set()
     for chunk in (1, 2, 3, 5, 16, 64):
@@ -798,6 +797,24 @@ def test_an_arch_scores_alone_as_inside_any_batch(label):
         alone = score_archs(model, [arch], None if supp is None else supp[k:k + 1])
         for order, scores in batched.items():
             assert scores[k:k + 1].tobytes() == alone.tobytes(), (k, order)
+
+
+@pytest.mark.parametrize("config", [ref_config(), PredictorConfig()],
+                         ids=["reference", "paper-default"])
+def test_forward_batch_gives_one_arch_the_bytes_of_its_row_in_a_batch(config):
+    # a batch of one arch runs its products on one row where a larger batch
+    # runs them on many; fold_matmul gives that row the same bytes, in
+    # either dtype
+    model = make_model(config, seed=3)
+    jitter_params(model, seed=4)
+    rng = Rng(8)
+    archs = [arch_of(random_valid_cell(rng, 7, 5), i) for i in range(6)]
+    for dtype in (np.float32, np.float64):
+        work = model.cast(dtype)
+        batched = forward_batch(work, prepare_batch(work, archs, dtype=dtype)).data
+        for k, arch in enumerate(archs):
+            alone = forward_batch(work, prepare_batch(work, [arch], dtype=dtype))
+            assert alone.data.tobytes() == batched[k:k + 1].tobytes(), (dtype, k)
 
 
 @pytest.mark.parametrize("config", [ref_config(), PredictorConfig()],
@@ -858,8 +875,7 @@ def test_every_relabeling_of_the_exhaustive_small_space_scores_the_same_bytes(co
 ], ids=["reference", "reference-kqv", "paper-default"])
 def test_graph_stacks_give_the_same_bytes_for_every_chunk(config, count):
     # every weight product in the stacks is one GEMM over batch x node rows,
-    # and each row's sums do not depend on the other rows; a chunk of one
-    # 6-node arch still runs GEMMs of six rows, never GEMV
+    # and each row's sums do not depend on the other rows
     model = make_model(config, seed=3)
     jitter_params(model, seed=4)
     rng = Rng(8)

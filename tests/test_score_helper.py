@@ -2,11 +2,11 @@
 each wide chunk, and the scores keep the bytes of the serial pass.
 
 The serial reference scores each arch on its own, with no helper: one
-float32 prepare_batch and one forward_batch over two copies of the arch
-without its none nodes, on the model cast to float32 as score_archs does.  Most tests use archs whose every node is active, so a
-call is one group of 7-node archs, chunked by SCORE_ROWS node rows.  Tests
-that need the helper report two CPUs, so they run the helper path on a
-one-CPU host too.
+float32 prepare_batch and one forward_batch over the arch alone without
+its none nodes, on the model cast to float32 as score_archs does.  Most
+tests use archs whose every node is active, so a call is one group of
+7-node archs, chunked by SCORE_ROWS node rows.  Tests that need the helper
+report two CPUs, so they run the helper path on a one-CPU host too.
 """
 
 import hashlib
@@ -68,8 +68,8 @@ def serial_scores(model, archs, supplemental=None):
     work = model.cast(np.float32)
     out = np.empty(len(archs))
     for k, arch in enumerate(archs):
-        supp = None if supplemental is None else supplemental[[k, k]]
-        batch = prepare_batch(work, [arch, arch], supp, np.float32).active_nodes()
+        supp = None if supplemental is None else supplemental[k:k + 1]
+        batch = prepare_batch(work, [arch], supp, np.float32).active_nodes()
         out[k] = forward_batch(work, batch).data[0]
     return out
 
@@ -142,9 +142,9 @@ def test_helper_splits_small_and_odd_chunks_with_the_same_bytes(
     archs = make_archs(7)
     got = score_archs(model, archs)
     assert got.tobytes() == serial_scores(model, archs).tobytes()
-    # a one-arch chunk runs as two copies, whose second goes to the helper
+    # the helper embeds the second half of each chunk; one arch has none
     sizes = [min(chunk, 7 - lo) for lo in range(0, 7, chunk)]
-    assert helper_calls == [max(size, 2) // 2 for size in sizes]
+    assert helper_calls == [size // 2 for size in sizes if size > 1]
 
 
 @pytest.mark.parametrize("mode", predictor.FORWARD_MODES)

@@ -548,13 +548,12 @@ def test_fit_and_score_archs_prepare_each_arch_once_per_call(monkeypatch):
                   supplemental=provider)
     assert history["steps"] > 3
     assert counts == [list(ids)]
-    # score_archs prepares chunk by chunk: the chunks cover each arch once,
-    # and a one-arch chunk holds two copies of its arch
+    # score_archs prepares chunk by chunk: the chunks cover each arch once
     counts.clear()
     monkeypatch.setattr(predictor, "SCORE_ROWS", 5 * 4)
     scores = score_archs(model, [bench.arch(i) for i in ids], provider.matrix(ids))
     assert sorted(k for chunk in counts for k in dict.fromkeys(chunk)) == sorted(ids)
-    assert all(len(set(chunk)) == len(chunk) or chunk == chunk[:1] * 2 for chunk in counts)
+    assert all(len(set(chunk)) == len(chunk) for chunk in counts)
     assert np.isfinite(scores).all()
 
 
@@ -908,6 +907,9 @@ def test_checkpoint_tensor_names_must_match_promise(tmp_path):
      "timesteps must be between 1 and 64"),
     (lambda m: m.update(cells_per_arch=1.5), b"op_table", (1,),
      "invalid metadata: 'float' object cannot be interpreted as an integer"),
+    # JSON true is not a count, as in ingest's header and the config fields
+    (lambda m: m.update(cells_per_arch=True), b"op_table", (1,),
+     "cells_per_arch must be 1 or 2, got True"),
 ])
 def test_checkpoint_hostile_bytes_raise_checkpoint_error(
         tmp_path, mutate, name, shape, match):
